@@ -1,6 +1,6 @@
 """Benchmark of commvar: one run of one workload, or of all three.
 
-    python3 bench/run.py --workload verify-all --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload verify-all --seed 1 --seconds 12 --trace 0
 
 Run from the root of a source checkout (the directory holding `src/`).
 `--trace 0` measures the end-to-end metrics, `--trace 1` the per-layer
@@ -16,6 +16,7 @@ block; its exit code is the worst of theirs.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -25,6 +26,10 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, HERE)
+
+import speed  # noqa: E402
+import tracer as tracing  # noqa: E402
 
 WORKLOADS = ("verify-all", "stratify-large", "config-tower")
 END_TO_END = {  # name -> unit
@@ -34,13 +39,12 @@ END_TO_END = {  # name -> unit
     "setup_s": "s",
     "peak_rss_mb": "MB",
 }
-SETUP_RUNS = 7
+#: fresh interpreters per run for setup_s
+SETUP_RUNS = 9
 WORKER_TIMEOUT_S = 160
 OUT_DIR = ".bench_out"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-IMPORT_TIMER = ("import time; t = time.perf_counter(); import commvar.cli; "
-                "print(time.perf_counter() - t)")
 
 
 def _env(root: str) -> dict:
@@ -51,14 +55,16 @@ def _env(root: str) -> dict:
     return env
 
 
-def measure_setup(root: str, env: dict, runs: int) -> list[float]:
-    """Wall time of `import commvar.cli` in `runs` fresh interpreters."""
-    times = []
+def cold_runs(root: str, env: dict, workload: str, seed: int, runs: int) -> list[dict]:
+    """`runs` fresh interpreters, each timing `import commvar.cli` and then
+    the workload's first op (see cold.py)."""
+    out = []
     for _ in range(runs):
-        out = subprocess.run([sys.executable, "-c", IMPORT_TIMER], cwd=root, env=env,
-                             capture_output=True, text=True, timeout=60, check=True)
-        times.append(float(out.stdout.strip()))
-    return times
+        proc = subprocess.run([sys.executable, os.path.join(HERE, "cold.py"), workload, str(seed)],
+                              cwd=root, env=env, capture_output=True, text=True, timeout=60,
+                              check=True)
+        out.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return out
 
 
 def machine_info(root: str, env: dict, seed: int) -> dict:
@@ -89,54 +95,101 @@ def machine_info(root: str, env: dict, seed: int) -> dict:
     }
 
 
-def run_workload(root: str, workload: str, seed: int, seconds: int, trace: int) -> tuple[int, dict]:
-    env = _env(root)
-    info = machine_info(root, env, seed)
-    setup = []
-    if not trace:
-        # the first interpreter writes the bytecode cache, which an installed
-        # package already has; the rest are split around the worker so that
-        # a burst of load from other processes cannot cover all of them
-        measure_setup(root, env, 1)
-        setup += measure_setup(root, env, SETUP_RUNS // 2)
+def worker(root: str, env: dict, workload: str, seed: int, seconds: int, mode: str) -> dict:
     cmd = [sys.executable, os.path.join(HERE, "worker.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+           "--seed", str(seed), "--seconds", str(seconds), "--mode", mode,
            "--out-dir", os.path.join(root, OUT_DIR)]
     proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                           timeout=WORKER_TIMEOUT_S)
-    if not trace:
-        setup += measure_setup(root, env, SETUP_RUNS - SETUP_RUNS // 2)
     if proc.returncode != 0 or not proc.stdout.strip():
         sys.stderr.write(proc.stderr)
-        raise RuntimeError(f"worker for {workload} exited with {proc.returncode}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    metrics = dict(result["metrics"])
-    samples = {name: result["samples"]["ops"] for name in metrics}
-    if not trace:
-        metrics["setup_s"] = statistics.median(setup)
-        samples["setup_s"] = len(setup)
-        samples["peak_rss_mb"] = 1
-    info.update(workload=workload, trace=trace, seconds=seconds, setup_samples_s=setup,
-                **result["samples"])
-    report = {
-        "correct": result["failed"] == 0,
+        raise RuntimeError(f"{mode} worker for {workload} exited with {proc.returncode}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _report(result: dict, failures: dict[int, str], errors: list[str], metrics: dict,
+            samples: dict, info: dict) -> dict:
+    """One workload's report; `failures` (op index -> message) adds to the
+    worker's own failed ops, `errors` are failures of the run itself."""
+    failed = set(result["failed_ops"]) | set(failures)
+    messages = result["failures"] + [failures[i] for i in sorted(failures)]
+    return {
+        "correct": not failed and not errors,
         "attempted": result["attempted"],
-        "failed": result["failed"],
+        "failed": len(failed),
         "metrics": metrics,
         "samples": samples,
-        "failures": result["failures"],
+        "failures": messages[:20] + errors,
         "info": info,
     }
-    return (0 if report["correct"] else 1), report
+
+
+def run_timed(root: str, workload: str, seed: int, seconds: int) -> dict:
+    """The end-to-end metrics: fresh interpreters split around one timed worker."""
+    env = _env(root)
+    info = machine_info(root, env, seed)
+    # an installed package has its bytecode cache; the interpreters are
+    # split around the worker so that a burst of load from other processes
+    # cannot cover all of them
+    for path in (os.path.join(root, "src"), HERE):
+        compileall.compile_dir(path, quiet=1)
+    cold = cold_runs(root, env, workload, seed, SETUP_RUNS // 2)
+    result = worker(root, env, workload, seed, seconds, "timed")
+    cold += cold_runs(root, env, workload, seed, SETUP_RUNS - SETUP_RUNS // 2)
+    failures = {}
+    for c in cold:
+        if c["failure"] is not None:
+            failures[0] = f"first op in a fresh interpreter: {c['failure']}"
+        elif c["digest"] != result["samples"]["first_digest"]:
+            failures[0] = "first op gave another output in a fresh interpreter"
+    metrics = dict(result["metrics"])
+    # set-up is what a fresh process pays before its first result: the
+    # import and the first op, so that work deferred from one to the other
+    # does not read as a gain; each interpreter's own speed sample scales it
+    setup = [c["import_s"] + c["first_op_s"] for c in cold]
+    metrics["setup_s"] = statistics.median(
+        x * speed.speed([c["ref_s"]]) for x, c in zip(setup, cold))
+    ops = result["samples"]["ops"]
+    samples = {name: ops for name in ("ops_per_s", "latency_p50_ms", "latency_tail_ms")}
+    samples.update(setup_s=len(cold), peak_rss_mb=1)
+    info["raw"] = dict(result["samples"].pop("raw"), setup_s=statistics.median(setup))
+    info.update(workload=workload, trace=0, seconds=seconds,
+                import_samples_s=[c["import_s"] for c in cold],
+                setup_ref_samples_s=[c["ref_s"] for c in cold],
+                first_op_samples_s=[c["first_op_s"] for c in cold], **result["samples"])
+    return _report(result, failures, result["errors"], metrics, samples, info)
+
+
+def run_traced(root: str, workload: str, seed: int, seconds: int) -> dict:
+    """The per-layer metrics: two traced processes around one untraced one,
+    each a cold pass over the same request set."""
+    env = _env(root)
+    info = machine_info(root, env, seed)
+    a = worker(root, env, workload, seed, seconds, "traced")
+    plain = worker(root, env, workload, seed, seconds, "plain")
+    b = worker(root, env, workload, seed, seconds, "traced")
+    failures, errors = {}, a["errors"] + b["errors"]
+    for other, name in ((plain, "untraced"), (b, "second traced")):
+        for i in other["failed_ops"]:
+            failures.setdefault(i, f"op {i} failed its check in the {name} run")
+        for i, (x, y) in enumerate(zip(a["samples"]["digests"], other["samples"]["digests"])):
+            if x != y:
+                failures.setdefault(i, f"op {i} gave another output in the {name} run")
+    errors += [f"{name} differs between traced runs: {a['metrics'][name]} != {b['metrics'][name]}"
+               for name in tracing.EXACT if a["metrics"][name] != b["metrics"][name]]
+    metrics = dict(a["metrics"])
+    traced_wall = (a["samples"]["wall_s"] + b["samples"]["wall_s"]) / 2
+    metrics["trace.overhead_ratio"] = traced_wall / plain["samples"]["wall_s"] - 1.0
+    samples = {name: a["attempted"] for name in metrics}
+    info.update(workload=workload, trace=1, seconds=seconds, ops=a["attempted"],
+                spans=a["samples"]["spans"],
+                traced_wall_s=[a["samples"]["wall_s"], b["samples"]["wall_s"]],
+                untraced_wall_s=plain["samples"]["wall_s"])
+    return _report(a, failures, errors, metrics, samples, info)
 
 
 def _units(trace: int) -> dict:
-    if not trace:
-        return END_TO_END
-    sys.path.insert(0, HERE)
-    from tracer import PER_LAYER
-
-    return dict(PER_LAYER)
+    return dict(tracing.PER_LAYER) if trace else END_TO_END
 
 
 def print_report(report: dict, trace: int):
@@ -146,10 +199,10 @@ def print_report(report: dict, trace: int):
           f"fail_ratio={report['failed'] / report['attempted']:.6g} ratio")
     for name, unit in _units(trace).items():
         extra = ""
-        if name in ("ops_per_s", "latency_p50_ms", "latency_tail_ms"):
-            extra = f" (fastest of {info['passes']} passes per op)"
         if name == "latency_tail_ms":
-            extra = f" (p{info['tail_percentile']}, fastest of {info['passes']} passes per op)"
+            extra = f" (p{info['tail_percentile']})"
+        elif name == "setup_s":
+            extra = " (import and first op, median of fresh interpreters)"
         print(f"{name} = {report['metrics'][name]!r} {unit} n={report['samples'][name]}{extra}")
     for msg in report["failures"]:
         print(f"FAILED {msg}")
@@ -172,13 +225,14 @@ def main(argv=None) -> int:
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     worst, reports = 0, []
     for name in names:
+        run = run_traced if args.trace else run_timed
         try:
-            code, report = run_workload(root, name, args.seed, args.seconds, args.trace)
+            report = run(root, name, args.seed, args.seconds)
         except (RuntimeError, subprocess.SubprocessError, OSError, ValueError) as exc:
             print(f"run.py: {exc}", file=sys.stderr)
             return 2
         print_report(report, args.trace)
-        worst = max(worst, code)
+        worst = max(worst, 0 if report["correct"] else 1)
         reports.append(report)
     units = _units(args.trace)
     if len(reports) == 1:

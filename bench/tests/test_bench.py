@@ -1,5 +1,5 @@
-"""Tests of the benchmark's own logic: naming, the tail rule, self time and
-the tracer's rebinding.  Run from the repository root:
+"""Tests of the benchmark's own logic: naming, the tail rule, self time, the
+tracer's rebinding, failure counting and the request sets.  Run from the repository root:
 
     python3 -m pytest bench/tests -q
 """
@@ -20,8 +20,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, BENCH)
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import stats  # noqa: E402
 import tracer as tracing  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -203,7 +205,8 @@ def test_bindings_are_restored_when_the_traced_code_raises():
 
 
 def test_traced_counts_repeat_exactly():
-    ops = workloads.StratifyLarge().round_ops(3, 0)[-3:]  # the s = 8 requests
+    ops = [workloads.StratifyLarge._op(kind, 6, 3)
+           for kind in ("unitary-simple", "unitary-near", "real-symmetric")]
     runs = []
     for _ in range(2):
         tr = tracing.Tracer(extra_modules=[workloads])
@@ -217,3 +220,64 @@ def test_traced_counts_repeat_exactly():
         runs.append({k: m[k] for k in tracing.EXACT})
     assert runs[0] == runs[1]
     assert runs[0]["numkit.joint_diagonalizer.calls"] > 0
+
+
+# -------------------------------------------------------- failure counting
+
+
+def test_failed_counts_distinct_ops_and_errors_are_not_ops():
+    result = {"attempted": 10, "failed_ops": [2, 5], "failures": ["a", "b"]}
+    report = run._report(result, {0: "first op", 5: "again"}, [], {}, {}, {})
+    assert report["failed"] == 3 and not report["correct"]
+    report = run._report({**result, "failed_ops": [], "failures": []}, {},
+                         ["binding not restored: x"], {}, {}, {})
+    assert report["failed"] == 0 and not report["correct"]
+    assert report["failures"] == ["binding not restored: x"]
+
+
+def test_worker_counts_an_op_once_however_many_checks_it_fails():
+    ops = [workloads.Op("bad", lambda: 1, lambda out: "wrong"),
+           workloads.Op("good", lambda: 2, lambda out: None)]
+    failures = worker._check(ops, [1, 2])
+    result = worker._result(ops, failures, {}, {})
+    assert result["failed"] == 1 and result["failed_ops"] == [0]
+
+
+# ------------------------------------------------------------ request sets
+
+
+@pytest.mark.parametrize("name", ["stratify-large", "config-tower"])
+def test_rounds_have_inputs_of_their_own_and_the_seed_decides_them(name):
+    w = workloads.WORKLOADS[name]()
+    first, again, second = (w.round_ops(seed, r) for seed, r in ((4, 0), (4, 0), (4, 1)))
+    out = [[op.run() for op in ops[:1]] for ops in (first, again, second)]
+    assert out[0] == out[1]
+    assert out[0] != out[2]
+    assert [op.label for op in first] == [op.label for op in second]
+
+
+def test_verify_all_runs_each_trial_seed_once():
+    w = workloads.VerifyAll()
+    ops = w.request_set(1, 3)
+    assert len(ops) == 3 * len(workloads.SUITES)
+    labels = [op.label for op in ops]
+    assert len(set(labels)) == len(labels)
+
+
+def test_round_count_depends_only_on_seconds():
+    for w in (cls() for cls in workloads.WORKLOADS.values()):
+        assert w.rounds(20) == max(1, round(20 / w.ROUND_S))
+        assert w.rounds(0.001) == 1
+
+
+# ------------------------------------------------------------ machine speed
+
+
+def test_each_op_is_scaled_by_the_samples_around_it():
+    r = speed.REF_S
+    refs = [(10.0, r), (20.0, 2 * r), (30.0, 4 * r)]
+    ops = [(5.0, 1.0), (15.0, 1.0), (25.0, 3.0), (35.0, 2.0)]
+    # before the first sample: that sample; between two: their mean; after
+    # the last: the last
+    assert speed.scaled(ops, refs) == pytest.approx([1.0, 1 / 1.5, 1.0, 0.5])
+    assert speed.speed([r, 3 * r]) == pytest.approx(0.5)

@@ -128,7 +128,7 @@ PER_LAYER = [
     ("cli.import_s", "s"),
     ("trace.overhead_ratio", "ratio"),
 ]
-# metrics that count work; they must repeat exactly between two traced passes
+# metrics that count work; they must repeat exactly between two traced runs
 EXACT = [name for name, unit in PER_LAYER if unit == "count"] + [
     "commodel.jd_per_tuple", "commodel.validate_per_tuple",
     "commodel.jd_per_unitary_tuple", "commodel.validate_per_unitary_tuple",

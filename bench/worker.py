@@ -1,11 +1,12 @@
 """One benchmark run of one workload, in its own process.
 
 Started by `run.py` with BLAS and OpenMP pinned to one thread; prints one
-JSON object on its last stdout line.  Untraced runs drive a closed loop with
-one client: whole passes over the workload's request set, about `--seconds`
-of ops.
-Traced runs pass over the request set untraced, traced, traced and untraced,
-so that counts can be compared exactly and the tracing overhead measured.
+JSON object on its last stdout line.  `--mode timed` drives a closed loop
+with one client over `rounds(seconds)` rounds of ops, each op with inputs of
+its own.  `--mode plain` and `--mode traced` run the smaller request set of a
+traced run once, untraced or traced; `run.py` compares two traced processes'
+counts and times the untraced one for the tracing overhead.  Every mode
+starts cold: the first op timed is the first op this process runs.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ import commvar.cli  # noqa: E402,F401  (timed: what every CLI invocation pays)
 
 IMPORT_S = time.perf_counter() - _t0
 
+import speed  # noqa: E402
 import stats  # noqa: E402
 import tracer as tracing  # noqa: E402
 import workloads  # noqa: E402
+
+#: share of `--seconds` of untraced work that a traced run's request set holds
+TRACE_SHARE = 0.25
 
 
 def _peak_rss_mb() -> float:
@@ -47,97 +52,98 @@ def _run_ops(ops, tracer=None):
     return outputs, latencies
 
 
-def _check(ops, outputs) -> list[str]:
-    failures = []
-    for op, out in zip(ops, outputs):
+def _check(ops, outputs) -> dict[int, str]:
+    """Index -> failure message of every op whose output fails its check."""
+    failures = {}
+    for i, (op, out) in enumerate(zip(ops, outputs)):
         msg = op.check(out)
         if msg is not None:
-            failures.append(f"{op.label}: {msg}")
+            failures[i] = f"{op.label}: {msg}"
     return failures
 
 
-def closed_loop(w: workloads.Workload, seed: int, seconds: float) -> dict:
-    """Whole passes over the request set.  An op's cost is the fastest of
-    its passes: other tenants of a shared machine slow ops by up to half for
-    a second or so at a time, and the minimum leaves those bursts out."""
-    ops = w.request_set(seed)  # inputs are built outside the timed region
-    passes = w.passes(seconds)
-    first, latencies, failures = None, [[] for _ in ops], []
-    for p in range(passes):
-        outputs, lat = _run_ops(ops)
-        for samples, x in zip(latencies, lat):
-            samples.append(x)
-        if first is None:
-            first = outputs
-        else:
-            failures += [f"{op.label}: output of pass {p} differs from pass 0"
-                         for op, a, b in zip(ops, first, outputs) if a != b]
-    failures = _check(ops, first) + failures
-    cost = [min(samples) for samples in latencies]
-    tail_p, tail_v = stats.tail(cost)
+def _result(ops, failures: dict[int, str], metrics: dict, samples: dict, errors=()) -> dict:
     return {
         "attempted": len(ops),
-        "failed": min(len(failures), len(ops)),
-        "failures": failures[:20],
-        "metrics": {
-            "ops_per_s": len(ops) / sum(cost),
-            "latency_p50_ms": 1e3 * statistics.median(cost),
-            "latency_tail_ms": 1e3 * tail_v,
-            "peak_rss_mb": _peak_rss_mb(),
-        },
-        "samples": {"ops": len(ops), "passes": passes,
-                    "busy_s": sum(map(sum, latencies)), "tail_percentile": tail_p},
-    }
-
-
-def traced(w: workloads.Workload, seed: int, out_dir: str) -> dict:
-    """Passes in the order untraced, traced, traced, untraced, after one
-    warm-up op, so that drift and warm-up weigh on both sides alike."""
-    ops = w.request_set(seed)
-    _run_ops(ops[:1])
-    plain, failures, untraced_walls, passes = None, [], [], []
-    for step in ("plain", "traced", "traced", "plain"):
-        tr = tracing.Tracer(extra_modules=[workloads]) if step == "traced" else None
-        if tr is not None:
-            tr.install()
-        try:
-            t = time.perf_counter()
-            outputs, _ = _run_ops(ops, tr)
-            wall = time.perf_counter() - t
-        finally:
-            wrong = tr.uninstall() if tr is not None else []
-        failures += [f"binding not restored: {b}" for b in wrong]
-        if tr is None:
-            untraced_walls.append(wall)
-        else:
-            passes.append((tr, wall, tracing.layer_metrics(tr, wall)))
-        if plain is None:
-            plain = outputs
-            failures += _check(ops, plain)
-        elif outputs != plain:
-            failures.append(f"{step} pass {len(passes) + len(untraced_walls)} "
-                            "changed an op's output")
-    untraced_wall = sum(untraced_walls)
-    (tr_a, wall_a, metrics), (_tr_b, wall_b, metrics_b) = passes
-    for name in tracing.EXACT:
-        if metrics[name] != metrics_b[name]:
-            failures.append(f"{name} differs between traced passes: "
-                            f"{metrics[name]} != {metrics_b[name]}")
-    metrics["cli.import_s"] = IMPORT_S
-    metrics["trace.overhead_ratio"] = (wall_a + wall_b) / untraced_wall - 1.0
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"spans-{w.name}-{seed}.json"), "w") as fh:
-        json.dump({"workload": w.name, "seed": seed, "wall_s": wall_a,
-                   "spans": tr_a.rows()}, fh)
-    return {
-        "attempted": len(ops),
-        "failed": min(len(failures), len(ops)),
-        "failures": failures[:20],
+        "failed": len(failures),
+        "failed_ops": sorted(failures),
+        "failures": [failures[i] for i in sorted(failures)][:20],
+        "errors": list(errors),
         "metrics": metrics,
-        "samples": {"ops": len(ops), "spans": len(tr_a.spans),
-                    "untraced_wall_s": untraced_walls, "traced_wall_s": [wall_a, wall_b]},
+        "samples": samples,
     }
+
+
+def closed_loop(w: workloads.Workload, seed: int, seconds: float) -> dict:
+    """Every op of the request set once, in order, with a machine-speed
+    sample after each EVERY_S of ops (never before the first op, so that it
+    stays cold).  The timing metrics are of the ops' times scaled to the
+    reference machine (speed.py); the unscaled ones are reported as `raw`,
+    with ops_per_s over the wall time of the whole loop less the samples."""
+    rounds = w.rounds(seconds)
+    ops = w.request_set(seed, rounds)  # inputs are built outside the timed region
+    outputs, timed, refs = [], [], []
+    start = last = time.perf_counter()
+    for op in ops:
+        t = time.perf_counter()
+        outputs.append(op.run())
+        done = time.perf_counter()
+        timed.append((t, done - t))
+        if done - last >= speed.EVERY_S:
+            refs.append((done, speed.reference()))
+            last = time.perf_counter()
+    wall = time.perf_counter() - start - sum(r for _, r in refs)
+    if not refs:
+        refs.append((time.perf_counter(), speed.reference()))
+    failures = _check(ops, outputs)
+    # the same requests built and run again must give the same output
+    again, _ = _run_ops(w.round_ops(seed, 0))
+    for i, out in enumerate(again):
+        if out != outputs[i] and i not in failures:
+            failures[i] = f"{ops[i].label}: a second run gave another output"
+    latencies = speed.scaled(timed, refs)
+    tail_p, tail_v = stats.tail(latencies)
+    raw = [x for _, x in timed]
+    return _result(ops, failures, {
+        "ops_per_s": len(ops) / sum(latencies),
+        "latency_p50_ms": 1e3 * statistics.median(latencies),
+        "latency_tail_ms": 1e3 * tail_v,
+        "peak_rss_mb": _peak_rss_mb(),
+    }, {"ops": len(ops), "rounds": rounds, "wall_s": wall, "tail_percentile": tail_p,
+        "first_digest": workloads.digest(outputs[0]),
+        "raw": {"ops_per_s": len(ops) / wall,
+                "latency_p50_ms": 1e3 * statistics.median(raw),
+                "latency_tail_ms": 1e3 * stats.tail(raw)[1]},
+        "speed": speed.speed([r for _, r in refs]),
+        "ref_samples_s": [r for _, r in refs]})
+
+
+def trace_pass(w: workloads.Workload, seed: int, seconds: float, traced: bool,
+               out_dir: str) -> dict:
+    """One cold pass over the traced run's request set, traced or not."""
+    ops = w.request_set(seed, w.rounds(seconds * TRACE_SHARE))
+    tr = tracing.Tracer(extra_modules=[workloads]) if traced else None
+    if tr is not None:
+        tr.install()
+    try:
+        start = time.perf_counter()
+        outputs, _ = _run_ops(ops, tr)
+        wall = time.perf_counter() - start
+    finally:
+        wrong = tr.uninstall() if tr is not None else []
+    metrics = {}
+    if tr is not None:
+        metrics = tracing.layer_metrics(tr, wall)
+        metrics["cli.import_s"] = IMPORT_S
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, f"spans-{w.name}-{seed}.json"), "w") as fh:
+            json.dump({"workload": w.name, "seed": seed, "wall_s": wall,
+                       "spans": tr.rows()}, fh)
+    return _result(ops, _check(ops, outputs), metrics,
+                   {"ops": len(ops), "wall_s": wall,
+                    "spans": len(tr.spans) if tr is not None else 0,
+                    "digests": [workloads.digest(out) for out in outputs]},
+                   errors=[f"binding not restored: {b}" for b in wrong])
 
 
 def main(argv=None) -> int:
@@ -145,14 +151,14 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
+    ap.add_argument("--mode", required=True, choices=("timed", "plain", "traced"))
     ap.add_argument("--out-dir", required=True)
     args = ap.parse_args(argv)
     w = workloads.WORKLOADS[args.workload]()
-    if args.trace:
-        result = traced(w, args.seed, args.out_dir)
-    else:
+    if args.mode == "timed":
         result = closed_loop(w, args.seed, args.seconds)
+    else:
+        result = trace_pass(w, args.seed, args.seconds, args.mode == "traced", args.out_dir)
     print(json.dumps(result))
     return 0
 

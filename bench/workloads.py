@@ -1,11 +1,13 @@
 """The benchmark's three workloads: seeded request sets and their correctness checks.
 
-A workload's request set is ROUNDS rounds of ops.  Every round has the same
-shape (the same op kinds at the same sizes) and the seed decides the matrix
-and configuration contents.  A run replays the request set in whole passes,
-`passes(seconds)` of them, sized so that the passes take about `seconds` on
-the reference machine (2 cores, Python 3.11, numpy 2.4): both commits of a
-comparison then measure the same work with the same sample count.
+A run's request set is `rounds(seconds)` rounds of ops, each op with inputs
+of its own, so no op repeats another's inputs within a run.  Every round has
+the same shape (the same op kinds at the same sizes); the seed and the round
+index decide the matrix and configuration contents.  The round count is fixed
+by `seconds` and `ROUND_S`, the time one round takes on the reference machine
+(2 cores, Python 3.11, numpy 2.4), so both commits of a comparison run the
+same ops.  Op 0 of round 0 is the op a fresh interpreter times as the first
+op.
 
 Each op is a pair of callables: `run()` is timed, `check(output)` runs after
 the timed loop and returns None or a failure message.
@@ -14,6 +16,7 @@ the timed loop and returns None or a failure message.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -57,21 +60,24 @@ class Op:
     check: Callable[[Any], "str | None"]
 
 
+def digest(output) -> str:
+    """Short digest of an op's output, to compare outputs across processes."""
+    return hashlib.sha256(repr(output).encode()).hexdigest()[:16]
+
+
 class Workload:
     name = ""
-    #: rounds in the request set
-    ROUNDS = 1
-    #: seconds one pass over the request set takes on the reference machine
-    PASS_S = 1.0
+    #: seconds one round takes on the reference machine
+    ROUND_S = 1.0
 
-    def passes(self, seconds: float) -> int:
-        return max(3, round(seconds / self.PASS_S))
+    def rounds(self, seconds: float) -> int:
+        return max(1, round(seconds / self.ROUND_S))
 
     def round_ops(self, seed: int, r: int) -> list[Op]:
         raise NotImplementedError
 
-    def request_set(self, seed: int) -> list[Op]:
-        return [op for r in range(self.ROUNDS) for op in self.round_ops(seed, r)]
+    def request_set(self, seed: int, rounds: int) -> list[Op]:
+        return [op for r in range(rounds) for op in self.round_ops(seed, r)]
 
 
 # ------------------------------------------------------------------ verify-all
@@ -80,25 +86,21 @@ class Workload:
 class VerifyAll(Workload):
     """`run_suite` on each suite at the CLI's default caps (n <= 3, s <= 6,
     D <= 2); one op is one suite-trial, `run_suite(suite, RunConfig(seed=k,
-    trials=1))`.
+    trials=1))`.  Round r runs the 7 suites at trial seed r.
 
-    The suites draw their own sizes, so one trial costs from 1 ms to 1.5 s
-    and a 20 s run of seed-dependent trials drifts by about 15% between
-    seeds.  The request set is therefore one fixed pool, trial seeds
-    0..POOL-1 on all 7 suites, in an order the benchmark seed shuffles.
+    The benchmark seed is not used.  The suites draw their own sizes, so one
+    trial costs from 1 ms to 1.9 s, and the costs are heavy-tailed: with
+    trial seeds drawn from the benchmark seed, the total cost of about 32
+    rounds spreads by 0.16 (inter-quartile over median) across seeds, and by
+    0.12 with the trials' first size draws stratified.  Trial seeds
+    0..rounds-1 are the same work on every seed, and each still runs once.
     """
 
     name = "verify-all"
-    POOL = 8
-    PASS_S = 4.5
+    ROUND_S = 0.56
 
     def round_ops(self, seed: int, r: int) -> list[Op]:
-        items = [(suite, k) for k in range(self.POOL) for suite in SUITES]
-        rng = SplitMix64(subseed(seed, r))
-        for i in range(len(items) - 1, 0, -1):
-            j = rng.randint(0, i + 1)
-            items[i], items[j] = items[j], items[i]
-        return [_suite_op(suite, k) for suite, k in items]
+        return [_suite_op(suite, r) for suite in SUITES]
 
 
 def _suite_op(suite: str, k: int) -> Op:
@@ -107,10 +109,10 @@ def _suite_op(suite: str, k: int) -> Op:
 
     def check(summary):
         if summary["failures"]:
-            return f"{suite} seed {k}: {summary['messages'][:3]}"
+            return f"{summary['messages'][:3]}"
         return None
 
-    return Op(suite, run, check)
+    return Op(f"{suite}/{k}", run, check)
 
 
 # -------------------------------------------------------------- stratify-large
@@ -213,29 +215,28 @@ class StratifyLarge(Workload):
     """`cli.main(["stratify"])` on JSON stdin, one op per request.
 
     A round is one request of each kind at a fixed size from 8 to 24; the
-    seed draws the matrices.  Unitary kinds take the chart path (two joint
-    diagonalizations today), the others the type-only branch (one), and the
-    near-commuting kind the kernel's random-combination fallback.
+    seed and the round draw the matrices.  Unitary kinds take the chart path
+    (two joint diagonalizations today), the others the type-only branch
+    (one), and the near-commuting kind the kernel's random-combination
+    fallback.
     """
 
     name = "stratify-large"
     # Sizes stop at 24.  One request's cost varies by up to 2x with its
-    # contents (the sweep count), and bursts of load from other processes
-    # slow whatever runs during them, so a steady figure needs many requests
-    # each seen three times; at s = 32 one request takes 1-3 s and a run
-    # holds too few of them.  s = 32 and 64 belong here once the kernel is
-    # faster.
+    # contents (the sweep count), so a steady figure needs many requests; at
+    # s = 32 one request takes 1-3 s and a run holds too few of them.
+    # s = 32 and 64 belong here once the kernel is faster.  The small
+    # request leads, so that the first op's cost is mostly first-call work.
     ROUND = (
+        ("unitary-simple", 8),
         ("unitary-simple", 16),
         ("unitary-padded", 16),
         ("unitary-blocks", 12),
         ("unitary-near", 12),
         ("real-symmetric", 24),
         ("skew-hermitian", 24),
-        ("unitary-simple", 8),
     )
-    ROUNDS = 4
-    PASS_S = 9.5
+    ROUND_S = 2.4
 
     def round_ops(self, seed: int, r: int) -> list[Op]:
         return [self._op(kind, s, subseed(seed, r * len(self.ROUND) + i))
@@ -268,9 +269,9 @@ def _law(label: str, fn) -> Op:
     def check(result):
         dist, ok = result
         if not dist <= LAW_BOUND:
-            return f"{label}: config distance {dist:.3e}"
+            return f"config distance {dist:.3e}"
         if not ok:
-            return f"{label}: rank is not multiplicative"
+            return "rank is not multiplicative"
         return None
 
     return Op(label, fn, check)
@@ -288,15 +289,14 @@ class ConfigTower(Workload):
     """
 
     name = "config-tower"
-    ROUNDS = 40
-    PASS_S = 3.0
-    U = UniverseBasis(3, 2)
+    ROUND_S = 0.075
+    N, D = 3, 2
     DIMS_A = (2, 1)
     DIMS_B = (2, 1)
 
     def round_ops(self, seed: int, r: int) -> list[Op]:
         rng = SplitMix64(subseed(seed, r))
-        u = self.U
+        u = UniverseBasis(self.N, self.D)  # one per round, so no op reuses another's
         a = gen_random_config(rng.next_u64(), u, dims=self.DIMS_A)
         b = gen_random_config(rng.next_u64(), u, dims=self.DIMS_B)
         x = _point(rng, u.n)
@@ -309,7 +309,7 @@ class ConfigTower(Workload):
         return [
             _law("multiply", lambda: self._multiply(a, b)),
             _law("structure_map", lambda: self._structure(a, y)),
-            _law("unit_map", lambda: self._unit(x, y)),
+            _law("unit_map", lambda: self._unit(u, x, y)),
             _law("sigma_action_config", lambda: self._equivariance(a, b, sigma, tau)),
             _law("apply_based_map", lambda: self._based_map(a, b, alpha, beta)),
         ]
@@ -328,8 +328,8 @@ class ConfigTower(Workload):
         rhs = multiply(a, unit_map(y, UniverseBasis(len(y.coords), a.universe.D)))
         return config_distance(lhs, rhs), rank(lhs) == rank(a)
 
-    def _unit(self, x, y):
-        u = self.U
+    @staticmethod
+    def _unit(u, x, y):
         lhs = canonicalize(structure_map(unit_map(x, u), y))
         rhs = unit_map(smash(x, y), UniverseBasis(u.n + len(y.coords), 2 * u.D))
         return config_distance(lhs, rhs), rank(lhs) == 1
