@@ -20,9 +20,11 @@ import time
 import numpy as np
 
 #: seconds `reference()` takes on the reference machine unloaded
-REF_S = 0.020
-#: seconds of ops between two reference samples in a timed run
-EVERY_S = 0.5
+REF_S = 0.005
+#: seconds of ops between two reference samples in a timed run; the load
+#: changes every few hundred milliseconds, and with 0.5 s config-tower's tail
+#: latency spread wider scaled than unscaled
+EVERY_S = 0.1
 
 
 def reference() -> float:
@@ -32,7 +34,7 @@ def reference() -> float:
     h = a + a.conj().T
     acc = 0.0
     start = time.perf_counter()
-    for _ in range(200):
+    for _ in range(50):
         _, v = np.linalg.eigh(h)
         h = v.conj().T @ h @ v + 1e-3 * (a + a.conj().T)
         for i in range(12):
