@@ -21,12 +21,12 @@ import os
 import sys
 
 from . import jsonio
-from .commodel import KINDS
-from .errors import CommVarError, NoConvergence, NotRealizable, SingularAtOne, WrongStratum
+from .commodel import KINDS, joint_diagonalize
+from .errors import CommVarError
 from .generate import gen_random_commuting
-from .isodecomp import decomposition_type
+from .isodecomp import block_type
 from .numkit import Tolerances
-from .rankstrata import subquotient_chart
+from .rankstrata import chart_from_blocks
 from .verify import SUITES, RunConfig, run_suite
 
 EXIT_OK = 0
@@ -119,6 +119,8 @@ def cmd_stratify(args) -> int:
         raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
         data = json.loads(raw)
         t = jsonio.tuple_from_json(data)
+        if t.s < 1:
+            raise ValueError("stratify needs matrices of size at least 1")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
@@ -133,24 +135,20 @@ def cmd_stratify(args) -> int:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
     try:
+        # one diagonalization serves the chart and the decomposition type
+        _, blocks = joint_diagonalize(t, tol)
+        report = {"rank": None, "chart": None, "split": None,
+                  "decomposition_type": list(block_type(blocks).parts)}
         if t.kind == "unitary":
-            chart = subquotient_chart(t, tol)
-            report = {
+            chart = chart_from_blocks(t, blocks, tol)
+            report.update({
                 "rank": chart.s,
                 "chart": {"X": jsonio.tuple_to_json(chart.X),
                           "f": jsonio.matrix_to_json(chart.f)},
                 "split": {"traceless": jsonio.tuple_to_json(chart.traceless),
                           "tau": [float(v) for v in chart.tau]},
-                "decomposition_type": list(decomposition_type(t, tol).parts),
-            }
-        else:
-            report = {
-                "rank": None,
-                "chart": None,
-                "split": None,
-                "decomposition_type": list(decomposition_type(t, tol).parts),
-            }
-    except (WrongStratum, SingularAtOne, NoConvergence, NotRealizable) as exc:
+            })
+    except CommVarError as exc:
         _error_body("stratum_error", str(exc), args.output)
         return EXIT_STRATUM
     _emit(report, args.output)

@@ -21,6 +21,8 @@ from .gammaconf import (
     Label,
     SpherePoint,
     canonicalize,
+    single_linkage,
+    value_key,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -31,6 +33,7 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
+    leading_index,
     off_norm,
     orthonormalize,
     phase_normalize,
@@ -99,40 +102,12 @@ class EigenBlock:
 
 def _hermitian_components(t: CommutingTuple) -> np.ndarray:
     if t.kind == "unitary":
-        parts = []
-        for a in t.mats:
-            parts.append(0.5 * (a + a.conj().T))
-            parts.append((a - a.conj().T) / 2j)
-        return np.array(parts) if parts else np.zeros((0, t.s, t.s), dtype=complex)
+        # Hermitian and skew part of each component, interleaved
+        h = np.conj(np.swapaxes(t.mats, 1, 2))
+        return np.stack([0.5 * (t.mats + h), (t.mats - h) / 2j], axis=1).reshape(-1, t.s, t.s)
     if t.kind == "skew_hermitian":
-        return np.array([-1j * x for x in t.mats]) if t.n else np.zeros((0, t.s, t.s), dtype=complex)
+        return -1j * t.mats
     return t.mats.copy()
-
-
-def _cluster_columns(vals: np.ndarray, eps: float) -> list[list[int]]:
-    """Single-linkage clustering of value tuples in the max metric."""
-    s = vals.shape[1]
-    parent = list(range(s))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(s):
-        for b in range(a + 1, s):
-            d = np.max(np.abs(vals[:, a] - vals[:, b])) if vals.shape[0] else 0.0
-            if d < eps:
-                parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for i in range(s):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
-def _value_key(values: np.ndarray):
-    return tuple(v for z in np.atleast_1d(values) for v in (complex(z).real, complex(z).imag))
 
 
 def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
@@ -153,45 +128,67 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     if real:
         q = q.real
     diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
-    resid = np.sqrt(sum(off_norm(d) ** 2 for d in diag)) if t.n else 0.0
+    resid = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
     if resid > 1e-8 * max(scale, 1e-300):
         raise NotCommuting(f"joint residual {resid:.3e} for tuple of size {t.s}")
-    vals = np.array([np.diagonal(d) for d in diag]) if t.n else np.zeros((0, t.s))
+    vals = np.diagonal(diag, axis1=1, axis2=2)
     if real:
         vals = vals.real
     blocks = []
-    for cols in _cluster_columns(vals, tol.eps_cluster):
+    # single linkage in the max metric; with no components every column agrees
+    clusters = single_linkage(vals.shape[1], lambda a, b: t.n == 0 or (
+        np.max(np.abs(vals[:, a] - vals[:, b])) < tol.eps_cluster))
+    for cols in clusters:
         frame = phase_normalize(orthonormalize(q[:, cols], tol), tol)
-        values = vals[:, cols].mean(axis=1) if t.n else np.zeros(0)
-        blocks.append(EigenBlock(frame, values))
-    blocks.sort(key=lambda b: _value_key(b.values))
+        blocks.append(EigenBlock(frame, vals[:, cols].mean(axis=1)))
+    blocks.sort(key=lambda b: value_key(b.values))
     return q, blocks
+
+
+def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:
+    """The eigenblocks (as joint_diagonalize returns them) that span the
+    distinguished subspace F, in chart order.
+
+    A block belongs to F when its value tuple, read as a sphere point, is
+    not near the basepoint: no coordinate lies within eps_base of 1.  For an
+    empty tuple (n = 0) the condition is vacuous and F is the whole space.
+    Chart order sorts by the leading coordinate of the frame, then by the
+    value tuple, as configuration labels are sorted.
+    """
+    keep = [b for b in blocks if not SpherePoint(b.values).near_basepoint(tol.eps_base)]
+    keep.sort(key=lambda b: (leading_index(b.frame, tol), value_key(b.values)))
+    return keep
+
+
+def F_frame(t: CommutingTuple, blocks: list[EigenBlock],
+            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Isometric frame of F from the eigenblocks of t: the frames of
+    F_blocks side by side."""
+    frames = [b.frame for b in F_blocks(blocks, tol)]
+    return np.hstack(frames) if frames else np.zeros((t.s, 0), dtype=t.mats.dtype)
 
 
 def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Frame spanning the largest subspace on which every A_i - Id is
     non-singular: the sum of the eigenblocks whose value tuple stays away
-    from 1 in every coordinate (threshold eps_base)."""
+    from 1 in every coordinate (threshold eps_base), the whole space when
+    n = 0."""
     _, blocks = joint_diagonalize(t, tol)
-    keep = [
-        b.frame for b in blocks
-        if b.values.size == 0 or np.all(np.abs(b.values - 1.0) > tol.eps_base)
-    ]
-    if t.n == 0:
-        return np.zeros((t.s, 0), dtype=t.mats.dtype if t.mats.size else complex)
-    if not keep:
-        return np.zeros((t.s, 0), dtype=blocks[0].frame.dtype if blocks else complex)
-    return np.hstack(keep)
+    return F_frame(t, blocks, tol)
+
+
+def extend_by_identity(g: np.ndarray, smalls: np.ndarray) -> np.ndarray:
+    """Stack of g X g^H + (Id - g g^H) over the stack smalls: each X acts on
+    the span of the isometric frame g, the identity on its complement."""
+    gh = g.conj().T
+    return g @ smalls @ gh + (np.eye(g.shape[0], dtype=complex) - g @ gh)
 
 
 def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Canonical representative of the equivalence class of a unitary tuple:
     each component restricted to F and extended by the identity."""
     f = F_subspace(t, tol)
-    p = f @ f.conj().T
-    eye = np.eye(t.s)
-    mats = np.array([p @ a @ p + (eye - p) for a in t.mats])
-    return CommutingTuple("unitary", mats, t.ambient)
+    return CommutingTuple("unitary", extend_by_identity(f, f.conj().T @ t.mats @ f), t.ambient)
 
 
 def class_distance(t1: CommutingTuple, t2: CommutingTuple,
@@ -237,12 +234,7 @@ def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Con
     if t.kind != "unitary":
         raise ValueError("only unitary tuples correspond to configurations")
     _, blocks = joint_diagonalize(t, tol)
-    labels = []
-    for b in blocks:
-        point = SpherePoint(b.values)
-        if point.near_basepoint(tol.eps_base):
-            continue
-        labels.append(Label(b.frame, point))
+    labels = [Label(b.frame, SpherePoint(b.values)) for b in F_blocks(blocks, tol)]
     return canonicalize(Configuration(t.ambient, labels), tol)
 
 

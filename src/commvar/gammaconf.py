@@ -116,13 +116,37 @@ def rank(c: Configuration) -> int:
     return sum(lab.frame.shape[1] for lab in c.labels)
 
 
+def value_key(values: np.ndarray) -> tuple:
+    """Sort key of a value tuple: the real and imaginary part of each
+    coordinate in turn."""
+    return tuple(v for z in values for v in (z.real, z.imag))
+
+
+def single_linkage(count: int, close) -> list[list[int]]:
+    """Single-linkage clusters of 0..count-1 under close(i, j), which is
+    asked once for each pair i < j.  Members are listed in increasing order
+    and clusters by their smallest member."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if close(i, j):
+                parent[find(j)] = find(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
 def _label_key(lab: Label, tol: Tolerances):
-    lead = leading_index(lab.frame, tol)
-    if lab.point.is_basepoint:
-        pkey = ()
-    else:
-        pkey = tuple(v for z in lab.point.coords for v in (z.real, z.imag))
-    return (lead, pkey)
+    pkey = () if lab.point.is_basepoint else value_key(lab.point.coords)
+    return (leading_index(lab.frame, tol), pkey)
 
 
 def _validate_labels(labels: list[Label], universe: UniverseBasis, tol: Tolerances):
@@ -159,29 +183,14 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     _validate_labels(live, c.universe, tol)
     live.sort(key=lambda lab: _label_key(lab, tol))
 
-    # single-linkage merge of coincident points
-    parent = list(range(len(live)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            if point_distance(live[i].point, live[j].point) < tol.eps_cluster:
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[Label]] = {}
-    for i, lab in enumerate(live):
-        groups.setdefault(find(i), []).append(lab)
-
+    groups = single_linkage(
+        len(live),
+        lambda i, j: point_distance(live[i].point, live[j].point) < tol.eps_cluster,
+    )
     merged = []
-    for root in sorted(groups):
-        labs = groups[root]
-        frame = orthonormalize(np.hstack([lab.frame for lab in labs]), tol)
-        merged.append(Label(frame, labs[0].point))
+    for members in groups:
+        frame = orthonormalize(np.hstack([live[i].frame for i in members]), tol)
+        merged.append(Label(frame, live[members[0]].point))
     merged.sort(key=lambda lab: _label_key(lab, tol))
     return Configuration(c.universe, merged)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commodel import CommutingTuple, joint_diagonalize
+from .commodel import CommutingTuple, EigenBlock, joint_diagonalize
 from .errors import ShapeMismatch, ZeroTuple
 from .numkit import DEFAULT_TOL, Tolerances, check_unitary, fro, phase_normalize
 
@@ -39,10 +39,16 @@ class DecompType:
         return len(self.parts)
 
 
+def block_type(blocks: list[EigenBlock]) -> DecompType:
+    """Partition of the size by the dimensions of the eigenblocks that
+    joint_diagonalize returned."""
+    return DecompType(tuple(b.frame.shape[1] for b in blocks))
+
+
 def decomposition_type(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> DecompType:
     """Partition of the size by the coarsest joint eigenblock dimensions."""
     _, blocks = joint_diagonalize(t, tol)
-    return DecompType(tuple(b.frame.shape[1] for b in blocks))
+    return block_type(blocks)
 
 
 def is_complete_type(d: DecompType) -> bool:

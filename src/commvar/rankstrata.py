@@ -6,6 +6,11 @@ matrices bijectively onto the unitaries without eigenvalue 1.  Conjugating a
 unitary tuple onto its distinguished subspace F and pulling back along the
 transform yields the chart (X, f) of the open stratum of exact rank s: X a
 commuting skew-Hermitian tuple of size s, f an isometric frame spanning F.
+
+The chart is built from the eigenblocks of one joint diagonalization
+(`chart_from_blocks`).  The real chart of `realk` is this chart plus a
+realness step: it reuses the restriction to F, the guarded inverse solve,
+the trace split and the reconstruction.
 """
 
 from __future__ import annotations
@@ -14,14 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, joint_diagonalize
+from .commodel import (
+    CommutingTuple,
+    EigenBlock,
+    F_frame,
+    F_subspace,
+    extend_by_identity,
+    joint_diagonalize,
+)
 from .errors import ShapeMismatch, SingularAtOne, WrongStratum
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
     check_skew_hermitian,
     fro,
-    leading_index,
     require_square,
 )
 
@@ -57,12 +68,11 @@ def cayley(x: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.asarray(x, dtype=complex) + eye, np.asarray(x, dtype=complex) - eye)
 
 
-def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse Cayley transform (Id - A)^{-1}(Id + A).
+def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """(Id - A)^{-1}(Id + A), the solve shared by both inverse transforms.
 
     Requires the smallest singular value of A - Id to exceed eps_struct;
-    raises SingularAtOne otherwise.  The result is skew-Hermitized to kill
-    roundoff in the Hermitian direction.
+    raises SingularAtOne otherwise.
     """
     s = require_square(a)
     a = np.asarray(a, dtype=complex)
@@ -70,27 +80,59 @@ def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     sv = np.linalg.svd(a - eye, compute_uv=False)
     if s and sv[-1] <= tol.eps_struct:
         raise SingularAtOne(f"A - Id has smallest singular value {sv[-1]:.3e}")
-    x = np.linalg.solve(eye - a, eye + a)
+    return np.linalg.solve(eye - a, eye + a)
+
+
+def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Inverse Cayley transform (Id - A)^{-1}(Id + A).
+
+    Requires the smallest singular value of A - Id to exceed eps_struct;
+    raises SingularAtOne otherwise.  The result is skew-Hermitized to kill
+    roundoff in the Hermitian direction.
+    """
+    x = cayley_solve(a, tol)
     return 0.5 * (x - x.conj().T)
 
 
 def stratum_rank(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     """Dimension of the distinguished subspace F of a unitary tuple."""
-    from .commodel import F_subspace
-
     return F_subspace(t, tol).shape[1]
 
 
-def _sorted_f_blocks(blocks: list[EigenBlock], tol: Tolerances) -> list[EigenBlock]:
-    keep = [
-        b for b in blocks
-        if b.values.size == 0 or np.all(np.abs(b.values - 1.0) > tol.eps_base)
-    ]
-    keep.sort(key=lambda b: (
-        leading_index(b.frame, tol),
-        tuple(v for z in b.values for v in (complex(z).real, complex(z).imag)),
-    ))
-    return keep
+def invert_on_frame(t: CommutingTuple, f: np.ndarray, inverse,
+                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Stack of inverse(f^H A f, tol) over the components A of t.
+
+    A component singular at 1 on the span of f means that clustering and
+    the chart disagree at working tolerance: WrongStratum.
+    """
+    try:
+        xs = [inverse(f.conj().T @ a @ f, tol) for a in t.mats]
+    except SingularAtOne as exc:
+        raise WrongStratum(
+            "a component is singular at 1 on F; tolerance breach between "
+            "clustering and the chart"
+        ) from exc
+    return np.array(xs).reshape(t.n, f.shape[1], f.shape[1])
+
+
+def chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
+                      tol: Tolerances = DEFAULT_TOL,
+                      frame: np.ndarray | None = None) -> SubquotientChart:
+    """subquotient_chart of a unitary tuple from the eigenblocks that
+    joint_diagonalize returned for it."""
+    f = F_frame(t, blocks, tol)
+    s = f.shape[1]
+    if frame is not None:
+        frame = np.asarray(frame, dtype=complex)
+        if frame.shape != (t.s, s):
+            raise ShapeMismatch(f"frame must be {(t.s, s)}, got {frame.shape}")
+        if fro(frame @ frame.conj().T - f @ f.conj().T) > 1e-8:
+            raise WrongStratum("supplied frame does not span F")
+        f = frame
+    x = CommutingTuple("skew_hermitian", invert_on_frame(t, f, cayley_inv, tol))
+    traceless, tau = trace_split(x)
+    return SubquotientChart(s, x, f, traceless, tau)
 
 
 def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
@@ -105,31 +147,7 @@ def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     if t.kind != "unitary":
         raise ValueError("charts are defined for unitary tuples")
     _, blocks = joint_diagonalize(t, tol)
-    fblocks = _sorted_f_blocks(blocks, tol)
-    f = (np.hstack([b.frame for b in fblocks]) if fblocks
-         else np.zeros((t.s, 0), dtype=complex))
-    s = f.shape[1]
-    if frame is not None:
-        frame = np.asarray(frame, dtype=complex)
-        if frame.shape != (t.s, s):
-            raise ShapeMismatch(f"frame must be {(t.s, s)}, got {frame.shape}")
-        if fro(frame @ frame.conj().T - f @ f.conj().T) > 1e-8:
-            raise WrongStratum("supplied frame does not span F")
-        f = frame
-    xs = []
-    for a in t.mats:
-        b = f.conj().T @ a @ f
-        try:
-            xs.append(cayley_inv(b, tol))
-        except SingularAtOne as exc:
-            raise WrongStratum(
-                "a component is singular at 1 on F; tolerance breach between "
-                "clustering and the chart"
-            ) from exc
-    x_stack = np.array(xs) if xs else np.zeros((0, s, s), dtype=complex)
-    x = CommutingTuple("skew_hermitian", x_stack)
-    traceless, tau = trace_split(x)
-    return SubquotientChart(s, x, f, traceless, tau)
+    return chart_from_blocks(t, blocks, tol, frame)
 
 
 def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,
@@ -137,15 +155,10 @@ def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,
     """Rebuild the canonical unitary tuple from (X, f): push the Cayley
     transform of each component into the ambient space along f and extend by
     the identity."""
-    f = chart.f
-    if f.shape[0] != ambient_dim:
+    if chart.f.shape[0] != ambient_dim:
         raise ShapeMismatch("frame does not match the ambient dimension")
-    eye = np.eye(ambient_dim, dtype=complex)
-    proj = f @ f.conj().T
-    mats = np.array([
-        f @ cayley(x) @ f.conj().T + (eye - proj) for x in chart.X.mats
-    ]) if chart.X.n else np.zeros((0, ambient_dim, ambient_dim), dtype=complex)
-    return CommutingTuple("unitary", mats)
+    smalls = np.array([cayley(x) for x in chart.X.mats]).reshape(chart.X.mats.shape)
+    return CommutingTuple("unitary", extend_by_identity(chart.f.astype(complex), smalls))
 
 
 def trace_split(x: CommutingTuple):
@@ -160,16 +173,12 @@ def trace_split(x: CommutingTuple):
     if s == 0:
         return CommutingTuple("skew_hermitian", x.mats.copy()), np.zeros(x.n)
     tau = np.array([np.trace(m).imag / s for m in x.mats])
-    eye = np.eye(s)
-    bar = np.array([m - 1j * t * eye for m, t in zip(x.mats, tau)]) if x.n \
-        else np.zeros((0, s, s), dtype=complex)
+    bar = x.mats - 1j * tau[:, None, None] * np.eye(s)
     return CommutingTuple("skew_hermitian", bar), tau
 
 
 def reassemble_trace(traceless: CommutingTuple, tau: np.ndarray) -> CommutingTuple:
-    eye = np.eye(traceless.s)
-    mats = np.array([m + 1j * t * eye for m, t in zip(traceless.mats, tau)]) \
-        if traceless.n else traceless.mats.copy()
+    mats = traceless.mats + 1j * np.asarray(tau)[:, None, None] * np.eye(traceless.s)
     return CommutingTuple("skew_hermitian", mats)
 
 

@@ -5,26 +5,37 @@ A real symmetric X maps to the unitary (iX - Id)(iX + Id)^{-1}, which is
 complex symmetric; conversely a commuting tuple of symmetric unitaries whose
 joint eigenspaces are complexified real subspaces charts down to a commuting
 real symmetric tuple together with a real isometric frame.
+
+Every piece is the complex one of `rankstrata` applied to iX, plus a
+realness step: real_cayley(X) = cayley(iX), and the real chart is the
+complex chart with real frames for the F blocks and a realness check on
+each inverse transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commodel import CommutingTuple, joint_diagonalize
-from .errors import NotRealizable, ShapeMismatch, SingularAtOne, WrongStratum
+from .commodel import CommutingTuple, F_blocks, joint_diagonalize
+from .errors import NotRealizable
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
     check_real_symmetric,
     fro,
-    leading_index,
     orthonormalize,
-    require_square,
 )
-from .rankstrata import SubquotientChart
+from .rankstrata import (
+    SubquotientChart,
+    cayley,
+    cayley_solve,
+    invert_on_frame,
+    reassemble_trace,
+    reconstruct_chart,
+    trace_split,
+)
 
 
 @dataclass
@@ -42,23 +53,16 @@ def real_cayley(x: np.ndarray) -> np.ndarray:
     non-singular; conjugation by real orthogonal matrices commutes with the
     transform.
     """
-    s = require_square(x)
     check_real_symmetric(x)
-    eye = np.eye(s)
-    z = 1j * np.asarray(x, dtype=complex)
-    return np.linalg.solve(z + eye, z - eye)
+    return cayley(1j * np.asarray(x, dtype=complex))
 
 
 def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of real_cayley.  Input must be unitary complex symmetric with
     A - Id non-singular; output is real symmetric."""
-    s = require_square(a)
-    a = np.asarray(a, dtype=complex)
-    eye = np.eye(s)
-    sv = np.linalg.svd(a - eye, compute_uv=False)
-    if s and sv[-1] <= tol.eps_struct:
-        raise SingularAtOne(f"A - Id has smallest singular value {sv[-1]:.3e}")
-    z = -1j * np.linalg.solve(eye - a, eye + a)
+    # the realness check reads the raw solve: symmetrizing first would hide
+    # a complex symmetric result
+    z = -1j * cayley_solve(a, tol)
     if fro(z.imag) > 1e-8 * max(1.0, fro(z)):
         raise NotRealizable(f"inverse transform is not real (|Im| = {fro(z.imag):.3e})")
     x = z.real
@@ -86,21 +90,13 @@ def real_trace_split(t: CommutingTuple) -> RealSplit:
     """Split off the scalar part: X_i = traceless_i + tau_i Id, tau real."""
     if t.kind != "real_symmetric":
         raise ValueError("expected a real symmetric tuple")
-    s = t.s
-    if s == 0:
-        return RealSplit(CommutingTuple("real_symmetric", t.mats.copy()), np.zeros(t.n))
-    tau = np.array([float(np.trace(m)) / s for m in t.mats])
-    eye = np.eye(s)
-    bar = np.array([m - c * eye for m, c in zip(t.mats, tau)]) if t.n \
-        else np.zeros((0, s, s))
-    return RealSplit(CommutingTuple("real_symmetric", bar), tau)
+    bar, tau = trace_split(CommutingTuple("skew_hermitian", 1j * t.mats))
+    return RealSplit(CommutingTuple("real_symmetric", bar.mats.imag), tau)
 
 
 def reassemble_real_split(split: RealSplit) -> CommutingTuple:
-    eye = np.eye(split.traceless.s)
-    mats = np.array([m + c * eye for m, c in zip(split.traceless.mats, split.tau)]) \
-        if split.traceless.n else split.traceless.mats.copy()
-    return CommutingTuple("real_symmetric", mats)
+    ix = CommutingTuple("skew_hermitian", 1j * split.traceless.mats)
+    return CommutingTuple("real_symmetric", reassemble_trace(ix, split.tau).mats.imag)
 
 
 def _real_frame_from_projection(p: np.ndarray, k: int,
@@ -130,61 +126,30 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     (NotRealizable otherwise); the concatenated real frames span F, and the
     inverse real Cayley transform of the restricted components gives a
     commuting real symmetric tuple.  The frame is determined up to O(s).
+    The F blocks and their order are those of the complex chart.
     """
     if t.kind != "unitary":
         raise ValueError("charts are defined for unitary tuples")
     _, blocks = joint_diagonalize(t, tol)
-    fblocks = [
-        b for b in blocks
-        if b.values.size == 0 or np.all(np.abs(b.values - 1.0) > tol.eps_base)
-    ]
-    real_frames = []
-    for b in fblocks:
+    frames = []
+    for b in F_blocks(blocks, tol):
         proj = b.frame @ b.frame.conj().T
         if fro(proj.imag) > tol.eps_struct:
             raise NotRealizable(
                 f"eigenspace is not conjugation-stable (|Im P| = {fro(proj.imag):.3e})"
             )
-        real_frames.append(_real_frame_from_projection(proj, b.frame.shape[1], tol))
-    order = sorted(
-        range(len(fblocks)),
-        key=lambda i: (
-            leading_index(real_frames[i], tol),
-            tuple(v for z in fblocks[i].values for v in (complex(z).real, complex(z).imag)),
-        ),
-    )
-    f = np.hstack([real_frames[i] for i in order]) if order \
-        else np.zeros((t.s, 0))
-    s = f.shape[1]
-    fc = f.astype(complex)
-    xs = []
-    for a in t.mats:
-        b = fc.conj().T @ a @ fc
-        try:
-            xs.append(real_cayley_inv(b, tol))
-        except SingularAtOne as exc:
-            raise WrongStratum(
-                "a component is singular at 1 on F; tolerance breach between "
-                "clustering and the chart"
-            ) from exc
-    x_stack = np.array(xs) if xs else np.zeros((0, s, s))
-    x = CommutingTuple("real_symmetric", x_stack)
+        frames.append(_real_frame_from_projection(proj, b.frame.shape[1], tol))
+    f = np.hstack(frames) if frames else np.zeros((t.s, 0))
+    x = CommutingTuple("real_symmetric", invert_on_frame(t, f, real_cayley_inv, tol))
     split = real_trace_split(x)
-    return SubquotientChart(s, x, f, split.traceless, split.tau)
+    return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 
 
 def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int) -> CommutingTuple:
-    """Rebuild the canonical symmetric unitary tuple from a real chart."""
-    f = chart.f
-    if f.shape[0] != ambient_dim:
-        raise ShapeMismatch("frame does not match the ambient dimension")
-    fc = f.astype(complex)
-    eye = np.eye(ambient_dim, dtype=complex)
-    proj = fc @ fc.conj().T
-    mats = np.array([
-        fc @ real_cayley(x) @ fc.conj().T + (eye - proj) for x in chart.X.mats
-    ]) if chart.X.n else np.zeros((0, ambient_dim, ambient_dim), dtype=complex)
-    return CommutingTuple("unitary", mats)
+    """Rebuild the canonical symmetric unitary tuple from a real chart: the
+    complex reconstruction of iX, since real_cayley(X) = cayley(iX)."""
+    ix = CommutingTuple("skew_hermitian", 1j * chart.X.mats)
+    return reconstruct_chart(replace(chart, X=ix), ambient_dim)
 
 
 def is_symmetric_unitary(a: np.ndarray, eps: float = 1e-9) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .commodel import CommutingTuple, F_subspace
+from .commodel import CommutingTuple, F_subspace, extend_by_identity
 from .gammaconf import (
     Configuration,
     Label,
@@ -91,11 +91,6 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
     return canonicalize(Configuration(psi.target, labels), tol)
 
 
-def _extend_by_identity(g: np.ndarray, small: np.ndarray, dim: int) -> np.ndarray:
-    proj = g @ g.conj().T
-    return g @ small @ g.conj().T + (np.eye(dim, dtype=complex) - proj)
-
-
 def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
                    degree_bound: int | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
@@ -112,16 +107,12 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
     ra, rb = fa.shape[1], fb.shape[1]
     psi = psi_embed(ta.ambient, tb.ambient, degree_bound)
     g = psi.kron_frame(fa, fb, tol)
-    dim = psi.target.dim
-    mats = []
-    for a in ta.mats:
-        ma = fa.conj().T @ a @ fa
-        mats.append(_extend_by_identity(g, np.kron(ma, np.eye(rb)), dim))
-    for b in tb.mats:
-        nb = fb.conj().T @ b @ fb
-        mats.append(_extend_by_identity(g, np.kron(np.eye(ra), nb), dim))
-    stack = np.array(mats) if mats else np.zeros((0, dim, dim), dtype=complex)
-    return CommutingTuple("unitary", stack, psi.target)
+    # stacked kron with a (1, r, r) identity acts slice by slice
+    smalls = np.concatenate([
+        np.kron(fa.conj().T @ ta.mats @ fa, np.eye(rb)[None]),
+        np.kron(np.eye(ra)[None], fb.conj().T @ tb.mats @ fb),
+    ])
+    return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)
 
 
 def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
@@ -147,10 +138,6 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     f = F_subspace(t, tol)
     r = f.shape[1]
     g = psi.kron_frame(f, j0(right), tol)
-    mats = []
-    for a in t.mats:
-        ma = f.conj().T @ a @ f
-        mats.append(_extend_by_identity(g, ma, dim))
-    for j in range(m):
-        mats.append(_extend_by_identity(g, y.coords[j] * np.eye(r, dtype=complex), dim))
-    return CommutingTuple("unitary", np.array(mats), psi.target)
+    smalls = np.concatenate([f.conj().T @ t.mats @ f,
+                             y.coords[np.arange(m), None, None] * np.eye(r, dtype=complex)])
+    return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)

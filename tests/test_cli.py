@@ -1,12 +1,15 @@
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from commvar import jsonio
+from commvar import commodel, jsonio
 from commvar.cli import main
 from commvar.commodel import CommutingTuple, identity_tuple
+from commvar.generate import gen_random_commuting
 
 
 def run_cli(args, stdin=None):
@@ -97,6 +100,36 @@ def test_stratify_tolerance_breach_exit_3():
     code, out, _ = run_cli(["stratify", "--tol-struct", "1e-7"], stdin=payload)
     assert code == 3
     assert json.loads(out)["error"] == "stratum_error"
+
+
+def test_stratify_rejects_empty_matrices(monkeypatch, capsys):
+    payload = {"n": 1, "s": 0, "kind": "unitary",
+               "mats": [{"rows": 0, "cols": 0, "data": []}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian"])
+def test_stratify_diagonalizes_once(kind, monkeypatch, capsys):
+    original = commodel.joint_diagonalize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # rebind the name in every module that imported it
+    for name, module in list(sys.modules.items()):
+        if name == "commvar" or name.startswith("commvar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    t = gen_random_commuting(3, 2, 4, kind)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main(["stratify"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_verify_cohomology_passes():

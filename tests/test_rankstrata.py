@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commvar.commodel import CommutingTuple, class_distance, identity_tuple
+from commvar.commodel import CommutingTuple, F_subspace, class_distance, identity_tuple
 from commvar.errors import NotSkewHermitian, SingularAtOne, WrongStratum
 from commvar.gammaconf import Configuration, Label, SpherePoint, canonicalize, sphere_coord
 from commvar.commodel import config_to_commuting
@@ -60,6 +60,14 @@ def test_stratum_rank():
     assert stratum_rank(identity_tuple(2, 4)) == 0
     t = gen_exact_rank_tuple(5, 2, 3, 6)
     assert stratum_rank(t) == 3
+
+
+def test_empty_tuple_rank_is_full():
+    # n = 0: the condition defining F is vacuous, so F is the whole space
+    t = CommutingTuple("unitary", np.zeros((0, 3, 3)))
+    assert F_subspace(t).shape == (3, 3)
+    assert stratum_rank(t) == 3
+    assert subquotient_chart(t).s == 3
 
 
 def test_chart_scalar_example():
