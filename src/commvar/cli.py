@@ -22,7 +22,7 @@ import sys
 
 from . import jsonio
 from .commodel import KINDS, joint_diagonalize
-from .errors import CommVarError
+from .errors import CommVarError, InvalidTuple
 from .generate import gen_random_commuting
 from .isodecomp import block_type
 from .numkit import Tolerances
@@ -116,7 +116,11 @@ def cmd_generate(args) -> int:
 
 def cmd_stratify(args) -> int:
     try:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                raw = fh.read()
         data = json.loads(raw)
         t = jsonio.tuple_from_json(data)
         if t.s < 1:
@@ -130,13 +134,13 @@ def cmd_stratify(args) -> int:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
     try:
-        t.validate(tol)
-    except CommVarError as exc:
-        _error_body("invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
-    try:
-        # one diagonalization serves the chart and the decomposition type
-        _, blocks = joint_diagonalize(t, tol)
+        # one diagonalization validates the tuple once and serves the chart
+        # and the decomposition type
+        try:
+            _, blocks = joint_diagonalize(t, tol)
+        except InvalidTuple as exc:
+            _error_body("invalid_input", str(exc), args.output)
+            return EXIT_INVALID_INPUT
         report = {"rank": None, "chart": None, "split": None,
                   "decomposition_type": list(block_type(blocks).parts)}
         if t.kind == "unitary":

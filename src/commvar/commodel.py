@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCommuting, ShapeMismatch
+from .errors import NoConvergence, NotCommuting, ShapeMismatch
 from .gammaconf import (
     Configuration,
     Label,
@@ -34,9 +34,9 @@ from .numkit import (
     fro,
     joint_diagonalizer,
     leading_index,
-    off_norm,
     orthonormalize,
     phase_normalize,
+    stack_off_norm,
 )
 from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
 
@@ -118,6 +118,9 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     the coarsest eigenblock decomposition obtained by single-linkage
     clustering of the joint eigenvalue tuples at eps_cluster.  Blocks are
     sorted by their value tuples and carry phase-normalized frames.
+
+    The tuple is validated first (an InvalidTuple subclass on failure); a
+    joint residual above its bound raises NoConvergence.
     """
     t.validate(tol)
     real = t.kind == "real_symmetric"
@@ -128,9 +131,9 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     if real:
         q = q.real
     diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
-    resid = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
+    resid = stack_off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
-        raise NotCommuting(f"joint residual {resid:.3e} for tuple of size {t.s}")
+        raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
     vals = np.diagonal(diag, axis1=1, axis2=2)
     if real:
         vals = vals.real
@@ -198,9 +201,7 @@ def class_distance(t1: CommutingTuple, t2: CommutingTuple,
     b = canonical_rep(t2, tol)
     if a.mats.shape != b.mats.shape:
         raise ShapeMismatch("tuples live on different spaces")
-    if a.n == 0:
-        return 0.0
-    return max(fro(x - y) for x, y in zip(a.mats, b.mats))
+    return max((fro(x - y) for x, y in zip(a.mats, b.mats)), default=0.0)
 
 
 def tuples_equivalent(t1: CommutingTuple, t2: CommutingTuple,
@@ -214,16 +215,14 @@ def config_to_commuting(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Comm
     """Unitary tuple acting on the universe of a canonical configuration:
     component j scales each label subspace by the j-th point coordinate and
     fixes the orthogonal complement."""
-    dim = c.universe.dim
-    eye = np.eye(dim, dtype=complex)
-    mats = np.array([eye.copy() for _ in range(c.universe.n)])
+    t = identity_tuple(c.universe.n, c.universe.dim, c.universe)
     for lab in c.labels:
         if lab.point.is_basepoint:
             continue
         proj = lab.frame @ lab.frame.conj().T
         for j in range(c.universe.n):
-            mats[j] += (lab.point.coords[j] - 1.0) * proj
-    return CommutingTuple("unitary", mats, c.universe)
+            t.mats[j] += (lab.point.coords[j] - 1.0) * proj
+    return t
 
 
 def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Configuration:

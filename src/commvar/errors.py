@@ -13,23 +13,27 @@ class RankDeficient(CommVarError):
     """A vector family is linearly dependent at working tolerance."""
 
 
-class NotHermitian(CommVarError):
+class InvalidTuple(CommVarError):
+    """A matrix or tuple fails a structure or commutation check."""
+
+
+class NotHermitian(InvalidTuple):
     pass
 
 
-class NotUnitary(CommVarError):
+class NotUnitary(InvalidTuple):
     pass
 
 
-class NotSkewHermitian(CommVarError):
+class NotSkewHermitian(InvalidTuple):
     pass
 
 
-class NotSymmetric(CommVarError):
+class NotSymmetric(InvalidTuple):
     pass
 
 
-class NotCommuting(CommVarError):
+class NotCommuting(InvalidTuple):
     """A matrix tuple fails the pairwise commutation test."""
 
 

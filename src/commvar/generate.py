@@ -13,6 +13,7 @@ import numpy as np
 
 from .commodel import CommutingTuple
 from .gammaconf import Configuration, Label, SpherePoint, canonicalize
+from .isodecomp import tuple_norm
 from .numkit import DEFAULT_TOL, Tolerances
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, unit_phase
 from .symuniverse import UniverseBasis
@@ -46,17 +47,14 @@ def _sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
 
 def _assemble(kind: str, vals: np.ndarray, rng: SplitMix64, s: int,
               ambient=None) -> CommutingTuple:
-    n = vals.shape[0]
     if kind == "real_symmetric":
         q = haar_orthogonal(rng, s)
-        mats = np.array([q @ np.diag(vals[j].real) @ q.T for j in range(n)]) \
-            if n else np.zeros((0, s, s))
+        vals = vals.real
     else:
         q = haar_unitary(rng, s)
-        mats = np.array([q @ np.diag(vals[j]) @ q.conj().T for j in range(n)]) \
-            if n else np.zeros((0, s, s), dtype=complex)
-        if kind == "skew_hermitian":
-            mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
+    mats = q @ (vals[:, :, None] * np.eye(s)) @ q.conj().T
+    if kind == "skew_hermitian":
+        mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
     return CommutingTuple(kind, mats, ambient)
 
 
@@ -85,22 +83,14 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
     s = sum(parts)
     rng = SplitMix64(seed)
     part_vals = _sample_value_columns(rng, kind, n, len(parts), 0.3, separation)
-    cols = np.hstack([
-        np.repeat(part_vals[:, [p]], parts[p], axis=1) for p in range(len(parts))
-    ]) if n else np.zeros((0, s))
-    t = _assemble(kind, cols, rng, s)
+    t = _assemble(kind, np.repeat(part_vals, parts, axis=1), rng, s)
     if traceless or unit:
-        if kind == "skew_hermitian":
-            tr = np.array([np.trace(m) / s for m in t.mats]).reshape(-1, 1, 1)
-            mats = t.mats - tr * np.eye(s)
-        elif kind == "real_symmetric":
-            tr = np.array([np.trace(m).real / s for m in t.mats]).reshape(-1, 1, 1)
-            mats = t.mats - tr * np.eye(s)
-        else:
+        if kind == "unitary":
             raise ValueError("traceless projection needs a Lie-algebra kind")
-        t = CommutingTuple(kind, mats)
+        tr = np.trace(t.mats, axis1=1, axis2=2) / s
+        t = CommutingTuple(kind, t.mats - tr[:, None, None] * np.eye(s))
     if unit:
-        norm = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in t.mats))
+        norm = tuple_norm(t)
         if norm == 0.0:
             raise ValueError("partition with a single part gives the zero tuple")
         t = CommutingTuple(kind, t.mats / norm)
@@ -163,5 +153,4 @@ def gen_exact_rank_tuple(seed: int, n: int, s: int, ambient_dim: int | None = No
     rng = SplitMix64(seed)
     vals = _sample_value_columns(rng, "unitary", n, s, 0.3, 0.2)
     ones = np.ones((n, ambient_dim - s), dtype=complex)
-    cols = np.hstack([vals, ones]) if n else np.zeros((0, ambient_dim))
-    return _assemble("unitary", cols, rng, ambient_dim)
+    return _assemble("unitary", np.hstack([vals, ones]), rng, ambient_dim)

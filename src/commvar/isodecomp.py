@@ -91,16 +91,6 @@ def unit_normalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Commutin
     return CommutingTuple(t.kind, t.mats / norm, t.ambient)
 
 
-def is_unit_tuple(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> bool:
-    if t.kind not in ("skew_hermitian", "real_symmetric"):
-        return False
-    try:
-        _check_traceless(t, tol.eps_struct)
-    except ValueError:
-        return False
-    return abs(tuple_norm(t) - 1.0) <= tol.eps_struct
-
-
 def _check_diagonal_unit(x: CommutingTuple, tol: Tolerances):
     if x.kind != "skew_hermitian":
         raise ValueError("flag coordinates must be skew-Hermitian")
@@ -125,8 +115,7 @@ def flag_map(g: np.ndarray, x: CommutingTuple,
     _check_diagonal_unit(x, tol)
     if g.shape[0] != x.s:
         raise ShapeMismatch("flag frame and coordinates disagree in size")
-    mats = np.array([g @ m @ g.conj().T for m in x.mats]) if x.n \
-        else np.zeros((0, x.s, x.s), dtype=complex)
+    mats = g @ x.mats @ g.conj().T
     mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
     return CommutingTuple("skew_hermitian", mats)
 
@@ -139,12 +128,10 @@ def canonical_flag_class(g: np.ndarray, x: CommutingTuple,
     tuples (imaginary parts) and phase-normalized, collapsing the diagonal
     torus and the permutation twist.
     """
-    p = x.s
-    vals = np.array([[x.mats[j][c, c].imag for j in range(x.n)] for c in range(p)])
-    order = sorted(range(p), key=lambda c: tuple(vals[c]))
+    diags = np.diagonal(x.mats, axis1=1, axis2=2)
+    order = sorted(range(x.s), key=lambda c: tuple(diags[:, c].imag))
     g_sorted = np.asarray(g, dtype=complex)[:, order]
-    mats = np.array([np.diag(np.diagonal(m)[order]) for m in x.mats]) if x.n \
-        else np.zeros((0, p, p), dtype=complex)
+    mats = diags[:, order, None] * np.eye(x.s)
     return phase_normalize(g_sorted, tol), CommutingTuple("skew_hermitian", mats)
 
 
@@ -159,8 +146,7 @@ def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     if any(b.frame.shape[1] != 1 for b in blocks):
         raise ValueError("flag preimage needs a simple joint spectrum")
     g = np.hstack([b.frame for b in blocks])
-    diags = np.array([np.diag([b.values[j] for b in blocks]) for j in range(t.n)]) \
-        if t.n else np.zeros((0, t.s, t.s), dtype=complex)
+    diags = np.array([b.values for b in blocks]).T[:, :, None] * np.eye(t.s)
     # project the recovered diagonals back onto the imaginary axis
     diags = 0.5 * (diags - np.conj(np.swapaxes(diags, 1, 2)))
     x = CommutingTuple("skew_hermitian", diags)

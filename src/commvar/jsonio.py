@@ -56,11 +56,9 @@ def tuple_from_json(d: dict, ambient: UniverseBasis | None = None) -> CommutingT
     kind = d["kind"]
     n, s = int(d["n"]), int(d["s"])
     mats = [matrix_from_json(m) for m in d["mats"]]
-    if len(mats) != n or any(m.shape != (s, s) for m in mats):
+    if len(mats) != n or s < 0 or any(m.shape != (s, s) for m in mats):
         raise ValueError("tuple shape fields disagree with matrix data")
-    dtype = float if kind == "real_symmetric" else complex
-    stack = np.array(mats, dtype=dtype) if mats else np.zeros((0, s, s), dtype=dtype)
-    return CommutingTuple(kind, stack, ambient)
+    return CommutingTuple(kind, np.reshape(mats, (n, s, s)), ambient)
 
 
 def point_to_json(p: SpherePoint):

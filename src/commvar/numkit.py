@@ -196,7 +196,7 @@ def _dominant_eigvec3(g: np.ndarray) -> np.ndarray:
     return v
 
 
-def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, rot_tol: float = 1e-14,
+def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
                    off_target: float = 0.0) -> np.ndarray:
     """Cyclic Jacobi sweeps on a stack of Hermitian matrices, in place.
 
@@ -229,7 +229,7 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, rot_tol: float = 1e-14,
                     s_rot = v[1] / (2.0 * cth)
                 else:
                     s_rot = (v[1] - 1j * v[2]) / (2.0 * cth)
-                if abs(s_rot) <= rot_tol:
+                if abs(s_rot) <= 1e-14:
                     continue
                 rotated = True
                 jrot = np.array([[cth, np.conj(s_rot)], [-s_rot, cth]], dtype=c.dtype)
@@ -239,7 +239,7 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, rot_tol: float = 1e-14,
                 q_acc[:, pq] = q_acc[:, pq] @ jrot
         if not rotated:
             break
-        off = math.sqrt(sum(off_norm(c[k]) ** 2 for k in range(kk)))
+        off = stack_off_norm(c)
         if off <= off_target:
             break
         # stalled on the off-diagonal floor of a nearly-commuting family
@@ -249,38 +249,28 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, rot_tol: float = 1e-14,
     return q_acc
 
 
-def _off_stack(c: np.ndarray) -> float:
+def stack_off_norm(c: np.ndarray) -> float:
+    """Frobenius norm of the off-diagonal parts of a matrix stack."""
     return math.sqrt(sum(off_norm(ck) ** 2 for ck in c))
 
 
-def joint_diagonalizer(hmats, tol: Tolerances = DEFAULT_TOL,
-                       off_target: float | None = None,
-                       off_required: float | None = None) -> np.ndarray:
+def joint_diagonalizer(hmats, tol: Tolerances, off_target: float,
+                       off_required: float) -> np.ndarray:
     """Unitary (orthogonal for real input) Q jointly diagonalizing commuting
     Hermitian matrices.
 
     Primary path: joint Jacobi sweeps, run until the off-diagonal energy
-    reaches `off_target` (the convergence goal, default 1e-12 of the input
-    scale) or stalls on its floor.  If the result misses `off_target`, a
-    deterministic random real-coefficient linear combination of the inputs
-    is diagonalized first and the sweeps re-run on the conjugated family.
-    NoConvergence is raised only when the final residual exceeds
-    `off_required` (default 1e-8 of the input scale), the hard bound for
-    tuples commuting at working tolerance.
+    reaches `off_target` (the convergence goal) or stalls on its floor.  If
+    the result misses `off_target`, a deterministic random real-coefficient
+    linear combination of the inputs is diagonalized first and the sweeps
+    re-run on the conjugated family.  NoConvergence is raised only when the
+    final residual exceeds `off_required` (at least `off_target`), the hard
+    bound for tuples commuting at working tolerance.
     """
-    c = np.array(hmats, copy=True)
-    if c.ndim == 2:
-        c = c[None]
-    kk = c.shape[0]
-    c = 0.5 * (c + np.conj(np.swapaxes(c, 1, 2)))
-    scale = max((fro(ck) for ck in c), default=0.0)
-    if off_target is None:
-        off_target = 1e-12 * scale
-    if off_required is None:
-        off_required = 1e-8 * scale
-    off_required = max(off_required, off_target)
+    kk = len(hmats)
+    c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
     q_acc = _jacobi_sweeps(c, tol.max_sweeps, off_target=off_target)
-    if _off_stack(c) <= max(off_target, 1e-300):
+    if stack_off_norm(c) <= max(off_target, 1e-300):
         return q_acc
     # fallback: diagonalize a random combination, then refine jointly
     mixer = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ c.shape[1])
@@ -290,10 +280,10 @@ def joint_diagonalizer(hmats, tol: Tolerances = DEFAULT_TOL,
     c = np.einsum("ab,kbc,cd->kad", q0.conj().T, c, q0)
     q1 = _jacobi_sweeps(c, tol.max_sweeps, off_target=off_target)
     q_acc = q_acc @ q0 @ q1
-    if _off_stack(c) <= max(off_required, 1e-300):
+    if stack_off_norm(c) <= max(off_required, 1e-300):
         return q_acc
     raise NoConvergence(
-        f"joint off-diagonal residual {_off_stack(c):.3e} above "
+        f"joint off-diagonal residual {stack_off_norm(c):.3e} above "
         f"{off_required:.3e}"
     )
 

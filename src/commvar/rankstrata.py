@@ -170,9 +170,8 @@ def trace_split(x: CommutingTuple):
     if x.kind != "skew_hermitian":
         raise ValueError("trace_split expects a skew-Hermitian tuple")
     s = x.s
-    if s == 0:
-        return CommutingTuple("skew_hermitian", x.mats.copy()), np.zeros(x.n)
-    tau = np.array([np.trace(m).imag / s for m in x.mats])
+    # an empty trace is 0, so a 0 x 0 tuple has tau = 0
+    tau = np.trace(x.mats, axis1=1, axis2=2).imag / max(s, 1)
     bar = x.mats - 1j * tau[:, None, None] * np.eye(s)
     return CommutingTuple("skew_hermitian", bar), tau
 
@@ -198,8 +197,8 @@ def pairing_chart(x: CommutingTuple, y: CommutingTuple) -> CommutingTuple:
     (X_1 (x) Id, ..., X_n (x) Id, Id (x) Y_1, ..., Id (x) Y_m)."""
     if x.kind != "skew_hermitian" or y.kind != "skew_hermitian":
         raise ValueError("pairing expects skew-Hermitian tuples")
-    eye_s = np.eye(x.s)
-    eye_t = np.eye(y.s)
-    mats = [np.kron(m, eye_t) for m in x.mats] + [np.kron(eye_s, m) for m in y.mats]
-    stack = np.array(mats) if mats else np.zeros((0, x.s * y.s, x.s * y.s), dtype=complex)
-    return CommutingTuple("skew_hermitian", stack)
+    # stacked kron with a (1, r, r) identity acts slice by slice
+    return CommutingTuple("skew_hermitian", np.concatenate([
+        np.kron(x.mats, np.eye(y.s)[None]),
+        np.kron(np.eye(x.s)[None], y.mats),
+    ]))

@@ -114,8 +114,6 @@ def _real_frame_from_projection(p: np.ndarray, k: int,
         v = residual[:, j] / norms[j]
         cols.append(v)
         residual -= np.outer(v, v @ residual)
-    if not cols:
-        return np.zeros((p.shape[0], 0))
     return orthonormalize(np.column_stack(cols), tol)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .commodel import CommutingTuple, F_subspace, extend_by_identity
+from .commodel import CommutingTuple, F_subspace, extend_by_identity, identity_tuple
 from .gammaconf import (
     Configuration,
     Label,
@@ -40,15 +40,13 @@ def unit_map_tuple(x: SpherePoint, universe: UniverseBasis,
                    tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Tuple picture of the unit: coordinate j scales the scalar line by
     x_j and fixes everything else."""
-    dim = universe.dim
-    mats = np.array([np.eye(dim, dtype=complex) for _ in range(universe.n)])
+    t = identity_tuple(universe.n, universe.dim, universe)
     if not x.is_basepoint:
         if len(x.coords) != universe.n:
             raise ValueError("point dimension must match the universe")
         idx = universe.index[(0,) * universe.n]
-        for j in range(universe.n):
-            mats[j, idx, idx] = x.coords[j]
-    return CommutingTuple("unitary", mats, universe)
+        t.mats[:, idx, idx] = x.coords
+    return t
 
 
 def multiply(a: Configuration, b: Configuration, degree_bound: int | None = None,
@@ -131,10 +129,8 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
         right_degree = t.ambient.D
     right = UniverseBasis(m, right_degree)
     psi = psi_embed(t.ambient, right)
-    dim = psi.target.dim
     if y.is_basepoint:
-        mats = np.array([np.eye(dim, dtype=complex) for _ in range(t.n + m)])
-        return CommutingTuple("unitary", mats, psi.target)
+        return identity_tuple(t.n + m, psi.target.dim, psi.target)
     f = F_subspace(t, tol)
     r = f.shape[1]
     g = psi.kron_frame(f, j0(right), tol)

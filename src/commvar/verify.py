@@ -71,8 +71,8 @@ from .numkit import (
     commutator_defect,
     fro,
     hermitian_eig,
-    off_norm,
     orthonormalize,
+    stack_off_norm,
 )
 from .rankstrata import (
     cayley,
@@ -283,7 +283,7 @@ def suite_roundtrip(cfg: RunConfig) -> dict:
                                 tup.ambient)
         q2, _ = joint_diagonalize(conj_t, tol)
         d2 = np.einsum("ab,kbc,cd->kad", q2.conj().T, conj_t.mats, q2)
-        res2 = math.sqrt(sum(off_norm(x) ** 2 for x in d2))
+        res2 = stack_off_norm(d2)
         rec.check("joint residual after conjugation", res2,
                   1e-8 * max(1.0, max(fro(a) for a in conj_t.mats)))
 
@@ -569,7 +569,7 @@ def suite_real(cfg: RunConfig) -> dict:
         t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
         q, _ = joint_diagonalize_real(t, tol)
         diag = np.einsum("ab,kbc,cd->kad", q.T, t.mats, q)
-        res = math.sqrt(sum(off_norm(d) ** 2 for d in diag))
+        res = stack_off_norm(diag)
         rec.check("SO joint residual", res, 1e-8 * max(1.0, max(fro(m) for m in t.mats)))
         rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 

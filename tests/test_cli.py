@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,45 @@ def test_stratify_diagonalizes_once(kind, monkeypatch, capsys):
     assert main(["stratify"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+def test_stratify_validates_once(kind, monkeypatch, capsys):
+    original = CommutingTuple.validate
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CommutingTuple, "validate", counted)
+    t = gen_random_commuting(3, 2, 4, kind)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main(["stratify"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind,mat", [
+    ("unitary", 2.0 * np.eye(2)),
+    ("skew_hermitian", np.eye(2)),
+    ("real_symmetric", np.array([[1.0, 1.0], [0.0, 1.0]])),
+])
+def test_stratify_rejects_wrong_structure(kind, mat, monkeypatch, capsys):
+    payload = {"n": 1, "s": 2, "kind": kind, "mats": [jsonio.matrix_to_json(mat)]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+def test_stratify_closes_input_file(tmp_path, capsys):
+    path = tmp_path / "tuple.json"
+    path.write_text(jsonio.dumps(jsonio.tuple_to_json(identity_tuple(1, 2))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["stratify", "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_verify_cohomology_passes():

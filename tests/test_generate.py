@@ -88,3 +88,16 @@ def test_gen_exact_rank():
 
     assert t.s == 7
     assert stratum_rank(t) == 4
+
+
+@pytest.mark.parametrize("kind,dtype", [
+    ("unitary", complex), ("skew_hermitian", complex), ("real_symmetric", float),
+])
+def test_empty_tuples_keep_shape_and_dtype(kind, dtype):
+    # n = 0 is a legitimate tuple: every builder returns an empty (0, s, s) stack
+    built = [gen_random_commuting(4, 0, 3, kind), gen_partition_tuple(4, 0, (2, 1), kind)]
+    if kind == "unitary":
+        built.append(gen_exact_rank_tuple(4, 0, 2, 3))
+    for t in built:
+        assert t.mats.shape == (0, 3, 3)
+        assert t.mats.dtype == dtype

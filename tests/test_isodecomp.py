@@ -168,3 +168,12 @@ def test_flag_preimage_unique_p2(seed):
     # and they agree with the recovered class up to the same canonicalization
     assert fro(np.abs(g1) - np.abs(gc)) <= 1e-8
     assert max(fro(a - b) for a, b in zip(x1.mats, xc.mats)) <= 1e-8
+
+
+def test_canonical_flag_class_of_empty_tuple():
+    g = haar_unitary(SplitMix64(5), 3)
+    x = CommutingTuple("skew_hermitian", np.zeros((0, 3, 3), dtype=complex))
+    g_can, x_can = canonical_flag_class(g, x)
+    assert x_can.mats.shape == (0, 3, 3)
+    # no coordinates to sort by: the column order stays, only phases change
+    assert np.allclose(np.abs(g_can), np.abs(g), atol=1e-15)

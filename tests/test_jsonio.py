@@ -1,8 +1,12 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from commvar import jsonio
+from commvar.commodel import KINDS, CommutingTuple
 from commvar.gammaconf import BASEPOINT, SpherePoint
 from commvar.generate import gen_random_commuting, gen_random_config
 from commvar.numkit import fro
@@ -83,3 +87,26 @@ def test_dumps_deterministic():
     one = jsonio.dumps(jsonio.tuple_to_json(t))
     two = jsonio.dumps(jsonio.tuple_to_json(gen_random_commuting(5, 2, 2, "skew_hermitian")))
     assert one == two
+
+
+@st.composite
+def _tuples(draw):
+    kind = draw(st.sampled_from(KINDS))
+    shape = (draw(st.integers(0, 3)),) + (draw(st.integers(1, 6)),) * 2
+    entries = hnp.arrays(np.float64, shape,
+                         elements=st.floats(allow_nan=False, allow_infinity=False))
+    mats = draw(entries)
+    if kind != "real_symmetric":
+        mats = mats + 1j * draw(entries)
+    return CommutingTuple(kind, mats)
+
+
+@settings(deadline=None)
+@given(_tuples())
+def test_tuple_wire_roundtrip_is_exact(t):
+    text = jsonio.dumps(jsonio.tuple_to_json(t))
+    back = jsonio.tuple_from_json(json.loads(text))
+    assert back.kind == t.kind
+    assert back.mats.dtype == t.mats.dtype and back.mats.shape == t.mats.shape
+    assert back.mats.tobytes() == t.mats.tobytes()
+    assert jsonio.dumps(jsonio.tuple_to_json(back)) == text

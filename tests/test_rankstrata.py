@@ -189,3 +189,19 @@ def test_pairing_chart():
     same = pairing_chart(x, empty)
     assert same.n == 2 and same.s == 2
     assert max(fro(a - b) for a, b in zip(same.mats, x.mats)) == 0.0
+
+
+def test_pairing_chart_of_empty_tuples():
+    x = CommutingTuple("skew_hermitian", np.zeros((0, 2, 2), dtype=complex))
+    y = CommutingTuple("skew_hermitian", np.zeros((0, 3, 3), dtype=complex))
+    pair = pairing_chart(x, y)
+    assert pair.mats.shape == (0, 6, 6)
+    assert pair.mats.dtype == complex
+
+
+def test_trace_split_of_zero_size_tuple():
+    x = CommutingTuple("skew_hermitian", np.zeros((2, 0, 0), dtype=complex))
+    bar, tau = trace_split(x)
+    assert bar.mats.shape == (2, 0, 0)
+    assert tau.tolist() == [0.0, 0.0]
+    assert reassemble_trace(bar, tau).mats.shape == (2, 0, 0)
