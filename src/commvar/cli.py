@@ -125,7 +125,7 @@ def cmd_stratify(args) -> int:
         t = jsonio.tuple_from_json(data)
         if t.s < 1:
             raise ValueError("stratify needs matrices of size at least 1")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
     try:

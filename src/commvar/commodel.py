@@ -54,7 +54,8 @@ class CommutingTuple:
     """n pairwise commuting s x s matrices of one structural kind.
 
     mats is stacked (n, s, s); real_symmetric tuples are stored with a real
-    dtype, the other kinds as complex.  ambient optionally records the
+    dtype (complex data is accepted only when every imaginary part is 0),
+    the other kinds as complex.  ambient optionally records the
     universe whose coordinates the matrices act on.
     """
 
@@ -65,8 +66,13 @@ class CommutingTuple:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        dtype = float if self.kind == "real_symmetric" else complex
-        self.mats = np.asarray(self.mats, dtype=dtype)
+        real = self.kind == "real_symmetric"
+        mats = np.asarray(self.mats)
+        if real and np.iscomplexobj(mats):
+            if np.any(mats.imag != 0):
+                raise ValueError("real_symmetric matrices have a nonzero imaginary part")
+            mats = mats.real
+        self.mats = np.asarray(mats, dtype=float if real else complex)
         if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
             raise ShapeMismatch(f"expected (n, s, s) stack, got {self.mats.shape}")
 

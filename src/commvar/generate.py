@@ -45,8 +45,7 @@ def _sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
     return vals
 
 
-def _assemble(kind: str, vals: np.ndarray, rng: SplitMix64, s: int,
-              ambient=None) -> CommutingTuple:
+def _assemble(kind: str, vals: np.ndarray, rng: SplitMix64, s: int) -> CommutingTuple:
     if kind == "real_symmetric":
         q = haar_orthogonal(rng, s)
         vals = vals.real
@@ -55,13 +54,12 @@ def _assemble(kind: str, vals: np.ndarray, rng: SplitMix64, s: int,
     mats = q @ (vals[:, :, None] * np.eye(s)) @ q.conj().T
     if kind == "skew_hermitian":
         mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
-    return CommutingTuple(kind, mats, ambient)
+    return CommutingTuple(kind, mats)
 
 
 def gen_random_commuting(seed: int, n: int, s: int, kind: str,
                          margin: float = 0.0,
-                         min_separation: float = 0.0,
-                         ambient=None) -> CommutingTuple:
+                         min_separation: float = 0.0) -> CommutingTuple:
     """Exactly commuting random tuple, deterministic in the seed.
 
     margin keeps unitary eigenvalues away from 1 (arc distance);
@@ -70,7 +68,7 @@ def gen_random_commuting(seed: int, n: int, s: int, kind: str,
     """
     rng = SplitMix64(seed)
     vals = _sample_value_columns(rng, kind, n, s, margin, min_separation)
-    return _assemble(kind, vals, rng, s, ambient)
+    return _assemble(kind, vals, rng, s)
 
 
 def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
@@ -98,15 +96,15 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
 
 
 def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
-                      max_rank: int | None = None, point_margin: float = 0.35,
-                      min_point_sep: float = 0.2, dims=None,
+                      max_rank: int | None = None, dims=None,
                       tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Canonical random configuration with well-separated labels.
 
     Label subspaces are slices of a Haar unitary frame of the universe;
-    points stay `point_margin` away from the basepoint and pairwise
-    `min_point_sep` apart, so canonicalization is stable.  Passing `dims`
-    pins the label dimensions (and hence the rank) exactly.
+    point coordinates have arguments in [0.35, 2 pi - 0.35], away from the
+    basepoint, and points are pairwise 0.2 apart in the max metric, so
+    canonicalization is stable.  Passing `dims` pins the label dimensions
+    (and hence the rank) exactly.
     """
     rng = SplitMix64(seed)
     dim = universe.dim
@@ -133,8 +131,8 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
         frame = basis[:, offset:offset + d]
         offset += d
         for _attempt in range(1000):
-            coords = np.array([unit_phase(rng, point_margin) for _ in range(universe.n)])
-            if all(np.max(np.abs(coords - p)) >= min_point_sep for p in points):
+            coords = np.array([unit_phase(rng, 0.35) for _ in range(universe.n)])
+            if all(np.max(np.abs(coords - p)) >= 0.2 for p in points):
                 break
         points.append(coords)
         labels.append(Label(frame, SpherePoint(coords)))

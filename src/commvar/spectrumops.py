@@ -63,10 +63,10 @@ def multiply(a: Configuration, b: Configuration, degree_bound: int | None = None
 
 
 def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
-                  right_degree: int | None = None,
                   tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Structure map: smash every point with y and embed every frame along
-    the scalar line of a fresh universe of m variables.
+    the scalar line of a fresh universe of m variables and the degree of
+    a's universe.
 
     Equals multiply(a, unit_map(y, ...)); implemented directly from its own
     formula so that the equality stays a testable law.
@@ -75,9 +75,7 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
         if y.is_basepoint:
             raise ValueError("structure map at the basepoint needs an explicit m")
         m = len(y.coords)
-    if right_degree is None:
-        right_degree = a.universe.D
-    right = UniverseBasis(m, right_degree)
+    right = UniverseBasis(m, a.universe.D)
     psi = psi_embed(a.universe, right)
     if y.is_basepoint:
         return Configuration(psi.target, [])
@@ -114,10 +112,10 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
 
 
 def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
-                        right_degree: int | None = None,
                         tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Tuple picture of the structure map: components of t act on F tensored
-    with the scalar line; the new components scale that subspace by the
+    with the scalar line of a fresh universe of m variables and the degree
+    of t's universe; the new components scale that subspace by the
     coordinates of y."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe")
@@ -125,9 +123,7 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
         if y.is_basepoint:
             raise ValueError("structure map at the basepoint needs an explicit m")
         m = len(y.coords)
-    if right_degree is None:
-        right_degree = t.ambient.D
-    right = UniverseBasis(m, right_degree)
+    right = UniverseBasis(m, t.ambient.D)
     psi = psi_embed(t.ambient, right)
     if y.is_basepoint:
         return identity_tuple(t.n + m, psi.target.dim, psi.target)

@@ -27,7 +27,7 @@ import numpy as np
 from . import cohomtab, isodecomp
 from .commodel import (
     CommutingTuple,
-    F_subspace,
+    F_frame,
     canonical_rep,
     class_distance,
     commuting_to_config,
@@ -77,10 +77,11 @@ from .numkit import (
 from .rankstrata import (
     cayley,
     cayley_inv,
+    chart_from_blocks,
     pairing_chart,
+    reassemble_trace,
     reconstruct_chart,
     stabilize,
-    stratum_rank,
     subquotient_chart,
     trace_split,
 )
@@ -158,20 +159,30 @@ class Recorder:
             self.messages.append(f"{label}: {type(exc).__name__}: {exc}")
             return None
 
-    def run_trial(self, label: str, fn):
-        """Run one trial body; a domain or validation error inside counts as
-        one failure."""
-        try:
-            fn()
-        except (CommVarError, ValueError) as exc:
-            self.failures += 1
-            self.messages.append(f"{label}: {type(exc).__name__}: {exc}")
 
+def _trial_suite(name: str, sweep=None):
+    """Decorator making a trial body (rng, cfg, rec) into the suite `name`,
+    a callable cfg -> summary.
 
-def _run_trials(cfg: RunConfig, rec: Recorder, body):
-    for trial in range(cfg.trials):
-        rng = SplitMix64(subseed(cfg.seed, trial))
-        rec.run_trial(f"trial {trial}", lambda: body(rng))
+    The suite records into one Recorder: first the deterministic
+    sweep(cfg, rec), if given, then cfg.trials trials, trial k drawing from
+    SplitMix64(subseed(cfg.seed, k)).  A domain or validation error inside a
+    trial counts as one failure.
+    """
+    def make(body):
+        def suite(cfg: RunConfig) -> dict:
+            rec = Recorder()
+            if sweep is not None:
+                sweep(cfg, rec)
+            for trial in range(cfg.trials):
+                try:
+                    body(SplitMix64(subseed(cfg.seed, trial)), cfg, rec)
+                except (CommVarError, ValueError) as exc:
+                    rec.failures += 1
+                    rec.messages.append(f"trial {trial}: {type(exc).__name__}: {exc}")
+            return _summary(name, cfg, rec)
+        return suite
+    return make
 
 
 def _perms(n):
@@ -198,184 +209,179 @@ def _random_hermitian(rng: SplitMix64, s: int) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 
 
-def suite_roundtrip(cfg: RunConfig) -> dict:
-    rec = Recorder()
+@_trial_suite("roundtrip")
+def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    def body(rng: SplitMix64):
-        s = rng.randint(2, 9)
-        h = _random_hermitian(rng, s)
-        q, lam = hermitian_eig(h, tol)
-        rec.check("eig unitary", fro(q @ q.conj().T - np.eye(s)), 1e-10)
-        rec.check("eig residual", fro(q.conj().T @ h @ q - np.diag(lam)),
-                  1e-10 * max(fro(h), 1e-30))
-        rec.expect("eig ascending", bool(np.all(np.diff(lam) >= -1e-12)))
+    s = rng.randint(2, 9)
+    h = _random_hermitian(rng, s)
+    q, lam = hermitian_eig(h, tol)
+    rec.check("eig unitary", fro(q @ q.conj().T - np.eye(s)), 1e-10)
+    rec.check("eig residual", fro(q.conj().T @ h @ q - np.diag(lam)),
+              1e-10 * max(fro(h), 1e-30))
+    rec.expect("eig ascending", bool(np.all(np.diff(lam) >= -1e-12)))
 
-        frame = orthonormalize(rng.complex_normals(s, min(3, s)), tol)
-        rec.check("orthonormalize idempotent", fro(orthonormalize(frame, tol) - frame), 1e-12)
+    frame = orthonormalize(rng.complex_normals(s, min(3, s)), tol)
+    rec.check("orthonormalize idempotent", fro(orthonormalize(frame, tol) - frame), 1e-12)
 
-        n = rng.randint(1, cfg.n_max + 1)
-        t = gen_random_commuting(rng.next_u64(), n, min(s, cfg.s_max), "unitary")
-        u = haar_unitary(rng, t.s)
-        conj = np.array([u @ a @ u.conj().T for a in t.mats])
-        rec.check("defect conjugation invariance",
-                  abs(commutator_defect(conj) - commutator_defect(t.mats)), 1e-12)
+    n = rng.randint(1, cfg.n_max + 1)
+    t = gen_random_commuting(rng.next_u64(), n, min(s, cfg.s_max), "unitary")
+    u = haar_unitary(rng, t.s)
+    conj = np.array([u @ a @ u.conj().T for a in t.mats])
+    rec.check("defect conjugation invariance",
+              abs(commutator_defect(conj) - commutator_defect(t.mats)), 1e-12)
 
-        universe = UniverseBasis(n, rng.randint(1, cfg.D_max + 1))
-        c = gen_random_config(rng.next_u64(), universe, max_labels=3,
-                              max_rank=min(universe.dim, 6), tol=tol)
-        rec.check("canonicalize idempotent",
-                  config_distance(canonicalize(c, tol), c), 1e-12)
-        rec.expect("rank bound", rank(c) <= universe.dim)
+    universe = UniverseBasis(n, rng.randint(1, cfg.D_max + 1))
+    c = gen_random_config(rng.next_u64(), universe, max_labels=3,
+                          max_rank=min(universe.dim, 6), tol=tol)
+    rec.check("canonicalize idempotent",
+              config_distance(canonicalize(c, tol), c), 1e-12)
+    rec.expect("rank bound", rank(c) <= universe.dim)
 
-        tup = config_to_commuting(c, tol)
-        back = commuting_to_config(tup, tol)
-        rec.check("config round trip", config_distance(c, back), 1e-6)
-        rec.expect("rank additivity", F_subspace(tup, tol).shape[1] == rank(c))
+    tup = config_to_commuting(c, tol)
+    back = commuting_to_config(tup, tol)
+    rec.check("config round trip", config_distance(c, back), 1e-6)
+    _, blocks = joint_diagonalize(tup, tol)
+    f = F_frame(tup, blocks, tol)
+    rec.expect("rank additivity", f.shape[1] == rank(c))
 
-        _, blocks = joint_diagonalize(tup, tol)
-        torus = max(
-            (float(np.max(np.abs(np.abs(b.values) - 1.0))) for b in blocks if b.values.size),
-            default=0.0,
-        )
-        rec.check("values on unit torus", torus, tol.eps_cluster)
+    torus = max(
+        (float(np.max(np.abs(np.abs(b.values) - 1.0))) for b in blocks if b.values.size),
+        default=0.0,
+    )
+    rec.check("values on unit torus", torus, tol.eps_cluster)
 
-        # two-route F: complement of the sum of the eigenvalue-1 kernels
-        kernels = []
-        for a in tup.mats:
-            w, v = np.linalg.eig(a)
-            kernels.append(v[:, np.abs(w - 1.0) <= 1e-8])
-        kmat = np.hstack(kernels) if kernels else np.zeros((tup.s, 0), dtype=complex)
-        if kmat.shape[1]:
-            u_, sv, _ = np.linalg.svd(kmat)
-            rank_k = int(np.sum(sv > 1e-8))
-            pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
-        else:
-            pk = np.zeros((tup.s, tup.s), dtype=complex)
-        f = F_subspace(tup, tol)
-        rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
+    # two-route F: complement of the sum of the eigenvalue-1 kernels
+    kernels = []
+    for a in tup.mats:
+        w, v = np.linalg.eig(a)
+        kernels.append(v[:, np.abs(w - 1.0) <= 1e-8])
+    kmat = np.hstack(kernels) if kernels else np.zeros((tup.s, 0), dtype=complex)
+    if kmat.shape[1]:
+        u_, sv, _ = np.linalg.svd(kmat)
+        rank_k = int(np.sum(sv > 1e-8))
+        pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
+    else:
+        pk = np.zeros((tup.s, tup.s), dtype=complex)
+    rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
-        can = canonical_rep(tup, tol)
-        rec.check("canonical_rep idempotent", class_distance(can, tup, tol), 1e-8)
+    can = canonical_rep(tup, tol)
+    rec.check("canonical_rep idempotent", class_distance(can, tup, tol), 1e-8)
 
-        # class constancy: rotating one component on the joint kernel keeps
-        # the class, because the other components still pin those directions
-        # (config-model tuples act as the identity off their labels); needs
-        # n >= 2, since for n = 1 the kernel itself would change
-        comp_dim = tup.s - f.shape[1]
-        if comp_dim > 0 and tup.n >= 2:
-            proj = f @ f.conj().T
-            comp = np.eye(tup.s) - proj
-            phase = unit_phase(rng, 0.3)
-            perturbed = tup.mats.copy()
-            u_, sv, _ = np.linalg.svd(comp)
-            kframe = u_[:, : comp_dim]
-            rot = np.diag([phase] + [1.0] * (comp_dim - 1)).astype(complex)
-            kop = kframe @ rot @ kframe.conj().T + proj
-            perturbed[0] = perturbed[0] @ kop
-            rec.check("class constancy",
-                      class_distance(CommutingTuple("unitary", perturbed, tup.ambient),
-                                     tup, tol), 1e-8)
+    # class constancy: rotating one component on the joint kernel keeps
+    # the class, because the other components still pin those directions
+    # (config-model tuples act as the identity off their labels); needs
+    # n >= 2, since for n = 1 the kernel itself would change
+    comp_dim = tup.s - f.shape[1]
+    if comp_dim > 0 and tup.n >= 2:
+        proj = f @ f.conj().T
+        comp = np.eye(tup.s) - proj
+        phase = unit_phase(rng, 0.3)
+        perturbed = tup.mats.copy()
+        u_, sv, _ = np.linalg.svd(comp)
+        kframe = u_[:, : comp_dim]
+        rot = np.diag([phase] + [1.0] * (comp_dim - 1)).astype(complex)
+        kop = kframe @ rot @ kframe.conj().T + proj
+        perturbed[0] = perturbed[0] @ kop
+        rec.check("class constancy",
+                  class_distance(CommutingTuple("unitary", perturbed, tup.ambient),
+                                 tup, tol), 1e-8)
 
-        # residual invariance under pre-conjugation
-        u2 = haar_unitary(rng, tup.s)
-        conj_t = CommutingTuple("unitary",
-                                np.array([u2 @ a @ u2.conj().T for a in tup.mats]),
-                                tup.ambient)
-        q2, _ = joint_diagonalize(conj_t, tol)
-        d2 = np.einsum("ab,kbc,cd->kad", q2.conj().T, conj_t.mats, q2)
-        res2 = stack_off_norm(d2)
-        rec.check("joint residual after conjugation", res2,
-                  1e-8 * max(1.0, max(fro(a) for a in conj_t.mats)))
+    # residual invariance under pre-conjugation
+    u2 = haar_unitary(rng, tup.s)
+    conj_t = CommutingTuple("unitary",
+                            np.array([u2 @ a @ u2.conj().T for a in tup.mats]),
+                            tup.ambient)
+    q2, _ = joint_diagonalize(conj_t, tol)
+    d2 = np.einsum("ab,kbc,cd->kad", q2.conj().T, conj_t.mats, q2)
+    res2 = stack_off_norm(d2)
+    rec.check("joint residual after conjugation", res2,
+              1e-8 * max(1.0, max(fro(a) for a in conj_t.mats)))
 
-        # based-map functoriality: indexed pushes compose on the nose, and
-        # canonicalizing the two-step push equals applying the composite
-        if c.k >= 1:
-            point = c.labels[0].point
-            eq = canonicalize(
-                Configuration(c.universe, [Label(lab.frame, point) for lab in c.labels]),
+    # based-map functoriality: indexed pushes compose on the nose, and
+    # canonicalizing the two-step push equals applying the composite
+    if c.k >= 1:
+        point = c.labels[0].point
+        eq = canonicalize(
+            Configuration(c.universe, [Label(lab.frame, point) for lab in c.labels]),
+            tol)
+        k = eq.k
+        if k:
+            alpha = [rng.randint(0, 3) for _ in range(k)]  # into <2>
+            beta = [rng.randint(0, 4) for _ in range(2)]  # <2> -> <3>
+            mid = push_labels(eq.labels, alpha, 2, eq.universe.dim, tol)
+            two_step = canonicalize(
+                Configuration(eq.universe,
+                              push_labels(mid, beta, 3, eq.universe.dim, tol)),
                 tol)
-            k = eq.k
-            if k:
-                alpha = [rng.randint(0, 3) for _ in range(k)]  # into <2>
-                beta = [rng.randint(0, 4) for _ in range(2)]  # <2> -> <3>
-                mid = push_labels(eq.labels, alpha, 2, eq.universe.dim, tol)
-                two_step = canonicalize(
-                    Configuration(eq.universe,
-                                  push_labels(mid, beta, 3, eq.universe.dim, tol)),
-                    tol)
-                composed = [beta[a - 1] if a else 0 for a in alpha]
-                direct = apply_based_map(eq, composed, 3, tol)
-                rec.check("based-map functoriality",
-                          config_distance(two_step, direct), 1e-9)
-    _run_trials(cfg, rec, body)
-    return _summary("roundtrip", cfg, rec)
+            composed = [beta[a - 1] if a else 0 for a in alpha]
+            direct = apply_based_map(eq, composed, 3, tol)
+            rec.check("based-map functoriality",
+                      config_distance(two_step, direct), 1e-9)
 
 
 # ------------------------------------------------------------------ cayley
 
 
-def suite_cayley(cfg: RunConfig) -> dict:
-    rec = Recorder()
+@_trial_suite("cayley")
+def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    def body(rng: SplitMix64):
-        s = rng.randint(1, min(6, cfg.s_max) + 1)
-        x = gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
-        a = cayley(x)
-        rec.check("cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
-        rec.check("cayley round trip", fro(cayley_inv(a, tol) - x), 1e-10)
-        u = haar_unitary(rng, s)
-        rec.check("cayley equivariance",
-                  fro(cayley(u @ x @ u.conj().T) - u @ a @ u.conj().T), 1e-10)
-        rec.guard("cayley_inv at -Id", lambda: rec.check(
-            "cayley_inv(-Id)", fro(cayley_inv(-np.eye(s, dtype=complex), tol)), 1e-12))
-        try:
-            cayley_inv(np.eye(s, dtype=complex), tol)
-            rec.expect("cayley_inv singular detection", False)
-        except SingularAtOne:
-            pass
+    s = rng.randint(1, min(6, cfg.s_max) + 1)
+    x = gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
+    a = cayley(x)
+    rec.check("cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("cayley round trip", fro(cayley_inv(a, tol) - x), 1e-10)
+    u = haar_unitary(rng, s)
+    rec.check("cayley equivariance",
+              fro(cayley(u @ x @ u.conj().T) - u @ a @ u.conj().T), 1e-10)
+    rec.guard("cayley_inv at -Id", lambda: rec.check(
+        "cayley_inv(-Id)", fro(cayley_inv(-np.eye(s, dtype=complex), tol)), 1e-12))
+    try:
+        cayley_inv(np.eye(s, dtype=complex), tol)
+        rec.expect("cayley_inv singular detection", False)
+    except SingularAtOne:
+        pass
 
-        for i in range(50):
-            t = math.tan((rng.uniform() - 0.5) * math.pi * 0.98)
-            rec.check("cayley scalar chart",
-                      abs(cayley(np.array([[1j * t]]))[0, 0] - sphere_coord(t)), 1e-14)
+    for i in range(50):
+        t = math.tan((rng.uniform() - 0.5) * math.pi * 0.98)
+        rec.check("cayley scalar chart",
+                  abs(cayley(np.array([[1j * t]]))[0, 0] - sphere_coord(t)), 1e-14)
 
-        n = rng.randint(1, cfg.n_max + 1)
-        srank = rng.randint(1, min(5, cfg.s_max) + 1)
-        t_ex = gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
-        rec.expect("stratum rank", stratum_rank(t_ex, tol) == srank)
-        chart = subquotient_chart(t_ex, tol)
-        rec.check("chart X commuting", commutator_defect(chart.X.mats), 1e-9)
-        rec.check("chart reconstruction",
-                  class_distance(reconstruct_chart(chart, t_ex.s, tol), t_ex, tol), 1e-8)
-        g = haar_unitary(rng, srank)
-        chart2 = subquotient_chart(t_ex, tol, frame=chart.f @ g)
-        amb = max(
-            (fro(chart2.X.mats[i] - g.conj().T @ chart.X.mats[i] @ g)
-             for i in range(n)), default=0.0)
-        rec.check("chart frame ambiguity", amb, 1e-8)
+    n = rng.randint(1, cfg.n_max + 1)
+    srank = rng.randint(1, min(5, cfg.s_max) + 1)
+    t_ex = gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
+    _, blocks = joint_diagonalize(t_ex, tol)
+    chart = chart_from_blocks(t_ex, blocks, tol)
+    rec.expect("stratum rank", chart.s == srank)
+    rec.check("chart X commuting", commutator_defect(chart.X.mats), 1e-9)
+    rec.check("chart reconstruction",
+              class_distance(reconstruct_chart(chart, t_ex.s, tol), t_ex, tol), 1e-8)
+    g = haar_unitary(rng, srank)
+    chart2 = chart_from_blocks(t_ex, blocks, tol, frame=chart.f @ g)
+    amb = max(
+        (fro(chart2.X.mats[i] - g.conj().T @ chart.X.mats[i] @ g)
+         for i in range(n)), default=0.0)
+    rec.check("chart frame ambiguity", amb, 1e-8)
 
-        xt = gen_random_commuting(rng.next_u64(), n, srank, "skew_hermitian")
-        bar, tau = trace_split(xt)
-        rec.check("trace split traceless",
-                  max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
-        reassembled = np.array([m + 1j * c * np.eye(srank) for m, c in zip(bar.mats, tau)])
-        rec.check("trace split reassembly",
-                  max((fro(a - b) for a, b in zip(reassembled, xt.mats)), default=0.0), 1e-12)
+    xt = gen_random_commuting(rng.next_u64(), n, srank, "skew_hermitian")
+    bar, tau = trace_split(xt)
+    rec.check("trace split traceless",
+              max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
+    rec.check("trace split reassembly",
+              max((fro(a - b) for a, b in zip(reassemble_trace(bar, tau).mats, xt.mats)),
+                  default=0.0), 1e-12)
 
-        yt = gen_random_commuting(rng.next_u64(), rng.randint(1, 3), rng.randint(1, 4),
-                                  "skew_hermitian")
-        pair = pairing_chart(xt, yt)
-        rec.check("pairing commutes", commutator_defect(pair.mats), 1e-12)
-        tr_err = max(
-            (abs(np.trace(pair.mats[i]) - yt.s * np.trace(xt.mats[i]))
-             for i in range(xt.n)), default=0.0)
-        rec.check("pairing trace identity", tr_err, 1e-10)
+    yt = gen_random_commuting(rng.next_u64(), rng.randint(1, 3), rng.randint(1, 4),
+                              "skew_hermitian")
+    pair = pairing_chart(xt, yt)
+    rec.check("pairing commutes", commutator_defect(pair.mats), 1e-12)
+    tr_err = max(
+        (abs(np.trace(pair.mats[i]) - yt.s * np.trace(xt.mats[i]))
+         for i in range(xt.n)), default=0.0)
+    rec.check("pairing trace identity", tr_err, 1e-10)
 
-        st = stabilize(stabilize(xt, 1), 2)
-        rec.expect("stabilize composition", st.n == xt.n + 3)
-        rec.check("stabilize defect", commutator_defect(st.mats), 1e-12)
-    _run_trials(cfg, rec, body)
-    return _summary("cayley", cfg, rec)
+    st = stabilize(stabilize(xt, 1), 2)
+    rec.expect("stabilize composition", st.n == xt.n + 3)
+    rec.check("stabilize defect", commutator_defect(st.mats), 1e-12)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -385,155 +391,149 @@ def _random_point(rng: SplitMix64, n: int, margin: float = 0.4) -> SpherePoint:
     return SpherePoint([unit_phase(rng, margin) for _ in range(n)])
 
 
-def suite_spectrum(cfg: RunConfig) -> dict:
-    rec = Recorder()
+@_trial_suite("spectrum")
+def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    def body(rng: SplitMix64):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        ua = UniverseBasis(n, 1)
-        ub = UniverseBasis(m, 1)
-        a = gen_random_config(rng.next_u64(), ua, max_labels=2, max_rank=2, tol=tol)
-        b = gen_random_config(rng.next_u64(), ub, max_labels=2, max_rank=2, tol=tol)
-        x = _random_point(rng, n)
-        y = _random_point(rng, m)
+    n = rng.randint(1, 3)
+    m = rng.randint(1, 3)
+    ua = UniverseBasis(n, 1)
+    ub = UniverseBasis(m, 1)
+    a = gen_random_config(rng.next_u64(), ua, max_labels=2, max_rank=2, tol=tol)
+    b = gen_random_config(rng.next_u64(), ub, max_labels=2, max_rank=2, tol=tol)
+    x = _random_point(rng, n)
+    y = _random_point(rng, m)
 
-        rec.check("unit law",
-                  config_distance(structure_map(unit_map(x, ua, tol), y, tol=tol),
-                                  unit_map(smash(x, y), UniverseBasis(n + m, 2), tol)),
-                  1e-8)
-        rec.check("structure = multiply(unit)",
-                  config_distance(structure_map(a, y, tol=tol),
-                                  multiply(a, unit_map(y, UniverseBasis(m, ua.D), tol), tol=tol)),
-                  1e-8)
-        ab = multiply(a, b, tol=tol)
-        rec.expect("rank multiplicative", rank(ab) == rank(a) * rank(b))
-        rec.expect("rank preserved", rank(structure_map(a, y, tol=tol)) == rank(a))
+    rec.check("unit law",
+              config_distance(structure_map(unit_map(x, ua, tol), y, tol=tol),
+                              unit_map(smash(x, y), UniverseBasis(n + m, 2), tol)),
+              1e-8)
+    rec.check("structure = multiply(unit)",
+              config_distance(structure_map(a, y, tol=tol),
+                              multiply(a, unit_map(y, UniverseBasis(m, ua.D), tol), tol=tol)),
+              1e-8)
+    ab = multiply(a, b, tol=tol)
+    rec.expect("rank multiplicative", rank(ab) == rank(a) * rank(b))
+    rec.expect("rank preserved", rank(structure_map(a, y, tol=tol)) == rank(a))
 
-        uc = UniverseBasis(1, 1)
-        c = gen_random_config(rng.next_u64(), uc, max_labels=1, max_rank=1, tol=tol)
-        rec.check("associativity",
-                  config_distance(multiply(multiply(a, b, tol=tol), c, tol=tol),
-                                  multiply(a, multiply(b, c, tol=tol), tol=tol)),
-                  1e-8)
+    uc = UniverseBasis(1, 1)
+    c = gen_random_config(rng.next_u64(), uc, max_labels=1, max_rank=1, tol=tol)
+    rec.check("associativity",
+              config_distance(multiply(multiply(a, b, tol=tol), c, tol=tol),
+                              multiply(a, multiply(b, c, tol=tol), tol=tol)),
+              1e-8)
 
-        # commutativity up to the block swap
-        chi = list(range(m, m + n)) + list(range(m))
-        rec.check("commutativity up to swap",
-                  config_distance(multiply(b, a, tol=tol),
-                                  sigma_action_config(chi, ab, tol)),
-                  1e-8)
+    # commutativity up to the block swap
+    chi = list(range(m, m + n)) + list(range(m))
+    rec.check("commutativity up to swap",
+              config_distance(multiply(b, a, tol=tol),
+                              sigma_action_config(chi, ab, tol)),
+              1e-8)
 
-        sigma = list(_perms(n)[rng.randint(0, math.factorial(n))])
-        tau = list(_perms(m)[rng.randint(0, math.factorial(m))])
-        rho = sigma + [n + t for t in tau]
-        rec.check("multiply equivariance",
-                  config_distance(multiply(sigma_action_config(sigma, a, tol),
-                                           sigma_action_config(tau, b, tol), tol=tol),
-                                  sigma_action_config(rho, ab, tol)),
-                  1e-8)
-        rec.check("structure map equivariance",
-                  config_distance(
-                      structure_map(sigma_action_config(sigma, a, tol),
-                                    permute_point(tau, y), tol=tol),
-                      sigma_action_config(rho, structure_map(a, y, tol=tol), tol)),
-                  1e-8)
+    sigma = list(_perms(n)[rng.randint(0, math.factorial(n))])
+    tau = list(_perms(m)[rng.randint(0, math.factorial(m))])
+    rho = sigma + [n + t for t in tau]
+    rec.check("multiply equivariance",
+              config_distance(multiply(sigma_action_config(sigma, a, tol),
+                                       sigma_action_config(tau, b, tol), tol=tol),
+                              sigma_action_config(rho, ab, tol)),
+              1e-8)
+    rec.check("structure map equivariance",
+              config_distance(
+                  structure_map(sigma_action_config(sigma, a, tol),
+                                permute_point(tau, y), tol=tol),
+                  sigma_action_config(rho, structure_map(a, y, tol=tol), tol)),
+              1e-8)
 
-        # cross-picture coherence
-        ta = config_to_commuting(a, tol)
-        tb = config_to_commuting(b, tol)
-        rec.check("cross-picture multiply",
-                  class_distance(config_to_commuting(ab, tol),
-                                 multiply_tuple(ta, tb, tol=tol), tol),
-                  1e-8)
-        rec.check("cross-picture structure map",
-                  class_distance(config_to_commuting(structure_map(a, y, tol=tol), tol),
-                                 structure_map_tuple(ta, y, tol=tol), tol),
-                  1e-8)
-        rec.check("cross-picture unit",
-                  class_distance(config_to_commuting(unit_map(x, ua, tol), tol),
-                                 unit_map_tuple(x, ua, tol), tol),
-                  1e-8)
-    _run_trials(cfg, rec, body)
-    return _summary("spectrum", cfg, rec)
+    # cross-picture coherence
+    ta = config_to_commuting(a, tol)
+    tb = config_to_commuting(b, tol)
+    rec.check("cross-picture multiply",
+              class_distance(config_to_commuting(ab, tol),
+                             multiply_tuple(ta, tb, tol=tol), tol),
+              1e-8)
+    rec.check("cross-picture structure map",
+              class_distance(config_to_commuting(structure_map(a, y, tol=tol), tol),
+                             structure_map_tuple(ta, y, tol=tol), tol),
+              1e-8)
+    rec.check("cross-picture unit",
+              class_distance(config_to_commuting(unit_map(x, ua, tol), tol),
+                             unit_map_tuple(x, ua, tol), tol),
+              1e-8)
 
 
 # ------------------------------------------------------------ equivariance
 
 
-def suite_equivariance(cfg: RunConfig) -> dict:
-    rec = Recorder()
+@_trial_suite("equivariance")
+def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    def body(rng: SplitMix64):
-        n = rng.randint(1, cfg.n_max + 1)
-        m = rng.randint(1, 3)
-        du = rng.randint(1, cfg.D_max + 1)
-        u = UniverseBasis(n, du)
-        v = UniverseBasis(m, rng.randint(1, 2))
-        rec.expect("dim binomial", u.dim == math.comb(u.n + u.D, u.n))
+    n = rng.randint(1, cfg.n_max + 1)
+    m = rng.randint(1, 3)
+    du = rng.randint(1, cfg.D_max + 1)
+    u = UniverseBasis(n, du)
+    v = UniverseBasis(m, rng.randint(1, 2))
+    rec.expect("dim binomial", u.dim == math.comb(u.n + u.D, u.n))
 
-        psi = psi_embed(u, v)
-        norm_ok = all(
-            u.norms_sq[i] * v.norms_sq[k]
-            == psi.target.norms_sq[psi.pair_index[i, k]]
-            for i in range(u.dim) for k in range(v.dim)
-        )
-        rec.expect("psi exact isometry on monomials", norm_ok)
-        flat = psi.pair_index.reshape(-1)
-        rec.expect("psi injective", len(set(flat.tolist())) == flat.size)
+    psi = psi_embed(u, v)
+    norm_ok = all(
+        u.norms_sq[i] * v.norms_sq[k]
+        == psi.target.norms_sq[psi.pair_index[i, k]]
+        for i in range(u.dim) for k in range(v.dim)
+    )
+    rec.expect("psi exact isometry on monomials", norm_ok)
+    flat = psi.pair_index.reshape(-1)
+    rec.expect("psi injective", len(set(flat.tolist())) == flat.size)
 
-        vec1 = rng.complex_normals(u.dim)
-        vec2 = rng.complex_normals(u.dim)
-        w1 = rng.complex_normals(v.dim)
-        w2 = rng.complex_normals(v.dim)
-        lhs = np.vdot(psi.kron_vec(vec1, w1), psi.kron_vec(vec2, w2))
-        rhs = np.vdot(vec1, vec2) * np.vdot(w1, w2)
-        rec.check("psi isometry numeric", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)))
+    vec1 = rng.complex_normals(u.dim)
+    vec2 = rng.complex_normals(u.dim)
+    w1 = rng.complex_normals(v.dim)
+    w2 = rng.complex_normals(v.dim)
+    lhs = np.vdot(psi.kron_vec(vec1, w1), psi.kron_vec(vec2, w2))
+    rhs = np.vdot(vec1, vec2) * np.vdot(w1, w2)
+    rec.check("psi isometry numeric", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)))
 
-        perms_u = _perms(n)
-        sigma = list(perms_u[rng.randint(0, len(perms_u))])
-        tau_all = _perms(m)
-        tau = list(tau_all[rng.randint(0, len(tau_all))])
-        ps = sigma_star(sigma, u)
-        rec.expect("sigma_* fixes scalar line", ps[u.index[(0,) * n]] == u.index[(0,) * n])
-        perms2 = _perms(n)
-        sig2 = list(perms2[rng.randint(0, len(perms2))])
-        comp = [sigma[sig2[j]] for j in range(n)]
-        rec.expect("sigma_* homomorphism",
-                   bool(np.all(sigma_star(comp, u)
-                               == sigma_star(sigma, u)[sigma_star(sig2, u)])))
+    perms_u = _perms(n)
+    sigma = list(perms_u[rng.randint(0, len(perms_u))])
+    tau_all = _perms(m)
+    tau = list(tau_all[rng.randint(0, len(tau_all))])
+    ps = sigma_star(sigma, u)
+    rec.expect("sigma_* fixes scalar line", ps[u.index[(0,) * n]] == u.index[(0,) * n])
+    sig2 = list(perms_u[rng.randint(0, len(perms_u))])
+    comp = [sigma[sig2[j]] for j in range(n)]
+    rec.expect("sigma_* homomorphism",
+               bool(np.all(sigma_star(comp, u)
+                           == sigma_star(sigma, u)[sigma_star(sig2, u)])))
 
-        # psi equivariance: (sigma x tau)_* psi = psi (sigma_* (x) tau_*)
-        rho = sigma + [n + t for t in tau]
-        pr = sigma_star(rho, psi.target)
-        pt = sigma_star(tau, v)
-        ok = all(
-            pr[psi.pair_index[i, k]] == psi.pair_index[ps[i], pt[k]]
-            for i in range(u.dim) for k in range(v.dim)
-        )
-        rec.expect("psi equivariance", ok)
+    # psi equivariance: (sigma x tau)_* psi = psi (sigma_* (x) tau_*)
+    rho = sigma + [n + t for t in tau]
+    pr = sigma_star(rho, psi.target)
+    pt = sigma_star(tau, v)
+    ok = all(
+        pr[psi.pair_index[i, k]] == psi.pair_index[ps[i], pt[k]]
+        for i in range(u.dim) for k in range(v.dim)
+    )
+    rec.expect("psi equivariance", ok)
 
-        c = gen_random_config(rng.next_u64(), u, max_labels=2,
-                              max_rank=min(u.dim, 4), tol=tol)
-        t = config_to_commuting(c, tol)
-        rec.check("model equivariance",
-                  class_distance(sigma_action_tuple(sigma, t, tol),
-                                 config_to_commuting(sigma_action_config(sigma, c, tol), tol),
-                                 tol),
-                  1e-8)
-        comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t, tol), tol)
-        rec.check("tuple action composition",
-                  class_distance(comp_t, sigma_action_tuple(comp, t, tol), tol), 1e-8)
-        rec.expect("rank invariance",
-                   rank(sigma_action_config(sigma, c, tol)) == rank(c))
+    c = gen_random_config(rng.next_u64(), u, max_labels=2,
+                          max_rank=min(u.dim, 4), tol=tol)
+    t = config_to_commuting(c, tol)
+    rec.check("model equivariance",
+              class_distance(sigma_action_tuple(sigma, t, tol),
+                             config_to_commuting(sigma_action_config(sigma, c, tol), tol),
+                             tol),
+              1e-8)
+    comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t, tol), tol)
+    rec.check("tuple action composition",
+              class_distance(comp_t, sigma_action_tuple(comp, t, tol), tol), 1e-8)
+    rec.expect("rank invariance",
+               rank(sigma_action_config(sigma, c, tol)) == rank(c))
 
-        # chart equivariance for every permutation
+    # chart equivariance for every permutation
+    ch = subquotient_chart(t, tol)
+    if ch.s:
         for sg in perms_u:
             ts = sigma_action_tuple(list(sg), t, tol)
             ch_s = subquotient_chart(ts, tol)
-            ch = subquotient_chart(t, tol)
-            if ch.s == 0:
-                continue
             perm_univ = sigma_star(list(sg), u)
             f_moved = apply_perm_to_coords(perm_univ, ch.f)
             g = ch_s.f.conj().T @ f_moved
@@ -543,103 +543,98 @@ def suite_equivariance(cfg: RunConfig) -> dict:
                 for j in range(n)
             )
             rec.check("chart equivariance", err, 1e-8)
-    _run_trials(cfg, rec, body)
-    return _summary("equivariance", cfg, rec)
 
 
 # -------------------------------------------------------------------- real
 
 
-def suite_real(cfg: RunConfig) -> dict:
-    rec = Recorder()
+@_trial_suite("real")
+def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    def body(rng: SplitMix64):
-        s = rng.randint(1, min(6, cfg.s_max) + 1)
-        n = rng.randint(1, cfg.n_max + 1)
+    s = rng.randint(1, min(6, cfg.s_max) + 1)
+    n = rng.randint(1, cfg.n_max + 1)
 
-        x = gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
-        a = real_cayley(x)
-        rec.check("real cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
-        rec.check("real cayley symmetric", fro(a - a.T), 1e-10)
-        rec.check("real cayley inverse", fro(real_cayley_inv(a, tol) - x), 1e-10)
-        o = haar_orthogonal(rng, s)
-        rec.check("real cayley equivariance",
-                  fro(real_cayley(o @ x @ o.T) - o @ a @ o.T), 1e-10)
+    x = gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
+    a = real_cayley(x)
+    rec.check("real cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("real cayley symmetric", fro(a - a.T), 1e-10)
+    rec.check("real cayley inverse", fro(real_cayley_inv(a, tol) - x), 1e-10)
+    o = haar_orthogonal(rng, s)
+    rec.check("real cayley equivariance",
+              fro(real_cayley(o @ x @ o.T) - o @ a @ o.T), 1e-10)
 
-        t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
-        q, _ = joint_diagonalize_real(t, tol)
-        diag = np.einsum("ab,kbc,cd->kad", q.T, t.mats, q)
-        res = stack_off_norm(diag)
-        rec.check("SO joint residual", res, 1e-8 * max(1.0, max(fro(m) for m in t.mats)))
-        rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
+    t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
+    q, _ = joint_diagonalize_real(t, tol)
+    diag = np.einsum("ab,kbc,cd->kad", q.T, t.mats, q)
+    res = stack_off_norm(diag)
+    rec.check("SO joint residual", res, 1e-8 * max(1.0, max(fro(m) for m in t.mats)))
+    rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 
-        split = real_trace_split(t)
-        rec.check("real split traceless",
-                  max((abs(np.trace(m)) for m in split.traceless.mats), default=0.0), 1e-12)
-        rec.check("real split reassembly",
-                  max((fro(a_ - b_) for a_, b_ in
-                       zip(reassemble_real_split(split).mats, t.mats)), default=0.0),
-                  1e-12)
+    split = real_trace_split(t)
+    rec.check("real split traceless",
+              max((abs(np.trace(m)) for m in split.traceless.mats), default=0.0), 1e-12)
+    rec.check("real split reassembly",
+              max((fro(a_ - b_) for a_, b_ in
+                   zip(reassemble_real_split(split).mats, t.mats)), default=0.0),
+              1e-12)
 
-        # real configuration data -> symmetric unitaries -> real chart
-        universe = UniverseBasis(n, 1)
-        dim = universe.dim
-        basis = haar_orthogonal(rng, dim)
-        srank = rng.randint(1, min(dim, 3) + 1)
-        pts: list[SpherePoint] = []
-        labels = []
-        offset = 0
-        dims = []
-        left = srank
-        while left > 0:
-            d = rng.randint(1, left + 1)
-            dims.append(d)
-            left -= d
-        for d in dims:
-            for _ in range(100):
-                p = _random_point(rng, n)
-                if all(float(np.max(np.abs(p.coords - q_.coords))) >= 0.2 for q_ in pts):
-                    break
-            pts.append(p)
-            labels.append(Label(basis[:, offset:offset + d].astype(complex), p))
-            offset += d
-        c = canonicalize(Configuration(universe, labels), tol)
-        tsym = config_to_commuting(c, tol)
-        rec.expect("complexified data is symmetric",
-                   all(is_symmetric_unitary(m) for m in tsym.mats))
-        chart = real_stratum_chart(tsym, tol)
-        rec.expect("real chart is real", chart.X.kind == "real_symmetric")
-        rec.check("real chart reconstruction",
-                  class_distance(reconstruct_real_chart(chart, dim), tsym, tol), 1e-8)
+    # real configuration data -> symmetric unitaries -> real chart
+    universe = UniverseBasis(n, 1)
+    dim = universe.dim
+    basis = haar_orthogonal(rng, dim)
+    srank = rng.randint(1, min(dim, 3) + 1)
+    pts: list[SpherePoint] = []
+    labels = []
+    offset = 0
+    dims = []
+    left = srank
+    while left > 0:
+        d = rng.randint(1, left + 1)
+        dims.append(d)
+        left -= d
+    for d in dims:
+        for _ in range(100):
+            p = _random_point(rng, n)
+            if all(float(np.max(np.abs(p.coords - q_.coords))) >= 0.2 for q_ in pts):
+                break
+        pts.append(p)
+        labels.append(Label(basis[:, offset:offset + d].astype(complex), p))
+        offset += d
+    c = canonicalize(Configuration(universe, labels), tol)
+    tsym = config_to_commuting(c, tol)
+    rec.expect("complexified data is symmetric",
+               all(is_symmetric_unitary(m) for m in tsym.mats))
+    chart = real_stratum_chart(tsym, tol)
+    rec.expect("real chart is real", chart.X.kind == "real_symmetric")
+    rec.check("real chart reconstruction",
+              class_distance(reconstruct_real_chart(chart, dim), tsym, tol), 1e-8)
 
-        chart_c = subquotient_chart(tsym, tol)
-        if chart.s:
-            g = chart_c.f.conj().T @ chart.f.astype(complex)
-            err = max(
-                fro(1j * chart.X.mats[i] - g.conj().T @ chart_c.X.mats[i] @ g)
-                for i in range(n)
-            )
-            rec.check("real chart complexifies", err, 1e-8)
+    chart_c = subquotient_chart(tsym, tol)
+    if chart.s:
+        g = chart_c.f.conj().T @ chart.f.astype(complex)
+        err = max(
+            fro(1j * chart.X.mats[i] - g.conj().T @ chart_c.X.mats[i] @ g)
+            for i in range(n)
+        )
+        rec.check("real chart complexifies", err, 1e-8)
 
-        # unit sphere of the rank-one diagonal family: parametrization hits
-        # valid tuples for s = 2
-        theta = rng.uniform() * 2 * math.pi
-        rot = np.array([[math.cos(theta), -math.sin(theta)],
-                        [math.sin(theta), math.cos(theta)]])
-        diag_vals = rng.normals(n, 2)
-        diag_vals -= diag_vals.mean(axis=1, keepdims=True)
-        nrm = math.sqrt(float(np.sum(diag_vals ** 2)))
-        if nrm > 1e-9:
-            diag_vals /= nrm
-            mats = np.array([rot @ np.diag(dv) @ rot.T for dv in diag_vals])
-            cand = CommutingTuple("real_symmetric", mats)
-            cand.validate(tol)
-            rec.check("moebius parametrization norm",
-                      abs(tuple_norm(cand) - 1.0), 1e-10)
-            rec.check("moebius parametrization traceless",
-                      max(abs(np.trace(m)) for m in mats), 1e-10)
-    _run_trials(cfg, rec, body)
-    return _summary("real", cfg, rec)
+    # unit sphere of the rank-one diagonal family: parametrization hits
+    # valid tuples for s = 2
+    theta = rng.uniform() * 2 * math.pi
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    diag_vals = rng.normals(n, 2)
+    diag_vals -= diag_vals.mean(axis=1, keepdims=True)
+    nrm = math.sqrt(float(np.sum(diag_vals ** 2)))
+    if nrm > 1e-9:
+        diag_vals /= nrm
+        mats = np.array([rot @ np.diag(dv) @ rot.T for dv in diag_vals])
+        cand = CommutingTuple("real_symmetric", mats)
+        cand.validate(tol)
+        rec.check("moebius parametrization norm",
+                  abs(tuple_norm(cand) - 1.0), 1e-10)
+        rec.check("moebius parametrization traceless",
+                  max(abs(np.trace(m)) for m in mats), 1e-10)
 
 
 # ---------------------------------------------------------------- isotropy
@@ -730,9 +725,6 @@ def fixed_dim_nullspace_oracle(parts, n: int, field: str, seed: int = 0) -> int:
 
 
 def _partitions(s: int):
-    if s == 0:
-        yield ()
-        return
     def rec(left, cap):
         if left == 0:
             yield ()
@@ -743,10 +735,9 @@ def _partitions(s: int):
     yield from rec(s, s)
 
 
-def suite_isotropy(cfg: RunConfig) -> dict:
-    rec = Recorder()
-    tol = cfg.tol
-    # deterministic sweep: formula vs null-space oracle
+def _fixed_dim_sweep(cfg: RunConfig, rec: Recorder):
+    """Deterministic sweep: the fixed-dimension formula against the
+    null-space oracle."""
     for s in range(1, 6):
         for parts in _partitions(s):
             d = DecompType(parts)
@@ -756,62 +747,62 @@ def suite_isotropy(cfg: RunConfig) -> dict:
                     oracle = fixed_dim_nullspace_oracle(parts, n, field_, cfg.seed)
                     rec.expect(f"fixed dim {parts} n={n} {field_}", got == oracle)
 
-    def body(rng: SplitMix64):
-        s = rng.randint(2, min(5, cfg.s_max) + 1)
-        n = rng.randint(1, cfg.n_max + 1)
-        parts_all = [p for p in _partitions(s)]
-        parts = parts_all[rng.randint(0, len(parts_all))]
-        kind = "skew_hermitian" if rng.uniform() < 0.7 else "real_symmetric"
-        t = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind)
-        rec.expect("prescribed type", decomposition_type(t, tol).parts
-                   == tuple(sorted(parts, reverse=True)))
 
-        if len(parts) > 1:
-            tu = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind,
-                                     traceless=True, unit=True)
-            rec.check("unit norm", abs(tuple_norm(tu) - 1.0), 1e-10)
-            rec.expect("complete type", is_complete_type(decomposition_type(tu, tol)))
-            rec.expect("type invariant under scaling",
-                       decomposition_type(unit_normalize(
-                           CommutingTuple(tu.kind, 7.0 * tu.mats), tol), tol).parts
-                       == decomposition_type(tu, tol).parts)
-            if kind == "skew_hermitian":
-                u = haar_unitary(rng, s)
-                conj = CommutingTuple(kind, np.array(
-                    [u @ m @ u.conj().T for m in tu.mats]))
-                rec.expect("type conjugation invariant",
-                           decomposition_type(conj, tol).parts
-                           == decomposition_type(tu, tol).parts)
-                rec.expect("stabilize keeps type",
-                           decomposition_type(stabilize(tu, 2), tol).parts
-                           == decomposition_type(tu, tol).parts)
+@_trial_suite("isotropy", sweep=_fixed_dim_sweep)
+def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
+    tol = cfg.tol
+    s = rng.randint(2, min(5, cfg.s_max) + 1)
+    n = rng.randint(1, cfg.n_max + 1)
+    parts_all = [p for p in _partitions(s)]
+    parts = parts_all[rng.randint(0, len(parts_all))]
+    kind = "skew_hermitian" if rng.uniform() < 0.7 else "real_symmetric"
+    t = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind)
+    rec.expect("prescribed type", decomposition_type(t, tol).parts
+               == tuple(sorted(parts, reverse=True)))
 
-        # flag map sampling at p = 2
-        g = haar_unitary(rng, 2)
-        amp = 1.0 / math.sqrt(2.0)
-        sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        x = CommutingTuple("skew_hermitian",
-                           np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
-        target = flag_map(g, x, tol)
-        rec.check("flag image unit", abs(tuple_norm(target) - 1.0), 1e-10)
-        rec.expect("flag type", decomposition_type(target, tol).parts == (1, 1))
-        gc, xc = flag_map_preimage(target, tol)
-        rec.check("flag preimage residual",
-                  max(fro(p_ - q_) for p_, q_ in zip(flag_map(gc, xc, tol).mats, target.mats)),
-                  1e-8)
-        # the swapped preimage canonicalizes to the same class
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        g2, x2 = isodecomp.canonical_flag_class(
-            g @ swap,
-            CommutingTuple("skew_hermitian",
-                           np.array([swap @ m @ swap for m in x.mats])),
-            tol)
-        g1, x1 = isodecomp.canonical_flag_class(g, x, tol)
-        rec.check("flag class uniqueness",
-                  fro(g1 - g2) + max(fro(p_ - q_) for p_, q_ in zip(x1.mats, x2.mats)),
-                  1e-8)
-    _run_trials(cfg, rec, body)
-    return _summary("isotropy", cfg, rec)
+    if len(parts) > 1:
+        tu = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind,
+                                 traceless=True, unit=True)
+        rec.check("unit norm", abs(tuple_norm(tu) - 1.0), 1e-10)
+        tu_type = decomposition_type(tu, tol)
+        rec.expect("complete type", is_complete_type(tu_type))
+        rec.expect("type invariant under scaling",
+                   decomposition_type(unit_normalize(
+                       CommutingTuple(tu.kind, 7.0 * tu.mats), tol), tol).parts
+                   == tu_type.parts)
+        if kind == "skew_hermitian":
+            u = haar_unitary(rng, s)
+            conj = CommutingTuple(kind, np.array(
+                [u @ m @ u.conj().T for m in tu.mats]))
+            rec.expect("type conjugation invariant",
+                       decomposition_type(conj, tol).parts == tu_type.parts)
+            rec.expect("stabilize keeps type",
+                       decomposition_type(stabilize(tu, 2), tol).parts == tu_type.parts)
+
+    # flag map sampling at p = 2
+    g = haar_unitary(rng, 2)
+    amp = 1.0 / math.sqrt(2.0)
+    sign = 1.0 if rng.uniform() < 0.5 else -1.0
+    x = CommutingTuple("skew_hermitian",
+                       np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
+    target = flag_map(g, x, tol)
+    rec.check("flag image unit", abs(tuple_norm(target) - 1.0), 1e-10)
+    rec.expect("flag type", decomposition_type(target, tol).parts == (1, 1))
+    gc, xc = flag_map_preimage(target, tol)
+    rec.check("flag preimage residual",
+              max(fro(p_ - q_) for p_, q_ in zip(flag_map(gc, xc, tol).mats, target.mats)),
+              1e-8)
+    # the swapped preimage canonicalizes to the same class
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    g2, x2 = isodecomp.canonical_flag_class(
+        g @ swap,
+        CommutingTuple("skew_hermitian",
+                       np.array([swap @ m @ swap for m in x.mats])),
+        tol)
+    g1, x1 = isodecomp.canonical_flag_class(g, x, tol)
+    rec.check("flag class uniqueness",
+              fro(g1 - g2) + max(fro(p_ - q_) for p_, q_ in zip(x1.mats, x2.mats)),
+              1e-8)
 
 
 # -------------------------------------------------------------- cohomology

@@ -1,15 +1,21 @@
+import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from commvar import commodel, jsonio
 from commvar.cli import main
-from commvar.commodel import CommutingTuple, identity_tuple
+from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.generate import gen_random_commuting
 
 
@@ -219,3 +225,75 @@ def test_verify_deterministic():
     _, out1, _ = run_cli(args)
     _, out2, _ = run_cli(args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("imag,code", [(1e-3, 2), (0.0, 0)], ids=["nonzero", "zero"])
+def test_stratify_real_symmetric_imaginary_parts(imag, code, monkeypatch, capsys):
+    # complex data tagged real_symmetric: a nonzero imaginary part is
+    # rejected, an exactly zero one is dropped without a ComplexWarning
+    payload = {"n": 1, "s": 2, "kind": "real_symmetric",
+               "mats": [jsonio.matrix_to_json((1.0 + imag * 1j) * np.eye(2))]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        assert main(["stratify"]) == code
+    body = json.loads(capsys.readouterr().out)
+    if code:
+        assert body["error"] == "invalid_input"
+    else:
+        assert body["decomposition_type"] == [2]
+
+
+@pytest.mark.parametrize("payload", [
+    '{"kind": "unitary", "n": 1e400, "s": 1, "mats": []}',
+    '{"kind": "unitary", "n": 1, "s": 1,'
+    ' "mats": [{"rows": Infinity, "cols": 1, "data": [[1, 0]]}]}',
+    '{"kind": "unitary", "n": 1, "s": 1,'
+    ' "mats": [{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}]}',
+], ids=["n-1e400", "rows-Infinity", "entry-401-digits"])
+def test_stratify_rejects_overflowing_fields(payload, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+# shape fields: small ints, fractions, +-inf or NaN; never a large finite
+# size, since an n = 0 tuple of size s allocates an s x s identity
+_SHAPE_FIELDS = st.one_of(st.integers(0, 4), st.floats(-1.0, 4.9),
+                          st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _stratify_payloads(draw):
+    kind = draw(st.sampled_from(KINDS + ("unknown",)))
+    n, s = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    real = draw(st.booleans())
+    if kind in KINDS and draw(st.booleans()):
+        mats = gen_random_commuting(draw(st.integers(0, 2 ** 32)), n, s, kind).mats
+    else:
+        mats = draw(hnp.arrays(complex, (n, s, s), elements=st.complex_numbers(
+            max_magnitude=1e3, allow_nan=False, allow_infinity=False)))
+    mats_json = []
+    for m in mats:
+        body = {"rows": s, "cols": s}
+        if real:
+            body.update(field="real", data=[float(z.real) for z in m.reshape(-1)])
+        else:
+            body["data"] = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        mats_json.append(body)
+    payload = {"kind": kind, "n": n, "s": s, "mats": mats_json}
+    for key in draw(st.sets(st.sampled_from(["n", "s", "rows", "cols"]))):
+        for target in [payload] if key in ("n", "s") else mats_json:
+            target[key] = draw(_SHAPE_FIELDS)
+    return json.dumps(payload)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_stratify_payloads())
+def test_stratify_never_raises_a_traceback(text):
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = main(["stratify"])
+    assert code in (0, 2, 3)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
