@@ -34,6 +34,10 @@ EXIT_SUITE_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_STRATUM = 3
 
+# largest matrix size stratify accepts; an n = 0 tuple carries no matrix
+# data, so nothing else bounds the O(s^2) memory and output of its report
+MAX_STRATIFY_S = 256
+
 
 def _env_seed() -> int:
     raw = os.environ.get("COMMVAR_SEED", "0")
@@ -125,6 +129,8 @@ def cmd_stratify(args) -> int:
         t = jsonio.tuple_from_json(data)
         if t.s < 1:
             raise ValueError("stratify needs matrices of size at least 1")
+        if t.s > MAX_STRATIFY_S:
+            raise ValueError(f"stratify accepts matrices of size at most {MAX_STRATIFY_S}")
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import IndexOutOfRange, NotOrthogonal
 from .numkit import DEFAULT_TOL, Tolerances, fro, leading_index, orthonormalize
@@ -262,6 +261,9 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     """Label-matching distance: optimal assignment on point distance plus
     frame projection distance, reported as the worst matched pair.
     Infinite when the universes or label counts differ."""
+    # deferred: scipy.optimize dominates the import time of the package
+    from scipy.optimize import linear_sum_assignment
+
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:

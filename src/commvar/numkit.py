@@ -5,7 +5,10 @@ commutator defects, and the Jacobi eigen-machinery used everywhere else.  The
 same plane-rotation solver drives a single Hermitian matrix and a family of
 commuting Hermitian matrices to (joint) diagonality: for each index pair the
 rotation is chosen to maximize the summed squared diagonal separation, which
-is equivalent to minimizing the summed off-diagonal Frobenius energy.
+is equivalent to minimizing the summed off-diagonal Frobenius energy.  That
+rotation is taken in closed form from the dominant eigenvector of a 3x3 real
+symmetric matrix G (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17(1),
+1996).
 """
 
 from __future__ import annotations
@@ -175,27 +178,6 @@ def leading_index(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(rows[0]) if rows.size else frame.shape[0]
 
 
-def _dominant_eigvec3(g: np.ndarray) -> np.ndarray:
-    """Dominant unit eigenvector of a symmetric PSD 3x3 matrix.
-
-    Power iteration seeded from the largest column; G is a sum of outer
-    products so the dominant eigenvalue is simple or the whole top eigenspace
-    is equally good for the rotation gain.
-    """
-    norms = np.linalg.norm(g, axis=0)
-    j = int(np.argmax(norms))
-    if norms[j] == 0.0:
-        return np.array([1.0, 0.0, 0.0])
-    v = g[:, j] / norms[j]
-    for _ in range(60):
-        w = g @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    return v
-
-
 def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
                    off_target: float = 0.0) -> np.ndarray:
     """Cyclic Jacobi sweeps on a stack of Hermitian matrices, in place.
@@ -204,6 +186,8 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
     Q^H C_k Q as diagonal as the sweeps achieve.  For each pair (p, q) the
     plane rotation maximizes sum_k (c'_pp - c'_qq)^2, the classical extended
     Jacobi angle choice; per pair this equals minimizing sum_k |c'_pq|^2.
+    The maximizer is the dominant eigenvector v of G = H H^T, where column k
+    of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.
     """
     kk, s, _ = c.shape
     real_input = not np.iscomplexobj(c)
@@ -221,7 +205,11 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
                 h2 = -2.0 * d.imag
                 hmat = np.stack([h0, h1, h2])
                 g = hmat @ hmat.T
-                v = _dominant_eigvec3(g)
+                # a zero G (equal diagonals, zero off-diagonal) needs no
+                # rotation; eigh would return an arbitrary top vector for it
+                if not g.any():
+                    continue
+                v = np.linalg.eigh(g)[1][:, -1]
                 if v[0] < 0:
                     v = -v
                 cth = math.sqrt(0.5 * (1.0 + v[0]))

@@ -117,6 +117,35 @@ def test_stratify_rejects_empty_matrices(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("s", [257, 10 ** 9])
+def test_stratify_rejects_sizes_above_the_cap(s, monkeypatch, capsys):
+    # an n = 0 tuple has no matrix data to bound its size
+    payload = {"n": 0, "s": s, "kind": "unitary", "mats": []}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+_GENERATE_THEN_STRATIFY = """
+import contextlib, io, sys
+from unittest import mock
+from commvar.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["generate", "--seed", "3"]) == 0
+with mock.patch.object(sys, "stdin", io.StringIO(out.getvalue())):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stratify"]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_cli_leaves_scipy_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _GENERATE_THEN_STRATIFY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("kind", ["unitary", "skew_hermitian"])
 def test_stratify_diagonalizes_once(kind, monkeypatch, capsys):
     original = commodel.joint_diagonalize
@@ -257,9 +286,10 @@ def test_stratify_rejects_overflowing_fields(payload, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
-# shape fields: small ints, fractions, +-inf or NaN; never a large finite
-# size, since an n = 0 tuple of size s allocates an s x s identity
+# shape fields: small ints, fractions, sizes above the stratify cap, +-inf
+# or NaN
 _SHAPE_FIELDS = st.one_of(st.integers(0, 4), st.floats(-1.0, 4.9),
+                          st.integers(257, 10 ** 9),
                           st.sampled_from([math.inf, -math.inf, math.nan]))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from commvar import numkit
 from commvar.commodel import (
     CommutingTuple,
     F_subspace,
@@ -23,8 +24,9 @@ from commvar.gammaconf import (
     rank,
     sigma_action_config,
 )
-from commvar.generate import gen_random_commuting, gen_random_config
-from commvar.numkit import fro, off_norm
+from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
+from commvar.isodecomp import block_type
+from commvar.numkit import fro, off_norm, stack_off_norm
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
@@ -87,6 +89,52 @@ def test_joint_residual_requirement():
     diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
     res = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
     assert res <= 1e-8 * max(fro(a) for a in t.mats)
+
+
+def _relative_joint_residual(t, q):
+    diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
+    return stack_off_norm(diag) / max(fro(a) for a in t.mats)
+
+
+def test_joint_diagonalize_near_commuting_takes_the_fallback(monkeypatch):
+    # right-multiplying each component by exp(i 1e-10 H), H a random
+    # unit-norm Hermitian matrix, keeps it unitary but commuting only to
+    # about 1e-10: above the 1e-12 sweep goal, so the primary pass misses it
+    # and the random-combination fallback runs its two sweep passes
+    base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
+    rng = SplitMix64(5 ^ 0xA5A5)
+    mats = []
+    for a in base.mats:
+        g = rng.complex_normals(12, 12)
+        h = 0.5 * (g + g.conj().T)
+        w, v = np.linalg.eigh(h / np.linalg.norm(h))
+        mats.append(a @ (v * np.exp(1j * 1e-10 * w)) @ v.conj().T)
+    t = CommutingTuple("unitary", np.array(mats))
+    original = numkit._jacobi_sweeps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "_jacobi_sweeps", counted)
+    q, blocks = joint_diagonalize(t)
+    assert len(calls) == 3
+    assert _relative_joint_residual(t, q) <= 1e-8
+    assert block_type(blocks).parts == (1,) * 12
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+def test_joint_diagonalize_large_degenerate(kind):
+    # s = 32 with one block of s/4, then pairs, then singletons
+    parts = [8] + [2] * 11 + [1] * 2
+    t = gen_partition_tuple(17, 2, parts, kind=kind)
+    q, blocks = joint_diagonalize(t)
+    assert _relative_joint_residual(t, q) <= 1e-8
+    assert fro(q.conj().T @ q - np.eye(32)) <= 1e-12
+    if kind == "real_symmetric":
+        assert not np.iscomplexobj(q)
+    assert block_type(blocks).parts == tuple(parts)
 
 
 def test_F_subspace_examples():

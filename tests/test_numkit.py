@@ -10,6 +10,7 @@ from commvar.errors import (
 from commvar.numkit import (
     DEFAULT_TOL,
     Tolerances,
+    _jacobi_sweeps,
     commutator_defect,
     fro,
     hermitian_eig,
@@ -89,6 +90,25 @@ def test_hermitian_eig_no_convergence_when_sweeps_capped():
     h = 0.5 * (g + g.conj().T)
     with pytest.raises(NoConvergence):
         hermitian_eig(h, Tolerances(max_sweeps=1))
+
+
+def test_jacobi_rotation_reaches_optimal_pair_residual():
+    # two real symmetric 2x2 matrices whose pair vectors (c_00 - c_11,
+    # -2 c_01, 0) are the columns of H = R diag(2, sqrt(3.99)), so that
+    # G = H H^T = R diag(4, 3.99, 0) R^T with R a 30 degree rotation.  The
+    # best rotation leaves sum_k |c_01|^2 = (tr G - lambda_max(G)) / 4; a
+    # near-degenerate top of G is where an iterative eigenvector falls short
+    th = np.pi / 6
+    r = np.array([[np.cos(th), -np.sin(th), 0.0],
+                  [np.sin(th), np.cos(th), 0.0],
+                  [0.0, 0.0, 1.0]])
+    h = r[:, :2] * np.sqrt([4.0, 3.99])
+    c = np.array([[[h0 / 2, -h1 / 2], [-h1 / 2, -h0 / 2]] for h0, h1, _ in h.T])
+    g = h @ h.T
+    _jacobi_sweeps(c, max_sweeps=1)
+    off = np.sum(np.abs(c[:, 0, 1]) ** 2)
+    best = (np.trace(g) - np.linalg.eigvalsh(g)[-1]) / 4
+    assert abs(off - best) <= 1e-12 * best
 
 
 def test_orthonormalize_accepts_single_vector_and_lists():
