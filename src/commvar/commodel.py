@@ -1,8 +1,8 @@
 """Commuting matrix tuples and their equivalence with labeled configurations.
 
 A commuting tuple is a list of pairwise commuting square matrices, flagged as
-unitary, skew-Hermitian, or real symmetric.  Joint diagonalization by
-extended Jacobi sweeps produces the unique coarsest orthogonal decomposition
+unitary, skew-Hermitian, or real symmetric.  Joint diagonalization
+(numkit.joint_diagonalizer) yields the unique coarsest orthogonal decomposition
 on whose summands every matrix acts by a scalar; the eigenblocks with no
 value equal to 1 assemble the distinguished subspace F on which every
 component minus the identity is non-singular.  Reading eigenblocks as labels
@@ -136,7 +136,7 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
                            off_required=1e-8 * scale)
     if real:
         q = q.real
-    diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
+    diag = q.conj().T @ t.mats @ q
     resid = stack_off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
         raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
@@ -145,8 +145,9 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
         vals = vals.real
     blocks = []
     # single linkage in the max metric; with no components every column agrees
-    clusters = single_linkage(vals.shape[1], lambda a, b: t.n == 0 or (
-        np.max(np.abs(vals[:, a] - vals[:, b])) < tol.eps_cluster))
+    close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
+                   initial=0.0) < tol.eps_cluster
+    clusters = single_linkage(close)
     for cols in clusters:
         frame = phase_normalize(orthonormalize(q[:, cols], tol), tol)
         blocks.append(EigenBlock(frame, vals[:, cols].mean(axis=1)))

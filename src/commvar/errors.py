@@ -38,7 +38,7 @@ class NotCommuting(InvalidTuple):
 
 
 class NoConvergence(CommVarError):
-    """Jacobi sweeps exhausted without reaching the target residual."""
+    """A diagonalization ended above its required residual."""
 
 
 class NotOrthogonal(CommVarError):

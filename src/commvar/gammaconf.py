@@ -121,10 +121,12 @@ def value_key(values: np.ndarray) -> tuple:
     return tuple(v for z in values for v in (z.real, z.imag))
 
 
-def single_linkage(count: int, close) -> list[list[int]]:
-    """Single-linkage clusters of 0..count-1 under close(i, j), which is
-    asked once for each pair i < j.  Members are listed in increasing order
-    and clusters by their smallest member."""
+def single_linkage(close: np.ndarray) -> list[list[int]]:
+    """Single-linkage clusters of 0..count-1 under the (count, count)
+    boolean closeness matrix close, of which only the entries i < j are
+    read.  Members are listed in increasing order and clusters by their
+    smallest member."""
+    count = close.shape[0]
     parent = list(range(count))
 
     def find(i):
@@ -133,10 +135,8 @@ def single_linkage(count: int, close) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            if close(i, j):
-                parent[find(j)] = find(i)
+    for i, j in np.argwhere(np.triu(close, 1)).tolist():
+        parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(count):
         groups.setdefault(find(i), []).append(i)
@@ -182,10 +182,11 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     _validate_labels(live, c.universe, tol)
     live.sort(key=lambda lab: _label_key(lab, tol))
 
-    groups = single_linkage(
-        len(live),
-        lambda i, j: point_distance(live[i].point, live[j].point) < tol.eps_cluster,
-    )
+    close = np.zeros((len(live), len(live)), dtype=bool)
+    for i in range(len(live)):
+        for j in range(i + 1, len(live)):
+            close[i, j] = point_distance(live[i].point, live[j].point) < tol.eps_cluster
+    groups = single_linkage(close)
     merged = []
     for members in groups:
         frame = orthonormalize(np.hstack([live[i].frame for i in members]), tol)

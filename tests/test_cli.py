@@ -36,6 +36,13 @@ def test_generate_deterministic_bytes():
     assert data["kind"] == "unitary" and data["n"] == 2 and data["s"] == 3
 
 
+def test_stratify_s64_deterministic_bytes():
+    _, tup, _ = run_cli(["generate", "--s", "64"])
+    runs = [run_cli(["stratify"], stdin=tup) for _ in range(2)]
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] == runs[1][1]
+
+
 def test_generate_env_seed(monkeypatch, capsys):
     monkeypatch.setenv("COMMVAR_SEED", "31")
     assert main(["generate", "--n", "1", "--s", "2"]) == 0

@@ -26,7 +26,7 @@ from commvar.gammaconf import (
 )
 from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
 from commvar.isodecomp import block_type
-from commvar.numkit import fro, off_norm, stack_off_norm
+from commvar.numkit import DEFAULT_TOL, fro, off_norm, stack_off_norm
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
@@ -96,11 +96,11 @@ def _relative_joint_residual(t, q):
     return stack_off_norm(diag) / max(fro(a) for a in t.mats)
 
 
-def test_joint_diagonalize_near_commuting_takes_the_fallback(monkeypatch):
+def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
     # right-multiplying each component by exp(i 1e-10 H), H a random
     # unit-norm Hermitian matrix, keeps it unitary but commuting only to
-    # about 1e-10: above the 1e-12 sweep goal, so the primary pass misses it
-    # and the random-combination fallback runs its two sweep passes
+    # about 1e-10: above the 1e-12 sweep goal, so the eigenvectors of the
+    # random combination leave a residual that one sweep refinement reduces
     base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
     rng = SplitMix64(5 ^ 0xA5A5)
     mats = []
@@ -119,22 +119,40 @@ def test_joint_diagonalize_near_commuting_takes_the_fallback(monkeypatch):
 
     monkeypatch.setattr(numkit, "_jacobi_sweeps", counted)
     q, blocks = joint_diagonalize(t)
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert _relative_joint_residual(t, q) <= 1e-8
     assert block_type(blocks).parts == (1,) * 12
 
 
-@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
-def test_joint_diagonalize_large_degenerate(kind):
-    # s = 32 with one block of s/4, then pairs, then singletons
-    parts = [8] + [2] * 11 + [1] * 2
-    t = gen_partition_tuple(17, 2, parts, kind=kind)
+def _check_partition_tuple(seed, kind, parts):
+    # one block of s/4, then pairs, then singletons
+    t = gen_partition_tuple(seed, 2, parts, kind=kind)
     q, blocks = joint_diagonalize(t)
     assert _relative_joint_residual(t, q) <= 1e-8
-    assert fro(q.conj().T @ q - np.eye(32)) <= 1e-12
+    assert fro(q.conj().T @ q - np.eye(t.s)) <= 1e-12
     if kind == "real_symmetric":
         assert not np.iscomplexobj(q)
     assert block_type(blocks).parts == tuple(parts)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+def test_joint_diagonalize_large_degenerate(kind):
+    _check_partition_tuple(17, kind, [8] + [2] * 11 + [1] * 2)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+def test_joint_diagonalize_s128_partition(kind):
+    _check_partition_tuple(19, kind, [32] + [2] * 32 + [1] * 32)
+
+
+def test_joint_diagonalize_clusters_a_chain():
+    # eigenvalues a ~ b ~ c within eps_cluster of their neighbours but a and
+    # c farther apart: single linkage gives one block of three
+    eps = DEFAULT_TOL.eps_cluster
+    vals = np.array([2.0, 2.0 + 0.6 * eps, 2.0 + 1.2 * eps, 3.0])
+    t = CommutingTuple("unitary", np.diag(np.exp(1j * vals))[None])
+    _, blocks = joint_diagonalize(t)
+    assert sorted(b.frame.shape[1] for b in blocks) == [1, 3]
 
 
 def test_F_subspace_examples():

@@ -16,10 +16,12 @@ from commvar.gammaconf import (
     push_labels,
     rank,
     sigma_action_config,
+    single_linkage,
     smash,
     sphere_coord,
 )
 from commvar.generate import gen_random_config
+from commvar.numkit import DEFAULT_TOL
 from commvar.symuniverse import UniverseBasis
 
 
@@ -62,6 +64,38 @@ def test_canonicalize_merges_equal_points():
     assert out.k == 1
     assert out.labels[0].frame.shape[1] == 2
     assert rank(out) == 2
+
+
+def test_single_linkage_chains_in_both_closeness_forms():
+    # a ~ b ~ c with a and c more than eps_cluster apart, then d far away:
+    # single linkage joins all of a, b, c through b
+    eps = DEFAULT_TOL.eps_cluster
+    vals = np.exp(1j * np.array([[2.0, 2.0 + 0.6 * eps, 2.0 + 1.2 * eps, 3.0],
+                                 [1.0, 1.0, 1.0, 1.5]]))
+    # the broadcast form of joint_diagonalize, on value columns
+    broadcast = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0) < eps
+    # the pairwise form of canonicalize, on sphere points
+    points = [SpherePoint(vals[:, i]) for i in range(4)]
+    pairwise = np.zeros((4, 4), dtype=bool)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            pairwise[i, j] = point_distance(points[i], points[j]) < eps
+    assert not broadcast[0, 2] and not pairwise[0, 2]
+    assert single_linkage(broadcast) == single_linkage(pairwise) == [[0, 1, 2], [3]]
+    # member order is increasing, cluster order by smallest member
+    close = np.zeros((5, 5), dtype=bool)
+    close[3, 4] = close[0, 4] = close[1, 2] = True
+    assert single_linkage(close) == [[0, 3, 4], [1, 2]]
+    assert single_linkage(np.zeros((0, 0), dtype=bool)) == []
+
+
+def test_canonicalize_merges_a_chain():
+    eps = DEFAULT_TOL.eps_cluster
+    u = UniverseBasis(1, 3)
+    args = [2.0, 2.0 + 0.6 * eps, 2.0 + 1.2 * eps, 3.0]
+    c = Configuration(u, _unit_labels(u, *(((i,), [np.exp(1j * a)]) for i, a in enumerate(args))))
+    out = canonicalize(c)
+    assert sorted(lab.frame.shape[1] for lab in out.labels) == [1, 3]
 
 
 def test_canonicalize_idempotent_and_orthogonality_error():

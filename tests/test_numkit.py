@@ -11,11 +11,14 @@ from commvar.numkit import (
     DEFAULT_TOL,
     Tolerances,
     _jacobi_sweeps,
+    _round_robin,
     commutator_defect,
     fro,
     hermitian_eig,
+    off_norm,
     orthonormalize,
     phase_normalize,
+    stack_off_norm,
 )
 from commvar.rng import SplitMix64, haar_unitary
 
@@ -109,6 +112,26 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
     off = np.sum(np.abs(c[:, 0, 1]) ** 2)
     best = (np.trace(g) - np.linalg.eigvalsh(g)[-1]) / 4
     assert abs(off - best) <= 1e-12 * best
+
+
+@pytest.mark.parametrize("s", range(2, 10))
+def test_round_robin_covers_each_pair_once_in_disjoint_rounds(s):
+    p, q = _round_robin(s)
+    assert p.shape == q.shape == (s - 1 + s % 2, s // 2)
+    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert pairs == [(i, j) for i in range(s) for j in range(i + 1, s)]
+    for row_p, row_q in zip(p, q):
+        seats = np.concatenate([row_p, row_q])
+        assert len(set(seats.tolist())) == seats.size
+
+
+def test_stack_off_norm_matches_per_matrix_norms():
+    rng = SplitMix64(11)
+    c = rng.complex_normals(3, 5, 5)
+    per_matrix = np.sqrt(sum(fro(ck - np.diag(np.diag(ck))) ** 2 for ck in c))
+    assert abs(stack_off_norm(c) - per_matrix) <= 1e-14 * per_matrix
+    assert off_norm(c[0]) == stack_off_norm(c[:1])
+    assert stack_off_norm(np.zeros((0, 4, 4))) == 0.0
 
 
 def test_orthonormalize_accepts_single_vector_and_lists():
