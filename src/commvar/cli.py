@@ -8,9 +8,10 @@ Subcommands:
   verify     run a named verification suite and report a pass/fail summary
 
 Exit codes: 0 success, 1 suite failure, 2 invalid input, 3 stratum or
-tolerance error.  The seed falls back to the COMMVAR_SEED environment
-variable, then to 0.  Identical (command, seed, config) invocations produce
-byte-identical JSON output.
+tolerance error; a reader that closes stdout early ends the output quietly
+with the command's own exit code.  The seed falls back to the COMMVAR_SEED
+environment variable, then to 0.  Identical (command, seed, config)
+invocations produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -99,12 +100,25 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
+def _write(*lines: str):
+    """Print lines to stdout, the one writer of command output.  On a closed
+    pipe, stdout moves to the null device, so neither a later write nor the
+    exit flush fails again and the command keeps its own exit code."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(payload: dict, mode: str):
     if mode == "json":
-        print(jsonio.dumps(payload))
+        _write(jsonio.dumps(payload))
     else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+        _write(*(f"{key}: {value}" for key, value in payload.items()))
 
 
 def _error_body(kind: str, message: str, mode: str):
@@ -176,15 +190,14 @@ def cmd_poincare(args) -> int:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
     if args.output == "json":
-        print(jsonio.dumps({
+        _write(jsonio.dumps({
             "p": args.p,
             "poincare": {str(d): c for d, c in poly.to_dict().items()},
             "reduced": {str(d): c for d, c in reduced.items()},
             "string": str(poly),
         }))
     else:
-        print(f"P(t) = {poly}")
-        print(f"reduced dimensions: {reduced}")
+        _write(f"P(t) = {poly}", f"reduced dimensions: {reduced}")
     return EXIT_OK
 
 
@@ -201,13 +214,13 @@ def cmd_verify(args) -> int:
         return EXIT_INVALID_INPUT
     summary = run_suite(args.suite, cfg)
     if args.output == "json":
-        print(jsonio.dumps(summary))
+        _write(jsonio.dumps(summary))
     else:
-        print(f"suite {summary['suite']}: trials={summary['trials']} "
-              f"failures={summary['failures']} worst={summary['worst_residual']:.3e}")
-        for sub in summary.get("suites", []):
-            print(f"  {sub['suite']}: failures={sub['failures']} "
-                  f"worst={sub['worst_residual']:.3e}")
+        _write(f"suite {summary['suite']}: trials={summary['trials']} "
+               f"failures={summary['failures']} worst={summary['worst_residual']:.3e}",
+               *(f"  {sub['suite']}: failures={sub['failures']} "
+                 f"worst={sub['worst_residual']:.3e}"
+                 for sub in summary.get("suites", [])))
     return EXIT_OK if summary["failures"] == 0 else EXIT_SUITE_FAILURE
 
 

@@ -218,7 +218,7 @@ def tuples_equivalent(t1: CommutingTuple, t2: CommutingTuple,
     return class_distance(t1, t2, tol) <= tol.eps_struct
 
 
-def config_to_commuting(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def config_to_commuting(c: Configuration) -> CommutingTuple:
     """Unitary tuple acting on the universe of a canonical configuration:
     component j scales each label subspace by the j-th point coordinate and
     fixes the orthogonal complement."""
@@ -244,8 +244,7 @@ def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Con
     return canonicalize(Configuration(t.ambient, labels), tol)
 
 
-def sigma_action_tuple(sigma, t: CommutingTuple,
-                       tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def sigma_action_tuple(sigma, t: CommutingTuple) -> CommutingTuple:
     """Permutation action on tuples over a universe: component j of the
     output is sigma_* A_{sigma^{-1}(j)} sigma_*^{-1}.
 

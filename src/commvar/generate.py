@@ -139,8 +139,8 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
     return canonicalize(Configuration(universe, labels), tol)
 
 
-def gen_exact_rank_tuple(seed: int, n: int, s: int, ambient_dim: int | None = None,
-                         tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def gen_exact_rank_tuple(seed: int, n: int, s: int,
+                         ambient_dim: int | None = None) -> CommutingTuple:
     """Unitary tuple of exact stratum rank s inside a larger ambient space:
     s eigenvalue columns away from 1 and mutually separated, padded by
     identity directions."""

@@ -36,8 +36,7 @@ def unit_map(x: SpherePoint, universe: UniverseBasis,
     return canonicalize(Configuration(universe, [Label(j0(universe), x)]), tol)
 
 
-def unit_map_tuple(x: SpherePoint, universe: UniverseBasis,
-                   tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def unit_map_tuple(x: SpherePoint, universe: UniverseBasis) -> CommutingTuple:
     """Tuple picture of the unit: coordinate j scales the scalar line by
     x_j and fixes everything else."""
     t = identity_tuple(universe.n, universe.dim, universe)

@@ -334,3 +334,29 @@ def test_stratify_never_raises_a_traceback(text):
     assert code in (0, 2, 3)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "7"), ("--D", "5")])
+def test_verify_rejects_caps_above_the_bound(flag, value, monkeypatch, capsys):
+    monkeypatch.setattr("commvar.cli.run_suite", mock.Mock(side_effect=AssertionError))
+    assert main(["verify", "--suite", "cohomology", flag, value]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+def test_verify_accepts_caps_at_the_bound(capsys):
+    assert main(["verify", "--suite", "cohomology", "--trials", "1",
+                 "--n", "6", "--D", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+
+
+def test_generate_into_a_closed_pipe_ends_quietly():
+    # about 300 KB of output, more than a pipe buffer holds
+    proc = subprocess.Popen([sys.executable, "-m", "commvar.cli", "generate", "--s", "64"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b"{")
+    assert err == b""

@@ -1,11 +1,19 @@
 import collections
 import sys
 
+import numpy as np
 import pytest
 
-from commvar import commodel
+from commvar import commodel, verify
 from commvar.numkit import Tolerances
-from commvar.verify import SUITES, RunConfig, run_suite
+from commvar.verify import (
+    SUITES,
+    RunConfig,
+    _field_basis,
+    _partitions,
+    fixed_dim_nullspace_oracle,
+    run_suite,
+)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -67,3 +75,61 @@ def test_verify_reuses_diagonalizations(name, seed, monkeypatch):
     out = run_suite(name, RunConfig(seed=seed, trials=1))
     assert out["failures"] == 0, out["messages"]
     assert calls and max(calls.values()) <= 2
+
+
+def test_isotropy_sweep_solves_each_system_once(monkeypatch):
+    original = verify.fixed_dim_nullspace_oracle
+    calls = []
+
+    def counted(parts, n, field, seed=0):
+        calls.append((parts, n, field))
+        return original(parts, n, field, seed)
+
+    monkeypatch.setattr(verify, "fixed_dim_nullspace_oracle", counted)
+    out = run_suite("isotropy", RunConfig(seed=0, trials=1))
+    assert out["failures"] == 0, out["messages"]
+    # 18 partitions of s = 1..5, two fields, one matrix each
+    assert len(calls) == 36
+    assert {n for _, n, _ in calls} == {1}
+    assert len({(parts, field) for parts, _, field in calls}) == 36
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_nullspace_oracle_is_n_fold(field, seed):
+    for s in range(1, 6):
+        for parts in _partitions(s):
+            one = fixed_dim_nullspace_oracle(parts, 1, field, seed)
+            for n in (2, 3):
+                assert fixed_dim_nullspace_oracle(parts, n, field, seed) == n * one
+
+
+def _loop_basis(s, field):
+    """The basis built one unit at a time: diagonal units, then per pair
+    a < b the symmetric unit, or the antisymmetric real and symmetric
+    imaginary units for the complex field."""
+    dtype = complex if field == "complex" else float
+    diag_unit = 1j if field == "complex" else 1.0
+    out = []
+    for a in range(s):
+        e = np.zeros((s, s), dtype=dtype)
+        e[a, a] = diag_unit
+        out.append(e)
+    for a in range(s):
+        for b in range(a + 1, s):
+            pair = [(1.0, -1.0), (1j, 1j)] if field == "complex" else [(1.0, 1.0)]
+            for upper, lower in pair:
+                e = np.zeros((s, s), dtype=dtype)
+                e[a, b], e[b, a] = upper, lower
+                out.append(e)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("s", range(1, 7))
+def test_field_basis_matches_the_loop_construction(s, field):
+    got = _field_basis(s, field)
+    want = _loop_basis(s, field)
+    assert got.shape == want.shape == (s * s if field == "complex" else s * (s + 1) // 2, s, s)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
