@@ -182,11 +182,9 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     _validate_labels(live, c.universe, tol)
     live.sort(key=lambda lab: _label_key(lab, tol))
 
-    close = np.zeros((len(live), len(live)), dtype=bool)
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            close[i, j] = point_distance(live[i].point, live[j].point) < tol.eps_cluster
-    groups = single_linkage(close)
+    # every live point has universe.n coordinates (validated above)
+    coords = np.array([lab.point.coords for lab in live]).reshape(len(live), c.universe.n)
+    groups = single_linkage(np.max(np.abs(coords[:, None] - coords), axis=2) < tol.eps_cluster)
     merged = []
     for members in groups:
         frame = orthonormalize(np.hstack([live[i].frame for i in members]), tol)
@@ -212,19 +210,14 @@ def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
     for a in alpha:
         if not (0 <= a <= n_targets):
             raise IndexOutOfRange(f"target {a} outside 0..{n_targets}")
-    dtype = complex
     slots = []
     for i in range(1, n_targets + 1):
-        srcs = [labels[j] for j in range(len(alpha)) if alpha[j] == i]
-        frames = [lab.frame for lab in srcs if lab.frame.shape[1] > 0]
-        if not frames:
-            slots.append(Label(np.zeros((ambient_dim, 0), dtype=dtype), BASEPOINT))
+        srcs = [lab for lab, a in zip(labels, alpha) if a == i and lab.frame.shape[1] > 0]
+        if not srcs:
+            slots.append(Label(np.zeros((ambient_dim, 0), dtype=complex), BASEPOINT))
             continue
-        frame = orthonormalize(np.hstack(frames), tol)
-        point = next(
-            (lab.point for lab in srcs if lab.frame.shape[1] > 0), BASEPOINT
-        )
-        slots.append(Label(frame, point))
+        frame = orthonormalize(np.hstack([lab.frame for lab in srcs]), tol)
+        slots.append(Label(frame, srcs[0].point))
     return slots
 
 
@@ -254,17 +247,58 @@ def sigma_action_config(sigma, c: Configuration,
 
 
 def frame_distance(f: np.ndarray, g: np.ndarray) -> float:
-    """Distance between the spanned subspaces via their projections."""
-    return fro(f @ f.conj().T - g @ g.conj().T)
+    """||f f^H - g g^H||_F for isometric frames, from the part of each frame
+    outside the other's span, without forming either projection."""
+    return math.hypot(fro(g - f @ (f.conj().T @ g)), fro(f - g @ (g.conj().T @ f)))
+
+
+def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of a minimum-total-cost matching of the smaller side
+    of a finite (r, c) cost matrix into the larger, rows ascending.
+
+    Shortest augmenting paths with dual potentials (Kuhn 1955; Jonker and
+    Volgenant 1987), one row at a time: O(r^2 c).
+    """
+    cost = np.asarray(cost, dtype=float)
+    r, c = cost.shape
+    if r > c:
+        cols, rows = min_cost_assignment(cost.T)
+        order = np.argsort(rows)
+        return rows[order], cols[order]
+    # column 0 is a sentinel; row_of[j] is the 1-based row matched to column j
+    u, v = np.zeros(r + 1), np.zeros(c + 1)
+    row_of = np.zeros(c + 1, dtype=int)
+    for i in range(1, r + 1):
+        row_of[0], j0 = i, 0
+        minv = np.full(c + 1, np.inf)
+        way = np.zeros(c + 1, dtype=int)
+        used = np.zeros(c + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            better = ~used[1:] & (reduced < minv[1:])
+            minv[1:][better] = reduced[better]
+            way[1:][better] = j0
+            j1 = 1 + int(np.argmin(np.where(used[1:], np.inf, minv[1:])))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    matched = np.flatnonzero(row_of[1:])
+    cols = np.empty(r, dtype=int)
+    cols[row_of[1:][matched] - 1] = matched
+    return np.arange(r), cols
 
 
 def config_distance(a: Configuration, b: Configuration) -> float:
     """Label-matching distance: optimal assignment on point distance plus
     frame projection distance, reported as the worst matched pair.
     Infinite when the universes or label counts differ."""
-    # deferred: scipy.optimize dominates the import time of the package
-    from scipy.optimize import linear_sum_assignment
-
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:
@@ -274,5 +308,5 @@ def config_distance(a: Configuration, b: Configuration) -> float:
         for j, lb in enumerate(b.labels):
             d = point_distance(la.point, lb.point)
             cost[i, j] = (1e6 if math.isinf(d) else d) + frame_distance(la.frame, lb.frame)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = min_cost_assignment(cost)
     return float(np.max(cost[rows, cols]))

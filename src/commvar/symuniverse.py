@@ -10,8 +10,10 @@ permutation of coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import product
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -19,8 +21,19 @@ from .errors import TruncationOverflow
 from .numkit import DEFAULT_TOL, Tolerances
 
 
-def _graded_lex_key(alpha):
-    return (sum(alpha), tuple(-a for a in alpha))
+@functools.cache
+def _monomials(n: int, D: int):
+    """Monomials, read-only index and norms_sq of the (n, D) universe.  Each
+    degree d comes from stars and bars: n - 1 bars among d + n - 1 slots,
+    in reverse itertools order, give descending lexicographic order."""
+    alphas = []
+    for d in range(D + 1):
+        for bars in reversed(list(combinations(range(d + n - 1), n - 1))):
+            cuts = (-1, *bars, d + n - 1)
+            alphas.append(tuple(b - a - 1 for a, b in zip(cuts, cuts[1:])))
+    index = MappingProxyType({a: i for i, a in enumerate(alphas)})
+    norms_sq = tuple(math.prod(math.factorial(e) for e in a) for a in alphas)
+    return tuple(alphas), index, norms_sq
 
 
 class UniverseBasis:
@@ -28,7 +41,8 @@ class UniverseBasis:
 
     monomials are exponent multi-indices in graded lexicographic order, with
     the constant monomial (the scalar line) first.  norms_sq[i] = alpha_i!
-    as an exact integer.
+    as an exact integer.  monomials, index and norms_sq are shared by every
+    basis of the same (n, D), so index is a read-only mapping.
     """
 
     def __init__(self, n: int, D: int):
@@ -38,13 +52,7 @@ class UniverseBasis:
             raise ValueError("truncation degree must be non-negative")
         self.n = n
         self.D = D
-        alphas = [a for a in product(range(D + 1), repeat=n) if sum(a) <= D]
-        alphas.sort(key=_graded_lex_key)
-        self.monomials: tuple[tuple[int, ...], ...] = tuple(alphas)
-        self.index: dict[tuple[int, ...], int] = {a: i for i, a in enumerate(alphas)}
-        self.norms_sq: tuple[int, ...] = tuple(
-            math.prod(math.factorial(e) for e in a) for a in alphas
-        )
+        self.monomials, self.index, self.norms_sq = _monomials(n, D)
 
     @property
     def dim(self) -> int:
@@ -83,8 +91,7 @@ def _check_perm(sigma, n: int):
 
 def permute_multi_index(sigma, alpha) -> tuple[int, ...]:
     """(sigma . alpha)_j = alpha_{sigma^{-1}(j)}."""
-    inv = perm_inverse(sigma)
-    return tuple(alpha[inv[j]] for j in range(len(alpha)))
+    return tuple(alpha[j] for j in perm_inverse(sigma))
 
 
 def sigma_star(sigma, universe: UniverseBasis) -> np.ndarray:
@@ -93,9 +100,9 @@ def sigma_star(sigma, universe: UniverseBasis) -> np.ndarray:
     Returns perm with perm[i] = index of sigma . monomial_i; as an operator
     on coordinate vectors, (sigma_* v)[perm[i]] = v[i].
     """
-    sigma = _check_perm(sigma, universe.n)
+    inv = perm_inverse(_check_perm(sigma, universe.n)).tolist()
     return np.array(
-        [universe.index[permute_multi_index(sigma, a)] for a in universe.monomials],
+        [universe.index[tuple(a[j] for j in inv)] for a in universe.monomials],
         dtype=int,
     )
 
@@ -130,39 +137,39 @@ class PsiIsometry:
         self.left = left
         self.right = right
         self.target = UniverseBasis(left.n + right.n, degree_bound)
-        idx = np.full((left.dim, right.dim), -1, dtype=int)
-        for i, a in enumerate(left.monomials):
-            for k, b in enumerate(right.monomials):
-                if sum(a) + sum(b) <= degree_bound:
-                    idx[i, k] = self.target.index[a + b]
-        self.pair_index = idx
+        self.pair_index = _pair_index(left.n, left.D, right.n, right.D, degree_bound)
 
     def kron_vec(self, u: np.ndarray, v: np.ndarray,
                  tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Image of u (x) v in the target coordinates."""
-        w = np.outer(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-        lost = self.pair_index < 0
-        if np.any(np.abs(w[lost]) > tol.eps_struct):
-            raise TruncationOverflow(
-                f"product monomial exceeds degree bound {self.target.D}"
-            )
-        out = np.zeros(self.target.dim, dtype=complex)
-        keep = ~lost
-        out[self.pair_index[keep]] = w[keep]
-        return out
+        return self.kron_frame(np.asarray(u)[:, None], np.asarray(v)[:, None], tol)[:, 0]
 
     def kron_frame(self, f: np.ndarray, g: np.ndarray,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Columnwise images of all tensor pairs; pair (a, b) lands at
         column a * g.shape[1] + b, matching np.kron index order."""
-        cols = [
-            self.kron_vec(f[:, a], g[:, b], tol)
-            for a in range(f.shape[1])
-            for b in range(g.shape[1])
-        ]
-        if not cols:
-            return np.zeros((self.target.dim, 0), dtype=complex)
-        return np.column_stack(cols)
+        f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        w = (f[:, None, :, None] * g[None, :, None, :]).reshape(
+            f.shape[0], g.shape[0], f.shape[1] * g.shape[1])
+        lost = self.pair_index < 0
+        if np.any(np.abs(w[lost]) > tol.eps_struct):
+            raise TruncationOverflow(f"product monomial exceeds degree bound {self.target.D}")
+        out = np.zeros((self.target.dim, w.shape[2]), dtype=complex)
+        out[self.pair_index[~lost]] = w[~lost]
+        return out
+
+
+@functools.cache
+def _pair_index(left_n: int, left_D: int, right_n: int, right_D: int,
+                degree_bound: int) -> np.ndarray:
+    """Read-only (left.dim, right.dim) array of target indices of the
+    concatenated multi-indices, -1 where the degree exceeds degree_bound."""
+    target = _monomials(left_n + right_n, degree_bound)[1]
+    right = _monomials(right_n, right_D)[0]
+    idx = np.array([[target.get(a + b, -1) for b in right]
+                    for a in _monomials(left_n, left_D)[0]], dtype=int)
+    idx.flags.writeable = False
+    return idx
 
 
 def psi_embed(left: UniverseBasis, right: UniverseBasis,

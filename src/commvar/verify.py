@@ -118,8 +118,8 @@ from .symuniverse import (
 
 
 # largest tuple length and truncation degree a run accepts: the equivariance
-# suite charts all n! permutations, and a universe enumerates (D+1)^n
-# multi-indices
+# suite charts all n! permutations, and a universe holds C(n + D, n)
+# monomials
 MAX_N = 6
 MAX_D = 4
 

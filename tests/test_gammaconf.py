@@ -1,7 +1,12 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from commvar.errors import IndexOutOfRange, NotOrthogonal
 from commvar.gammaconf import (
@@ -12,6 +17,8 @@ from commvar.gammaconf import (
     apply_based_map,
     canonicalize,
     config_distance,
+    frame_distance,
+    min_cost_assignment,
     point_distance,
     push_labels,
     rank,
@@ -21,7 +28,8 @@ from commvar.gammaconf import (
     sphere_coord,
 )
 from commvar.generate import gen_random_config
-from commvar.numkit import DEFAULT_TOL
+from commvar.numkit import DEFAULT_TOL, fro
+from commvar.rng import SplitMix64
 from commvar.symuniverse import UniverseBasis
 
 
@@ -204,3 +212,69 @@ def test_config_distance_detects_differences():
     assert config_distance(a, Configuration(u, [])) == math.inf
     moved = canonicalize(Configuration(u, _unit_labels(u, ((0,), [-1.0, 1j]))))
     assert config_distance(a, moved) > 0.5
+
+
+def test_config_distance_runs_without_scipy(monkeypatch):
+    # a None entry in sys.modules makes any import of that module fail
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    u = UniverseBasis(2, 1)
+    a = canonicalize(Configuration(u, _unit_labels(u, ((0,), [-1.0, -1.0]), ((1,), [1j, -1.0]))))
+    b = canonicalize(Configuration(u, _unit_labels(u, ((1,), [1j, -1.0]), ((0,), [-1.0, -1.0]))))
+    assert config_distance(a, b) < 1e-13
+
+
+def _isometric_frame(rng, d, k):
+    q, _ = np.linalg.qr(rng.complex_normals(d, k))
+    return q
+
+
+@pytest.mark.parametrize("d,kf,kg", [(10, 3, 1), (56, 2, 5), (210, 7, 4)])
+def test_frame_distance_matches_projection_difference(d, kf, kg):
+    rng = SplitMix64(d)
+    f, g = _isometric_frame(rng, d, kf), _isometric_frame(rng, d, kg)
+    # h spans f and one more direction
+    h, _ = np.linalg.qr(np.hstack([f, rng.complex_normals(d, 1)]))
+    for x, y in [(f, g), (g, f), (f, h), (f, f)]:
+        expect = fro(x @ x.conj().T - y @ y.conj().T)
+        assert abs(frame_distance(x, y) - expect) <= 1e-12 * max(expect, 1.0)
+
+
+def test_frame_distance_resolves_nearby_subspaces():
+    # g tilts column i of f by the principal angle theta_i toward a direction
+    # orthogonal to f, so ||f f^H - g g^H||_F = sqrt(2) ||sin theta||
+    rng = SplitMix64(4)
+    d, k = 56, 3
+    q, _ = np.linalg.qr(rng.complex_normals(d, d))
+    theta = np.array([1.0, 0.5, 0.25]) * 1e-8
+    f = q[:, :k]
+    g = q[:, :k] * np.cos(theta) + q[:, k:2 * k] * np.sin(theta)
+    expect = math.sqrt(2.0) * np.linalg.norm(np.sin(theta))
+    assert abs(frame_distance(f, g) - expect) <= 1e-6 * expect
+    assert abs(frame_distance(g, f) - expect) <= 1e-6 * expect
+
+
+@st.composite
+def _cost_matrices(draw):
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    cost = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 10.0)))
+    # an infinite point distance enters config_distance as 1e6
+    far = draw(hnp.arrays(bool, shape))
+    return cost + 1e6 * far
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cost_matrices())
+def test_min_cost_assignment_matches_brute_force(cost):
+    r, c = cost.shape
+    rows, cols = min_cost_assignment(cost)
+    assert len(rows) == len(cols) == min(r, c)
+    assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(r, c)
+    assert rows.tolist() == sorted(rows.tolist())
+    if r <= c:
+        best = min(cost[np.arange(r), list(p)].sum()
+                   for p in itertools.permutations(range(c), r))
+    else:
+        best = min(cost[list(p), np.arange(c)].sum()
+                   for p in itertools.permutations(range(r), c))
+    assert math.isclose(cost[rows, cols].sum(), best, rel_tol=1e-12, abs_tol=1e-9)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,3 +182,62 @@ def test_j0():
         vec[i] = 1.0
         out = psi.kron_vec(vec, f[:, 0])
         assert out[psi.target.index[alpha + (0,)]] == 1.0
+
+
+def _filter_and_sort_monomials(n, D):
+    """Reference enumeration: every exponent tuple of (D + 1)^n with degree
+    <= D, sorted by degree and then by descending lexicographic order."""
+    alphas = [a for a in itertools.product(range(D + 1), repeat=n) if sum(a) <= D]
+    alphas.sort(key=lambda a: (sum(a), tuple(-e for e in a)))
+    return tuple(alphas)
+
+
+def test_monomials_match_filter_and_sort():
+    for n in range(1, 7):
+        for D in range(5):
+            assert UniverseBasis(n, D).monomials == _filter_and_sort_monomials(n, D)
+
+
+def test_universe_data_is_shared_and_read_only():
+    u, v = UniverseBasis(2, 2), UniverseBasis(2, 2)
+    assert u.monomials is v.monomials and u.index is v.index
+    with pytest.raises(TypeError):
+        u.index[(9, 9)] = 0
+    psi = psi_embed(u, UniverseBasis(1, 1))
+    assert psi.pair_index.flags.writeable is False
+    with pytest.raises(ValueError):
+        psi.pair_index[0, 0] = 5
+
+
+def test_sigma_star_matches_per_monomial_form():
+    for n in range(1, 5):
+        u = UniverseBasis(n, 3)
+        for sigma in itertools.permutations(range(n)):
+            expect = [u.index[permute_multi_index(sigma, a)] for a in u.monomials]
+            assert sigma_star(list(sigma), u).tolist() == expect
+
+
+@pytest.mark.parametrize("ka,kb", [(1, 1), (2, 3), (3, 0), (4, 2)])
+def test_kron_frame_matches_np_kron(ka, kb):
+    rng = SplitMix64(11)
+    u, v = UniverseBasis(3, 2), UniverseBasis(2, 2)
+    psi = psi_embed(u, v)
+    f = rng.complex_normals(u.dim, ka)
+    g = rng.complex_normals(v.dim, kb)
+    out = psi.kron_frame(f, g)
+    assert out.shape == (psi.target.dim, ka * kb)
+    # rows of np.kron run over pairs (i, k) as i * v.dim + k, like pair_index
+    assert np.array_equal(out[psi.pair_index.reshape(-1)], np.kron(f, g))
+
+
+def test_kron_frame_truncation_overflow():
+    u = UniverseBasis(1, 2)
+    psi = psi_embed(u, u, degree_bound=2)
+    f = np.zeros((u.dim, 2), dtype=complex)
+    f[u.index[(1,)], 0] = 1.0
+    f[u.index[(2,)], 1] = 1.0
+    with pytest.raises(TruncationOverflow):
+        psi.kron_frame(f, f)
+    out = psi.kron_frame(f[:, :1], f[:, :1])
+    assert out.shape == (psi.target.dim, 1)
+    assert out[psi.target.index[(1, 1)], 0] == 1.0
