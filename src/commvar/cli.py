@@ -17,6 +17,7 @@ invocations produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,7 +49,10 @@ def _env_seed() -> int:
         return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it and
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="commvar",
         description="commuting-tuple models: generators, stratification, verification",
@@ -170,7 +174,7 @@ def cmd_stratify(args) -> int:
                 "chart": {"X": jsonio.tuple_to_json(chart.X),
                           "f": jsonio.matrix_to_json(chart.f)},
                 "split": {"traceless": jsonio.tuple_to_json(chart.traceless),
-                          "tau": [float(v) for v in chart.tau]},
+                          "tau": chart.tau.astype(float).tolist()},
             })
     except CommVarError as exc:
         _error_body("stratum_error", str(exc), args.output)

@@ -21,6 +21,7 @@ from .gammaconf import (
     Label,
     SpherePoint,
     canonicalize,
+    frame_order,
     single_linkage,
     value_key,
 )
@@ -33,8 +34,6 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
-    leading_index,
-    orthonormalize,
     phase_normalize,
     stack_off_norm,
 )
@@ -123,7 +122,10 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     Q^H A_j Q diagonal up to a joint residual of 1e-8 max_j ||A_j||_F, and
     the coarsest eigenblock decomposition obtained by single-linkage
     clustering of the joint eigenvalue tuples at eps_cluster.  Blocks are
-    sorted by their value tuples and carry phase-normalized frames.
+    sorted by their value tuples.  A block's frame is its columns of
+    phase_normalize(Q): Q is unitary by construction (LAPACK eigenvectors
+    times plane rotations), so the frames are orthonormal without a
+    further Gram-Schmidt pass.
 
     The tuple is validated first (an InvalidTuple subclass on failure); a
     joint residual above its bound raises NoConvergence.
@@ -143,14 +145,12 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     vals = np.diagonal(diag, axis1=1, axis2=2)
     if real:
         vals = vals.real
-    blocks = []
     # single linkage in the max metric; with no components every column agrees
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster
-    clusters = single_linkage(close)
-    for cols in clusters:
-        frame = phase_normalize(orthonormalize(q[:, cols], tol), tol)
-        blocks.append(EigenBlock(frame, vals[:, cols].mean(axis=1)))
+    frames = phase_normalize(q, tol)
+    blocks = [EigenBlock(frames[:, cols], vals[:, cols].mean(axis=1))
+              for cols in single_linkage(close)]
     blocks.sort(key=lambda b: value_key(b.values))
     return q, blocks
 
@@ -166,8 +166,8 @@ def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[Ei
     value tuple, as configuration labels are sorted.
     """
     keep = [b for b in blocks if not SpherePoint(b.values).near_basepoint(tol.eps_base)]
-    keep.sort(key=lambda b: (leading_index(b.frame, tol), value_key(b.values)))
-    return keep
+    order = frame_order([b.frame for b in keep], [value_key(b.values) for b in keep], tol)
+    return [keep[i] for i in order]
 
 
 def F_frame(t: CommutingTuple, blocks: list[EigenBlock],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
-from .numkit import DEFAULT_TOL, Tolerances, fro, leading_index, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, fro, leading_indices, orthonormalize
 from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
 
 
@@ -143,9 +143,16 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
-def _label_key(lab: Label, tol: Tolerances):
-    pkey = () if lab.point.is_basepoint else value_key(lab.point.coords)
-    return (leading_index(lab.frame, tol), pkey)
+def frame_order(frames: list[np.ndarray], keys: list, tol: Tolerances) -> list[int]:
+    """Stable order of items by the leading index of their frame, then by
+    their key; the leading indices come from one leading_indices pass."""
+    lead = leading_indices(frames, tol)
+    return sorted(range(len(frames)), key=lambda i: (lead[i], keys[i]))
+
+
+def _sorted_labels(labels: list[Label], tol: Tolerances) -> list[Label]:
+    keys = [() if lab.point.is_basepoint else value_key(lab.point.coords) for lab in labels]
+    return [labels[i] for i in frame_order([lab.frame for lab in labels], keys, tol)]
 
 
 def _validate_labels(labels: list[Label], universe: UniverseBasis, tol: Tolerances):
@@ -180,7 +187,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
         if lab.frame.shape[1] > 0 and not lab.point.near_basepoint(tol.eps_base)
     ]
     _validate_labels(live, c.universe, tol)
-    live.sort(key=lambda lab: _label_key(lab, tol))
+    live = _sorted_labels(live, tol)
 
     # every live point has universe.n coordinates (validated above)
     coords = np.array([lab.point.coords for lab in live]).reshape(len(live), c.universe.n)
@@ -189,7 +196,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     for members in groups:
         frame = orthonormalize(np.hstack([live[i].frame for i in members]), tol)
         merged.append(Label(frame, live[members[0]].point))
-    merged.sort(key=lambda lab: _label_key(lab, tol))
+    merged = _sorted_labels(merged, tol)
     return Configuration(c.universe, merged)
 
 

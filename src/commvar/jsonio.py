@@ -24,10 +24,11 @@ def dumps(obj) -> str:
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a)
     rows, cols = a.shape
+    # cast before tolist, so integer and bool entries still encode as floats
     if np.iscomplexobj(a):
-        data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
-        return {"rows": rows, "cols": cols, "data": data}
-    return {"rows": rows, "cols": cols, "data": [float(x) for x in a.reshape(-1)],
+        z = a.astype(complex).reshape(-1)
+        return {"rows": rows, "cols": cols, "data": np.stack([z.real, z.imag], axis=1).tolist()}
+    return {"rows": rows, "cols": cols, "data": a.astype(float).reshape(-1).tolist(),
             "field": "real"}
 
 
@@ -99,6 +100,6 @@ def chart_to_json(chart: SubquotientChart) -> dict:
         "f": matrix_to_json(chart.f),
         "split": {
             "traceless": tuple_to_json(chart.traceless),
-            "tau": [float(x) for x in chart.tau],
+            "tau": chart.tau.astype(float).tolist(),
         },
     }

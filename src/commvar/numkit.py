@@ -164,24 +164,33 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Scale each column so its first non-negligible entry is real positive."""
+    """Scale each column so its first non-negligible entry is real positive;
+    a column with no such entry is left as it is."""
     out = np.array(frame, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > tol.eps_struct)
-        if idx.size == 0:
-            continue
-        u = col[idx[0]]
-        out[:, j] = col * (np.conj(u) / abs(u))
+    if out.size == 0:
+        return out
+    big = np.abs(out) > tol.eps_struct
+    live = big.any(axis=0)
+    u = out[big.argmax(axis=0)[live], live]
+    # hypot is the scalar modulus; numpy's vector complex abs may differ
+    # from it in the last bit
+    out[:, live] = out[:, live] * (np.conj(u) / np.hypot(u.real, u.imag))
     return out
 
 
-def leading_index(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Smallest row index at which any column has a non-negligible entry."""
-    if frame.shape[1] == 0:
-        return frame.shape[0]
-    rows = np.flatnonzero(np.max(np.abs(frame), axis=1) > tol.eps_struct)
-    return int(rows[0]) if rows.size else frame.shape[0]
+def leading_indices(frames, tol: Tolerances = DEFAULT_TOL) -> list[int]:
+    """For each frame of a sequence of frames with one row count d, the
+    smallest row index at which any of its columns has a non-negligible
+    entry; d for a frame with none (or with no columns)."""
+    if not frames:
+        return []
+    d = frames[0].shape[0]
+    big = np.abs(np.hstack(frames)) > tol.eps_struct
+    # a sentinel row d below the frames stops each column's search
+    first = np.vstack([big, np.ones((1, big.shape[1]), bool)]).argmax(axis=0)
+    lead = np.full(len(frames), d)
+    np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]), first)
+    return lead.tolist()
 
 
 def _round_robin(s: int) -> tuple[np.ndarray, np.ndarray]:

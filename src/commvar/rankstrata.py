@@ -55,14 +55,15 @@ class SubquotientChart:
     tau: np.ndarray
 
 
-def cayley(x: np.ndarray) -> np.ndarray:
+def cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Cayley transform of a skew-Hermitian matrix: (X - Id)(X + Id)^{-1}.
 
     The output is unitary and its distance from the identity is invertible;
-    the transform is equivariant under unitary conjugation.
+    the transform is equivariant under unitary conjugation.  Raises
+    NotSkewHermitian when X fails the check at tol.eps_struct.
     """
     s = require_square(x)
-    check_skew_hermitian(x)
+    check_skew_hermitian(x, tol)
     eye = np.eye(s)
     # factors commute, so the one-sided solve computes the two-sided product
     return np.linalg.solve(np.asarray(x, dtype=complex) + eye, np.asarray(x, dtype=complex) - eye)
@@ -157,7 +158,7 @@ def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,
     the identity."""
     if chart.f.shape[0] != ambient_dim:
         raise ShapeMismatch("frame does not match the ambient dimension")
-    smalls = np.array([cayley(x) for x in chart.X.mats]).reshape(chart.X.mats.shape)
+    smalls = np.array([cayley(x, tol) for x in chart.X.mats]).reshape(chart.X.mats.shape)
     return CommutingTuple("unitary", extend_by_identity(chart.f.astype(complex), smalls))
 
 

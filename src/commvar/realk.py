@@ -46,15 +46,15 @@ class RealSplit:
     tau: np.ndarray
 
 
-def real_cayley(x: np.ndarray) -> np.ndarray:
+def real_cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Cayley transform of i times a real symmetric matrix.
 
     The image is unitary, complex symmetric (A^T = A), and A - Id is
     non-singular; conjugation by real orthogonal matrices commutes with the
-    transform.
+    transform.  Raises NotSymmetric when X fails the check at tol.eps_struct.
     """
-    check_real_symmetric(x)
-    return cayley(1j * np.asarray(x, dtype=complex))
+    check_real_symmetric(x, tol)
+    return cayley(1j * np.asarray(x, dtype=complex), tol)
 
 
 def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -143,11 +143,12 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 
 
-def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int) -> CommutingTuple:
+def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int,
+                           tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Rebuild the canonical symmetric unitary tuple from a real chart: the
     complex reconstruction of iX, since real_cayley(X) = cayley(iX)."""
     ix = CommutingTuple("skew_hermitian", 1j * chart.X.mats)
-    return reconstruct_chart(replace(chart, X=ix), ambient_dim)
+    return reconstruct_chart(replace(chart, X=ix), ambient_dim, tol)
 
 
 def is_symmetric_unitary(a: np.ndarray, eps: float = 1e-9) -> bool:

@@ -334,12 +334,12 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
     s = rng.randint(1, min(6, cfg.s_max) + 1)
     x = gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
-    a = cayley(x)
+    a = cayley(x, tol)
     rec.check("cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
     rec.check("cayley round trip", fro(cayley_inv(a, tol) - x), 1e-10)
     u = haar_unitary(rng, s)
     rec.check("cayley equivariance",
-              fro(cayley(u @ x @ u.conj().T) - u @ a @ u.conj().T), 1e-10)
+              fro(cayley(u @ x @ u.conj().T, tol) - u @ a @ u.conj().T), 1e-10)
     rec.guard("cayley_inv at -Id", lambda: rec.check(
         "cayley_inv(-Id)", fro(cayley_inv(-np.eye(s, dtype=complex), tol)), 1e-12))
     try:
@@ -562,13 +562,13 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     n = rng.randint(1, cfg.n_max + 1)
 
     x = gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
-    a = real_cayley(x)
+    a = real_cayley(x, tol)
     rec.check("real cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
     rec.check("real cayley symmetric", fro(a - a.T), 1e-10)
     rec.check("real cayley inverse", fro(real_cayley_inv(a, tol) - x), 1e-10)
     o = haar_orthogonal(rng, s)
     rec.check("real cayley equivariance",
-              fro(real_cayley(o @ x @ o.T) - o @ a @ o.T), 1e-10)
+              fro(real_cayley(o @ x @ o.T, tol) - o @ a @ o.T), 1e-10)
 
     t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
     q, _ = joint_diagonalize_real(t, tol)
@@ -614,7 +614,7 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     chart = real_stratum_chart(tsym, tol)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
     rec.check("real chart reconstruction",
-              class_distance(reconstruct_real_chart(chart, dim), tsym, tol), 1e-8)
+              class_distance(reconstruct_real_chart(chart, dim, tol), tsym, tol), 1e-8)
 
     chart_c = subquotient_chart(tsym, tol)
     if chart.s:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from commvar import commodel, jsonio
-from commvar.cli import main
+from commvar.cli import build_parser, main
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.generate import gen_random_commuting
 
@@ -41,6 +41,17 @@ def test_stratify_s64_deterministic_bytes():
     runs = [run_cli(["stratify"], stdin=tup) for _ in range(2)]
     assert runs[0][0] == runs[1][0] == 0
     assert runs[0][1] == runs[1][1]
+
+
+def test_in_process_main_prints_what_a_subprocess_prints(monkeypatch, capsys):
+    # one parser serves every call of main in a process
+    assert build_parser() is build_parser()
+    gen = ["generate", "--seed", "3"]
+    _, tup, _ = run_cli(gen)
+    for args, stdin in ((gen, None), (["stratify"], tup), (gen, None)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        code = main(args)
+        assert (code, capsys.readouterr().out) == run_cli(args, stdin=stdin)[:2]
 
 
 def test_generate_env_seed(monkeypatch, capsys):
@@ -136,7 +147,7 @@ def test_stratify_rejects_sizes_above_the_cap(s, monkeypatch, capsys):
 _GENERATE_THEN_STRATIFY = """
 import contextlib, io, sys
 from unittest import mock
-from commvar.cli import main
+from commvar.cli import build_parser, main
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert main(["generate", "--seed", "3"]) == 0

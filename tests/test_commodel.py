@@ -145,6 +145,24 @@ def test_joint_diagonalize_s128_partition(kind):
     _check_partition_tuple(19, kind, [32] + [2] * 32 + [1] * 32)
 
 
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+@pytest.mark.parametrize("s", [8, 32, 64])
+def test_block_frames_are_orthonormal_and_phase_normalized(kind, s):
+    # the block frames are columns of one unitary Q, each phase-normalized
+    big = s // 4
+    parts = [big] + [2] * ((s - big) // 2) + [1] * ((s - big) % 2)
+    t = gen_partition_tuple(s, 2, parts, kind=kind)
+    _, blocks = joint_diagonalize(t)
+    f = np.hstack([b.frame for b in blocks])
+    assert f.shape == (s, s)
+    assert fro(f.conj().T @ f - np.eye(s)) <= 1e-12
+    eps = DEFAULT_TOL.eps_struct
+    for col in f.T:
+        lead = col[np.flatnonzero(np.abs(col) > eps)[0]]
+        # real up to the rounding of u * conj(u) / |u|
+        assert lead.real > 0.0 and abs(lead.imag) <= 1e-15 * lead.real
+
+
 def test_joint_diagonalize_clusters_a_chain():
     # eigenvalues a ~ b ~ c within eps_cluster of their neighbours but a and
     # c farther apart: single linkage gives one block of three

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -24,6 +25,28 @@ def test_matrix_schema_complex():
     assert d["data"][2] == [0.0, 0.5]
     back = jsonio.matrix_from_json(d)
     assert fro(back - a) == 0.0
+
+
+def _per_element_encoding(a):
+    # the element-by-element encoding that matrix_to_json replaced
+    rows, cols = a.shape
+    if np.iscomplexobj(a):
+        data = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+        return {"rows": rows, "cols": cols, "data": data}
+    return {"rows": rows, "cols": cols, "data": [float(x) for x in a.reshape(-1)],
+            "field": "real"}
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.int64, bool])
+def test_matrix_to_json_matches_per_element_encoding(dtype):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(5, 3)) * 1e3
+    if np.issubdtype(dtype, np.complexfloating):
+        a = a + 1j * rng.normal(size=(5, 3)) * 1e-3
+    a[0, 0] = -0.0
+    a = a.astype(dtype)
+    for m in (a, a.T, a[:0]):
+        assert jsonio.dumps(jsonio.matrix_to_json(m)) == jsonio.dumps(_per_element_encoding(m))
 
 
 def test_matrix_schema_real():

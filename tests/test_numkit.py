@@ -15,6 +15,7 @@ from commvar.numkit import (
     commutator_defect,
     fro,
     hermitian_eig,
+    leading_indices,
     off_norm,
     orthonormalize,
     phase_normalize,
@@ -140,6 +141,55 @@ def test_orthonormalize_accepts_single_vector_and_lists():
     assert np.allclose(out[:, 0], [0.6, 0.8])
     out2 = orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
     assert out2.shape == (2, 2)
+
+
+def _loop_phase_normalize(frame, tol=DEFAULT_TOL):
+    # the column loop phase_normalize replaced
+    out = np.array(frame, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > tol.eps_struct)
+        if idx.size:
+            out[:, j] = col * (np.conj(col[idx[0]]) / abs(col[idx[0]]))
+    return out
+
+
+def _loop_leading_index(frame, tol=DEFAULT_TOL):
+    # the one-frame leading index that leading_indices replaced
+    if frame.shape[1] == 0:
+        return frame.shape[0]
+    rows = np.flatnonzero(np.max(np.abs(frame), axis=1) > tol.eps_struct)
+    return int(rows[0]) if rows.size else frame.shape[0]
+
+
+def _random_frames(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        d, k = rng.integers(0, 9), rng.integers(0, 9)
+        a = rng.normal(size=(d, k))
+        if rng.random() < 0.6:
+            a = a + 1j * rng.normal(size=(d, k))
+        # negligible leading rows and zero columns
+        a[:rng.integers(0, d + 1)] *= rng.choice([0.0, 1e-12, 1e-10])
+        if k and rng.random() < 0.3:
+            a[:, rng.integers(0, k)] = 0.0
+        yield a, rng
+
+
+def test_phase_normalize_matches_the_column_loop():
+    for a, _ in _random_frames(0):
+        got, ref = phase_normalize(a), _loop_phase_normalize(a)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        # same per-column arithmetic; numpy may take a differently rounding
+        # multiply loop for a different array layout
+        np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_leading_indices_match_the_per_frame_loop():
+    assert leading_indices([]) == []
+    for a, rng in _random_frames(1):
+        frames = np.split(a, np.sort(rng.integers(0, a.shape[1] + 1, size=3)), axis=1)
+        assert leading_indices(frames) == [_loop_leading_index(f) for f in frames]
 
 
 @pytest.mark.parametrize("s", [2, 4, 8])

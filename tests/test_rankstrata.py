@@ -6,8 +6,9 @@ from commvar.errors import NotSkewHermitian, SingularAtOne, WrongStratum
 from commvar.gammaconf import Configuration, Label, SpherePoint, canonicalize, sphere_coord
 from commvar.commodel import config_to_commuting
 from commvar.generate import gen_exact_rank_tuple, gen_random_commuting
-from commvar.numkit import commutator_defect, fro
+from commvar.numkit import Tolerances, commutator_defect, fro
 from commvar.rankstrata import (
+    SubquotientChart,
     cayley,
     cayley_inv,
     pairing_chart,
@@ -30,6 +31,21 @@ def test_cayley_zero_and_scalar():
 def test_cayley_rejects_non_skew():
     with pytest.raises(NotSkewHermitian):
         cayley(np.eye(2))
+
+
+def test_cayley_takes_the_callers_tolerance():
+    # skew-Hermitian defect 2.8e-6: above the default eps_struct, below 1e-5
+    x = np.diag([1j, -1j]) + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotSkewHermitian):
+        cayley(x)
+    loose = Tolerances(eps_struct=1e-5, eps_cluster=1e-5)
+    a = cayley(x, loose)
+    assert fro(a.conj().T @ a - np.eye(2)) <= 1e-5
+    xt = CommutingTuple("skew_hermitian", x[None])
+    chart = SubquotientChart(2, xt, np.eye(2), xt, np.zeros(1))
+    with pytest.raises(NotSkewHermitian):
+        reconstruct_chart(chart, 2)
+    assert fro(reconstruct_chart(chart, 2, loose).mats[0] - a) == 0.0
 
 
 def test_cayley_matches_sphere_coord():

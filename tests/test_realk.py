@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from commvar.commodel import CommutingTuple, class_distance, config_to_commuting
-from commvar.errors import NotRealizable, NotSymmetric, SingularAtOne
+from commvar.errors import NotRealizable, NotSkewHermitian, NotSymmetric, SingularAtOne
 from commvar.gammaconf import Configuration, Label, SpherePoint, canonicalize
 from commvar.generate import gen_random_commuting
-from commvar.numkit import commutator_defect, fro, off_norm
+from commvar.numkit import Tolerances, commutator_defect, fro, off_norm
 from commvar.realk import (
     is_symmetric_unitary,
     joint_diagonalize_real,
@@ -16,7 +16,7 @@ from commvar.realk import (
     reassemble_real_split,
     reconstruct_real_chart,
 )
-from commvar.rankstrata import subquotient_chart
+from commvar.rankstrata import SubquotientChart, subquotient_chart
 from commvar.rng import SplitMix64, haar_orthogonal, unit_phase
 from commvar.symuniverse import UniverseBasis
 
@@ -26,6 +26,21 @@ def test_real_cayley_examples():
     assert real_cayley(np.array([[1.0]]))[0, 0] == pytest.approx(1j)
     with pytest.raises(NotSymmetric):
         real_cayley(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def test_real_cayley_takes_the_callers_tolerance():
+    # symmetric defect 2.8e-6: above the default eps_struct, below 1e-5
+    x = np.diag([1.0, -1.0]) + 1e-6 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(NotSymmetric):
+        real_cayley(x)
+    loose = Tolerances(eps_struct=1e-5, eps_cluster=1e-5)
+    a = real_cayley(x, loose)
+    assert fro(a.conj().T @ a - np.eye(2)) <= 1e-5
+    xt = CommutingTuple("real_symmetric", x[None])
+    chart = SubquotientChart(2, xt, np.eye(2), xt, np.zeros(1))
+    with pytest.raises(NotSkewHermitian):
+        reconstruct_real_chart(chart, 2)
+    assert fro(reconstruct_real_chart(chart, 2, loose).mats[0] - a) == 0.0
 
 
 @pytest.mark.parametrize("s", [1, 3, 6])
