@@ -130,6 +130,10 @@ def _error_body(kind: str, message: str, mode: str):
 
 
 def cmd_generate(args) -> int:
+    if args.n < 0 or not 1 <= args.s <= MAX_STRATIFY_S:  # what stratify accepts
+        _error_body("invalid_input", f"generate needs --n >= 0 and 1 <= --s <= {MAX_STRATIFY_S}",
+                    args.output)
+        return EXIT_INVALID_INPUT
     seed = args.seed if args.seed is not None else _env_seed()
     t = gen_random_commuting(seed, args.n, args.s, args.kind)
     _emit(jsonio.tuple_to_json(t), args.output)
@@ -169,13 +173,9 @@ def cmd_stratify(args) -> int:
                   "decomposition_type": list(block_type(blocks).parts)}
         if t.kind == "unitary":
             chart = chart_from_blocks(t, blocks, tol)
-            report.update({
-                "rank": chart.s,
-                "chart": {"X": jsonio.tuple_to_json(chart.X),
-                          "f": jsonio.matrix_to_json(chart.f)},
-                "split": {"traceless": jsonio.tuple_to_json(chart.traceless),
-                          "tau": chart.tau.astype(float).tolist()},
-            })
+            enc = jsonio.chart_to_json(chart)
+            report.update({"rank": chart.s, "chart": {"X": enc["X"], "f": enc["f"]},
+                           "split": enc["split"]})
     except CommVarError as exc:
         _error_body("stratum_error", str(exc), args.output)
         return EXIT_STRATUM

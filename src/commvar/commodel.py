@@ -22,8 +22,8 @@ from .gammaconf import (
     SpherePoint,
     canonicalize,
     frame_order,
+    near_basepoint_rows,
     single_linkage,
-    value_key,
 )
 from .numkit import (
     DEFAULT_TOL,
@@ -34,6 +34,7 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
+    leading_indices,
     phase_normalize,
     stack_off_norm,
 )
@@ -149,10 +150,9 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster
     frames = phase_normalize(q, tol)
-    blocks = [EigenBlock(frames[:, cols], vals[:, cols].mean(axis=1))
-              for cols in single_linkage(close)]
-    blocks.sort(key=lambda b: value_key(b.values))
-    return q, blocks
+    groups = single_linkage(close)
+    means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
+    return q, [EigenBlock(frames[:, groups[i]], means[i]) for i in frame_order(None, means)]
 
 
 def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:
@@ -165,9 +165,10 @@ def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[Ei
     Chart order sorts by the leading coordinate of the frame, then by the
     value tuple, as configuration labels are sorted.
     """
-    keep = [b for b in blocks if not SpherePoint(b.values).near_basepoint(tol.eps_base)]
-    order = frame_order([b.frame for b in keep], [value_key(b.values) for b in keep], tol)
-    return [keep[i] for i in order]
+    values = np.array([b.values for b in blocks] or np.zeros((0, 0)))
+    keep = np.flatnonzero(~near_basepoint_rows(values, tol.eps_base))
+    order = frame_order(leading_indices([blocks[i].frame for i in keep], tol), values[keep])
+    return [blocks[keep[i]] for i in order]
 
 
 def F_frame(t: CommutingTuple, blocks: list[EigenBlock],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
-from .numkit import DEFAULT_TOL, Tolerances, fro, leading_indices, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, leading_indices, orthonormalize
 from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
 
 
@@ -38,14 +38,7 @@ class SpherePoint:
 
     def near_basepoint(self, eps: float) -> bool:
         """True when some coordinate lies within eps of 1."""
-        if self.coords is None:
-            return True
-        return bool(np.any(np.abs(self.coords - 1.0) <= eps))
-
-    def unit_defect(self) -> float:
-        if self.coords is None:
-            return 0.0
-        return float(np.max(np.abs(np.abs(self.coords) - 1.0)))
+        return self.coords is None or bool(near_basepoint_rows(self.coords[None], eps)[0])
 
     def __repr__(self):
         if self.coords is None:
@@ -54,6 +47,11 @@ class SpherePoint:
 
 
 BASEPOINT = SpherePoint(None)
+
+
+def near_basepoint_rows(values: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each row of a (k, n) coordinate array has an entry within eps of 1."""
+    return np.any(np.abs(values - 1.0) <= eps, axis=1)
 
 
 def sphere_coord(t: float) -> complex:
@@ -115,12 +113,6 @@ def rank(c: Configuration) -> int:
     return sum(lab.frame.shape[1] for lab in c.labels)
 
 
-def value_key(values: np.ndarray) -> tuple:
-    """Sort key of a value tuple: the real and imaginary part of each
-    coordinate in turn."""
-    return tuple(v for z in values for v in (z.real, z.imag))
-
-
 def single_linkage(close: np.ndarray) -> list[list[int]]:
     """Single-linkage clusters of 0..count-1 under the (count, count)
     boolean closeness matrix close, of which only the entries i < j are
@@ -135,43 +127,21 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i, j in np.argwhere(np.triu(close, 1)).tolist():
-        parent[find(j)] = find(i)
+    for i, j in np.argwhere(close).tolist():
+        if i < j:
+            parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(count):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 
 
-def frame_order(frames: list[np.ndarray], keys: list, tol: Tolerances) -> list[int]:
-    """Stable order of items by the leading index of their frame, then by
-    their key; the leading indices come from one leading_indices pass."""
-    lead = leading_indices(frames, tol)
-    return sorted(range(len(frames)), key=lambda i: (lead[i], keys[i]))
-
-
-def _sorted_labels(labels: list[Label], tol: Tolerances) -> list[Label]:
-    keys = [() if lab.point.is_basepoint else value_key(lab.point.coords) for lab in labels]
-    return [labels[i] for i in frame_order([lab.frame for lab in labels], keys, tol)]
-
-
-def _validate_labels(labels: list[Label], universe: UniverseBasis, tol: Tolerances):
-    for lab in labels:
-        if lab.frame.shape[0] != universe.dim:
-            raise NotOrthogonal(
-                f"frame ambient dimension {lab.frame.shape[0]} != universe dim {universe.dim}"
-            )
-        if not lab.point.is_basepoint and lab.point.unit_defect() > tol.eps_struct:
-            raise ValueError("sphere point coordinates must be unit complex numbers")
-        if not lab.point.is_basepoint and len(lab.point.coords) != universe.n:
-            raise ValueError("sphere point dimension must match the universe")
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            gram = labels[i].frame.conj().T @ labels[j].frame
-            if gram.size and np.max(np.abs(gram)) > tol.eps_struct:
-                raise NotOrthogonal(
-                    f"labels {i} and {j} overlap (|<v,w>| = {np.max(np.abs(gram)):.3e})"
-                )
+def frame_order(lead, values: np.ndarray) -> np.ndarray:
+    """Stable order of k items by their leading frame index (when lead is
+    not None), then by their row of the (k, n) value array: the real and
+    the imaginary part of each coordinate in turn, in one lexsort."""
+    keys = [part for col in values.T[::-1] for part in (col.imag, col.real)]
+    return np.lexsort([*keys, np.zeros(len(values)) if lead is None else lead])
 
 
 def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configuration:
@@ -179,25 +149,55 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
 
     Drops basepoint and zero-dimensional labels, merges labels whose points
     agree within eps_cluster per coordinate (concatenating and
-    re-orthonormalizing frames), and sorts the result deterministically.
-    Raises NotOrthogonal when surviving labels overlap.
+    re-orthonormalizing frames), and sorts the result deterministically; a
+    label that merges with no other keeps its frame when that is isometric
+    to eps_struct.  Raises NotOrthogonal when surviving labels overlap.
     """
-    live = [
-        lab for lab in c.labels
-        if lab.frame.shape[1] > 0 and not lab.point.near_basepoint(tol.eps_base)
-    ]
-    _validate_labels(live, c.universe, tol)
-    live = _sorted_labels(live, tol)
+    u = c.universe
+    labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
+    # a point of the wrong dimension is an error unless it is dropped anyway
+    if any(len(lab.point.coords) != u.n and not lab.point.near_basepoint(tol.eps_base)
+           for lab in labels):
+        raise ValueError("sphere point dimension must match the universe")
+    labels = [lab for lab in labels if len(lab.point.coords) == u.n]
+    values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
+    live = ~near_basepoint_rows(values, tol.eps_base)
+    labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
+    for lab in labels:
+        if lab.frame.shape[0] != u.dim:
+            raise NotOrthogonal(f"frame ambient dimension {lab.frame.shape[0]} "
+                                f"!= universe dim {u.dim}")
+    if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > tol.eps_struct:
+        raise ValueError("sphere point coordinates must be unit complex numbers")
+    if not labels:
+        return Configuration(u, [])
 
-    # every live point has universe.n coordinates (validated above)
-    coords = np.array([lab.point.coords for lab in live]).reshape(len(live), c.universe.n)
-    groups = single_linkage(np.max(np.abs(coords[:, None] - coords), axis=2) < tol.eps_cluster)
-    merged = []
-    for members in groups:
-        frame = orthonormalize(np.hstack([live[i].frame for i in members]), tol)
-        merged.append(Label(frame, live[members[0]].point))
-    merged = _sorted_labels(merged, tol)
-    return Configuration(c.universe, merged)
+    # one Gram matrix of the stacked frames checks all label pairs and isometries
+    frames = [lab.frame for lab in labels]
+    stacked = np.hstack(frames)
+    owner = np.repeat(np.arange(len(labels)), [f.shape[1] for f in frames])
+    defect = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))
+    off = defect > tol.eps_struct
+    cross = off & (owner[:, None] < owner)
+    if cross.any():
+        i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
+        overlap = np.max(defect[np.ix_(owner == i, owner == j)])
+        raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
+    non_isometric = np.zeros(len(labels), bool)
+    non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
+
+    order = frame_order(leading_indices(frames, tol, stacked), values)
+    labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
+    groups = single_linkage(np.max(np.abs(values[:, None] - values), axis=2) < tol.eps_cluster)
+    merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
+        orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
+        for g in groups]
+    # an untouched frame keeps its leading index: only a merge or a
+    # re-orthonormalized frame can move a label
+    if len(groups) < len(labels) or non_isometric.any():
+        lead = leading_indices([lab.frame for lab in merged], tol)
+        merged = [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])]
+    return Configuration(u, merged)
 
 
 def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
@@ -256,7 +256,9 @@ def sigma_action_config(sigma, c: Configuration,
 def frame_distance(f: np.ndarray, g: np.ndarray) -> float:
     """||f f^H - g g^H||_F for isometric frames, from the part of each frame
     outside the other's span, without forming either projection."""
-    return math.hypot(fro(g - f @ (f.conj().T @ g)), fro(f - g @ (g.conj().T @ f)))
+    x = f.conj().T @ g
+    outside = np.concatenate([(g - f @ x).ravel(), (f - g @ x.conj().T).ravel()])
+    return math.sqrt(np.vdot(outside, outside).real)
 
 
 def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,10 +312,17 @@ def config_distance(a: Configuration, b: Configuration) -> float:
         return math.inf
     if a.k == 0:
         return 0.0
-    cost = np.zeros((a.k, b.k))
+    # the (k, n) point arrays, with a nan row for the basepoint and for a
+    # point of another dimension, which are infinitely far from every point
+    nan = np.full(a.universe.n, np.nan)
+    pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
+                        else lab.point.coords for lab in x.labels]) for x in (a, b))
+    dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
+    base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
+    # two basepoints are at distance 0, and an infinite distance costs 1e6
+    cost = np.where(np.outer(base_a, base_b), 0.0, np.where(np.isnan(dist), 1e6, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):
-            d = point_distance(la.point, lb.point)
-            cost[i, j] = (1e6 if math.isinf(d) else d) + frame_distance(la.frame, lb.frame)
+            cost[i, j] += frame_distance(la.frame, lb.frame)
     rows, cols = min_cost_assignment(cost)
     return float(np.max(cost[rows, cols]))

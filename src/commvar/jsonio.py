@@ -7,6 +7,7 @@ inputs, dumps produces byte-identical output.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -34,14 +35,19 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(d: dict) -> np.ndarray:
     rows, cols = int(d["rows"]), int(d["cols"])
-    data = d["data"]
+    real, data = d.get("field") == "real", d["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
-    if d.get("field") == "real":
-        flat = np.array([float(x) for x in data], dtype=float)
-    else:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    return flat.reshape(rows, cols)
+    if not real and set(map(len, data)) - {2}:
+        raise ValueError("complex matrix entries must be [re, im] pairs")
+    # one array per matrix, from one flat list: a string leaves a str array,
+    # and null or an integer beyond int64 an object one
+    data = np.array(data if real else list(itertools.chain.from_iterable(data)))
+    if data.ndim != 1 or not (data.dtype.kind in "biuf" or data.dtype.kind == "O" and all(
+            isinstance(x, (int, float)) for x in data)):
+        raise ValueError("matrix entries must be numbers")
+    data = data.astype(float)
+    return (data if real else data.view(complex)).reshape(rows, cols)
 
 
 def tuple_to_json(t: CommutingTuple) -> dict:

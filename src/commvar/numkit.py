@@ -129,38 +129,30 @@ def check_real_symmetric(a, tol: Tolerances = DEFAULT_TOL):
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize a family of column vectors.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass.  Accepts a
-    (d, k) array or a sequence of 1-d arrays; returns a (d, k) array whose
-    columns span the same subspace.
+    Householder QR (Golub & Van Loan, Matrix Computations, 5.2) with each
+    column of Q scaled so that diag R is real positive, which makes the
+    frame of full-rank input unique.  Accepts a (d, k) array or a sequence
+    of 1-d arrays; returns a (d, k) array.
 
-    Raises RankDeficient when a vector's residual norm falls below
-    eps_struct times its input norm.
+    Raises RankDeficient when |R_jj| falls below eps_struct times the norm
+    of vector j, when a vector is zero, or when k > d.
     """
-    if isinstance(vectors, np.ndarray):
-        v = vectors
-    else:
-        v = np.column_stack([np.asarray(x) for x in vectors])
-    v = np.asarray(v)
+    v = vectors if isinstance(vectors, np.ndarray) else np.column_stack(vectors)
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2:
         raise ShapeMismatch(f"expected vectors or a (d, k) array, got {v.shape}")
     d, k = v.shape
-    dtype = complex if np.iscomplexobj(v) else float
-    qs: list[np.ndarray] = []
-    for j in range(k):
-        w = v[:, j].astype(dtype)
-        norm_in = fro(w)
-        for _ in range(2):
-            for q in qs:
-                w = w - (q.conj() @ w) * q
-        r = fro(w)
-        if r < tol.eps_struct * norm_in or norm_in == 0.0:
-            raise RankDeficient(f"vector {j} is dependent (residual {r:.3e})")
-        qs.append(w / r)
-    if not qs:
-        return np.zeros((d, 0), dtype=dtype)
-    return np.column_stack(qs)
+    v = v.astype(complex if np.iscomplexobj(v) else float)
+    if k > d:
+        raise RankDeficient(f"{k} vectors in dimension {d} are dependent")
+    q, r = np.linalg.qr(v)
+    diag, norms = np.diagonal(r), np.linalg.norm(v, axis=0)
+    dependent = (np.abs(diag) < tol.eps_struct * norms) | (norms == 0.0)
+    if dependent.any():
+        j = int(dependent.argmax())
+        raise RankDeficient(f"vector {j} is dependent (residual {abs(diag[j]):.3e})")
+    return q * (diag / np.abs(diag))
 
 
 def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -178,14 +170,15 @@ def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     return out
 
 
-def leading_indices(frames, tol: Tolerances = DEFAULT_TOL) -> list[int]:
+def leading_indices(frames, tol: Tolerances = DEFAULT_TOL, stacked=None) -> list[int]:
     """For each frame of a sequence of frames with one row count d, the
     smallest row index at which any of its columns has a non-negligible
-    entry; d for a frame with none (or with no columns)."""
+    entry; d for a frame with none (or with no columns).  stacked, when
+    given, is np.hstack(frames) formed already."""
     if not frames:
         return []
     d = frames[0].shape[0]
-    big = np.abs(np.hstack(frames)) > tol.eps_struct
+    big = np.abs(np.hstack(frames) if stacked is None else stacked) > tol.eps_struct
     # a sentinel row d below the frames stops each column's search
     first = np.vstack([big, np.ones((1, big.shape[1]), bool)]).argmax(axis=0)
     lead = np.full(len(frames), d)

@@ -94,17 +94,28 @@ def permute_multi_index(sigma, alpha) -> tuple[int, ...]:
     return tuple(alpha[j] for j in perm_inverse(sigma))
 
 
+@functools.cache
+def _monomial_codes(n: int, D: int):
+    """Exponent array (dim, n) of the (n, D) monomials, the place values of
+    their mixed-radix codes (radix D + 1; Python integers beyond int64),
+    the order that sorts the codes, and the sorted codes."""
+    exps = np.array(_monomials(n, D)[0], dtype=int).reshape(-1, n)
+    places = np.array([(D + 1) ** j for j in range(n)],
+                      dtype=np.int64 if (D + 1) ** n < 2 ** 63 else object)
+    order = np.argsort(exps @ places)
+    return exps, places, order, (exps @ places)[order]
+
+
 def sigma_star(sigma, universe: UniverseBasis) -> np.ndarray:
     """Coordinate permutation induced on the universe by permuting variables.
 
     Returns perm with perm[i] = index of sigma . monomial_i; as an operator
-    on coordinate vectors, (sigma_* v)[perm[i]] = v[i].
+    on coordinate vectors, (sigma_* v)[perm[i]] = v[i]; one searchsorted
+    finds the images by their mixed-radix codes.
     """
-    inv = perm_inverse(_check_perm(sigma, universe.n)).tolist()
-    return np.array(
-        [universe.index[tuple(a[j] for j in inv)] for a in universe.monomials],
-        dtype=int,
-    )
+    inv = perm_inverse(_check_perm(sigma, universe.n))
+    exps, places, order, sorted_codes = _monomial_codes(universe.n, universe.D)
+    return order[np.searchsorted(sorted_codes, exps[:, inv] @ places)]
 
 
 def apply_perm_to_coords(perm, vecs: np.ndarray) -> np.ndarray:

@@ -396,7 +396,7 @@ def test_criterion_09_real_variant():
             failures += 1
         t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
         q, _ = joint_diagonalize_real(t)
-        diag = np.einsum("ab,kbc,cd->kad", q.T, t.mats, q)
+        diag = q.T @ t.mats @ q
         res = math.sqrt(sum(off_norm(dd) ** 2 for dd in diag))
         if not res <= 1e-8 * max(fro(mm) for mm in t.mats):
             failures += 1

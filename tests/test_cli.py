@@ -144,6 +144,38 @@ def test_stratify_rejects_sizes_above_the_cap(s, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("entry,field,code", [
+    ("-1.0", None, 0), ('"-1.0"', None, 2), ("null", None, 2),
+    ("-1.0", "real", 0), ('"-1.0"', "real", 2), ("null", "real", 2),
+], ids=["complex-number", "complex-string", "complex-null",
+        "real-number", "real-string", "real-null"])
+def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypatch, capsys):
+    if field:
+        kind = "real_symmetric"
+        mat = f'{{"rows": 1, "cols": 1, "field": "real", "data": [{entry}]}}'
+    else:
+        kind, mat = "unitary", f'{{"rows": 1, "cols": 1, "data": [[{entry}, 0.0]]}}'
+    payload = f'{{"kind": "{kind}", "n": 1, "s": 1, "mats": [{mat}]}}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["stratify"]) == code
+    body = json.loads(capsys.readouterr().out)
+    assert body.get("error") == ("invalid_input" if code else None)
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--s", "-1"), ("--s", "0"),
+                                        ("--s", "257")])
+def test_generate_rejects_sizes_stratify_rejects(flag, value, capsys):
+    assert main(["generate", flag, value]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+def test_generate_accepts_the_size_bounds(capsys):
+    for argv in (["--n", "0", "--s", "1"], ["--n", "0", "--s", "256"]):
+        assert main(["generate", *argv]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 0 and out["s"] == int(argv[-1])
+
+
 _GENERATE_THEN_STRATIFY = """
 import contextlib, io, sys
 from unittest import mock

@@ -86,13 +86,13 @@ def test_joint_diagonalize_skew_2x2_closed_form():
 def test_joint_residual_requirement():
     t = gen_random_commuting(3, 3, 6, "unitary")
     q, _ = joint_diagonalize(t)
-    diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
+    diag = q.conj().T @ t.mats @ q
     res = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
     assert res <= 1e-8 * max(fro(a) for a in t.mats)
 
 
 def _relative_joint_residual(t, q):
-    diag = np.einsum("ab,kbc,cd->kad", q.conj().T, t.mats, q)
+    diag = q.conj().T @ t.mats @ q
     return stack_off_norm(diag) / max(fro(a) for a in t.mats)
 
 

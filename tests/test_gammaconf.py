@@ -278,3 +278,86 @@ def test_min_cost_assignment_matches_brute_force(cost):
         best = min(cost[list(p), np.arange(c)].sum()
                    for p in itertools.permutations(range(r), c))
     assert math.isclose(cost[rows, cols].sum(), best, rel_tol=1e-12, abs_tol=1e-9)
+
+
+def _value_key(values):
+    # the per-label sort key that one lexsort of the value array replaced
+    return tuple(v for z in values for v in (z.real, z.imag))
+
+
+def _first_overlap(labels, tol=DEFAULT_TOL):
+    # the pair loop that one Gram matrix of the stacked frames replaced
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            gram = labels[i].frame.conj().T @ labels[j].frame
+            if gram.size and np.max(np.abs(gram)) > tol.eps_struct:
+                return i, j
+    return None
+
+
+def test_canonicalize_keeps_the_value_key_order_on_tied_coordinates():
+    # points drawn from a few coordinates (two with one real part) tie on
+    # some coordinates; frames from a block-diagonal unitary tie on their
+    # leading index within each block
+    rng = SplitMix64(29)
+    coords = [-1.0, 1j, -1j, np.exp(2j), np.exp(-2j)]
+    u = UniverseBasis(2, 2)
+    q = np.zeros((u.dim, u.dim), dtype=complex)
+    q[:3, :3] = np.linalg.qr(rng.complex_normals(3, 3))[0]
+    q[3:, 3:] = np.linalg.qr(rng.complex_normals(u.dim - 3, u.dim - 3))[0]
+    for _ in range(40):
+        cols = [int(c) for c in np.argsort([rng.uniform() for _ in range(u.dim)])]
+        points = list(itertools.product(coords, repeat=2))
+        picks = [points[i] for i in np.argsort([rng.uniform() for _ in points])[:u.dim]]
+        labels, start = [], 0
+        while start < u.dim:
+            width = rng.randint(1, 3)
+            labels.append(Label(q[:, cols[start:start + width]],
+                                SpherePoint(picks[len(labels)])))
+            start += width
+        out = canonicalize(Configuration(u, labels))
+        lead = [int(np.flatnonzero(np.max(np.abs(lab.frame), axis=1) > 1e-9)[0])
+                for lab in labels]
+        expect = sorted(range(len(labels)),
+                        key=lambda i: (lead[i], _value_key(labels[i].point.coords)))
+        assert [lab.point.coords.tolist() for lab in out.labels] == [
+            labels[i].point.coords.tolist() for i in expect]
+        for lab, i in zip(out.labels, expect):
+            assert np.array_equal(lab.frame, labels[i].frame)
+
+
+def test_not_orthogonal_names_the_first_pair_of_the_pair_loop():
+    rng = SplitMix64(31)
+    u = UniverseBasis(2, 2)
+    for _ in range(30):
+        q = np.linalg.qr(rng.complex_normals(u.dim, u.dim))[0]
+        labels = [Label(q[:, [i]], SpherePoint([np.exp(0.3j * (i + 1)), -1.0]))
+                  for i in range(5)]
+        # tilt two labels toward others, so that several pairs overlap
+        for _ in range(2):
+            i, j = rng.randint(0, 5), rng.randint(0, 5)
+            if i != j:
+                tilted = q[:, [i]] + 0.1 * q[:, [j]]
+                labels[i] = Label(tilted / fro(tilted), labels[i].point)
+        expect = _first_overlap(labels)
+        if expect is None:
+            canonicalize(Configuration(u, labels))
+            continue
+        with pytest.raises(NotOrthogonal, match=f"labels {expect[0]} and {expect[1]} overlap"):
+            canonicalize(Configuration(u, labels))
+
+
+def test_canonicalize_orthonormalizes_a_non_isometric_single_label():
+    u = UniverseBasis(2, 1)
+    frame = np.array([[2.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    iso = np.eye(u.dim, dtype=complex)[:, [2]]
+    out = canonicalize(Configuration(u, [Label(frame, SpherePoint([-1.0, 1j])),
+                                         Label(iso, SpherePoint([1j, -1.0]))]))
+    assert out.k == 2
+    got = {lab.point.coords.tolist()[0]: lab.frame for lab in out.labels}
+    f = got[-1.0]
+    assert fro(f.conj().T @ f - np.eye(2)) < 1e-14
+    # same span as the input frame
+    assert fro(frame - f @ (f.conj().T @ frame)) < 1e-14
+    # an isometric label that merges with nothing keeps its frame as it is
+    assert np.array_equal(got[1j], iso)

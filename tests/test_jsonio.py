@@ -133,3 +133,44 @@ def test_tuple_wire_roundtrip_is_exact(t):
     assert back.mats.dtype == t.mats.dtype and back.mats.shape == t.mats.shape
     assert back.mats.tobytes() == t.mats.tobytes()
     assert jsonio.dumps(jsonio.tuple_to_json(back)) == text
+
+
+def _per_entry_decoding(d):
+    # the entry-by-entry parse that one array per matrix replaced
+    rows, cols = int(d["rows"]), int(d["cols"])
+    if d.get("field") == "real":
+        flat = np.array([float(x) for x in d["data"]], dtype=float)
+    else:
+        flat = np.array([complex(re, im) for re, im in d["data"]], dtype=complex)
+    return flat.reshape(rows, cols)
+
+
+def test_matrix_from_json_matches_per_entry_decoding():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    a[0, 0], a[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    payloads = [jsonio.matrix_to_json(m) for m in (a, a.real, a[:0], a.real[:, :0])]
+    # integer, bool and beyond-int64 entries are numbers too
+    payloads.append({"rows": 1, "cols": 3, "data": [[1, 0], [True, -2], [2 ** 70, 0.5]]})
+    payloads.append({"rows": 1, "cols": 3, "data": [1, False, -(2 ** 70)], "field": "real"})
+    for d in payloads:
+        got, ref = jsonio.matrix_from_json(json.loads(json.dumps(d))), _per_entry_decoding(d)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("data,field", [
+    ([[1.0, 0.0], ["2", 0.0]], None),
+    ([[1.0, 0.0], [None, 0.0]], None),
+    ([[2 ** 70, 0.0], ["2", 0.0]], None),
+    ([1.0, "2"], "real"),
+    ([1.0, None], "real"),
+    ([2 ** 70, None], "real"),
+], ids=["complex-string", "complex-null", "complex-big-and-string", "real-string",
+        "real-null", "real-big-and-null"])
+def test_matrix_from_json_rejects_strings_and_null(data, field):
+    d = {"rows": 1, "cols": 2, "data": data}
+    if field:
+        d["field"] = field
+    with pytest.raises(ValueError):
+        jsonio.matrix_from_json(d)

@@ -240,3 +240,53 @@ def test_commutator_defect_conjugation_invariant():
     before = commutator_defect([x, y])
     after = commutator_defect([u @ x @ u.conj().T, u @ y @ u.conj().T])
     assert abs(before - after) < 1e-12 * max(1.0, before)
+
+
+def _mgs_orthonormalize(v, tol=DEFAULT_TOL):
+    # the modified Gram-Schmidt loop (one re-orthogonalization pass) that
+    # Householder QR replaced; it raises RankDeficient where QR must too
+    dtype = complex if np.iscomplexobj(v) else float
+    qs = []
+    for j in range(v.shape[1]):
+        w = v[:, j].astype(dtype)
+        norm_in = fro(w)
+        for _ in range(2):
+            for q in qs:
+                w = w - (q.conj() @ w) * q
+        r = fro(w)
+        if r < tol.eps_struct * norm_in or norm_in == 0.0:
+            raise RankDeficient(f"vector {j} is dependent")
+        qs.append(w / r)
+    return np.column_stack(qs) if qs else np.zeros((v.shape[0], 0), dtype=dtype)
+
+
+def test_orthonormalize_matches_the_mgs_loop():
+    rng = SplitMix64(17)
+    for _ in range(200):
+        d = rng.randint(1, 40)
+        k = rng.randint(0, d + 1)
+        v = rng.complex_normals(d, k)
+        for x in (v, v.real.copy()):
+            got, ref = orthonormalize(x), _mgs_orthonormalize(x)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            # both make diag R real positive, so the frames agree column by
+            # column, not just as subspaces
+            assert fro(got - ref) <= 1e-14 * max(1.0, k)
+
+
+def test_orthonormalize_rank_deficient_where_the_mgs_loop_is():
+    rng = SplitMix64(23)
+    v = rng.complex_normals(6, 3)
+    zero_col = v.copy()
+    zero_col[:, 1] = 0.0
+    dependent = np.column_stack([v, v[:, 0] - 2.0 * v[:, 2]])
+    near = np.column_stack([v, v[:, 1] * (1.0 + 1e-13)])
+    too_many = rng.complex_normals(3, 4)
+    for x in (zero_col, dependent, near, too_many, np.zeros((0, 1))):
+        with pytest.raises(RankDeficient):
+            _mgs_orthonormalize(x)
+        with pytest.raises(RankDeficient):
+            orthonormalize(x)
+    # just above the threshold both accept
+    fine = np.column_stack([v, v[:, 1] + 1e-6 * rng.complex_normals(6, 1)[:, 0]])
+    assert fro(orthonormalize(fine) - _mgs_orthonormalize(fine)) <= 1e-8

@@ -87,7 +87,7 @@ def test_joint_diagonalize_real_recovery(seed):
     q, _ = joint_diagonalize_real(t)
     assert q.dtype.kind == "f"
     assert abs(np.linalg.det(q) - 1.0) <= 1e-10
-    diag = np.einsum("ab,kbc,cd->kad", q.T, t.mats, q)
+    diag = q.T @ t.mats @ q
     res = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
     assert res <= 1e-8 * max(fro(m) for m in t.mats)
 

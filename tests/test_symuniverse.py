@@ -210,11 +210,20 @@ def test_universe_data_is_shared_and_read_only():
 
 
 def test_sigma_star_matches_per_monomial_form():
-    for n in range(1, 5):
-        u = UniverseBasis(n, 3)
+    # the per-monomial dict lookup that one searchsorted of codes replaced
+    for n, D in itertools.product(range(1, 5), range(4)):
+        u = UniverseBasis(n, D)
         for sigma in itertools.permutations(range(n)):
             expect = [u.index[permute_multi_index(sigma, a)] for a in u.monomials]
             assert sigma_star(list(sigma), u).tolist() == expect
+
+
+def test_sigma_star_codes_beyond_int64():
+    # (D + 1)^n = 2^64 overflows int64, so the codes are Python integers
+    u = UniverseBasis(64, 1)
+    sigma = list(range(1, 64)) + [0]
+    expect = [u.index[permute_multi_index(sigma, a)] for a in u.monomials]
+    assert sigma_star(sigma, u).tolist() == expect
 
 
 @pytest.mark.parametrize("ka,kb", [(1, 1), (2, 3), (3, 0), (4, 2)])
