@@ -131,8 +131,7 @@ def _error_body(kind: str, message: str, mode: str):
 
 def cmd_generate(args) -> int:
     if args.n < 0 or not 1 <= args.s <= MAX_STRATIFY_S:  # what stratify accepts
-        _error_body("invalid_input", f"generate needs --n >= 0 and 1 <= --s <= {MAX_STRATIFY_S}",
-                    args.output)
+        _error_body("invalid_input", f"need --n >= 0, 1 <= --s <= {MAX_STRATIFY_S}", args.output)
         return EXIT_INVALID_INPUT
     seed = args.seed if args.seed is not None else _env_seed()
     t = gen_random_commuting(seed, args.n, args.s, args.kind)

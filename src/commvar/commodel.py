@@ -152,7 +152,8 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
     means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
-    return q, [EigenBlock(frames[:, groups[i]], means[i]) for i in frame_order(None, means)]
+    order = frame_order(np.zeros(len(groups), int), means)
+    return q, [EigenBlock(frames[:, groups[i]], means[i]) for i in order]
 
 
 def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:

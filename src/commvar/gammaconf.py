@@ -127,9 +127,9 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    for i, j in np.argwhere(close).tolist():
-        if i < j:
-            parent[find(j)] = find(i)
+    rows, cols = np.nonzero(close)
+    for i, j in zip(rows[rows < cols].tolist(), cols[rows < cols].tolist()):
+        parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(count):
         groups.setdefault(find(i), []).append(i)
@@ -137,11 +137,22 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
 
 
 def frame_order(lead, values: np.ndarray) -> np.ndarray:
-    """Stable order of k items by their leading frame index (when lead is
-    not None), then by their row of the (k, n) value array: the real and
-    the imaginary part of each coordinate in turn, in one lexsort."""
+    """Stable order of k items by leading frame index, then by their row of the
+    (k, n) value array (real, then imaginary part of each coordinate), in one lexsort."""
     keys = [part for col in values.T[::-1] for part in (col.imag, col.real)]
-    return np.lexsort([*keys, np.zeros(len(values)) if lead is None else lead])
+    return np.lexsort([*keys, lead])
+
+
+def _check_labels(labels: list[Label], u: UniverseBasis, tol: Tolerances):
+    """Raise for the first label failing a check: frame, unit coordinates, point dimension."""
+    for lab in labels:
+        if lab.frame.shape[0] != u.dim:
+            raise NotOrthogonal(f"frame ambient dimension {lab.frame.shape[0]} "
+                                f"!= universe dim {u.dim}")
+        if np.max(np.abs(np.abs(lab.point.coords) - 1.0), initial=0.0) > tol.eps_struct:
+            raise ValueError("sphere point coordinates must be unit complex numbers")
+        if len(lab.point.coords) != u.n:
+            raise ValueError("sphere point dimension must match the universe")
 
 
 def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configuration:
@@ -155,20 +166,15 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     """
     u = c.universe
     labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
-    # a point of the wrong dimension is an error unless it is dropped anyway
-    if any(len(lab.point.coords) != u.n and not lab.point.near_basepoint(tol.eps_base)
-           for lab in labels):
-        raise ValueError("sphere point dimension must match the universe")
-    labels = [lab for lab in labels if len(lab.point.coords) == u.n]
+    if any(len(lab.point.coords) != u.n or lab.frame.shape[0] != u.dim for lab in labels):
+        # such labels cannot join the stacked arrays: check label by label
+        labels = [lab for lab in labels if not lab.point.near_basepoint(tol.eps_base)]
+        _check_labels(labels, u, tol)
     values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
     live = ~near_basepoint_rows(values, tol.eps_base)
     labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
-    for lab in labels:
-        if lab.frame.shape[0] != u.dim:
-            raise NotOrthogonal(f"frame ambient dimension {lab.frame.shape[0]} "
-                                f"!= universe dim {u.dim}")
     if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > tol.eps_struct:
-        raise ValueError("sphere point coordinates must be unit complex numbers")
+        _check_labels(labels, u, tol)
     if not labels:
         return Configuration(u, [])
 
@@ -186,14 +192,13 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     non_isometric = np.zeros(len(labels), bool)
     non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
 
-    order = frame_order(leading_indices(frames, tol, stacked), values)
+    order = frame_order(leading_indices(frames, tol), values)
     labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
     groups = single_linkage(np.max(np.abs(values[:, None] - values), axis=2) < tol.eps_cluster)
     merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
         orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
         for g in groups]
-    # an untouched frame keeps its leading index: only a merge or a
-    # re-orthonormalized frame can move a label
+    # only a merge or a re-orthonormalized frame can move a label
     if len(groups) < len(labels) or non_isometric.any():
         lead = leading_indices([lab.frame for lab in merged], tol)
         merged = [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])]
@@ -312,14 +317,13 @@ def config_distance(a: Configuration, b: Configuration) -> float:
         return math.inf
     if a.k == 0:
         return 0.0
-    # the (k, n) point arrays, with a nan row for the basepoint and for a
-    # point of another dimension, which are infinitely far from every point
+    # (k, n) point arrays with a nan row for the basepoint or a point of another
+    # dimension: infinitely far (cost 1e6) from all points, but two basepoints are at 0
     nan = np.full(a.universe.n, np.nan)
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
     dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
-    # two basepoints are at distance 0, and an infinite distance costs 1e6
     cost = np.where(np.outer(base_a, base_b), 0.0, np.where(np.isnan(dist), 1e6, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):

@@ -40,8 +40,7 @@ def matrix_from_json(d: dict) -> np.ndarray:
         raise ValueError("matrix data length does not match rows*cols")
     if not real and set(map(len, data)) - {2}:
         raise ValueError("complex matrix entries must be [re, im] pairs")
-    # one array per matrix, from one flat list: a string leaves a str array,
-    # and null or an integer beyond int64 an object one
+    # one flat array: a string gives a str array, null (or an int past int64) an object one
     data = np.array(data if real else list(itertools.chain.from_iterable(data)))
     if data.ndim != 1 or not (data.dtype.kind in "biuf" or data.dtype.kind == "O" and all(
             isinstance(x, (int, float)) for x in data)):

@@ -129,10 +129,9 @@ def check_real_symmetric(a, tol: Tolerances = DEFAULT_TOL):
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthonormalize a family of column vectors.
 
-    Householder QR (Golub & Van Loan, Matrix Computations, 5.2) with each
-    column of Q scaled so that diag R is real positive, which makes the
-    frame of full-rank input unique.  Accepts a (d, k) array or a sequence
-    of 1-d arrays; returns a (d, k) array.
+    Householder QR (Golub & Van Loan, Matrix Computations, 5.2), each column
+    of Q scaled so that diag R is real positive: the frame of full-rank input
+    is unique.  Accepts a (d, k) array or a sequence of 1-d arrays.
 
     Raises RankDeficient when |R_jj| falls below eps_struct times the norm
     of vector j, when a vector is zero, or when k > d.
@@ -170,15 +169,14 @@ def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     return out
 
 
-def leading_indices(frames, tol: Tolerances = DEFAULT_TOL, stacked=None) -> list[int]:
+def leading_indices(frames, tol: Tolerances = DEFAULT_TOL) -> list[int]:
     """For each frame of a sequence of frames with one row count d, the
     smallest row index at which any of its columns has a non-negligible
-    entry; d for a frame with none (or with no columns).  stacked, when
-    given, is np.hstack(frames) formed already."""
+    entry; d for a frame with none (or with no columns)."""
     if not frames:
         return []
     d = frames[0].shape[0]
-    big = np.abs(np.hstack(frames) if stacked is None else stacked) > tol.eps_struct
+    big = np.abs(np.hstack(frames)) > tol.eps_struct
     # a sentinel row d below the frames stops each column's search
     first = np.vstack([big, np.ones((1, big.shape[1]), bool)]).argmax(axis=0)
     lead = np.full(len(frames), d)

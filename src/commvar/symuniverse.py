@@ -96,9 +96,8 @@ def permute_multi_index(sigma, alpha) -> tuple[int, ...]:
 
 @functools.cache
 def _monomial_codes(n: int, D: int):
-    """Exponent array (dim, n) of the (n, D) monomials, the place values of
-    their mixed-radix codes (radix D + 1; Python integers beyond int64),
-    the order that sorts the codes, and the sorted codes."""
+    """Exponents (dim, n) of the (n, D) monomials, the place values of their
+    radix-(D + 1) codes (Python integers past int64), their sort order, the sorted codes."""
     exps = np.array(_monomials(n, D)[0], dtype=int).reshape(-1, n)
     places = np.array([(D + 1) ** j for j in range(n)],
                       dtype=np.int64 if (D + 1) ** n < 2 ** 63 else object)

@@ -361,3 +361,39 @@ def test_canonicalize_orthonormalizes_a_non_isometric_single_label():
     assert fro(frame - f @ (f.conj().T @ frame)) < 1e-14
     # an isometric label that merges with nothing keeps its frame as it is
     assert np.array_equal(got[1j], iso)
+
+
+def _first_label_error(labels, u, tol=DEFAULT_TOL):
+    # the per-label checks of the loop that the point-array checks replaced
+    for lab in labels:
+        if lab.frame.shape[0] != u.dim:
+            return NotOrthogonal, "frame ambient dimension"
+        if np.max(np.abs(np.abs(lab.point.coords) - 1.0), initial=0.0) > tol.eps_struct:
+            return ValueError, "unit complex numbers"
+        if len(lab.point.coords) != u.n:
+            return ValueError, "dimension must match"
+    return None
+
+
+def test_canonicalize_reports_the_first_failing_label_check_of_the_loop():
+    u = UniverseBasis(2, 1)
+    eye = np.eye(u.dim, dtype=complex)
+    variants = {
+        "good": Label(eye[:, [0]], SpherePoint([-1.0, 1j])),
+        "frame": Label(np.eye(u.dim + 1, dtype=complex)[:, [1]], SpherePoint([-1.0, 1j])),
+        "unit": Label(eye[:, [1]], SpherePoint([-2.0, 1j])),
+        "dim": Label(eye[:, [2]], SpherePoint([-1.0, 1j, -1j])),
+        "frame+dim": Label(np.eye(u.dim + 1, dtype=complex)[:, [1]],
+                           SpherePoint([-1.0, 1j, -1j])),
+        "unit+dim": Label(eye[:, [1]], SpherePoint([-2.0, 1j, -1j])),
+        "dim near base": Label(eye[:, [2]], SpherePoint([1.0, 1j, -1j])),
+    }
+    for pair in itertools.permutations(variants, 2):
+        labels = [variants[name] for name in pair]
+        live = [lab for lab in labels if not lab.point.near_basepoint(DEFAULT_TOL.eps_base)]
+        expect = _first_label_error(live, u)
+        if expect is None:
+            canonicalize(Configuration(u, labels))
+            continue
+        with pytest.raises(expect[0], match=expect[1]):
+            canonicalize(Configuration(u, labels))
