@@ -183,15 +183,18 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_poincare(args) -> int:
-    from .cohomtab import a0_lambda_table, poincare_poly
+    from .cohomtab import MAX_P, IntPolynomial, a0_lambda_table
     from .errors import NotOddPrime
 
+    if args.p > MAX_P:  # before the primality test and the product
+        _error_body("invalid_input", f"poincare accepts --p at most {MAX_P}", args.output)
+        return EXIT_INVALID_INPUT
     try:
-        poly = poincare_poly(args.p)
         reduced = a0_lambda_table(args.p)
     except NotOddPrime as exc:
         _error_body("invalid_input", str(exc), args.output)
         return EXIT_INVALID_INPUT
+    poly = IntPolynomial.one() + IntPolynomial(reduced)  # the reduced table plus the unit
     if args.output == "json":
         _write(jsonio.dumps({
             "p": args.p,

@@ -22,6 +22,7 @@ compares n times that count with the fixed-dimension formula for n = 1..3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -658,53 +659,52 @@ def _field_basis(s: int, field: str) -> np.ndarray:
     upper, lower = units[a, b], units[b, a]
     if field == "real":
         return np.concatenate([diag, upper + lower])
-    pairs = np.stack([upper - lower, 1j * (upper + lower)], axis=1).reshape(-1, s, s)
+    pairs = np.stack([upper - lower, 1j * (upper + lower)], axis=1).reshape(2 * len(a), s, s)
     return np.concatenate([1j * diag, pairs])
 
 
-def _block_elements(parts, field: str, rng: SplitMix64) -> list[np.ndarray]:
-    """Group elements generating (a dense subgroup of) the block subgroup:
-    two random block elements plus one reflection per block."""
+@functools.cache
+def _field_columns(s: int, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (s*s, m) flattened `_field_basis` columns and real (m,) trace row."""
+    basis = _field_basis(s, field)
+    cols = basis.reshape(len(basis), s * s).T.copy()
+    trace = np.trace(basis.imag if field == "complex" else basis.real, axis1=1, axis2=2)
+    cols.flags.writeable = trace.flags.writeable = False
+    return cols, trace
+
+
+def _block_elements(parts, field: str, rng: SplitMix64) -> np.ndarray:
+    """(2 + len(parts), s, s) stack generating (a dense subgroup of) the block
+    subgroup: two Haar block elements from one Gaussian draw scattered through
+    the block-diagonal mask, one stacked QR and the R-diagonal phase fix (the
+    Householder QR keeps off-block entries exactly 0), then one reflection
+    I - 2 e e^T per block, e the unit vector at its first coordinate."""
     s = sum(parts)
-    dtype = complex if field == "complex" else float
-    elements = []
-    for _ in range(2):
-        g = np.zeros((s, s), dtype=dtype)
-        off = 0
-        for p in parts:
-            blk = haar_unitary(rng, p) if field == "complex" else haar_orthogonal(rng, p)
-            g[off:off + p, off:off + p] = blk
-            off += p
-        elements.append(g)
-    off = 0
-    for p in parts:
-        r = np.eye(s, dtype=dtype)
-        r[off, off] = -1.0
-        elements.append(r)
-        off += p
-    return elements
+    labels = np.repeat(np.arange(len(parts)), parts)
+    mask = labels[:, None] == labels[None, :]
+    z = np.zeros((2, s, s), dtype=complex if field == "complex" else float)
+    z[:, mask] = (rng.complex_normals if field == "complex" else rng.normals)(2, mask.sum())
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= (d / np.abs(d))[:, None, :]
+    e = np.eye(s)[np.searchsorted(labels, np.arange(len(parts)))]
+    return np.concatenate([q, np.eye(s) - 2 * e[:, :, None] * e[:, None, :]])
 
 
 def fixed_dim_nullspace_oracle(parts, n: int, field: str, seed: int = 0) -> int:
-    """Independent route to the fixed-subspace dimension: assemble the
-    real-linear system 'commutes with the block subgroup and is traceless'
-    on one matrix and count its null-space dimension with an SVD; the tuple
-    space is the n-fold direct sum."""
-    parts = tuple(parts)
+    """Independent route to the fixed-subspace dimension: the null-space
+    dimension, by SVD, of the real-linear system 'commutes with the block
+    subgroup and is traceless' on one matrix, times n for the n-fold direct
+    sum.  On row-major flattened matrices X -> g X g^H is g (x) conj(g): one
+    stacked Kronecker product and one matmul give every commutator defect."""
     s = sum(parts)
-    rng = SplitMix64(seed ^ 0xFACADE)
-    basis = _field_basis(s, field)
-    g = np.array(_block_elements(parts, field, rng))[:, None]
-    diff = g @ basis @ g.conj().swapaxes(-1, -2) - basis  # (elements, basis, s, s)
-    # one column per basis element: the real then imaginary entries of its
-    # commutator defect under each element, then its trace
-    cols = np.moveaxis(np.stack([diff.real, diff.imag], axis=1), 2, 0).reshape(len(basis), -1)
-    trace = np.trace(basis, axis1=1, axis2=2)
-    mat = np.column_stack([cols, trace.imag if field == "complex" else trace.real]).T
-    sv = np.linalg.svd(mat, compute_uv=False)
-    tol_rank = 1e-8 * (sv[0] if sv.size else 1.0)
-    rank_ = int(np.sum(sv > tol_rank))
-    return n * (len(basis) - rank_)
+    cols, trace = _field_columns(s, field)
+    g = _block_elements(parts, field, SplitMix64(seed ^ 0xFACADE))
+    kron = (g[:, :, None, :, None] * g.conj()[:, None, :, None, :]).reshape(len(g), s * s, s * s)
+    diff = kron @ cols - cols
+    sv = np.linalg.svd(np.concatenate([*diff.real, *diff.imag, trace[None]]), compute_uv=False)
+    rank_ = int(np.sum(sv > 1e-8 * (sv[0] if sv.size else 1.0)))
+    return n * (len(trace) - rank_)
 
 
 def _partitions(s: int):

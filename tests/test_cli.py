@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from commvar import commodel, jsonio
-from commvar.cli import build_parser, main
+from commvar.cli import MAX_STRATIFY_S, build_parser, main
+from commvar.cohomtab import MAX_P
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.generate import gen_random_commuting
 
@@ -377,6 +378,58 @@ def test_stratify_never_raises_a_traceback(text):
     assert code in (0, 2, 3)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+def _main_outcome(argv):
+    """Exit code and stdout lines of an in-process `main`; argparse reports a
+    value it cannot parse by raising SystemExit."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().splitlines()
+
+
+def _parses_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Accepted draws stay small (p <= 31, n <= 3, s <= 8) and rejected ones are
+# negative or above the caps, so no draw starts slow work; `generate --n` has
+# no upper bound, so no huge n is drawn.
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(max_value=31) | st.integers(min_value=MAX_P + 1))
+def test_poincare_integer_p_ends_in_one_json_object(p):
+    code, lines = _main_outcome(["poincare", "--p", str(p)])
+    assert code == (0 if p in _SMALL_PRIMES else 2)
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(max_value=3),
+       st.integers(max_value=8) | st.integers(min_value=MAX_STRATIFY_S + 1),
+       st.sampled_from(KINDS))
+def test_generate_integer_sizes_end_in_one_json_object(n, s, kind):
+    code, lines = _main_outcome(["generate", "--n", str(n), "--s", str(s), "--kind", kind])
+    assert code == (0 if n >= 0 and 1 <= s <= 8 else 2)
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from([("poincare", "--p"), ("generate", "--n"), ("generate", "--s"),
+                        ("generate", "--kind")]),
+       st.text(max_size=8).filter(lambda t: not _parses_as_int(t) and t not in KINDS))
+def test_non_integer_flag_values_end_in_argparse_exit_2(flag, value):
+    assert _main_outcome([*flag, value]) == (2, [])
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "7"), ("--D", "5")])

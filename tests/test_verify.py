@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from commvar import commodel, verify
+from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
+from commvar.rng import SplitMix64
 from commvar.verify import (
     SUITES,
     RunConfig,
+    _block_elements,
     _field_basis,
     _partitions,
     fixed_dim_nullspace_oracle,
@@ -133,3 +136,44 @@ def test_field_basis_matches_the_loop_construction(s, field):
     assert got.shape == want.shape == (s * s if field == "complex" else s * (s + 1) // 2, s, s)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def _block_mask(parts):
+    """Entries inside the diagonal blocks, marked one block at a time."""
+    s = sum(parts)
+    mask = np.zeros((s, s), dtype=bool)
+    off = 0
+    for p in parts:
+        mask[off:off + p, off:off + p] = True
+        off += p
+    return mask
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_block_elements_are_block_unitary_then_one_reflection_per_block(field):
+    dtype = complex if field == "complex" else float
+    for s in range(1, 7):
+        for parts in _partitions(s):
+            g = _block_elements(parts, field, SplitMix64(s))
+            assert g.shape == (2 + len(parts), s, s) and g.dtype == dtype
+            assert np.all(g[:, ~_block_mask(parts)] == 0)
+            assert np.abs(g @ g.conj().swapaxes(1, 2) - np.eye(s)).max() <= 1e-12
+            for k, first in enumerate(np.cumsum((0,) + parts[:-1])):
+                reflection = np.eye(s)
+                reflection[first, first] = -1.0
+                assert np.array_equal(g[2 + k], reflection)
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+@pytest.mark.parametrize("seed", range(5))
+def test_nullspace_oracle_matches_the_formula_one_size_above_the_sweep(field, seed):
+    for s in range(1, 7):
+        for parts in _partitions(s):
+            for n in (1, 2):
+                assert (fixed_dim_nullspace_oracle(parts, n, field, seed)
+                        == fixed_subspace_dim(DecompType(parts), n, field))
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_nullspace_oracle_of_the_empty_partition_is_zero(field):
+    assert fixed_dim_nullspace_oracle((), 1, field) == 0
