@@ -39,6 +39,8 @@ EXIT_STRATUM = 3
 # largest matrix size stratify accepts; an n = 0 tuple carries no matrix
 # data, so nothing else bounds the O(s^2) memory and output of its report
 MAX_STRATIFY_S = 256
+# largest tuple length generate accepts: --n 16 --s 256 prints about 46 MB
+MAX_GENERATE_N = 16
 
 
 def _env_seed() -> int:
@@ -63,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: COMMVAR_SEED or 0)")
         p.add_argument("--output", choices=("json", "text"), default="json")
-        p.add_argument("--tol-struct", type=float, default=None,
-                       help="override the structural tolerance")
-        p.add_argument("--tol-cluster", type=float, default=None,
-                       help="override the eigenvalue clustering tolerance")
 
     gen = sub.add_parser("generate", help="emit a seeded commuting tuple")
     add_common(gen)
@@ -86,6 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=3, help="cap on tuple length")
     ver.add_argument("--s", type=int, default=6, help="cap on matrix size")
     ver.add_argument("--D", type=int, default=2, help="cap on truncation degree")
+    for p in (strat, ver):  # the commands that take a Tolerances record
+        p.add_argument("--tol-struct", type=float, default=None,
+                       help="override the structural tolerance")
+        p.add_argument("--tol-cluster", type=float, default=None,
+                       help="override the eigenvalue clustering tolerance")
 
     poin = sub.add_parser("poincare",
                           help="graded dimension tables of the complete "
@@ -130,8 +133,9 @@ def _error_body(kind: str, message: str, mode: str):
 
 
 def cmd_generate(args) -> int:
-    if args.n < 0 or not 1 <= args.s <= MAX_STRATIFY_S:  # what stratify accepts
-        _error_body("invalid_input", f"need --n >= 0, 1 <= --s <= {MAX_STRATIFY_S}", args.output)
+    if not 0 <= args.n <= MAX_GENERATE_N or not 1 <= args.s <= MAX_STRATIFY_S:  # s as stratify
+        _error_body("invalid_input", f"need 0 <= --n <= {MAX_GENERATE_N}, "
+                    f"1 <= --s <= {MAX_STRATIFY_S}", args.output)
         return EXIT_INVALID_INPUT
     seed = args.seed if args.seed is not None else _env_seed()
     t = gen_random_commuting(seed, args.n, args.s, args.kind)

@@ -28,9 +28,7 @@ from .gammaconf import (
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
-    check_real_symmetric,
-    check_skew_hermitian,
-    check_unitary,
+    check_structure,
     commutator_defect,
     fro,
     joint_diagonalizer,
@@ -41,12 +39,6 @@ from .numkit import (
 from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
 
 KINDS = ("unitary", "skew_hermitian", "real_symmetric")
-
-_CHECKERS = {
-    "unitary": check_unitary,
-    "skew_hermitian": check_skew_hermitian,
-    "real_symmetric": check_real_symmetric,
-}
 
 
 @dataclass
@@ -85,9 +77,8 @@ class CommutingTuple:
         return self.mats.shape[1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
-        check = _CHECKERS[self.kind]
         for m in self.mats:
-            check(m, tol)
+            check_structure(self.kind, m, tol)
         defect = commutator_defect(self.mats)
         if defect > tol.eps_struct:
             raise NotCommuting(f"commutator defect {defect:.3e}")

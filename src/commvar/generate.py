@@ -27,10 +27,12 @@ def _sample_value(rng: SplitMix64, kind: str, margin: float) -> complex:
     return rng.normal()
 
 
-def _sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
-                          margin: float, min_separation: float) -> np.ndarray:
-    """(n, cols) eigenvalue tuples, column c belonging to eigenvector c;
-    columns are resampled until pairwise max-metric separation is met."""
+def sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
+                         margin: float, min_separation: float) -> np.ndarray:
+    """(n, cols) value tuples of `kind`, one column per eigenvector or label
+    (unitary values with arguments in [margin, 2 pi - margin]); each column
+    is redrawn, up to 1000 times, until it lies min_separation from every
+    earlier column in the max metric."""
     vals = np.zeros((n, cols), dtype=complex)
     for c in range(cols):
         for _attempt in range(1000):
@@ -67,7 +69,7 @@ def gen_random_commuting(seed: int, n: int, s: int, kind: str,
     in the max metric.
     """
     rng = SplitMix64(seed)
-    vals = _sample_value_columns(rng, kind, n, s, margin, min_separation)
+    vals = sample_value_columns(rng, kind, n, s, margin, min_separation)
     return _assemble(kind, vals, rng, s)
 
 
@@ -80,7 +82,7 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
     parts = list(parts)
     s = sum(parts)
     rng = SplitMix64(seed)
-    part_vals = _sample_value_columns(rng, kind, n, len(parts), 0.3, separation)
+    part_vals = sample_value_columns(rng, kind, n, len(parts), 0.3, separation)
     t = _assemble(kind, np.repeat(part_vals, parts, axis=1), rng, s)
     if traceless or unit:
         if kind == "unitary":
@@ -124,18 +126,11 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
             dims.append(d)
             budget -= d
     basis = haar_unitary(rng, dim)
-    labels = []
-    offset = 0
-    points: list[np.ndarray] = []
-    for d in dims:
-        frame = basis[:, offset:offset + d]
+    points = sample_value_columns(rng, "unitary", universe.n, len(dims), 0.35, 0.2)
+    labels, offset = [], 0
+    for d, coords in zip(dims, points.T):
+        labels.append(Label(basis[:, offset:offset + d], SpherePoint(coords)))
         offset += d
-        for _attempt in range(1000):
-            coords = np.array([unit_phase(rng, 0.35) for _ in range(universe.n)])
-            if all(np.max(np.abs(coords - p)) >= 0.2 for p in points):
-                break
-        points.append(coords)
-        labels.append(Label(frame, SpherePoint(coords)))
     return canonicalize(Configuration(universe, labels), tol)
 
 
@@ -149,6 +144,6 @@ def gen_exact_rank_tuple(seed: int, n: int, s: int,
     if ambient_dim < s:
         raise ValueError("ambient dimension must be at least the rank")
     rng = SplitMix64(seed)
-    vals = _sample_value_columns(rng, "unitary", n, s, 0.3, 0.2)
+    vals = sample_value_columns(rng, "unitary", n, s, 0.3, 0.2)
     ones = np.ones((n, ambient_dim - s), dtype=complex)
     return _assemble("unitary", np.hstack([vals, ones]), rng, ambient_dim)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .commodel import CommutingTuple, EigenBlock, joint_diagonalize
 from .errors import ShapeMismatch, ZeroTuple
-from .numkit import DEFAULT_TOL, Tolerances, check_unitary, fro, phase_normalize
+from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, phase_normalize
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def flag_map(g: np.ndarray, x: CommutingTuple,
     matched with the same permutation of the diagonals, does not change it.
     """
     g = np.asarray(g, dtype=complex)
-    check_unitary(g, tol)
+    check_structure("unitary", g, tol)
     _check_diagonal_unit(x, tol)
     if g.shape[0] != x.s:
         raise ShapeMismatch("flag frame and coordinates disagree in size")

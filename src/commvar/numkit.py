@@ -98,32 +98,25 @@ def require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
-def _scaled(defect: float, a: np.ndarray, eps: float) -> bool:
-    return defect <= eps * max(1.0, fro(a))
+_STRUCTURES = {
+    "hermitian": (hermitian_defect, NotHermitian, "hermitian"),
+    "unitary": (unitary_defect, NotUnitary, "unitary"),
+    "skew_hermitian": (skew_hermitian_defect, NotSkewHermitian, "skew-hermitian"),
+    "real_symmetric": (real_symmetric_defect, NotSymmetric, "symmetric"),
+}
 
 
-def check_hermitian(a, tol: Tolerances = DEFAULT_TOL):
+def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
+    """Check a square matrix against a tuple kind or "hermitian".
+
+    Raises the kind's InvalidTuple subclass, naming the defect, unless the
+    kind's defect is at most eps_struct max(1, ||a||_F).
+    """
     require_square(a)
-    if not _scaled(hermitian_defect(a), a, tol.eps_struct):
-        raise NotHermitian(f"hermitian defect {hermitian_defect(a):.3e}")
-
-
-def check_unitary(a, tol: Tolerances = DEFAULT_TOL):
-    require_square(a)
-    if not _scaled(unitary_defect(a), a, tol.eps_struct):
-        raise NotUnitary(f"unitary defect {unitary_defect(a):.3e}")
-
-
-def check_skew_hermitian(a, tol: Tolerances = DEFAULT_TOL):
-    require_square(a)
-    if not _scaled(skew_hermitian_defect(a), a, tol.eps_struct):
-        raise NotSkewHermitian(f"skew-hermitian defect {skew_hermitian_defect(a):.3e}")
-
-
-def check_real_symmetric(a, tol: Tolerances = DEFAULT_TOL):
-    require_square(a)
-    if not _scaled(real_symmetric_defect(a), a, tol.eps_struct):
-        raise NotSymmetric(f"symmetric defect {real_symmetric_defect(a):.3e}")
+    defect_of, error, name = _STRUCTURES[kind]
+    defect = defect_of(a)
+    if not defect <= tol.eps_struct * max(1.0, fro(a)):
+        raise error(f"{name} defect {defect:.3e}")
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -299,8 +292,7 @@ def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     Returns (Q, lam) with Q unitary, lam real ascending, and
     ||Q^H H Q - diag(lam)||_F <= 1e-12 ||H||_F.
     """
-    require_square(h)
-    check_hermitian(h, tol)
+    check_structure("hermitian", h, tol)
     hs = 0.5 * (np.asarray(h) + np.asarray(h).conj().T)
     scale = fro(hs)
     c = hs[None].copy()

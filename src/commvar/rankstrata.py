@@ -31,7 +31,7 @@ from .errors import ShapeMismatch, SingularAtOne, WrongStratum
 from .numkit import (
     DEFAULT_TOL,
     Tolerances,
-    check_skew_hermitian,
+    check_structure,
     fro,
     require_square,
 )
@@ -62,11 +62,11 @@ def cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     the transform is equivariant under unitary conjugation.  Raises
     NotSkewHermitian when X fails the check at tol.eps_struct.
     """
-    s = require_square(x)
-    check_skew_hermitian(x, tol)
-    eye = np.eye(s)
+    check_structure("skew_hermitian", x, tol)
+    x = np.asarray(x, dtype=complex)
+    eye = np.eye(len(x))
     # factors commute, so the one-sided solve computes the two-sided product
-    return np.linalg.solve(np.asarray(x, dtype=complex) + eye, np.asarray(x, dtype=complex) - eye)
+    return np.linalg.solve(x + eye, x - eye)
 
 
 def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -9,7 +9,9 @@ real symmetric tuple together with a real isometric frame.
 Every piece is the complex one of `rankstrata` applied to iX, plus a
 realness step: real_cayley(X) = cayley(iX), and the real chart is the
 complex chart with real frames for the F blocks and a realness check on
-each inverse transform.
+each inverse transform.  A block is real when the imaginary part of its
+projection P is at most eps_struct; its real frame is then the top
+eigenvectors of Re P.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ import numpy as np
 
 from .commodel import CommutingTuple, F_blocks, joint_diagonalize
 from .errors import NotRealizable
-from .numkit import (
-    DEFAULT_TOL,
-    Tolerances,
-    check_real_symmetric,
-    fro,
-    orthonormalize,
-)
+from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
 from .rankstrata import (
     SubquotientChart,
     cayley,
@@ -53,7 +49,7 @@ def real_cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     non-singular; conjugation by real orthogonal matrices commutes with the
     transform.  Raises NotSymmetric when X fails the check at tol.eps_struct.
     """
-    check_real_symmetric(x, tol)
+    check_structure("real_symmetric", x, tol)
     return cayley(1j * np.asarray(x, dtype=complex), tol)
 
 
@@ -99,24 +95,6 @@ def reassemble_real_split(split: RealSplit) -> CommutingTuple:
     return CommutingTuple("real_symmetric", reassemble_trace(ix, split.tau).mats.imag)
 
 
-def _real_frame_from_projection(p: np.ndarray, k: int,
-                                tol: Tolerances) -> np.ndarray:
-    """Real orthonormal basis of the column space of a real rank-k
-    projection, by greedy pivoted Gram-Schmidt."""
-    p = np.asarray(p.real, dtype=float)
-    cols: list[np.ndarray] = []
-    residual = p.copy()
-    for _ in range(k):
-        norms = np.linalg.norm(residual, axis=0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol.eps_struct:
-            raise NotRealizable("projection has lower real rank than expected")
-        v = residual[:, j] / norms[j]
-        cols.append(v)
-        residual -= np.outer(v, v @ residual)
-    return orthonormalize(np.column_stack(cols), tol)
-
-
 def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> SubquotientChart:
     """Chart of a commuting tuple of symmetric unitaries.
 
@@ -136,7 +114,9 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
             raise NotRealizable(
                 f"eigenspace is not conjugation-stable (|Im P| = {fro(proj.imag):.3e})"
             )
-        frames.append(_real_frame_from_projection(proj, b.frame.shape[1], tol))
+        # with |Im P| <= eps_struct, Re P is a real rank-k projection to
+        # eps_struct, and its top k eigenvectors are a real frame of the block
+        frames.append(np.linalg.eigh(proj.real)[1][:, -b.frame.shape[1]:])
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
     x = CommutingTuple("real_symmetric", invert_on_frame(t, f, real_cayley_inv, tol))
     split = real_trace_split(x)

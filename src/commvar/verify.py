@@ -60,6 +60,7 @@ from .generate import (
     gen_partition_tuple,
     gen_random_commuting,
     gen_random_config,
+    sample_value_columns,
 )
 from .isodecomp import (
     DecompType,
@@ -591,22 +592,16 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     dim = universe.dim
     basis = haar_orthogonal(rng, dim)
     srank = rng.randint(1, min(dim, 3) + 1)
-    pts: list[SpherePoint] = []
-    labels = []
-    offset = 0
     dims = []
     left = srank
     while left > 0:
         d = rng.randint(1, left + 1)
         dims.append(d)
         left -= d
-    for d in dims:
-        for _ in range(100):
-            p = _random_point(rng, n)
-            if all(float(np.max(np.abs(p.coords - q_.coords))) >= 0.2 for q_ in pts):
-                break
-        pts.append(p)
-        labels.append(Label(basis[:, offset:offset + d].astype(complex), p))
+    pts = sample_value_columns(rng, "unitary", n, len(dims), 0.4, 0.2)
+    labels, offset = [], 0
+    for d, coords in zip(dims, pts.T):
+        labels.append(Label(basis[:, offset:offset + d].astype(complex), SpherePoint(coords)))
         offset += d
     c = canonicalize(Configuration(universe, labels), tol)
     tsym = config_to_commuting(c)

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from commvar import commodel, jsonio
-from commvar.cli import MAX_STRATIFY_S, build_parser, main
+from commvar.cli import MAX_GENERATE_N, MAX_STRATIFY_S, build_parser, main
 from commvar.cohomtab import MAX_P
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.generate import gen_random_commuting
+from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary_defect
+from commvar.verify import MAX_D, MAX_N
 
 
 def run_cli(args, stdin=None):
@@ -248,6 +250,23 @@ def test_stratify_rejects_wrong_structure(kind, mat, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
+_DEFECTS = {"unitary": ("unitary", unitary_defect),
+            "skew_hermitian": ("skew-hermitian", skew_hermitian_defect),
+            "real_symmetric": ("symmetric", real_symmetric_defect)}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stratify_names_the_structure_defect(kind, monkeypatch, capsys):
+    mats = gen_random_commuting(5, 3, 3, kind).mats
+    mats[1] += 0.01 * np.triu(np.ones((3, 3)), 1)  # breaks every kind's structure
+    t = CommutingTuple(kind, mats)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main(["stratify"]) == 2
+    name, defect = _DEFECTS[kind]
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "invalid_input", "message": f"{name} defect {defect(t.mats[1]):.3e}"}
+
+
 def test_stratify_closes_input_file(tmp_path, capsys):
     path = tmp_path / "tuple.json"
     path.write_text(jsonio.dumps(jsonio.tuple_to_json(identity_tuple(1, 2))))
@@ -400,9 +419,9 @@ def _parses_as_int(text):
     return True
 
 
-# Accepted draws stay small (p <= 31, n <= 3, s <= 8) and rejected ones are
-# negative or above the caps, so no draw starts slow work; `generate --n` has
-# no upper bound, so no huge n is drawn.
+# Accepted draws stay small (p <= 31, n <= 3, s <= 8, trials <= 3) and
+# rejected ones are negative or above the caps, so no draw starts slow work;
+# `verify --trials` has no upper bound, so no huge trial count is drawn.
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -415,21 +434,47 @@ def test_poincare_integer_p_ends_in_one_json_object(p):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(max_value=3),
+@given(st.integers(max_value=3) | st.integers(min_value=MAX_GENERATE_N + 1),
        st.integers(max_value=8) | st.integers(min_value=MAX_STRATIFY_S + 1),
        st.sampled_from(KINDS))
 def test_generate_integer_sizes_end_in_one_json_object(n, s, kind):
     code, lines = _main_outcome(["generate", "--n", str(n), "--s", str(s), "--kind", kind])
-    assert code == (0 if n >= 0 and 1 <= s <= 8 else 2)
+    assert code == (0 if 0 <= n <= 3 and 1 <= s <= 8 else 2)
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+# verify --suite cohomology never reads --s, so any positive --s is accepted
+_CAPS = st.integers(max_value=0) | st.integers(1, 8) | st.integers(min_value=10 ** 6)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(max_value=3), _CAPS, _CAPS, _CAPS)
+def test_verify_integer_flags_end_in_one_json_object(trials, n, s, d):
+    code, lines = _main_outcome(["verify", "--suite", "cohomology", "--trials", str(trials),
+                                 "--n", str(n), "--s", str(s), "--D", str(d)])
+    accepted = trials >= 1 and 1 <= n <= MAX_N and s >= 1 and 1 <= d <= MAX_D
+    assert code == (0 if accepted else 2)
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from([("poincare", "--p"), ("generate", "--n"), ("generate", "--s"),
-                        ("generate", "--kind")]),
+                        ("generate", "--kind"), ("verify", "--trials"), ("verify", "--n"),
+                        ("verify", "--s"), ("verify", "--D")]),
        st.text(max_size=8).filter(lambda t: not _parses_as_int(t) and t not in KINDS))
 def test_non_integer_flag_values_end_in_argparse_exit_2(flag, value):
     assert _main_outcome([*flag, value]) == (2, [])
+
+
+@pytest.mark.parametrize("flag", ["--tol-struct", "--tol-cluster"])
+@pytest.mark.parametrize("argv", [["generate"], ["poincare", "--p", "3"]])
+def test_generate_and_poincare_take_no_tolerance_flags(argv, flag):
+    assert _main_outcome([*argv, flag, "1e-7"]) == (2, [])
+
+
+def test_generate_accepts_n_at_the_cap(capsys):
+    assert main(["generate", "--n", str(MAX_GENERATE_N), "--s", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == MAX_GENERATE_N
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "7"), ("--D", "5")])
