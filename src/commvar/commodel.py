@@ -190,15 +190,24 @@ def extend_by_identity(g: np.ndarray, smalls: np.ndarray) -> np.ndarray:
 def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Canonical representative of the equivalence class of a unitary tuple:
     each component restricted to F and extended by the identity."""
-    f = F_subspace(t, tol)
+    return rep_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
+
+
+def rep_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
+                    tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+    """canonical_rep of a unitary tuple from its eigenblocks."""
+    f = F_frame(t, blocks, tol)
     return CommutingTuple("unitary", extend_by_identity(f, f.conj().T @ t.mats @ f), t.ambient)
 
 
 def class_distance(t1: CommutingTuple, t2: CommutingTuple,
                    tol: Tolerances = DEFAULT_TOL) -> float:
     """Distance between equivalence classes via canonical representatives."""
-    a = canonical_rep(t1, tol)
-    b = canonical_rep(t2, tol)
+    return rep_distance(canonical_rep(t1, tol), canonical_rep(t2, tol))
+
+
+def rep_distance(a: CommutingTuple, b: CommutingTuple) -> float:
+    """class_distance of two canonical representatives: their largest component distance."""
     if a.mats.shape != b.mats.shape:
         raise ShapeMismatch("tuples live on different spaces")
     return max((fro(x - y) for x, y in zip(a.mats, b.mats)), default=0.0)
@@ -232,7 +241,12 @@ def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Con
         raise ValueError("tuple needs an ambient universe to become a configuration")
     if t.kind != "unitary":
         raise ValueError("only unitary tuples correspond to configurations")
-    _, blocks = joint_diagonalize(t, tol)
+    return config_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
+
+
+def config_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
+                       tol: Tolerances = DEFAULT_TOL) -> Configuration:
+    """commuting_to_config of a unitary tuple with an ambient universe, from its blocks."""
     labels = [Label(b.frame, SpherePoint(b.values)) for b in F_blocks(blocks, tol)]
     return canonicalize(Configuration(t.ambient, labels), tol)
 

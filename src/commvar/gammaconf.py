@@ -213,8 +213,9 @@ def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
     the basepoint and deletes the label.  Returns one label per target slot:
     the direct sum of the frames sent to it, with the point of the first
     contributing label of positive dimension (slots receiving nothing carry a
-    zero-dimensional basepoint label).  Composition of pushes is associative
-    on the nose, before any canonicalization.
+    zero-dimensional basepoint label).  The sum is orthonormalized unless it
+    is one frame isometric to eps_struct, which is kept.  Composition of
+    pushes is associative on the nose, before any canonicalization.
     """
     alpha = list(alpha)
     if len(alpha) != len(labels):
@@ -228,7 +229,10 @@ def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
         if not srcs:
             slots.append(Label(np.zeros((ambient_dim, 0), dtype=complex), BASEPOINT))
             continue
-        frame = orthonormalize(np.hstack([lab.frame for lab in srcs]), tol)
+        frame = np.hstack([lab.frame for lab in srcs])
+        if len(srcs) > 1 or np.any(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
+                                   > tol.eps_struct):
+            frame = orthonormalize(frame, tol)
         slots.append(Label(frame, srcs[0].point))
     return slots
 

@@ -142,7 +142,12 @@ def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     one); joint diagonalization supplies the frame and the diagonals, and
     canonicalization picks the representative of the preimage class.
     """
-    _, blocks = joint_diagonalize(t, tol)
+    return flag_preimage_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
+
+
+def flag_preimage_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
+                              tol: Tolerances = DEFAULT_TOL):
+    """flag_map_preimage of a unit tuple from its eigenblocks."""
     if any(b.frame.shape[1] != 1 for b in blocks):
         raise ValueError("flag preimage needs a simple joint spectrum")
     g = np.hstack([b.frame for b in blocks])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commodel import CommutingTuple, F_blocks, joint_diagonalize
+from .commodel import CommutingTuple, EigenBlock, F_blocks, joint_diagonalize
 from .errors import NotRealizable
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
 from .rankstrata import (
@@ -106,7 +106,12 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     """
     if t.kind != "unitary":
         raise ValueError("charts are defined for unitary tuples")
-    _, blocks = joint_diagonalize(t, tol)
+    return real_chart_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
+
+
+def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
+                           tol: Tolerances = DEFAULT_TOL) -> SubquotientChart:
+    """real_stratum_chart of a unitary tuple from its eigenblocks."""
     frames = []
     for b in F_blocks(blocks, tol):
         proj = b.frame @ b.frame.conj().T

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .commodel import CommutingTuple, F_subspace, extend_by_identity, identity_tuple
+from .commodel import (
+    CommutingTuple,
+    EigenBlock,
+    F_frame,
+    extend_by_identity,
+    identity_tuple,
+    joint_diagonalize,
+)
 from .gammaconf import (
     Configuration,
     Label,
@@ -97,8 +104,16 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
     """
     if ta.ambient is None or tb.ambient is None:
         raise ValueError("both tuples need ambient universes")
-    fa = F_subspace(ta, tol)
-    fb = F_subspace(tb, tol)
+    return multiply_from_blocks(ta, joint_diagonalize(ta, tol)[1],
+                                tb, joint_diagonalize(tb, tol)[1], degree_bound, tol)
+
+
+def multiply_from_blocks(ta: CommutingTuple, blocks_a: list[EigenBlock], tb: CommutingTuple,
+                         blocks_b: list[EigenBlock], degree_bound: int | None = None,
+                         tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+    """multiply_tuple from the eigenblocks of two tuples with ambient universes."""
+    fa = F_frame(ta, blocks_a, tol)
+    fb = F_frame(tb, blocks_b, tol)
     ra, rb = fa.shape[1], fb.shape[1]
     psi = psi_embed(ta.ambient, tb.ambient, degree_bound)
     g = psi.kron_frame(fa, fb, tol)
@@ -116,6 +131,15 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     with the scalar line of a fresh universe of m variables and the degree
     of t's universe; the new components scale that subspace by the
     coordinates of y."""
+    blocks = [] if t.ambient is None or y.is_basepoint else joint_diagonalize(t, tol)[1]
+    return structure_map_from_blocks(t, blocks, y, m, tol)
+
+
+def structure_map_from_blocks(t: CommutingTuple, blocks: list[EigenBlock], y: SpherePoint,
+                              m: int | None = None,
+                              tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+    """structure_map_tuple from the eigenblocks of t, which are read only
+    when y is not the basepoint."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe")
     if m is None:
@@ -126,7 +150,7 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     psi = psi_embed(t.ambient, right)
     if y.is_basepoint:
         return identity_tuple(t.n + m, psi.target.dim, psi.target)
-    f = F_subspace(t, tol)
+    f = F_frame(t, blocks, tol)
     r = f.shape[1]
     g = psi.kron_frame(f, j0(right), tol)
     smalls = np.concatenate([f.conj().T @ t.mats @ f,

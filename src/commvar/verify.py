@@ -35,9 +35,11 @@ from .commodel import (
     F_frame,
     canonical_rep,
     class_distance,
-    commuting_to_config,
+    config_from_blocks,
     config_to_commuting,
     joint_diagonalize,
+    rep_distance,
+    rep_from_blocks,
     sigma_action_tuple,
 )
 from .errors import CommVarError, NotOddPrime, SingularAtOne
@@ -64,10 +66,11 @@ from .generate import (
 )
 from .isodecomp import (
     DecompType,
+    block_type,
     decomposition_type,
     fixed_subspace_dim,
     flag_map,
-    flag_map_preimage,
+    flag_preimage_from_blocks,
     is_complete_type,
     tuple_norm,
     unit_normalize,
@@ -88,7 +91,6 @@ from .rankstrata import (
     reassemble_trace,
     reconstruct_chart,
     stabilize,
-    subquotient_chart,
     trace_split,
 )
 from .realk import (
@@ -96,7 +98,7 @@ from .realk import (
     joint_diagonalize_real,
     real_cayley,
     real_cayley_inv,
-    real_stratum_chart,
+    real_chart_from_blocks,
     real_trace_split,
     reassemble_real_split,
     reconstruct_real_chart,
@@ -104,9 +106,9 @@ from .realk import (
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, subseed, unit_phase
 from .spectrumops import (
     multiply,
-    multiply_tuple,
+    multiply_from_blocks,
     structure_map,
-    structure_map_tuple,
+    structure_map_from_blocks,
     unit_map,
     unit_map_tuple,
 )
@@ -119,11 +121,12 @@ from .symuniverse import (
 )
 
 
-# largest tuple length and truncation degree a run accepts: the equivariance
-# suite charts all n! permutations, and a universe holds C(n + D, n)
-# monomials
+# largest tuple length, truncation degree and trial count a run accepts: the
+# equivariance suite charts all n! permutations, a universe holds C(n + D, n)
+# monomials, and a trial of all suites takes about 0.06 s
 MAX_N = 6
 MAX_D = 4
+MAX_TRIALS = 1000
 
 
 @dataclass
@@ -138,8 +141,8 @@ class RunConfig:
     D_max: int = 2
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be between 1 and {MAX_TRIALS}")
         if min(self.n_max, self.s_max, self.D_max) < 1:
             raise ValueError("size caps must be at least 1")
         if self.n_max > MAX_N or self.D_max > MAX_D:
@@ -246,10 +249,10 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
               config_distance(canonicalize(c, tol), c), 1e-12)
     rec.expect("rank bound", rank(c) <= universe.dim)
 
+    # tup is diagonalized once, for every check of it below
     tup = config_to_commuting(c)
-    back = commuting_to_config(tup, tol)
-    rec.check("config round trip", config_distance(c, back), 1e-6)
     _, blocks = joint_diagonalize(tup, tol)
+    rec.check("config round trip", config_distance(c, config_from_blocks(tup, blocks, tol)), 1e-6)
     f = F_frame(tup, blocks, tol)
     rec.expect("rank additivity", f.shape[1] == rank(c))
 
@@ -273,8 +276,8 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
         pk = np.zeros((tup.s, tup.s), dtype=complex)
     rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
-    can = canonical_rep(tup, tol)
-    rec.check("canonical_rep idempotent", class_distance(can, tup, tol), 1e-8)
+    can = rep_from_blocks(tup, blocks, tol)
+    rec.check("canonical_rep idempotent", rep_distance(canonical_rep(can, tol), can), 1e-8)
 
     # class constancy: rotating one component on the joint kernel keeps
     # the class, because the other components still pin those directions
@@ -292,8 +295,8 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
         kop = kframe @ rot @ kframe.conj().T + proj
         perturbed[0] = perturbed[0] @ kop
         rec.check("class constancy",
-                  class_distance(CommutingTuple("unitary", perturbed, tup.ambient),
-                                 tup, tol), 1e-8)
+                  rep_distance(canonical_rep(CommutingTuple("unitary", perturbed, tup.ambient),
+                                             tol), can), 1e-8)
 
     # residual invariance under pre-conjugation
     u2 = haar_unitary(rng, tup.s)
@@ -363,7 +366,8 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rec.expect("stratum rank", chart.s == srank)
     rec.check("chart X commuting", commutator_defect(chart.X.mats), 1e-9)
     rec.check("chart reconstruction",
-              class_distance(reconstruct_chart(chart, t_ex.s, tol), t_ex, tol), 1e-8)
+              rep_distance(canonical_rep(reconstruct_chart(chart, t_ex.s, tol), tol),
+                           rep_from_blocks(t_ex, blocks, tol)), 1e-8)
     g = haar_unitary(rng, srank)
     chart2 = chart_from_blocks(t_ex, blocks, tol, frame=chart.f @ g)
     amb = max(
@@ -456,13 +460,14 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     # cross-picture coherence
     ta = config_to_commuting(a)
     tb = config_to_commuting(b)
+    _, blocks_a = joint_diagonalize(ta, tol)
     rec.check("cross-picture multiply",
-              class_distance(config_to_commuting(ab),
-                             multiply_tuple(ta, tb, tol=tol), tol),
+              class_distance(config_to_commuting(ab), multiply_from_blocks(
+                  ta, blocks_a, tb, joint_diagonalize(tb, tol)[1], tol=tol), tol),
               1e-8)
     rec.check("cross-picture structure map",
               class_distance(config_to_commuting(structure_map(a, y, tol=tol)),
-                             structure_map_tuple(ta, y, tol=tol), tol),
+                             structure_map_from_blocks(ta, blocks_a, y, tol=tol), tol),
               1e-8)
     rec.check("cross-picture unit",
               class_distance(config_to_commuting(unit_map(x, ua, tol)),
@@ -526,23 +531,28 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     c = gen_random_config(rng.next_u64(), u, max_labels=2,
                           max_rank=min(u.dim, 4), tol=tol)
     t = config_to_commuting(c)
+
+    @functools.cache
+    def permuted(sg):  # sigma_action_tuple(sg, t) and its blocks, once; t for the identity
+        ts = t if sg == perms_u[0] else sigma_action_tuple(list(sg), t)
+        return ts, joint_diagonalize(ts, tol)[1]
+
     rec.check("model equivariance",
-              class_distance(sigma_action_tuple(sigma, t),
-                             config_to_commuting(sigma_action_config(sigma, c, tol)),
-                             tol),
+              rep_distance(rep_from_blocks(*permuted(tuple(sigma)), tol), canonical_rep(
+                  config_to_commuting(sigma_action_config(sigma, c, tol)), tol)),
               1e-8)
     comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t))
     rec.check("tuple action composition",
-              class_distance(comp_t, sigma_action_tuple(comp, t), tol), 1e-8)
+              rep_distance(canonical_rep(comp_t, tol),
+                           rep_from_blocks(*permuted(tuple(comp)), tol)), 1e-8)
     rec.expect("rank invariance",
                rank(sigma_action_config(sigma, c, tol)) == rank(c))
 
     # chart equivariance for every permutation
-    ch = subquotient_chart(t, tol)
+    ch = chart_from_blocks(*permuted(perms_u[0]), tol)
     if ch.s:
         for sg in perms_u:
-            ts = sigma_action_tuple(list(sg), t)
-            ch_s = subquotient_chart(ts, tol)
+            ch_s = ch if sg == perms_u[0] else chart_from_blocks(*permuted(sg), tol)
             perm_univ = sigma_star(list(sg), u)
             f_moved = apply_perm_to_coords(perm_univ, ch.f)
             g = ch_s.f.conj().T @ f_moved
@@ -607,12 +617,14 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tsym = config_to_commuting(c)
     rec.expect("complexified data is symmetric",
                all(is_symmetric_unitary(m) for m in tsym.mats))
-    chart = real_stratum_chart(tsym, tol)
+    _, blocks = joint_diagonalize(tsym, tol)
+    chart = real_chart_from_blocks(tsym, blocks, tol)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
     rec.check("real chart reconstruction",
-              class_distance(reconstruct_real_chart(chart, dim, tol), tsym, tol), 1e-8)
+              rep_distance(canonical_rep(reconstruct_real_chart(chart, dim, tol), tol),
+                           rep_from_blocks(tsym, blocks, tol)), 1e-8)
 
-    chart_c = subquotient_chart(tsym, tol)
+    chart_c = chart_from_blocks(tsym, blocks, tol)
     if chart.s:
         g = chart_c.f.conj().T @ chart.f.astype(complex)
         err = max(
@@ -767,8 +779,9 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                        np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
     target = flag_map(g, x, tol)
     rec.check("flag image unit", abs(tuple_norm(target) - 1.0), 1e-10)
-    rec.expect("flag type", decomposition_type(target, tol).parts == (1, 1))
-    gc, xc = flag_map_preimage(target, tol)
+    _, blocks = joint_diagonalize(target, tol)
+    rec.expect("flag type", block_type(blocks).parts == (1, 1))
+    gc, xc = flag_preimage_from_blocks(target, blocks, tol)
     rec.check("flag preimage residual",
               max(fro(p_ - q_) for p_, q_ in zip(flag_map(gc, xc, tol).mats, target.mats)),
               1e-8)

@@ -19,7 +19,7 @@ from commvar.cohomtab import MAX_P
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.generate import gen_random_commuting
 from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary_defect
-from commvar.verify import MAX_D, MAX_N
+from commvar.verify import MAX_D, MAX_N, MAX_TRIALS
 
 
 def run_cli(args, stdin=None):
@@ -420,8 +420,8 @@ def _parses_as_int(text):
 
 
 # Accepted draws stay small (p <= 31, n <= 3, s <= 8, trials <= 3) and
-# rejected ones are negative or above the caps, so no draw starts slow work;
-# `verify --trials` has no upper bound, so no huge trial count is drawn.
+# rejected ones are negative or above the caps, so no draw starts slow work:
+# each cap, `verify.MAX_TRIALS` too, is checked before any work starts.
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -448,11 +448,11 @@ _CAPS = st.integers(max_value=0) | st.integers(1, 8) | st.integers(min_value=10 
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(max_value=3), _CAPS, _CAPS, _CAPS)
+@given(st.integers(max_value=3) | st.integers(min_value=MAX_TRIALS + 1), _CAPS, _CAPS, _CAPS)
 def test_verify_integer_flags_end_in_one_json_object(trials, n, s, d):
     code, lines = _main_outcome(["verify", "--suite", "cohomology", "--trials", str(trials),
                                  "--n", str(n), "--s", str(s), "--D", str(d)])
-    accepted = trials >= 1 and 1 <= n <= MAX_N and s >= 1 and 1 <= d <= MAX_D
+    accepted = 1 <= trials <= MAX_TRIALS and 1 <= n <= MAX_N and s >= 1 and 1 <= d <= MAX_D
     assert code == (0 if accepted else 2)
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from commvar.errors import IndexOutOfRange, NotOrthogonal
+from commvar.errors import IndexOutOfRange, NotOrthogonal, RankDeficient
 from commvar.gammaconf import (
     BASEPOINT,
     Configuration,
@@ -28,8 +28,8 @@ from commvar.gammaconf import (
     sphere_coord,
 )
 from commvar.generate import gen_random_config
-from commvar.numkit import DEFAULT_TOL, fro
-from commvar.rng import SplitMix64
+from commvar.numkit import DEFAULT_TOL, fro, orthonormalize
+from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
 
@@ -171,6 +171,43 @@ def test_push_labels_functorial():
     composed = [beta[a - 1] if a else 0 for a in alpha]
     direct = apply_based_map(Configuration(u, labels), composed, 2)
     assert config_distance(two_step, direct) < 1e-13
+
+
+def test_push_labels_keeps_only_a_single_isometric_frame():
+    u = UniverseBasis(2, 2)
+    basis = haar_unitary(SplitMix64(31), u.dim)
+    x, y = SpherePoint([-1.0, 1j]), SpherePoint([1j, -1j])
+    near = basis[:, 3:5] + 1e-12 * basis[:, 5:6]  # isometric to eps_struct
+    labels = [Label(basis[:, :2], x), Label(2.0 * basis[:, 2:3], y), Label(near, x),
+              Label(basis[:, 5:], y), Label(basis[:, :0], x)]
+    slots = push_labels(labels, [1, 2, 3, 4, 4], 5, u.dim)
+    # slots 1, 3 and 4 each receive one isometric frame (the zero-dimensional
+    # label adds nothing to slot 4), which is kept bit for bit
+    for slot, frame in ((slots[0], basis[:, :2]), (slots[2], near), (slots[3], basis[:, 5:])):
+        assert slot.frame.dtype == frame.dtype and slot.frame.tobytes() == frame.tobytes()
+    assert [slots[i].point for i in (0, 2, 3)] == [x, x, y]
+    # a non-isometric single frame is orthonormalized as before
+    assert slots[1].frame.tobytes() == orthonormalize(2.0 * basis[:, 2:3]).tobytes()
+    assert slots[4].frame.shape == (u.dim, 0) and slots[4].point.is_basepoint
+
+    merged = push_labels(labels[:2], [1, 1], 1, u.dim)[0]
+    stacked = np.hstack([basis[:, :2], 2.0 * basis[:, 2:3]])
+    assert merged.frame.tobytes() == orthonormalize(stacked).tobytes() and merged.point is x
+    # two frames that are each isometric are still orthonormalized together
+    pair = push_labels([labels[0], labels[3]], [1, 1], 1, u.dim)[0]
+    stacked = np.hstack([basis[:, :2], basis[:, 5:]])
+    assert pair.frame.tobytes() == orthonormalize(stacked).tobytes()
+
+
+@pytest.mark.parametrize("frames,alpha", [
+    ([np.hstack([np.eye(4)[:, :1], np.eye(4)[:, :1]])], [1]),  # one dependent frame
+    ([np.eye(4)[:, :2], np.eye(4)[:, 1:3]], [1, 1]),  # merged frames that overlap
+    ([np.zeros((4, 1))], [1]),  # a zero vector
+])
+def test_push_labels_raises_rank_deficient_as_before(frames, alpha):
+    labels = [Label(f.astype(complex), SpherePoint([-1.0])) for f in frames]
+    with pytest.raises(RankDeficient):
+        push_labels(labels, alpha, 1, 4)
 
 
 def test_sigma_action_is_group_action():

@@ -88,12 +88,23 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_hermitian_eig_no_convergence_when_sweeps_capped():
+def test_hermitian_eig_no_convergence_when_sweeps_capped(monkeypatch):
+    # from the LAPACK start one sweep already reaches about 6e-16, so the
+    # start is replaced by the identity: one sweep from there falls short
     rng = SplitMix64(19)
     g = rng.complex_normals(8, 8)
     h = 0.5 * (g + g.conj().T)
+    eigh = np.linalg.eigh
+
+    def identity_start(a):  # the start is the one 2-D call; the sweeps' calls are batched
+        return eigh(a) if a.ndim > 2 else (np.zeros(len(a)), np.eye(len(a)))
+
+    monkeypatch.setattr(np.linalg, "eigh", identity_start)
     with pytest.raises(NoConvergence):
         hermitian_eig(h, Tolerances(max_sweeps=1))
+    monkeypatch.undo()
+    q, lam = hermitian_eig(h, Tolerances(max_sweeps=1))
+    assert fro(q.conj().T @ h @ q - np.diag(lam)) <= 1e-12 * fro(h)
 
 
 def test_jacobi_rotation_reaches_optimal_pair_residual():

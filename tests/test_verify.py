@@ -43,6 +43,9 @@ def test_run_config_validation():
         RunConfig(trials=0)
     with pytest.raises(ValueError):
         RunConfig(n_max=0)
+    assert RunConfig(trials=verify.MAX_TRIALS).trials == verify.MAX_TRIALS
+    with pytest.raises(ValueError):
+        RunConfig(trials=verify.MAX_TRIALS + 1)
 
 
 def test_deterministic_summary():
@@ -57,27 +60,48 @@ def test_bad_tolerance_counts_failures():
     assert out["failures"] > 0
 
 
+def _record_diagonalizations(monkeypatch) -> list:
+    """Rebind commodel.joint_diagonalize in every commvar module that holds
+    it; the returned list receives each tuple it is called on."""
+    original = commodel.joint_diagonalize
+    seen = []
+
+    def recorded(t, *args, **kwargs):
+        seen.append(t)
+        return original(t, *args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "commvar" or mod_name.startswith("commvar."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
+    return seen
+
+
 # trial seeds whose trial diagonalizes one tuple 4 times when each check
 # diagonalizes on its own (t_ex in cayley, tu in isotropy)
 @pytest.mark.parametrize("name,seed", [("cayley", 0), ("isotropy", 4)],
                          ids=["cayley", "isotropy"])
 def test_verify_reuses_diagonalizations(name, seed, monkeypatch):
-    original = commodel.joint_diagonalize
-    calls = collections.Counter()
-
-    def counted(t, *args, **kwargs):
-        calls[t.kind, t.mats.shape, t.mats.tobytes()] += 1
-        return original(t, *args, **kwargs)
-
-    # rebind the name in every module that imported it
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "commvar" or mod_name.startswith("commvar."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    seen = _record_diagonalizations(monkeypatch)
     out = run_suite(name, RunConfig(seed=seed, trials=1))
     assert out["failures"] == 0, out["messages"]
+    calls = collections.Counter((t.kind, t.mats.shape, t.mats.tobytes()) for t in seen)
     assert calls and max(calls.values()) <= 2
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_no_tuple_object_is_diagonalized_twice(name, monkeypatch):
+    # the list keeps every tuple alive, so no id is reused within a run
+    seen = _record_diagonalizations(monkeypatch)
+    for seed in range(5):
+        seen.clear()
+        out = run_suite(name, RunConfig(seed=seed, trials=2))
+        assert out["failures"] == 0, out["messages"]
+        counts = collections.Counter(map(id, seen))
+        twice = [(t.kind, t.mats.shape) for t in seen if counts[id(t)] > 1]
+        assert not twice, (seed, twice)
+        assert seen or name == "cohomology"
 
 
 def test_isotropy_sweep_solves_each_system_once(monkeypatch):
