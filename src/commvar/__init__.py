@@ -17,7 +17,6 @@ from .gammaconf import (
     apply_based_map,
     canonicalize,
     config_distance,
-    empty_config,
     rank,
     sigma_action_config,
     smash,

@@ -8,10 +8,12 @@ Subcommands:
   verify     run a named verification suite and report a pass/fail summary
 
 Exit codes: 0 success, 1 suite failure, 2 invalid input, 3 stratum or
-tolerance error; a reader that closes stdout early ends the output quietly
-with the command's own exit code.  The seed falls back to the COMMVAR_SEED
-environment variable, then to 0.  Identical (command, seed, config)
-invocations produce byte-identical JSON output.
+tolerance error.  A command handler raises on bad input and returns only 0
+or 1; `main` alone maps an exception to exit 2 or 3 and prints its
+{"error", "message"} body.  A reader that closes stdout early ends the
+output quietly with the command's own exit code.  The seed falls back to
+the COMMVAR_SEED environment variable, then to 0.  Identical (command,
+seed, config) invocations produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 
 from . import jsonio
 from .commodel import KINDS, joint_diagonalize
-from .errors import CommVarError, InvalidTuple
+from .errors import CommVarError, InvalidTuple, NotOddPrime
 from .generate import gen_random_commuting
 from .isodecomp import block_type
 from .numkit import Tolerances
@@ -128,76 +130,46 @@ def _emit(payload: dict, mode: str):
         _write(*(f"{key}: {value}" for key, value in payload.items()))
 
 
-def _error_body(kind: str, message: str, mode: str):
-    _emit({"error": kind, "message": message}, mode)
-
-
 def cmd_generate(args) -> int:
     if not 0 <= args.n <= MAX_GENERATE_N or not 1 <= args.s <= MAX_STRATIFY_S:  # s as stratify
-        _error_body("invalid_input", f"need 0 <= --n <= {MAX_GENERATE_N}, "
-                    f"1 <= --s <= {MAX_STRATIFY_S}", args.output)
-        return EXIT_INVALID_INPUT
+        raise ValueError(f"need 0 <= --n <= {MAX_GENERATE_N}, 1 <= --s <= {MAX_STRATIFY_S}")
     seed = args.seed if args.seed is not None else _env_seed()
-    t = gen_random_commuting(seed, args.n, args.s, args.kind)
-    _emit(jsonio.tuple_to_json(t), args.output)
+    _emit(jsonio.tuple_to_json(gen_random_commuting(seed, args.n, args.s, args.kind)),
+          args.output)
     return EXIT_OK
 
 
 def cmd_stratify(args) -> int:
-    try:
-        if args.input == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.input) as fh:
-                raw = fh.read()
-        data = json.loads(raw)
-        t = jsonio.tuple_from_json(data)
-        if t.s < 1:
-            raise ValueError("stratify needs matrices of size at least 1")
-        if t.s > MAX_STRATIFY_S:
-            raise ValueError(f"stratify accepts matrices of size at most {MAX_STRATIFY_S}")
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        _error_body("invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
-    try:
-        tol = _tolerances(args)
-    except ValueError as exc:
-        _error_body("invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
-    try:
-        # one diagonalization validates the tuple once and serves the chart
-        # and the decomposition type
-        try:
-            _, blocks = joint_diagonalize(t, tol)
-        except InvalidTuple as exc:
-            _error_body("invalid_input", str(exc), args.output)
-            return EXIT_INVALID_INPUT
-        report = {"rank": None, "chart": None, "split": None,
-                  "decomposition_type": list(block_type(blocks).parts)}
-        if t.kind == "unitary":
-            chart = chart_from_blocks(t, blocks, tol)
-            enc = jsonio.chart_to_json(chart)
-            report.update({"rank": chart.s, "chart": {"X": enc["X"], "f": enc["f"]},
-                           "split": enc["split"]})
-    except CommVarError as exc:
-        _error_body("stratum_error", str(exc), args.output)
-        return EXIT_STRATUM
+    if args.input == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            raw = fh.read()
+    t = jsonio.tuple_from_json(json.loads(raw))
+    if t.s < 1:
+        raise ValueError("stratify needs matrices of size at least 1")
+    if t.s > MAX_STRATIFY_S:
+        raise ValueError(f"stratify accepts matrices of size at most {MAX_STRATIFY_S}")
+    tol = _tolerances(args)
+    # one diagonalization validates the tuple once and serves the chart and
+    # the decomposition type
+    _, blocks = joint_diagonalize(t, tol)
+    report = {"rank": None, "chart": None, "split": None,
+              "decomposition_type": list(block_type(blocks).parts)}
+    if t.kind == "unitary":
+        enc = jsonio.chart_to_json(chart_from_blocks(t, blocks, tol))
+        report.update({"rank": enc["s"], "chart": {"X": enc["X"], "f": enc["f"]},
+                       "split": enc["split"]})
     _emit(report, args.output)
     return EXIT_OK
 
 
 def cmd_poincare(args) -> int:
     from .cohomtab import MAX_P, IntPolynomial, a0_lambda_table
-    from .errors import NotOddPrime
 
     if args.p > MAX_P:  # before the primality test and the product
-        _error_body("invalid_input", f"poincare accepts --p at most {MAX_P}", args.output)
-        return EXIT_INVALID_INPUT
-    try:
-        reduced = a0_lambda_table(args.p)
-    except NotOddPrime as exc:
-        _error_body("invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
+        raise ValueError(f"poincare accepts --p at most {MAX_P}")
+    reduced = a0_lambda_table(args.p)
     poly = IntPolynomial.one() + IntPolynomial(reduced)  # the reduced table plus the unit
     if args.output == "json":
         _write(jsonio.dumps({
@@ -213,16 +185,11 @@ def cmd_poincare(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
-        _error_body("invalid_input", f"unknown suite {args.suite!r}", args.output)
-        return EXIT_INVALID_INPUT
+        raise ValueError(f"unknown suite {args.suite!r}")
     seed = args.seed if args.seed is not None else _env_seed()
-    try:
-        cfg = RunConfig(seed=seed, trials=args.trials, tol=_tolerances(args),
-                        n_max=args.n, s_max=args.s, D_max=args.D)
-    except ValueError as exc:
-        _error_body("invalid_input", str(exc), args.output)
-        return EXIT_INVALID_INPUT
-    summary = run_suite(args.suite, cfg)
+    summary = run_suite(args.suite, RunConfig(seed=seed, trials=args.trials,
+                                              tol=_tolerances(args), n_max=args.n,
+                                              s_max=args.s, D_max=args.D))
     if args.output == "json":
         _write(jsonio.dumps(summary))
     else:
@@ -235,14 +202,21 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Handlers raise on bad input and return only 0 or 1;
+    this is the one map from an exception to an exit code and its
+    {"error", "message"} body."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "stratify": cmd_stratify,
-        "verify": cmd_verify,
-        "poincare": cmd_poincare,
-    }
-    return handlers[args.command](args)
+    handlers = {"generate": cmd_generate, "stratify": cmd_stratify,
+                "verify": cmd_verify, "poincare": cmd_poincare}
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            InvalidTuple, NotOddPrime) as exc:
+        _emit({"error": "invalid_input", "message": str(exc)}, args.output)
+        return EXIT_INVALID_INPUT
+    except CommVarError as exc:
+        _emit({"error": "stratum_error", "message": str(exc)}, args.output)
+        return EXIT_STRATUM
 
 
 def console_main():  # pragma: no cover - thin wrapper

@@ -36,8 +36,8 @@ class IntPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
-        return cls({degree: coeff})
+    def monomial(cls, degree: int) -> "IntPolynomial":
+        return cls({degree: 1})
 
     @property
     def degree(self) -> int:

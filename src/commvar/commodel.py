@@ -101,7 +101,7 @@ def _hermitian_components(t: CommutingTuple) -> np.ndarray:
     if t.kind == "unitary":
         # Hermitian and skew part of each component, interleaved
         h = np.conj(np.swapaxes(t.mats, 1, 2))
-        return np.stack([0.5 * (t.mats + h), (t.mats - h) / 2j], axis=1).reshape(-1, t.s, t.s)
+        return np.stack([0.5 * (t.mats + h), (t.mats - h) / 2j], axis=1).reshape(2 * t.n, t.s, t.s)
     if t.kind == "skew_hermitian":
         return -1j * t.mats
     return t.mats.copy()
@@ -207,7 +207,8 @@ def class_distance(t1: CommutingTuple, t2: CommutingTuple,
 
 
 def rep_distance(a: CommutingTuple, b: CommutingTuple) -> float:
-    """class_distance of two canonical representatives: their largest component distance."""
+    """Largest component distance of two tuples on one space; class_distance
+    of two canonical representatives."""
     if a.mats.shape != b.mats.shape:
         raise ShapeMismatch("tuples live on different spaces")
     return max((fro(x - y) for x, y in zip(a.mats, b.mats)), default=0.0)

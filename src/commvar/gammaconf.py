@@ -104,10 +104,6 @@ class Configuration:
         return len(self.labels)
 
 
-def empty_config(universe: UniverseBasis) -> Configuration:
-    return Configuration(universe, [])
-
-
 def rank(c: Configuration) -> int:
     """Total dimension of the labels (the rank filtration degree)."""
     return sum(lab.frame.shape[1] for lab in c.labels)

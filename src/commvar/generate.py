@@ -74,15 +74,14 @@ def gen_random_commuting(seed: int, n: int, s: int, kind: str,
 
 
 def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
-                        separation: float = 0.5, traceless: bool = False,
-                        unit: bool = False) -> CommutingTuple:
+                        traceless: bool = False, unit: bool = False) -> CommutingTuple:
     """Commuting tuple whose coarsest eigenspace decomposition realizes the
     prescribed part sizes: one shared eigenvalue tuple per part, parts kept
-    apart by `separation` in the max metric."""
+    0.5 apart in the max metric."""
     parts = list(parts)
     s = sum(parts)
     rng = SplitMix64(seed)
-    part_vals = sample_value_columns(rng, kind, n, len(parts), 0.3, separation)
+    part_vals = sample_value_columns(rng, kind, n, len(parts), 0.3, 0.5)
     t = _assemble(kind, np.repeat(part_vals, parts, axis=1), rng, s)
     if traceless or unit:
         if kind == "unitary":

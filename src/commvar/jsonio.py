@@ -58,13 +58,13 @@ def tuple_to_json(t: CommutingTuple) -> dict:
     }
 
 
-def tuple_from_json(d: dict, ambient: UniverseBasis | None = None) -> CommutingTuple:
+def tuple_from_json(d: dict) -> CommutingTuple:
     kind = d["kind"]
     n, s = int(d["n"]), int(d["s"])
     mats = [matrix_from_json(m) for m in d["mats"]]
     if len(mats) != n or s < 0 or any(m.shape != (s, s) for m in mats):
         raise ValueError("tuple shape fields disagree with matrix data")
-    return CommutingTuple(kind, np.reshape(mats, (n, s, s)), ambient)
+    return CommutingTuple(kind, np.reshape(mats, (n, s, s)))
 
 
 def point_to_json(p: SpherePoint):

@@ -5,7 +5,7 @@ commutator defects, and the eigen-machinery used everywhere else.  A family
 of commuting Hermitian matrices is jointly diagonalized by the LAPACK
 eigenvectors of a seeded random real combination of its members (He &
 Kressner, arXiv:2212.07248), refined by joint Jacobi sweeps; a single
-Hermitian matrix is the one-matrix case of that kernel.  A sweep visits the
+Hermitian matrix takes LAPACK eigh alone.  A sweep visits the
 index pairs in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput.
 6(1), 1985) and rotates the disjoint pairs of each round together.  Each
 rotation maximizes the summed squared diagonal separation of its pair, which
@@ -287,24 +287,18 @@ def joint_diagonalizer(hmats, tol: Tolerances, off_target: float,
 
 
 def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-    """Hermitian eigendecomposition by joint_diagonalizer of a one-matrix stack.
+    """Hermitian eigendecomposition by LAPACK eigh, columns phase-normalized.
 
     Returns (Q, lam) with Q unitary, lam real ascending, and
-    ||Q^H H Q - diag(lam)||_F <= 1e-12 ||H||_F.
+    ||Q^H H Q - diag(lam)||_F <= 1e-12 ||H||_F; NoConvergence above that.
     """
     check_structure("hermitian", h, tol)
     hs = 0.5 * (np.asarray(h) + np.asarray(h).conj().T)
-    scale = fro(hs)
-    q = joint_diagonalizer(hs[None], tol, off_target=1e-13 * scale, off_required=1e-12 * scale)
-    c = q.conj().T @ hs @ q
-    resid = off_norm(c)
-    if resid > 1e-12 * max(scale, 1e-300):
-        raise NoConvergence(f"off-diagonal residual {resid:.3e}")
-    lam = np.diagonal(c).real.copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    q = phase_normalize(q[:, order], tol)
-    return q, lam
+    lam, q = np.linalg.eigh(hs)
+    resid = fro(q.conj().T @ hs @ q - np.diag(lam))
+    if resid > 1e-12 * max(fro(hs), 1e-300):
+        raise NoConvergence(f"eigendecomposition residual {resid:.3e}")
+    return phase_normalize(q, tol), lam
 
 
 def commutator_defect(mats) -> float:

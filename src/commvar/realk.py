@@ -136,7 +136,7 @@ def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int,
     return reconstruct_chart(replace(chart, X=ix), ambient_dim, tol)
 
 
-def is_symmetric_unitary(a: np.ndarray, eps: float = 1e-9) -> bool:
-    """Membership test for the symmetric unitaries."""
+def is_symmetric_unitary(a: np.ndarray) -> bool:
+    """Membership test for the symmetric unitaries, at 1e-9 relative."""
     a = np.asarray(a)
-    return fro(a - a.T) <= eps * max(1.0, fro(a))
+    return fro(a - a.T) <= 1e-9 * max(1.0, fro(a))

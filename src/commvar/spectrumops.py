@@ -94,7 +94,6 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
 
 
 def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
-                   degree_bound: int | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Tuple picture of the multiplication.
 
@@ -105,17 +104,17 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
     if ta.ambient is None or tb.ambient is None:
         raise ValueError("both tuples need ambient universes")
     return multiply_from_blocks(ta, joint_diagonalize(ta, tol)[1],
-                                tb, joint_diagonalize(tb, tol)[1], degree_bound, tol)
+                                tb, joint_diagonalize(tb, tol)[1], tol)
 
 
 def multiply_from_blocks(ta: CommutingTuple, blocks_a: list[EigenBlock], tb: CommutingTuple,
-                         blocks_b: list[EigenBlock], degree_bound: int | None = None,
+                         blocks_b: list[EigenBlock],
                          tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """multiply_tuple from the eigenblocks of two tuples with ambient universes."""
     fa = F_frame(ta, blocks_a, tol)
     fb = F_frame(tb, blocks_b, tol)
     ra, rb = fa.shape[1], fb.shape[1]
-    psi = psi_embed(ta.ambient, tb.ambient, degree_bound)
+    psi = psi_embed(ta.ambient, tb.ambient)
     g = psi.kron_frame(fa, fb, tol)
     # stacked kron with a (1, r, r) identity acts slice by slice
     smalls = np.concatenate([

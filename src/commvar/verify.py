@@ -379,9 +379,7 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     bar, tau = trace_split(xt)
     rec.check("trace split traceless",
               max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
-    rec.check("trace split reassembly",
-              max((fro(a - b) for a, b in zip(reassemble_trace(bar, tau).mats, xt.mats)),
-                  default=0.0), 1e-12)
+    rec.check("trace split reassembly", rep_distance(reassemble_trace(bar, tau), xt), 1e-12)
 
     yt = gen_random_commuting(rng.next_u64(), rng.randint(1, 3), rng.randint(1, 4),
                               "skew_hermitian")
@@ -400,8 +398,8 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 # ---------------------------------------------------------------- spectrum
 
 
-def _random_point(rng: SplitMix64, n: int, margin: float = 0.4) -> SpherePoint:
-    return SpherePoint([unit_phase(rng, margin) for _ in range(n)])
+def _random_point(rng: SplitMix64, n: int) -> SpherePoint:
+    return SpherePoint([unit_phase(rng, 0.4) for _ in range(n)])
 
 
 @_trial_suite("spectrum")
@@ -592,10 +590,7 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     split = real_trace_split(t)
     rec.check("real split traceless",
               max((abs(np.trace(m)) for m in split.traceless.mats), default=0.0), 1e-12)
-    rec.check("real split reassembly",
-              max((fro(a_ - b_) for a_, b_ in
-                   zip(reassemble_real_split(split).mats, t.mats)), default=0.0),
-              1e-12)
+    rec.check("real split reassembly", rep_distance(reassemble_real_split(split), t), 1e-12)
 
     # real configuration data -> symmetric unitaries -> real chart
     universe = UniverseBasis(n, 1)
@@ -782,9 +777,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     _, blocks = joint_diagonalize(target, tol)
     rec.expect("flag type", block_type(blocks).parts == (1, 1))
     gc, xc = flag_preimage_from_blocks(target, blocks, tol)
-    rec.check("flag preimage residual",
-              max(fro(p_ - q_) for p_, q_ in zip(flag_map(gc, xc, tol).mats, target.mats)),
-              1e-8)
+    rec.check("flag preimage residual", rep_distance(flag_map(gc, xc, tol), target), 1e-8)
     # the swapped preimage canonicalizes to the same class
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g2, x2 = isodecomp.canonical_flag_class(
@@ -793,9 +786,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                        np.array([swap @ m @ swap for m in x.mats])),
         tol)
     g1, x1 = isodecomp.canonical_flag_class(g, x, tol)
-    rec.check("flag class uniqueness",
-              fro(g1 - g2) + max(fro(p_ - q_) for p_, q_ in zip(x1.mats, x2.mats)),
-              1e-8)
+    rec.check("flag class uniqueness", fro(g1 - g2) + rep_distance(x1, x2), 1e-8)
 
 
 # -------------------------------------------------------------- cohomology

@@ -17,6 +17,7 @@ from commvar import commodel, jsonio
 from commvar.cli import MAX_GENERATE_N, MAX_STRATIFY_S, build_parser, main
 from commvar.cohomtab import MAX_P
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple
+from commvar.errors import InvalidTuple, NoConvergence, NotOddPrime
 from commvar.generate import gen_random_commuting
 from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary_defect
 from commvar.verify import MAX_D, MAX_N, MAX_TRIALS
@@ -501,3 +502,32 @@ def test_generate_into_a_closed_pipe_ends_quietly():
     assert proc.wait(timeout=60) == 0
     assert head.startswith(b"{")
     assert err == b""
+
+
+_LADDER_ARGV = {
+    "generate": (["generate"], "commvar.cli.gen_random_commuting"),
+    "stratify": (["stratify"], "commvar.cli.joint_diagonalize"),
+    "verify": (["verify", "--suite", "cohomology", "--trials", "1"], "commvar.cli.run_suite"),
+    "poincare": (["poincare", "--p", "3"], "commvar.cohomtab.a0_lambda_table"),
+}
+
+
+@pytest.mark.parametrize("error,code,kind", [
+    (ValueError("bad value"), 2, "invalid_input"),
+    (InvalidTuple("bad tuple"), 2, "invalid_input"),
+    (NotOddPrime("bad prime"), 2, "invalid_input"),
+    (NoConvergence("no convergence"), 3, "stratum_error"),
+], ids=["ValueError", "InvalidTuple", "NotOddPrime", "NoConvergence"])
+@pytest.mark.parametrize("command", sorted(_LADDER_ARGV))
+def test_main_maps_each_raised_error_to_its_exit_code(command, error, code, kind,
+                                                      monkeypatch, capsys):
+    argv, target = _LADDER_ARGV[command]
+    monkeypatch.setattr(target, mock.Mock(side_effect=error))
+    payload = jsonio.dumps(jsonio.tuple_to_json(identity_tuple(1, 2)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": kind, "message": str(error)}
+    assert "Traceback" not in captured.err

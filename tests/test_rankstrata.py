@@ -19,6 +19,7 @@ from commvar.rankstrata import (
     subquotient_chart,
     trace_split,
 )
+from commvar.realk import real_stratum_chart
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
@@ -221,3 +222,14 @@ def test_trace_split_of_zero_size_tuple():
     assert bar.mats.shape == (2, 0, 0)
     assert tau.tolist() == [0.0, 0.0]
     assert reassemble_trace(bar, tau).mats.shape == (2, 0, 0)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_zero_size_tuples_have_rank_zero(kind, n):
+    t = CommutingTuple(kind, np.zeros((n, 0, 0)))
+    assert stratum_rank(t) == 0
+    assert F_subspace(t).shape == (0, 0)
+    if kind == "unitary":
+        assert subquotient_chart(t).s == 0
+        assert real_stratum_chart(t).s == 0
