@@ -41,7 +41,10 @@ class DecompType:
 
 def block_type(blocks: list[EigenBlock]) -> DecompType:
     """Partition of the size by the dimensions of the eigenblocks that
-    joint_diagonalize returned."""
+    joint_diagonalize returned.  An s = 0 tuple has no blocks and raises
+    ShapeMismatch."""
+    if not blocks:
+        raise ShapeMismatch("an s = 0 tuple has no decomposition type")
     return DecompType(tuple(b.frame.shape[1] for b in blocks))
 
 

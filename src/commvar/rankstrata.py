@@ -7,10 +7,12 @@ unitary tuple onto its distinguished subspace F and pulling back along the
 transform yields the chart (X, f) of the open stratum of exact rank s: X a
 commuting skew-Hermitian tuple of size s, f an isometric frame spanning F.
 
-The chart is built from the eigenblocks of one joint diagonalization
-(`chart_from_blocks`).  The real chart of `realk` is this chart plus a
-realness step: it reuses the restriction to F, the guarded inverse solve,
-the trace split and the reconstruction.
+The chart is read off the joint spectrum of one joint diagonalization
+(`chart_from_blocks`): the columns of the F frame are joint eigenvectors, so
+X is diagonal in that frame, the inverse transform of the Rayleigh quotients.
+For a tuple that commutes only to working tolerance this is the chart of its
+clustered tuple: the off-diagonal joint residual is dropped.  The real chart
+of `realk` is this chart in a real frame of F, plus a realness check.
 """
 
 from __future__ import annotations
@@ -100,38 +102,29 @@ def stratum_rank(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     return F_subspace(t, tol).shape[1]
 
 
-def invert_on_frame(t: CommutingTuple, f: np.ndarray, inverse,
-                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Stack of inverse(f^H A f, tol) over the components A of t.
-
-    A component singular at 1 on the span of f means that clustering and
-    the chart disagree at working tolerance: WrongStratum.
-    """
-    try:
-        xs = [inverse(f.conj().T @ a @ f, tol) for a in t.mats]
-    except SingularAtOne as exc:
-        raise WrongStratum(
-            "a component is singular at 1 on F; tolerance breach between "
-            "clustering and the chart"
-        ) from exc
-    return np.array(xs).reshape(t.n, f.shape[1], f.shape[1])
-
-
 def chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
                       tol: Tolerances = DEFAULT_TOL,
                       frame: np.ndarray | None = None) -> SubquotientChart:
     """subquotient_chart of a unitary tuple from the eigenblocks that
-    joint_diagonalize returned for it."""
+    joint_diagonalize returned for it: X_i = diag(i Im((1 + v)/(1 - v))) for
+    the Rayleigh quotients v = diag(f^H A_i f) of the F frame's columns; a
+    supplied frame gets W^H X_i W with W = f^H frame."""
     f = F_frame(t, blocks, tol)
     s = f.shape[1]
+    v = np.sum(f.conj() * (t.mats @ f), axis=1)
+    if np.any(np.abs(v - 1) <= tol.eps_struct):
+        raise WrongStratum("a component is singular at 1 on F; tolerance breach "
+                           "between clustering and the chart")
+    x = 1j * ((1 + v) / (1 - v)).imag[:, :, None] * np.eye(s)
     if frame is not None:
         frame = np.asarray(frame, dtype=complex)
         if frame.shape != (t.s, s):
             raise ShapeMismatch(f"frame must be {(t.s, s)}, got {frame.shape}")
         if fro(frame @ frame.conj().T - f @ f.conj().T) > 1e-8:
             raise WrongStratum("supplied frame does not span F")
-        f = frame
-    x = CommutingTuple("skew_hermitian", invert_on_frame(t, f, cayley_inv, tol))
+        w = f.conj().T @ frame
+        x, f = w.conj().T @ x @ w, frame
+    x = CommutingTuple("skew_hermitian", x)
     traceless, tau = trace_split(x)
     return SubquotientChart(s, x, f, traceless, tau)
 

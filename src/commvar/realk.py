@@ -7,11 +7,10 @@ joint eigenspaces are complexified real subspaces charts down to a commuting
 real symmetric tuple together with a real isometric frame.
 
 Every piece is the complex one of `rankstrata` applied to iX, plus a
-realness step: real_cayley(X) = cayley(iX), and the real chart is the
-complex chart with real frames for the F blocks and a realness check on
-each inverse transform.  A block is real when the imaginary part of its
-projection P is at most eps_struct; its real frame is then the top
-eigenvectors of Re P.
+realness step: real_cayley(X) = cayley(iX), and the real chart is -i times
+the complex chart in a real frame of F, checked to be real as a whole stack.
+A block is real when the imaginary part of its projection P is at most
+eps_struct; its real frame is then the top eigenvectors of Re P.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .rankstrata import (
     SubquotientChart,
     cayley,
     cayley_solve,
-    invert_on_frame,
+    chart_from_blocks,
     reassemble_trace,
     reconstruct_chart,
     trace_split,
@@ -99,9 +98,9 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     """Chart of a commuting tuple of symmetric unitaries.
 
     Each joint eigenblock must be the complexification of a real subspace
-    (NotRealizable otherwise); the concatenated real frames span F, and the
-    inverse real Cayley transform of the restricted components gives a
-    commuting real symmetric tuple.  The frame is determined up to O(s).
+    (NotRealizable otherwise); the concatenated real frames span F, and -i
+    times the complex chart in that frame must be real (NotRealizable
+    otherwise).  The frame is determined up to O(s).
     The F blocks and their order are those of the complex chart.
     """
     if t.kind != "unitary":
@@ -123,7 +122,10 @@ def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
         # eps_struct, and its top k eigenvectors are a real frame of the block
         frames.append(np.linalg.eigh(proj.real)[1][:, -b.frame.shape[1]:])
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
-    x = CommutingTuple("real_symmetric", invert_on_frame(t, f, real_cayley_inv, tol))
+    z = -1j * chart_from_blocks(t, blocks, tol, frame=f).X.mats
+    if fro(z.imag) > 1e-8 * max(1.0, fro(z)):
+        raise NotRealizable(f"inverse transform is not real (|Im| = {fro(z.imag):.3e})")
+    x = CommutingTuple("real_symmetric", z.real)
     split = real_trace_split(x)
     return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 

@@ -19,6 +19,9 @@ from commvar.numkit import fro
 from commvar.rankstrata import stabilize
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.verify import fixed_dim_nullspace_oracle
+from commvar.commodel import joint_diagonalize
+from commvar.errors import ShapeMismatch
+from commvar.isodecomp import block_type
 
 
 def test_decomp_type_normalizes():
@@ -177,3 +180,15 @@ def test_canonical_flag_class_of_empty_tuple():
     assert x_can.mats.shape == (0, 3, 3)
     # no coordinates to sort by: the column order stays, only phases change
     assert np.allclose(np.abs(g_can), np.abs(g), atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
+@pytest.mark.parametrize("n", [0, 2])
+def test_zero_size_tuples_have_no_decomposition_type(kind, n):
+    # the empty partition is not a DecompType, so s = 0 is a documented
+    # ShapeMismatch rather than DecompType's ValueError
+    t = CommutingTuple(kind, np.zeros((n, 0, 0)))
+    with pytest.raises(ShapeMismatch, match="an s = 0 tuple has no decomposition type"):
+        decomposition_type(t)
+    with pytest.raises(ShapeMismatch):
+        block_type(joint_diagonalize(t)[1])

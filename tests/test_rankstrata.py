@@ -22,6 +22,7 @@ from commvar.rankstrata import (
 from commvar.realk import real_stratum_chart
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
+from commvar.generate import gen_partition_tuple
 
 
 def test_cayley_zero_and_scalar():
@@ -233,3 +234,47 @@ def test_zero_size_tuples_have_rank_zero(kind, n):
     if kind == "unitary":
         assert subquotient_chart(t).s == 0
         assert real_stratum_chart(t).s == 0
+
+
+def _cayley_partition_tuple():
+    x = gen_partition_tuple(2, 2, (3, 2, 1))
+    return CommutingTuple("unitary", np.array([cayley(m) for m in x.mats]))
+
+
+CHART_TUPLES = {
+    "simple": lambda: gen_random_commuting(3, 2, 6, "unitary"),
+    "exact-rank": lambda: gen_exact_rank_tuple(5, 2, 4, 7),
+    "partition": _cayley_partition_tuple,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_TUPLES))
+def test_default_frame_chart_is_exactly_diagonal(name):
+    # the F frame's columns are joint eigenvectors, so X and its traceless
+    # part carry no off-diagonal roundoff
+    chart = subquotient_chart(CHART_TUPLES[name]())
+    assert chart.s >= 4
+    for mats in (chart.X.mats, chart.traceless.mats):
+        off = mats * (1 - np.eye(chart.s))
+        assert np.all(off == 0)
+
+
+def test_charts_raise_wrong_stratum_for_a_value_near_one():
+    # 1e-7 is outside eps_base, so the value is in F, but within eps_struct
+    # of 1, where the inverse transform is guarded
+    tol = Tolerances(eps_struct=1e-6, eps_cluster=1e-6, eps_base=1e-9)
+    t = CommutingTuple("unitary", np.array([np.diag([np.exp(1e-7j), -1.0])]))
+    with pytest.raises(WrongStratum):
+        subquotient_chart(t, tol)
+    with pytest.raises(WrongStratum):
+        real_stratum_chart(t, tol)
+
+
+@pytest.mark.parametrize("name", sorted(CHART_TUPLES))
+def test_supplied_frame_chart_reconstructs_the_class(name):
+    t = CHART_TUPLES[name]()
+    f = subquotient_chart(t).f
+    g = haar_unitary(SplitMix64(77), f.shape[1])
+    chart = subquotient_chart(t, frame=f @ g)
+    assert np.array_equal(chart.f, f @ g)
+    assert class_distance(reconstruct_chart(chart, t.s), t) <= 1e-8
