@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 suite failure, 2 invalid input, 3 stratum or
 tolerance error.  A command handler raises on bad input and returns only 0
 or 1; `main` alone maps an exception to exit 2 or 3 and prints its
 {"error", "message"} body.  A reader that closes stdout early ends the
-output quietly with the command's own exit code.  The seed falls back to
-the COMMVAR_SEED environment variable, then to 0.  Identical (command,
-seed, config) invocations produce byte-identical JSON output.
+output quietly with the command's own exit code.  The seed of generate and
+verify falls back to the COMMVAR_SEED environment variable, then to 0.
+Identical (command, seed, config) invocations give byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ EXIT_STRATUM = 3
 MAX_STRATIFY_S = 256
 # largest tuple length generate accepts: --n 16 --s 256 prints about 46 MB
 MAX_GENERATE_N = 16
-
-
-def _env_seed() -> int:
-    raw = os.environ.get("COMMVAR_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 @functools.cache
@@ -109,6 +101,16 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**kw)
 
 
+def _seed(args) -> int:
+    """--seed, else the COMMVAR_SEED environment variable (unset or empty
+    reads 0); a COMMVAR_SEED that is not an integer is invalid input."""
+    raw = os.environ.get("COMMVAR_SEED") or "0"
+    try:
+        return args.seed if args.seed is not None else int(raw)
+    except ValueError:
+        raise ValueError(f"COMMVAR_SEED must be an integer, got {raw!r}") from None
+
+
 def _write(*lines: str):
     """Print lines to stdout, the one writer of command output.  On a closed
     pipe, stdout moves to the null device, so neither a later write nor the
@@ -133,8 +135,7 @@ def _emit(payload: dict, mode: str):
 def cmd_generate(args) -> int:
     if not 0 <= args.n <= MAX_GENERATE_N or not 1 <= args.s <= MAX_STRATIFY_S:  # s as stratify
         raise ValueError(f"need 0 <= --n <= {MAX_GENERATE_N}, 1 <= --s <= {MAX_STRATIFY_S}")
-    seed = args.seed if args.seed is not None else _env_seed()
-    _emit(jsonio.tuple_to_json(gen_random_commuting(seed, args.n, args.s, args.kind)),
+    _emit(jsonio.tuple_to_json(gen_random_commuting(_seed(args), args.n, args.s, args.kind)),
           args.output)
     return EXIT_OK
 
@@ -186,8 +187,7 @@ def cmd_poincare(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}")
-    seed = args.seed if args.seed is not None else _env_seed()
-    summary = run_suite(args.suite, RunConfig(seed=seed, trials=args.trials,
+    summary = run_suite(args.suite, RunConfig(seed=_seed(args), trials=args.trials,
                                               tol=_tolerances(args), n_max=args.n,
                                               s_max=args.s, D_max=args.D))
     if args.output == "json":

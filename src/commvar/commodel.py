@@ -123,20 +123,15 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     joint residual above its bound raises NoConvergence.
     """
     t.validate(tol)
-    real = t.kind == "real_symmetric"
     comps = _hermitian_components(t)
     scale = max((fro(a) for a in t.mats), default=0.0)
     q = joint_diagonalizer(comps, tol, off_target=1e-12 * scale,
                            off_required=1e-8 * scale)
-    if real:
-        q = q.real
     diag = q.conj().T @ t.mats @ q
     resid = stack_off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
         raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
     vals = np.diagonal(diag, axis1=1, axis2=2)
-    if real:
-        vals = vals.real
     # single linkage in the max metric; with no components every column agrees
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster

@@ -13,7 +13,7 @@ import numpy as np
 
 from .commodel import CommutingTuple
 from .gammaconf import Configuration, Label, SpherePoint, canonicalize
-from .isodecomp import tuple_norm
+from .isodecomp import unit_normalize
 from .numkit import DEFAULT_TOL, Tolerances
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, unit_phase
 from .symuniverse import UniverseBasis
@@ -77,7 +77,8 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
                         traceless: bool = False, unit: bool = False) -> CommutingTuple:
     """Commuting tuple whose coarsest eigenspace decomposition realizes the
     prescribed part sizes: one shared eigenvalue tuple per part, parts kept
-    0.5 apart in the max metric."""
+    0.5 apart in the max metric.  `unit` scales by `unit_normalize`, so a
+    single part (traceless part 0 up to roundoff) raises ZeroTuple."""
     parts = list(parts)
     s = sum(parts)
     rng = SplitMix64(seed)
@@ -88,12 +89,16 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
             raise ValueError("traceless projection needs a Lie-algebra kind")
         tr = np.trace(t.mats, axis1=1, axis2=2) / s
         t = CommutingTuple(kind, t.mats - tr[:, None, None] * np.eye(s))
-    if unit:
-        norm = tuple_norm(t)
-        if norm == 0.0:
-            raise ValueError("partition with a single part gives the zero tuple")
-        t = CommutingTuple(kind, t.mats / norm)
-    return t
+    return unit_normalize(t) if unit else t
+
+
+def config_on_basis(universe: UniverseBasis, basis: np.ndarray, dims, points: np.ndarray,
+                    tol: Tolerances = DEFAULT_TOL) -> Configuration:
+    """Canonical configuration whose labels are consecutive column slices of
+    `basis`, of dimensions `dims`, at the columns of `points`."""
+    frames = np.split(np.asarray(basis, complex), np.cumsum(dims), axis=1)[:-1]
+    return canonicalize(Configuration(universe, [
+        Label(f, SpherePoint(coords)) for f, coords in zip(frames, points.T)]), tol)
 
 
 def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
@@ -126,11 +131,7 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
             budget -= d
     basis = haar_unitary(rng, dim)
     points = sample_value_columns(rng, "unitary", universe.n, len(dims), 0.35, 0.2)
-    labels, offset = [], 0
-    for d, coords in zip(dims, points.T):
-        labels.append(Label(basis[:, offset:offset + d], SpherePoint(coords)))
-        offset += d
-    return canonicalize(Configuration(universe, labels), tol)
+    return config_on_basis(universe, basis, dims, points, tol)
 
 
 def gen_exact_rank_tuple(seed: int, n: int, s: int,

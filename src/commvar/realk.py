@@ -41,6 +41,13 @@ class RealSplit:
     tau: np.ndarray
 
 
+def _real_part(z: np.ndarray) -> np.ndarray:
+    """Re z; NotRealizable when |Im z|_F > 1e-8 max(1, |z|_F), over all of z."""
+    if fro(z.imag) > 1e-8 * max(1.0, fro(z)):
+        raise NotRealizable(f"inverse transform is not real (|Im| = {fro(z.imag):.3e})")
+    return z.real
+
+
 def real_cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Cayley transform of i times a real symmetric matrix.
 
@@ -57,10 +64,7 @@ def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A - Id non-singular; output is real symmetric."""
     # the realness check reads the raw solve: symmetrizing first would hide
     # a complex symmetric result
-    z = -1j * cayley_solve(a, tol)
-    if fro(z.imag) > 1e-8 * max(1.0, fro(z)):
-        raise NotRealizable(f"inverse transform is not real (|Im| = {fro(z.imag):.3e})")
-    x = z.real
+    x = _real_part(-1j * cayley_solve(a, tol))
     return 0.5 * (x + x.T)
 
 
@@ -122,10 +126,8 @@ def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
         # eps_struct, and its top k eigenvectors are a real frame of the block
         frames.append(np.linalg.eigh(proj.real)[1][:, -b.frame.shape[1]:])
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
-    z = -1j * chart_from_blocks(t, blocks, tol, frame=f).X.mats
-    if fro(z.imag) > 1e-8 * max(1.0, fro(z)):
-        raise NotRealizable(f"inverse transform is not real (|Im| = {fro(z.imag):.3e})")
-    x = CommutingTuple("real_symmetric", z.real)
+    x = CommutingTuple("real_symmetric",
+                       _real_part(-1j * chart_from_blocks(t, blocks, tol, frame=f).X.mats))
     split = real_trace_split(x)
     return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 

@@ -10,6 +10,9 @@ reproducible across platforms and implementations:
     output <- z XOR (z >> 31)
 
 Uniform doubles take the top 53 output bits; Gaussians use Box-Muller.
+Haar unitary and orthogonal matrices, and the isotropy oracle's block
+elements, all come from one phase-fixed QR of a Gaussian draw
+(`phase_fixed_q`).
 """
 
 from __future__ import annotations
@@ -78,26 +81,24 @@ def subseed(seed: int, index: int) -> int:
     return mixer.next_u64()
 
 
-def haar_unitary(rng: SplitMix64, s: int) -> np.ndarray:
-    """Haar-distributed s x s unitary via QR of a complex Gaussian matrix.
-
-    The R-diagonal phase fix makes the distribution exactly Haar and the
-    output deterministic in the stream state.
-    """
-    z = rng.complex_normals(s, s)
+def phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """Q of the QR of a matrix or a stack, each column scaled so that diag R
+    is real positive (a zero entry counts as 1): on a Gaussian draw, this
+    R-diagonal phase fix makes Q exactly Haar (sign(d) on real input)."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) == 0] = 1.0
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng: SplitMix64, s: int) -> np.ndarray:
+    """Haar-distributed s x s unitary: phase-fixed QR of a complex Gaussian."""
+    return phase_fixed_q(rng.complex_normals(s, s))
 
 
 def haar_orthogonal(rng: SplitMix64, s: int) -> np.ndarray:
     """Haar-distributed s x s real orthogonal matrix."""
-    z = rng.normals(s, s)
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diagonal(r)).copy()
-    d[d == 0] = 1.0
-    return q * d
+    return phase_fixed_q(rng.normals(s, s))
 
 
 def unit_phase(rng: SplitMix64, margin: float = 0.0) -> complex:

@@ -37,6 +37,7 @@ from .commodel import (
     class_distance,
     config_from_blocks,
     config_to_commuting,
+    extend_by_identity,
     joint_diagonalize,
     rep_distance,
     rep_from_blocks,
@@ -58,6 +59,7 @@ from .gammaconf import (
     sphere_coord,
 )
 from .generate import (
+    config_on_basis,
     gen_exact_rank_tuple,
     gen_partition_tuple,
     gen_random_commuting,
@@ -103,7 +105,7 @@ from .realk import (
     reassemble_real_split,
     reconstruct_real_chart,
 )
-from .rng import SplitMix64, haar_orthogonal, haar_unitary, subseed, unit_phase
+from .rng import SplitMix64, haar_orthogonal, haar_unitary, phase_fixed_q, subseed, unit_phase
 from .spectrumops import (
     multiply,
     multiply_from_blocks,
@@ -266,17 +268,11 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     # the class, because the other components still pin those directions
     # (config-model tuples act as the identity off their labels); needs
     # n >= 2, since for n = 1 the kernel itself would change
-    comp_dim = tup.s - f.shape[1]
-    if comp_dim > 0 and tup.n >= 2:
-        proj = f @ f.conj().T
-        comp = np.eye(tup.s) - proj
+    if tup.s > f.shape[1] and tup.n >= 2:
         phase = unit_phase(rng, 0.3)
+        k0 = np.linalg.svd(np.eye(tup.s) - f @ f.conj().T)[0][:, :1]  # a complement column
         perturbed = tup.mats.copy()
-        u_, sv, _ = np.linalg.svd(comp)
-        kframe = u_[:, : comp_dim]
-        rot = np.diag([phase] + [1.0] * (comp_dim - 1)).astype(complex)
-        kop = kframe @ rot @ kframe.conj().T + proj
-        perturbed[0] = perturbed[0] @ kop
+        perturbed[0] = perturbed[0] @ extend_by_identity(k0, np.array([[phase]]))
         rec.check("class constancy",
                   rep_distance(canonical_rep(CommutingTuple("unitary", perturbed, tup.ambient),
                                              tol), can), 1e-8)
@@ -573,19 +569,12 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     universe = UniverseBasis(n, 1)
     dim = universe.dim
     basis = haar_orthogonal(rng, dim)
-    srank = rng.randint(1, min(dim, 3) + 1)
-    dims = []
-    left = srank
+    dims, left = [], rng.randint(1, min(dim, 3) + 1)
     while left > 0:
-        d = rng.randint(1, left + 1)
-        dims.append(d)
-        left -= d
+        dims.append(rng.randint(1, left + 1))
+        left -= dims[-1]
     pts = sample_value_columns(rng, "unitary", n, len(dims), 0.4, 0.2)
-    labels, offset = [], 0
-    for d, coords in zip(dims, pts.T):
-        labels.append(Label(basis[:, offset:offset + d].astype(complex), SpherePoint(coords)))
-        offset += d
-    c = canonicalize(Configuration(universe, labels), tol)
+    c = config_on_basis(universe, basis, dims, pts, tol)
     tsym = config_to_commuting(c)
     rec.expect("complexified data is symmetric",
                all(is_symmetric_unitary(m) for m in tsym.mats))
@@ -653,19 +642,16 @@ def _field_columns(s: int, field: str) -> tuple[np.ndarray, np.ndarray]:
 def _block_elements(parts, field: str, rng: SplitMix64) -> np.ndarray:
     """(2 + len(parts), s, s) stack generating (a dense subgroup of) the block
     subgroup: two Haar block elements from one Gaussian draw scattered through
-    the block-diagonal mask, one stacked QR and the R-diagonal phase fix (the
-    Householder QR keeps off-block entries exactly 0), then one reflection
+    the block-diagonal mask and one stacked `phase_fixed_q` (the Householder
+    QR keeps off-block entries exactly 0), then one reflection
     I - 2 e e^T per block, e the unit vector at its first coordinate."""
     s = sum(parts)
     labels = np.repeat(np.arange(len(parts)), parts)
     mask = labels[:, None] == labels[None, :]
     z = np.zeros((2, s, s), dtype=complex if field == "complex" else float)
     z[:, mask] = (rng.complex_normals if field == "complex" else rng.normals)(2, mask.sum())
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q *= (d / np.abs(d))[:, None, :]
     e = np.eye(s)[np.searchsorted(labels, np.arange(len(parts)))]
-    return np.concatenate([q, np.eye(s) - 2 * e[:, :, None] * e[:, None, :]])
+    return np.concatenate([phase_fixed_q(z), np.eye(s) - 2 * e[:, :, None] * e[:, None, :]])
 
 
 def fixed_dim_nullspace_oracle(parts, n: int, field: str, seed: int = 0) -> int:
@@ -713,7 +699,7 @@ def _fixed_dim_sweep(cfg: RunConfig, rec: Recorder):
 @_trial_suite("isotropy", sweep=_fixed_dim_sweep)
 def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    s = rng.randint(2, min(5, cfg.s_max) + 1)
+    s = rng.randint(min(2, cfg.s_max), min(5, cfg.s_max) + 1)
     n = rng.randint(1, cfg.n_max + 1)
     parts_all = [p for p in _partitions(s)]
     parts = parts_all[rng.randint(0, len(parts_all))]

@@ -66,6 +66,30 @@ def test_generate_env_seed(monkeypatch, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_env_seed_that_is_not_an_integer_is_invalid_input(monkeypatch, capsys):
+    monkeypatch.setenv("COMMVAR_SEED", "abc")
+    for argv in (["generate"], ["verify", "--trials", "1"]):
+        assert main(argv) == 2
+        body = json.loads(capsys.readouterr().out)
+        assert body == {"error": "invalid_input",
+                        "message": "COMMVAR_SEED must be an integer, got 'abc'"}
+    # stratify and poincare never read the seed
+    tup = jsonio.dumps(jsonio.tuple_to_json(gen_random_commuting(1, 2, 3, "unitary")))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(tup))
+    assert main(["stratify"]) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
+    assert main(["poincare", "--p", "5"]) == 0
+    assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_empty_env_seed_reads_as_unset(monkeypatch, capsys):
+    monkeypatch.setenv("COMMVAR_SEED", "")
+    assert main(["generate", "--n", "1", "--s", "2"]) == 0
+    first = capsys.readouterr().out
+    assert main(["generate", "--n", "1", "--s", "2", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_stratify_identity_tuple(capsys):
     payload = jsonio.dumps(jsonio.tuple_to_json(identity_tuple(2, 3)))
     code, out, _ = run_cli(["stratify", "--input", "-"], stdin=payload)

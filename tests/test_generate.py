@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from commvar.errors import ZeroTuple
 from commvar.gammaconf import config_distance, rank
 from commvar.generate import (
+    config_on_basis,
     gen_exact_rank_tuple,
     gen_partition_tuple,
     gen_random_commuting,
@@ -35,6 +37,30 @@ def test_subseed_independent():
     assert len(seeds) == 100
     assert subseed(5, 3) == subseed(5, 3)
     assert subseed(5, 3) != subseed(6, 3)
+
+
+def _old_haar_unitary(rng, s):
+    q, r = np.linalg.qr(rng.complex_normals(s, s))
+    d = np.diagonal(r).copy()
+    d[np.abs(d) == 0] = 1.0
+    return q * (d / np.abs(d))
+
+
+def _old_haar_orthogonal(rng, s):
+    q, r = np.linalg.qr(rng.normals(s, s))
+    d = np.sign(np.diagonal(r)).copy()
+    d[d == 0] = 1.0
+    return q * d
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_haar_draws_are_the_written_out_phase_fixed_qr(seed):
+    # the shared phase-fixed QR reproduces each sampler's own formula bit for bit
+    for s in range(1, 10):
+        for new, old in ((haar_unitary, _old_haar_unitary),
+                         (haar_orthogonal, _old_haar_orthogonal)):
+            a, b = new(SplitMix64(seed), s), old(SplitMix64(seed), s)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_haar_matrices():
@@ -101,3 +127,23 @@ def test_empty_tuples_keep_shape_and_dtype(kind, dtype):
     for t in built:
         assert t.mats.shape == (0, 3, 3)
         assert t.mats.dtype == dtype
+
+
+@pytest.mark.parametrize("kind", ["skew_hermitian", "real_symmetric"])
+@pytest.mark.parametrize("parts", [(1,), (3,), (4,)])
+def test_unit_partition_tuple_of_one_part_is_zero(kind, parts):
+    # the traceless part of a single-part tuple is 0 up to roundoff
+    for seed in range(3):
+        with pytest.raises(ZeroTuple):
+            gen_partition_tuple(seed, 2, parts, kind, traceless=True, unit=True)
+
+
+def test_config_on_basis_labels_are_consecutive_slices():
+    u = UniverseBasis(2, 2)
+    basis = haar_orthogonal(SplitMix64(3), u.dim)
+    points = np.exp(1j * np.array([[1.0, 2.0, 3.0], [2.5, 1.5, 0.5]]))
+    c = config_on_basis(u, basis, [2, 1, 1], points)
+    assert rank(c) == 4 and c.k == 3
+    assert all(lab.frame.dtype == complex for lab in c.labels)
+    for piece in (basis[:, :2], basis[:, 2:3], basis[:, 3:4]):
+        assert any(np.array_equal(lab.frame, piece) for lab in c.labels)

@@ -189,6 +189,29 @@ def test_block_elements_are_block_unitary_then_one_reflection_per_block(field):
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
+def test_block_elements_are_the_written_out_phase_fixed_qr(field):
+    # the shared phase-fixed QR draws the same block elements as the stacked
+    # QR and R-diagonal phase fix written out here
+    for seed in range(4):
+        for parts in [(1,), (2, 1), (3, 2), (2, 2, 1), (4, 1, 1)]:
+            rng = SplitMix64(seed)
+            s = sum(parts)
+            mask = _block_mask(parts)
+            z = np.zeros((2, s, s), dtype=complex if field == "complex" else float)
+            z[:, mask] = (rng.complex_normals if field == "complex" else rng.normals)(2, mask.sum())
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r, axis1=1, axis2=2)
+            q *= (d / np.abs(d))[:, None, :]
+            g = _block_elements(parts, field, SplitMix64(seed))
+            assert g.dtype == q.dtype and np.array_equal(g[:2], q)
+
+
+def test_all_suites_pass_at_matrix_size_cap_one():
+    summary = run_suite("all", RunConfig(trials=3, n_max=1, s_max=1, D_max=1))
+    assert summary["failures"] == 0, summary
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
 @pytest.mark.parametrize("seed", range(5))
 def test_nullspace_oracle_matches_the_formula_one_size_above_the_sweep(field, seed):
     for s in range(1, 7):
