@@ -125,8 +125,7 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     t.validate(tol)
     comps = _hermitian_components(t)
     scale = max((fro(a) for a in t.mats), default=0.0)
-    q = joint_diagonalizer(comps, tol, off_target=1e-12 * scale,
-                           off_required=1e-8 * scale)
+    q = joint_diagonalizer(comps, off_target=1e-12 * scale)
     diag = q.conj().T @ t.mats @ q
     resid = stack_off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
@@ -180,6 +179,14 @@ def extend_by_identity(g: np.ndarray, smalls: np.ndarray) -> np.ndarray:
     the span of the isometric frame g, the identity on its complement."""
     gh = g.conj().T
     return g @ smalls @ gh + (np.eye(g.shape[0], dtype=complex) - g @ gh)
+
+
+def kron_pair(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The stack X_1 (x) Id, ..., X_n (x) Id, Id (x) Y_1, ..., Id (x) Y_m of
+    two stacks of square matrices."""
+    # stacked kron with a (1, r, r) identity acts slice by slice
+    return np.concatenate([np.kron(xs, np.eye(ys.shape[-1])[None]),
+                           np.kron(np.eye(xs.shape[-1])[None], ys)])
 
 
 def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:

@@ -40,24 +40,22 @@ class Tolerances:
     eps_struct   structural checks (unitarity, hermiticity, orthogonality)
     eps_cluster  eigenvalue-tuple clustering threshold
     eps_base     basepoint detection, distance of a value from 1
-    max_sweeps   cap on Jacobi sweeps
     """
 
     eps_struct: float = 1e-9
     eps_cluster: float = 1e-6
     eps_base: float = 1e-9
-    max_sweeps: int = 100
 
     def __post_init__(self):
         if not (self.eps_struct > 0 and self.eps_cluster > 0 and self.eps_base > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.eps_struct > self.eps_cluster:
             raise ValueError("eps_struct must not exceed eps_cluster")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
 
 
 DEFAULT_TOL = Tolerances()
+# cap on the Jacobi sweeps of one joint_diagonalizer call
+MAX_SWEEPS = 100
 
 
 def fro(a: np.ndarray) -> float:
@@ -258,19 +256,17 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
     return q_acc
 
 
-def joint_diagonalizer(hmats, tol: Tolerances, off_target: float,
-                       off_required: float) -> np.ndarray:
+def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     """Unitary (orthogonal for real input) Q jointly diagonalizing commuting
     Hermitian matrices.
 
     Input already diagonal to `off_target` gives the identity.  Otherwise Q
     starts as the LAPACK eigenvectors of a deterministic random
     real-coefficient combination of the inputs, which separates every
-    eigenspace the family does (He & Kressner, arXiv:2212.07248), and joint
-    Jacobi sweeps then refine the conjugated family toward `off_target`,
-    also resolving clusters the combination leaves mixed.  NoConvergence is
-    raised only when the final residual exceeds `off_required` (at least
-    `off_target`), the hard bound for tuples commuting at working tolerance.
+    eigenspace the family does (He & Kressner, arXiv:2212.07248), and at
+    most MAX_SWEEPS joint Jacobi sweeps then refine the conjugated family
+    toward `off_target`, also resolving clusters the combination leaves
+    mixed.  The residual Q leaves is not checked here: the caller bounds it.
     """
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
@@ -279,11 +275,7 @@ def joint_diagonalizer(hmats, tol: Tolerances, off_target: float,
     coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)
     q0 = np.linalg.eigh(np.tensordot(coeffs, c, axes=(0, 0)))[1]
     c = q0.conj().T @ c @ q0
-    q_acc = q0 @ _jacobi_sweeps(c, tol.max_sweeps, off_target=off_target)
-    resid = stack_off_norm(c)
-    if resid <= max(off_required, 1e-300):
-        return q_acc
-    raise NoConvergence(f"joint off-diagonal residual {resid:.3e} above {off_required:.3e}")
+    return q0 @ _jacobi_sweeps(c, MAX_SWEEPS, off_target=off_target)
 
 
 def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):

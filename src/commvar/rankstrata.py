@@ -28,6 +28,7 @@ from .commodel import (
     F_subspace,
     extend_by_identity,
     joint_diagonalize,
+    kron_pair,
 )
 from .errors import ShapeMismatch, SingularAtOne, WrongStratum
 from .numkit import (
@@ -191,8 +192,4 @@ def pairing_chart(x: CommutingTuple, y: CommutingTuple) -> CommutingTuple:
     (X_1 (x) Id, ..., X_n (x) Id, Id (x) Y_1, ..., Id (x) Y_m)."""
     if x.kind != "skew_hermitian" or y.kind != "skew_hermitian":
         raise ValueError("pairing expects skew-Hermitian tuples")
-    # stacked kron with a (1, r, r) identity acts slice by slice
-    return CommutingTuple("skew_hermitian", np.concatenate([
-        np.kron(x.mats, np.eye(y.s)[None]),
-        np.kron(np.eye(x.s)[None], y.mats),
-    ]))
+    return CommutingTuple("skew_hermitian", kron_pair(x.mats, y.mats))

@@ -9,8 +9,6 @@ correctness oracle in the package.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .commodel import (
     CommutingTuple,
     EigenBlock,
@@ -18,6 +16,7 @@ from .commodel import (
     extend_by_identity,
     identity_tuple,
     joint_diagonalize,
+    kron_pair,
 )
 from .gammaconf import (
     Configuration,
@@ -113,14 +112,9 @@ def multiply_from_blocks(ta: CommutingTuple, blocks_a: list[EigenBlock], tb: Com
     """multiply_tuple from the eigenblocks of two tuples with ambient universes."""
     fa = F_frame(ta, blocks_a, tol)
     fb = F_frame(tb, blocks_b, tol)
-    ra, rb = fa.shape[1], fb.shape[1]
     psi = psi_embed(ta.ambient, tb.ambient)
     g = psi.kron_frame(fa, fb, tol)
-    # stacked kron with a (1, r, r) identity acts slice by slice
-    smalls = np.concatenate([
-        np.kron(fa.conj().T @ ta.mats @ fa, np.eye(rb)[None]),
-        np.kron(np.eye(ra)[None], fb.conj().T @ tb.mats @ fb),
-    ])
+    smalls = kron_pair(fa.conj().T @ ta.mats @ fa, fb.conj().T @ tb.mats @ fb)
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)
 
 
@@ -145,13 +139,13 @@ def structure_map_from_blocks(t: CommutingTuple, blocks: list[EigenBlock], y: Sp
         if y.is_basepoint:
             raise ValueError("structure map at the basepoint needs an explicit m")
         m = len(y.coords)
+    if not y.is_basepoint and len(y.coords) != m:
+        raise ValueError("sphere point dimension must match the universe")
     right = UniverseBasis(m, t.ambient.D)
     psi = psi_embed(t.ambient, right)
     if y.is_basepoint:
         return identity_tuple(t.n + m, psi.target.dim, psi.target)
     f = F_frame(t, blocks, tol)
-    r = f.shape[1]
     g = psi.kron_frame(f, j0(right), tol)
-    smalls = np.concatenate([f.conj().T @ t.mats @ f,
-                             y.coords[np.arange(m), None, None] * np.eye(r, dtype=complex)])
+    smalls = kron_pair(f.conj().T @ t.mats @ f, y.coords[:, None, None])
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)

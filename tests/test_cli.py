@@ -155,6 +155,18 @@ def test_stratify_tolerance_breach_exit_3():
     assert json.loads(out)["error"] == "stratum_error"
 
 
+def test_stratify_exit_3_when_the_joint_residual_is_too_large(monkeypatch, capsys):
+    # a kernel that leaves the tuple undiagonalized: joint_diagonalize's
+    # residual check refuses it
+    monkeypatch.setattr(commodel, "joint_diagonalizer",
+                        lambda hmats, *args, **kwargs: np.eye(hmats.shape[-1]))
+    t = gen_random_commuting(3, 2, 4, "unitary")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main(["stratify"]) == 3
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "stratum_error" and "joint residual" in body["message"]
+
+
 def test_stratify_rejects_empty_matrices(monkeypatch, capsys):
     payload = {"n": 1, "s": 0, "kind": "unitary",
                "mats": [{"rows": 0, "cols": 0, "data": []}]}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from commvar import numkit
+from commvar import commodel, numkit
 from commvar.commodel import (
     CommutingTuple,
     F_subspace,
@@ -14,7 +14,7 @@ from commvar.commodel import (
     sigma_action_tuple,
     tuples_equivalent,
 )
-from commvar.errors import NotCommuting, NotUnitary
+from commvar.errors import NoConvergence, NotCommuting, NotUnitary
 from commvar.gammaconf import (
     Configuration,
     Label,
@@ -89,6 +89,17 @@ def test_joint_residual_requirement():
     diag = q.conj().T @ t.mats @ q
     res = np.sqrt(sum(off_norm(d) ** 2 for d in diag))
     assert res <= 1e-8 * max(fro(a) for a in t.mats)
+
+
+def test_joint_diagonalize_checks_the_kernel_residual(monkeypatch):
+    # the kernel returns Q unchecked: an identity Q leaves the whole
+    # off-diagonal part of a non-diagonal tuple
+    t = gen_random_commuting(3, 2, 4, "unitary")
+    assert off_norm(t.mats[0]) > 1e-3
+    monkeypatch.setattr(commodel, "joint_diagonalizer",
+                        lambda hmats, *args, **kwargs: np.eye(hmats.shape[-1]))
+    with pytest.raises(NoConvergence, match="joint residual"):
+        joint_diagonalize(t)
 
 
 def _relative_joint_residual(t, q):

@@ -6,6 +6,7 @@ from commvar.commodel import (
     commuting_to_config,
     config_to_commuting,
     identity_tuple,
+    joint_diagonalize,
 )
 from commvar.errors import TruncationOverflow
 from commvar.gammaconf import (
@@ -24,6 +25,7 @@ from commvar.spectrumops import (
     multiply,
     multiply_tuple,
     structure_map,
+    structure_map_from_blocks,
     structure_map_tuple,
     unit_map,
     unit_map_tuple,
@@ -193,6 +195,22 @@ def test_structure_map_through_configuration_inverse():
     t_out = structure_map_tuple(config_to_commuting(a), y)
     c_out = commuting_to_config(t_out)
     assert config_distance(c_out, structure_map(a, y)) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_structure_map_rejects_an_m_other_than_the_point_dimension(m):
+    # y has 3 coordinates; both pictures refuse alike
+    a = gen_random_config(21, UniverseBasis(1, 1), max_labels=1, max_rank=1)
+    ta = config_to_commuting(a)
+    y = _point(22, 3)
+    assert a.k == 1
+    message = "sphere point dimension must match the universe"
+    with pytest.raises(ValueError, match=message):
+        structure_map(a, y, m)
+    with pytest.raises(ValueError, match=message):
+        structure_map_tuple(ta, y, m)
+    with pytest.raises(ValueError, match=message):
+        structure_map_from_blocks(ta, joint_diagonalize(ta)[1], y, m)
 
 
 def test_truncation_overflow_surfaces():

@@ -60,6 +60,22 @@ def test_bad_tolerance_counts_failures():
     assert out["failures"] > 0
 
 
+def test_cayley_suite_passes_its_tolerances_to_every_cayley_call(monkeypatch):
+    original = verify.cayley
+    received = []
+
+    def recorded(x, *args, **kwargs):
+        received.append(args[0] if args else kwargs.get("tol"))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "cayley", recorded)
+    cfg = RunConfig(seed=0, trials=1, tol=Tolerances(eps_struct=2e-9))
+    out = run_suite("cayley", cfg)
+    assert out["failures"] == 0, out["messages"]
+    assert len(received) >= 52  # two matrix checks and the 50 scalar charts
+    assert all(tol is cfg.tol for tol in received)
+
+
 def _record_diagonalizations(monkeypatch) -> list:
     """Rebind commodel.joint_diagonalize in every commvar module that holds
     it; the returned list receives each tuple it is called on."""
