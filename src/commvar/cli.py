@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default: COMMVAR_SEED or 0)")
         p.add_argument("--output", choices=("json", "text"), default="json")
 
     gen = sub.add_parser("generate", help="emit a seeded commuting tuple")
@@ -78,6 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, default=3, help="cap on tuple length")
     ver.add_argument("--s", type=int, default=6, help="cap on matrix size")
     ver.add_argument("--D", type=int, default=2, help="cap on truncation degree")
+    for p in (gen, ver):  # the commands that read a seed
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (default: COMMVAR_SEED or 0)")
     for p in (strat, ver):  # the commands that take a Tolerances record
         p.add_argument("--tol-struct", type=float, default=None,
                        help="override the structural tolerance")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotCommuting, ShapeMismatch
+from .errors import InvalidTuple, NoConvergence, NotCommuting, ShapeMismatch
 from .gammaconf import (
     Configuration,
     Label,
@@ -39,6 +39,9 @@ from .numkit import (
 from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
 
 KINDS = ("unitary", "skew_hermitian", "real_symmetric")
+# largest entry modulus a valid tuple may hold: every norm and product that
+# validation and the kernel take then stays finite, for s up to 256
+MAX_ENTRY = 1e64
 
 
 @dataclass
@@ -77,10 +80,15 @@ class CommutingTuple:
         return self.mats.shape[1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
+        """Return self, or raise an InvalidTuple subclass: an entry that is
+        not finite or exceeds MAX_ENTRY in modulus, a component off its
+        kind's structure, or a commutator defect above eps_struct."""
+        if not np.max(np.abs(self.mats), initial=0.0) <= MAX_ENTRY:
+            raise InvalidTuple(f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus")
         for m in self.mats:
             check_structure(self.kind, m, tol)
         defect = commutator_defect(self.mats)
-        if defect > tol.eps_struct:
+        if not defect <= tol.eps_struct:
             raise NotCommuting(f"commutator defect {defect:.3e}")
         return self
 

@@ -145,7 +145,7 @@ def _check_labels(labels: list[Label], u: UniverseBasis, tol: Tolerances):
         if lab.frame.shape[0] != u.dim:
             raise NotOrthogonal(f"frame ambient dimension {lab.frame.shape[0]} "
                                 f"!= universe dim {u.dim}")
-        if np.max(np.abs(np.abs(lab.point.coords) - 1.0), initial=0.0) > tol.eps_struct:
+        if not np.max(np.abs(np.abs(lab.point.coords) - 1.0), initial=0.0) <= tol.eps_struct:
             raise ValueError("sphere point coordinates must be unit complex numbers")
         if len(lab.point.coords) != u.n:
             raise ValueError("sphere point dimension must match the universe")
@@ -169,7 +169,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
     live = ~near_basepoint_rows(values, tol.eps_base)
     labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
-    if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > tol.eps_struct:
+    if not np.max(np.abs(np.abs(values) - 1.0), initial=0.0) <= tol.eps_struct:
         _check_labels(labels, u, tol)
     if not labels:
         return Configuration(u, [])
@@ -179,7 +179,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     stacked = np.hstack(frames)
     owner = np.repeat(np.arange(len(labels)), [f.shape[1] for f in frames])
     defect = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))
-    off = defect > tol.eps_struct
+    off = ~(defect <= tol.eps_struct)
     cross = off & (owner[:, None] < owner)
     if cross.any():
         i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))

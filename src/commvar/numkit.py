@@ -4,19 +4,19 @@ Provides orthonormalization, the shared tolerance policy, structure checks,
 commutator defects, and the eigen-machinery used everywhere else.  A family
 of commuting Hermitian matrices is jointly diagonalized by the LAPACK
 eigenvectors of a seeded random real combination of its members (He &
-Kressner, arXiv:2212.07248), refined by joint Jacobi sweeps; a single
-Hermitian matrix takes LAPACK eigh alone.  A sweep visits the
-index pairs in round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput.
-6(1), 1985) and rotates the disjoint pairs of each round together.  Each
-rotation maximizes the summed squared diagonal separation of its pair, which
-is equivalent to minimizing the summed off-diagonal Frobenius energy, and is
-taken in closed form from the dominant eigenvector of a 3x3 real symmetric
-matrix G (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
+Kressner, arXiv:2212.07248), refined by joint Jacobi sweeps to a target
+off-norm or until a sweep gains under 1e-6 relative; a single Hermitian
+matrix takes LAPACK eigh alone.  A sweep visits the index pairs in
+round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985) and
+rotates the disjoint pairs of each round together.  Each rotation maximizes
+the summed squared diagonal separation of its pair, which is equivalent to
+minimizing the summed off-diagonal Frobenius energy, and is taken in closed
+form from the dominant eigenvector of a 3x3 real symmetric matrix G (Cardoso
+& Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +125,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     is unique.  Accepts a (d, k) array or a sequence of 1-d arrays.
 
     Raises RankDeficient when |R_jj| falls below eps_struct times the norm
-    of vector j, when a vector is zero, or when k > d.
+    of vector j, when a vector is zero or NaN, or when k > d.
     """
     v = vectors if isinstance(vectors, np.ndarray) else np.column_stack(vectors)
     if v.ndim == 1:
@@ -138,7 +138,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise RankDeficient(f"{k} vectors in dimension {d} are dependent")
     q, r = np.linalg.qr(v)
     diag, norms = np.diagonal(r), np.linalg.norm(v, axis=0)
-    dependent = (np.abs(diag) < tol.eps_struct * norms) | (norms == 0.0)
+    dependent = ~(np.abs(diag) >= tol.eps_struct * norms) | (norms == 0.0)
     if dependent.any():
         j = int(dependent.argmax())
         raise RankDeficient(f"vector {j} is dependent (residual {abs(diag[j]):.3e})")
@@ -205,18 +205,18 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
     of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.  A sweep is
     the s - 1 rounds of `_round_robin`; the pairs of one round are disjoint,
     so their rotations commute and are taken together from one batched
-    eigh of their G matrices.  Sweeps stop at `off_target`, when a sweep
-    rotates nothing, when a sweep stalls, or after `max_sweeps`.
+    eigh of their G matrices.  Sweeping stops at `off_target` (checked at
+    entry too), after a sweep that lowers the stack off-norm by under 1e-6
+    relative (as one that rotates nothing does), or after `max_sweeps`.
     """
-    kk, s, _ = c.shape
+    s = c.shape[-1]
     real_input = not np.iscomplexobj(c)
     q_acc = np.eye(s, dtype=c.dtype)
-    if s < 2 or kk == 0 or stack_off_norm(c) <= off_target:
+    off = stack_off_norm(c)
+    if off <= off_target:
         return q_acc
     rounds = list(zip(*_round_robin(s)))
-    prev_off = math.inf
     for _sweep in range(max_sweeps):
-        rotated = False
         for p, q in rounds:
             d = c[:, p, q]
             hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
@@ -234,7 +234,6 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
             live = g.any(axis=(1, 2)) & (np.abs(s_rot) > 1e-14)
             if not live.any():
                 continue
-            rotated = True
             p, q, cth, s_rot = p[live], q[live], cth[live, None], s_rot[live, None]
             # C <- J^H C J with J = [[cth, conj(s)], [-s, cth]] on (p, q)
             rp, rq = c[:, p, :], c[:, q, :]
@@ -244,15 +243,10 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
                 cp, cq = m[:, :, p], m[:, :, q]
                 m[:, :, p] = cp * cth.T - cq * s_rot.T
                 m[:, :, q] = cp * np.conj(s_rot).T + cq * cth.T
-        if not rotated:
+        prev_off, off = off, stack_off_norm(c)
+        # at the target, or stalled on the floor of a nearly-commuting family
+        if off <= off_target or not off < prev_off * (1.0 - 1e-6):
             break
-        off = stack_off_norm(c)
-        if off <= off_target:
-            break
-        # stalled on the off-diagonal floor of a nearly-commuting family
-        if off >= prev_off * (1.0 - 1e-6):
-            break
-        prev_off = off
     return q_acc
 
 
@@ -263,10 +257,10 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     Input already diagonal to `off_target` gives the identity.  Otherwise Q
     starts as the LAPACK eigenvectors of a deterministic random
     real-coefficient combination of the inputs, which separates every
-    eigenspace the family does (He & Kressner, arXiv:2212.07248), and at
-    most MAX_SWEEPS joint Jacobi sweeps then refine the conjugated family
-    toward `off_target`, also resolving clusters the combination leaves
-    mixed.  The residual Q leaves is not checked here: the caller bounds it.
+    eigenspace the family does (He & Kressner, arXiv:2212.07248); joint
+    Jacobi sweeps then refine the conjugated family under the stop rule of
+    `_jacobi_sweeps` at `off_target`, at most MAX_SWEEPS, also resolving
+    clusters the combination leaves mixed.  The caller bounds the residual.
     """
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))

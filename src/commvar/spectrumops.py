@@ -80,6 +80,8 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
         if y.is_basepoint:
             raise ValueError("structure map at the basepoint needs an explicit m")
         m = len(y.coords)
+    if not y.is_basepoint and len(y.coords) != m:
+        raise ValueError("sphere point dimension must match the universe")
     right = UniverseBasis(m, a.universe.D)
     psi = psi_embed(a.universe, right)
     if y.is_basepoint:

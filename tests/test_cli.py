@@ -393,6 +393,45 @@ def test_stratify_rejects_overflowing_fields(payload, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("mats", [
+    [[[0.0, 1.0], [1.0, 0.0]]],
+    [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -1.0]]],
+], ids=["eigenvalues-1e200", "non-commuting-pair"])
+def test_stratify_rejects_entries_above_the_bound(mats, monkeypatch, capsys):
+    # at 1e200 every Frobenius norm overflows: without the entry bound the
+    # first reads type [2] and the second passes the commutator check.
+    # Tier-1 turns a RuntimeWarning into an error
+    payload = {"n": len(mats), "s": 2, "kind": "real_symmetric",
+               "mats": [jsonio.matrix_to_json(1e200 * np.array(m)) for m in mats]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+def _stratify_outcome(t):
+    with mock.patch.object(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t)))):
+        code, lines = _main_outcome(["stratify"])
+    return code, json.loads(lines[0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(["skew_hermitian", "real_symmetric"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 3), st.integers(1, 6), st.integers(0, 300))
+def test_stratify_scaled_tuple_keeps_its_type_or_is_invalid(kind, seed, n, s, k):
+    # a scale changes no eigenspace: up to commodel.MAX_ENTRY the type is
+    # the unscaled one, above it (inf included) the tuple is invalid input
+    t = gen_random_commuting(seed, n, s, kind, min_separation=0.2)
+    code, body = _stratify_outcome(t)
+    assert code == 0
+    with np.errstate(over="ignore"):
+        scaled = CommutingTuple(kind, t.mats * 10.0 ** k)
+    if np.max(np.abs(scaled.mats)) <= commodel.MAX_ENTRY:
+        assert _stratify_outcome(scaled) == (0, body)
+    else:
+        code, body = _stratify_outcome(scaled)
+        assert code == 2 and body["error"] == "invalid_input"
+
+
 # shape fields: small ints, fractions, sizes above the stratify cap, +-inf
 # or NaN
 _SHAPE_FIELDS = st.one_of(st.integers(0, 4), st.floats(-1.0, 4.9),
@@ -507,6 +546,16 @@ def test_non_integer_flag_values_end_in_argparse_exit_2(flag, value):
 @pytest.mark.parametrize("argv", [["generate"], ["poincare", "--p", "3"]])
 def test_generate_and_poincare_take_no_tolerance_flags(argv, flag):
     assert _main_outcome([*argv, flag, "1e-7"]) == (2, [])
+
+
+@pytest.mark.parametrize("argv", [["stratify"], ["poincare", "--p", "3"]])
+def test_stratify_and_poincare_take_no_seed(argv):
+    assert _main_outcome([*argv, "--seed", "3"]) == (2, [])
+
+
+@pytest.mark.parametrize("command", ["generate", "verify"])
+def test_generate_and_verify_take_a_seed(command):
+    assert build_parser().parse_args([command, "--seed", "3"]).seed == 3
 
 
 def test_generate_accepts_n_at_the_cap(capsys):

@@ -26,7 +26,8 @@ from commvar.gammaconf import (
 )
 from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
 from commvar.isodecomp import block_type
-from commvar.numkit import DEFAULT_TOL, fro, off_norm, stack_off_norm
+from commvar.numkit import DEFAULT_TOL, _jacobi_sweeps, fro, off_norm, stack_off_norm
+from commvar.rankstrata import cayley
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
@@ -133,6 +134,75 @@ def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
     assert len(calls) == 1
     assert _relative_joint_residual(t, q) <= 1e-8
     assert block_type(blocks).parts == (1,) * 12
+
+
+def _times_near_identity(mats, rng):
+    """Each matrix right-multiplied by exp(i 1e-10 H), H a random unit-norm
+    Hermitian matrix from rng, as in the near-commuting test above."""
+    out = []
+    for a in mats:
+        g = rng.complex_normals(a.shape[0], a.shape[0])
+        h = 0.5 * (g + g.conj().T)
+        w, v = np.linalg.eigh(h / np.linalg.norm(h))
+        out.append(a @ (v * np.exp(1j * 1e-10 * w)) @ v.conj().T)
+    return CommutingTuple("unitary", np.array(out))
+
+
+def _capped(monkeypatch, t, cap):
+    """joint_diagonalize(t)'s Q with the sweep cap at `cap`, and the stack
+    off-norm that the sweeps left, over their target."""
+    left = []
+
+    def recorded(c, max_sweeps, off_target=0.0):
+        q = _jacobi_sweeps(c, max_sweeps, off_target)
+        left.append(stack_off_norm(c) / off_target)
+        return q
+
+    monkeypatch.setattr(numkit, "MAX_SWEEPS", cap)
+    monkeypatch.setattr(numkit, "_jacobi_sweeps", recorded)
+    q = joint_diagonalize(t)[0]
+    assert len(left) == 1
+    return q, left[0]
+
+
+def test_sweeps_return_at_entry_when_the_start_is_at_the_target(monkeypatch):
+    # an exactly commuting tuple: the LAPACK start is already at the target
+    t = gen_random_commuting(0, 2, 8, "unitary", min_separation=0.2)
+    q0, left = _capped(monkeypatch, t, 0)
+    assert left <= 1.0
+    assert np.array_equal(_capped(monkeypatch, t, 100)[0], q0)
+
+
+def test_sweeps_stop_at_the_target(monkeypatch):
+    t = gen_random_commuting(1000, 2, 16, "unitary", margin=0.3, min_separation=0.2)
+    q1, left = _capped(monkeypatch, t, 1)
+    assert left <= 1.0
+    assert not np.array_equal(_capped(monkeypatch, t, 0)[0], q1)
+    assert np.array_equal(_capped(monkeypatch, t, 100)[0], q1)
+
+
+def test_sweeps_stop_when_a_sweep_gains_nothing(monkeypatch):
+    # the near-commuting tuple above: one sweep reaches the floor its
+    # perturbation leaves, above the target, and the next rotates nothing
+    base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
+    t = _times_near_identity(base.mats, SplitMix64(5 ^ 0xA5A5))
+    q1, _ = _capped(monkeypatch, t, 1)
+    q, left = _capped(monkeypatch, t, 100)
+    assert left > 1.0
+    assert not np.array_equal(_capped(monkeypatch, t, 0)[0], q1)
+    assert np.array_equal(q, q1)
+
+
+def test_sweeps_stop_when_a_sweep_gains_under_1e_6_relative(monkeypatch):
+    # clustered eigenvalues under a near-commuting perturbation: sweeps keep
+    # gaining for a while, then stall above the target before the cap
+    blocks = gen_partition_tuple(0, 2, [2, 2, 2, 1, 1], kind="skew_hermitian")
+    t = _times_near_identity([cayley(x) for x in blocks.mats], SplitMix64(0 ^ 0xA5A5))
+    q, left = _capped(monkeypatch, t, 100)
+    assert left > 1.0
+    assert np.array_equal(_capped(monkeypatch, t, 10)[0], q)
+    # the cap: one sweep stops short of where the rule stops
+    assert not np.array_equal(_capped(monkeypatch, t, 1)[0], q)
 
 
 def _check_partition_tuple(seed, kind, parts):

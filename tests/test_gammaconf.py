@@ -400,6 +400,21 @@ def test_canonicalize_orthonormalizes_a_non_isometric_single_label():
     assert np.array_equal(got[1j], iso)
 
 
+def test_canonicalize_rejects_a_nan_point_coordinate():
+    u = UniverseBasis(1, 1)
+    label = Label(np.eye(u.dim, dtype=complex)[:, [0]], SpherePoint([math.nan]))
+    with pytest.raises(ValueError, match="unit complex numbers"):
+        canonicalize(Configuration(u, [label]))
+
+
+def test_canonicalize_rejects_a_nan_frame():
+    # a NaN frame is not isometric, and its re-orthonormalization finds the
+    # column dependent
+    label = Label(np.array([[math.nan], [0.0]]), SpherePoint([-1.0]))
+    with pytest.raises(RankDeficient):
+        canonicalize(Configuration(UniverseBasis(1, 1), [label]))
+
+
 def _first_label_error(labels, u, tol=DEFAULT_TOL):
     # the per-label checks of the loop that the point-array checks replaced
     for lab in labels:

@@ -120,6 +120,13 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
     assert abs(off - best) <= 1e-12 * best
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (2, 1, 1), (2, 0, 0)])
+def test_jacobi_sweeps_return_the_identity_with_no_off_diagonal_entry(shape):
+    # no matrices, or matrices too small to have an off-diagonal entry:
+    # the off-norm is 0, at any target
+    assert np.array_equal(_jacobi_sweeps(np.ones(shape), max_sweeps=5), np.eye(shape[-1]))
+
+
 @pytest.mark.parametrize("s", range(2, 10))
 def test_round_robin_covers_each_pair_once_in_disjoint_rounds(s):
     p, q = _round_robin(s)

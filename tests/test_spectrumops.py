@@ -213,6 +213,17 @@ def test_structure_map_rejects_an_m_other_than_the_point_dimension(m):
         structure_map_from_blocks(ta, joint_diagonalize(ta)[1], y, m)
 
 
+def test_structure_map_rejects_an_m_other_than_the_point_dimension_with_no_labels():
+    # an empty configuration never reaches canonicalize's point check
+    a = Configuration(UniverseBasis(1, 1), [])
+    y = SpherePoint([1j, -1.0, 1j])
+    message = "sphere point dimension must match the universe"
+    with pytest.raises(ValueError, match=message):
+        structure_map(a, y, 2)
+    with pytest.raises(ValueError, match=message):
+        structure_map_tuple(config_to_commuting(a), y, 2)
+
+
 def test_truncation_overflow_surfaces():
     u = UniverseBasis(1, 2)
     eye = np.eye(u.dim, dtype=complex)
