@@ -126,11 +126,13 @@ def _write(*lines: str):
         os.close(devnull)
 
 
-def _emit(payload: dict, mode: str):
+def _emit(payload: dict, mode: str, text: list[str] | None = None):
+    """Write payload as JSON, or as text: the given lines, by default one
+    "key: value" line per payload entry."""
     if mode == "json":
         _write(jsonio.dumps(payload))
     else:
-        _write(*(f"{key}: {value}" for key, value in payload.items()))
+        _write(*(text or (f"{key}: {value}" for key, value in payload.items())))
 
 
 def cmd_generate(args) -> int:
@@ -147,7 +149,11 @@ def cmd_stratify(args) -> int:
     else:
         with open(args.input) as fh:
             raw = fh.read()
-    t = jsonio.tuple_from_json(json.loads(raw))
+    try:
+        doc = json.loads(raw)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
+    t = jsonio.tuple_from_json(doc)
     if t.s < 1:
         raise ValueError("stratify needs matrices of size at least 1")
     if t.s > MAX_STRATIFY_S:
@@ -173,15 +179,11 @@ def cmd_poincare(args) -> int:
         raise ValueError(f"poincare accepts --p at most {MAX_P}")
     reduced = a0_lambda_table(args.p)
     poly = IntPolynomial.one() + IntPolynomial(reduced)  # the reduced table plus the unit
-    if args.output == "json":
-        _write(jsonio.dumps({
-            "p": args.p,
-            "poincare": {str(d): c for d, c in poly.to_dict().items()},
-            "reduced": {str(d): c for d, c in reduced.items()},
-            "string": str(poly),
-        }))
-    else:
-        _write(f"P(t) = {poly}", f"reduced dimensions: {reduced}")
+    _emit({"p": args.p,
+           "poincare": {str(d): c for d, c in poly.to_dict().items()},
+           "reduced": {str(d): c for d, c in reduced.items()},
+           "string": str(poly)},
+          args.output, [f"P(t) = {poly}", f"reduced dimensions: {reduced}"])
     return EXIT_OK
 
 
@@ -191,14 +193,11 @@ def cmd_verify(args) -> int:
     summary = run_suite(args.suite, RunConfig(seed=_seed(args), trials=args.trials,
                                               tol=_tolerances(args), n_max=args.n,
                                               s_max=args.s, D_max=args.D))
-    if args.output == "json":
-        _write(jsonio.dumps(summary))
-    else:
-        _write(f"suite {summary['suite']}: trials={summary['trials']} "
-               f"failures={summary['failures']} worst={summary['worst_residual']:.3e}",
-               *(f"  {sub['suite']}: failures={sub['failures']} "
-                 f"worst={sub['worst_residual']:.3e}"
-                 for sub in summary.get("suites", [])))
+    _emit(summary, args.output,
+          [f"suite {summary['suite']}: trials={summary['trials']} "
+           f"failures={summary['failures']} worst={summary['worst_residual']:.3e}",
+           *(f"  {sub['suite']}: failures={sub['failures']} worst={sub['worst_residual']:.3e}"
+             for sub in summary.get("suites", []))])
     return EXIT_OK if summary["failures"] == 0 else EXIT_SUITE_FAILURE
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTuple, NoConvergence, NotCommuting, ShapeMismatch
+from .errors import NoConvergence, NotCommuting, ShapeMismatch
 from .gammaconf import (
     Configuration,
     Label,
@@ -27,6 +27,7 @@ from .gammaconf import (
 )
 from .numkit import (
     DEFAULT_TOL,
+    MAX_ENTRY,
     Tolerances,
     check_structure,
     commutator_defect,
@@ -39,9 +40,6 @@ from .numkit import (
 from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
 
 KINDS = ("unitary", "skew_hermitian", "real_symmetric")
-# largest entry modulus a valid tuple may hold: every norm and product that
-# validation and the kernel take then stays finite, for s up to 256
-MAX_ENTRY = 1e64
 
 
 @dataclass
@@ -80,17 +78,22 @@ class CommutingTuple:
         return self.mats.shape[1]
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
-        """Return self, or raise an InvalidTuple subclass: an entry that is
-        not finite or exceeds MAX_ENTRY in modulus, a component off its
-        kind's structure, or a commutator defect above eps_struct."""
-        if not np.max(np.abs(self.mats), initial=0.0) <= MAX_ENTRY:
-            raise InvalidTuple(f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus")
+        """Return self, or raise an InvalidTuple subclass: component by
+        component, the check_structure gate (an entry not finite or above
+        MAX_ENTRY in modulus, or a component off its kind's structure), then
+        a commutator defect above eps_struct."""
         for m in self.mats:
             check_structure(self.kind, m, tol)
         defect = commutator_defect(self.mats)
         if not defect <= tol.eps_struct:
             raise NotCommuting(f"commutator defect {defect:.3e}")
         return self
+
+
+def require_kind(t: CommutingTuple, *kinds: str):
+    """Raise ValueError unless t is of one of the given kinds."""
+    if t.kind not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} tuple, got {t.kind}")
 
 
 def identity_tuple(n: int, s: int, ambient: UniverseBasis | None = None) -> CommutingTuple:
@@ -250,8 +253,7 @@ def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Con
     labels; blocks touching 1 are the basepoint part and disappear."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe to become a configuration")
-    if t.kind != "unitary":
-        raise ValueError("only unitary tuples correspond to configurations")
+    require_kind(t, "unitary")
     return config_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
 
 

@@ -226,8 +226,8 @@ def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
             slots.append(Label(np.zeros((ambient_dim, 0), dtype=complex), BASEPOINT))
             continue
         frame = np.hstack([lab.frame for lab in srcs])
-        if len(srcs) > 1 or np.any(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
-                                   > tol.eps_struct):
+        if len(srcs) > 1 or not np.all(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
+                                       <= tol.eps_struct):
             frame = orthonormalize(frame, tol)
         slots.append(Label(frame, srcs[0].point))
     return slots

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, joint_diagonalize
+from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
 from .errors import ShapeMismatch, ZeroTuple
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, phase_normalize
 
@@ -78,30 +78,28 @@ def tuple_norm(t: CommutingTuple) -> float:
 def _check_traceless(t: CommutingTuple, eps: float):
     scale = max((fro(m) for m in t.mats), default=0.0)
     for m in t.mats:
-        if abs(np.trace(m)) > eps * max(1.0, scale):
+        if not abs(np.trace(m)) <= eps * max(1.0, scale):
             raise ValueError("tuple is not traceless")
 
 
 def unit_normalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Scale a nonzero traceless tuple to unit norm.  Raises ZeroTuple when
-    the norm is below eps_struct."""
-    if t.kind not in ("skew_hermitian", "real_symmetric"):
-        raise ValueError("unit tuples live in a Lie-algebra kind")
+    the norm is not above eps_struct (a NaN norm included)."""
+    require_kind(t, "skew_hermitian", "real_symmetric")
     _check_traceless(t, tol.eps_struct)
     norm = tuple_norm(t)
-    if norm <= tol.eps_struct:
+    if not norm > tol.eps_struct:
         raise ZeroTuple(f"tuple norm {norm:.3e}")
     return CommutingTuple(t.kind, t.mats / norm, t.ambient)
 
 
 def _check_diagonal_unit(x: CommutingTuple, tol: Tolerances):
-    if x.kind != "skew_hermitian":
-        raise ValueError("flag coordinates must be skew-Hermitian")
+    require_kind(x, "skew_hermitian")
     for m in x.mats:
-        if fro(m - np.diag(np.diagonal(m))) > tol.eps_struct:
+        if not fro(m - np.diag(np.diagonal(m))) <= tol.eps_struct:
             raise ValueError("flag coordinates must be diagonal")
     _check_traceless(x, tol.eps_struct)
-    if abs(tuple_norm(x) - 1.0) > tol.eps_struct:
+    if not abs(tuple_norm(x) - 1.0) <= tol.eps_struct:
         raise ValueError("flag coordinates must have unit norm")
 
 

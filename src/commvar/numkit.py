@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidTuple,
     NoConvergence,
     NotHermitian,
     NotSkewHermitian,
@@ -56,6 +57,9 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 # cap on the Jacobi sweeps of one joint_diagonalizer call
 MAX_SWEEPS = 100
+# largest entry modulus a caller's matrix may hold: every norm and product
+# that the checks and the kernel take then stays finite, for s up to 256
+MAX_ENTRY = 1e64
 
 
 def fro(a: np.ndarray) -> float:
@@ -105,12 +109,17 @@ _STRUCTURES = {
 
 
 def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
-    """Check a square matrix against a tuple kind or "hermitian".
+    """Check a square matrix against a tuple kind or "hermitian": the one
+    gate for every matrix a caller hands in.
 
-    Raises the kind's InvalidTuple subclass, naming the defect, unless the
-    kind's defect is at most eps_struct max(1, ||a||_F).
+    Raises InvalidTuple, before any product is taken, when an entry is NaN,
+    infinite or above MAX_ENTRY in modulus; then the kind's InvalidTuple
+    subclass, naming the defect, unless the kind's defect is at most
+    eps_struct max(1, ||a||_F).
     """
     require_square(a)
+    if not np.max(np.abs(a), initial=0.0) <= MAX_ENTRY:
+        raise InvalidTuple(f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus")
     defect_of, error, name = _STRUCTURES[kind]
     defect = defect_of(a)
     if not defect <= tol.eps_struct * max(1.0, fro(a)):
@@ -137,7 +146,8 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if k > d:
         raise RankDeficient(f"{k} vectors in dimension {d} are dependent")
     q, r = np.linalg.qr(v)
-    diag, norms = np.diagonal(r), np.linalg.norm(v, axis=0)
+    # hypot never squares an entry, so the norms of entries above 1e154 stay finite
+    diag, norms = np.diagonal(r), np.hypot.reduce(np.abs(v), axis=0, initial=0.0)
     dependent = ~(np.abs(diag) >= tol.eps_struct * norms) | (norms == 0.0)
     if dependent.any():
         j = int(dependent.argmax())

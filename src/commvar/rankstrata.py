@@ -29,15 +29,10 @@ from .commodel import (
     extend_by_identity,
     joint_diagonalize,
     kron_pair,
+    require_kind,
 )
 from .errors import ShapeMismatch, SingularAtOne, WrongStratum
-from .numkit import (
-    DEFAULT_TOL,
-    Tolerances,
-    check_structure,
-    fro,
-    require_square,
-)
+from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
 
 
 @dataclass
@@ -75,24 +70,27 @@ def cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(Id - A)^{-1}(Id + A), the solve shared by both inverse transforms.
 
+    A must pass check_structure("unitary"): InvalidTuple on an entry that is
+    not finite or above MAX_ENTRY in modulus, NotUnitary off the unitaries.
     Requires the smallest singular value of A - Id to exceed eps_struct;
     raises SingularAtOne otherwise.
     """
-    s = require_square(a)
     a = np.asarray(a, dtype=complex)
-    eye = np.eye(s)
+    check_structure("unitary", a, tol)
+    eye = np.eye(len(a))
     sv = np.linalg.svd(a - eye, compute_uv=False)
-    if s and sv[-1] <= tol.eps_struct:
+    if sv.size and sv[-1] <= tol.eps_struct:
         raise SingularAtOne(f"A - Id has smallest singular value {sv[-1]:.3e}")
     return np.linalg.solve(eye - a, eye + a)
 
 
 def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse Cayley transform (Id - A)^{-1}(Id + A).
+    """Inverse Cayley transform (Id - A)^{-1}(Id + A) of a unitary A.
 
-    Requires the smallest singular value of A - Id to exceed eps_struct;
-    raises SingularAtOne otherwise.  The result is skew-Hermitized to kill
-    roundoff in the Hermitian direction.
+    Raises as cayley_solve: InvalidTuple on a non-finite or oversized entry,
+    NotUnitary off the unitaries, SingularAtOne when the smallest singular
+    value of A - Id is at most eps_struct.  The result is skew-Hermitized to
+    kill roundoff in the Hermitian direction.
     """
     x = cayley_solve(a, tol)
     return 0.5 * (x - x.conj().T)
@@ -121,7 +119,7 @@ def chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
         frame = np.asarray(frame, dtype=complex)
         if frame.shape != (t.s, s):
             raise ShapeMismatch(f"frame must be {(t.s, s)}, got {frame.shape}")
-        if fro(frame @ frame.conj().T - f @ f.conj().T) > 1e-8:
+        if not fro(frame @ frame.conj().T - f @ f.conj().T) <= 1e-8:
             raise WrongStratum("supplied frame does not span F")
         w = f.conj().T @ frame
         x, f = w.conj().T @ x @ w, frame
@@ -139,8 +137,7 @@ def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     U(s)-conjugation ambiguity.  Raises WrongStratum when some component
     minus the identity is singular on F at working tolerance.
     """
-    if t.kind != "unitary":
-        raise ValueError("charts are defined for unitary tuples")
+    require_kind(t, "unitary")
     _, blocks = joint_diagonalize(t, tol)
     return chart_from_blocks(t, blocks, tol, frame)
 
@@ -162,8 +159,7 @@ def trace_split(x: CommutingTuple):
     Returns (traceless tuple, tau) with X_i = traceless_i + i tau_i Id and
     tau_i = Im(tr X_i)/s real.  The reassembly is exact.
     """
-    if x.kind != "skew_hermitian":
-        raise ValueError("trace_split expects a skew-Hermitian tuple")
+    require_kind(x, "skew_hermitian")
     s = x.s
     # an empty trace is 0, so a 0 x 0 tuple has tau = 0
     tau = np.trace(x.mats, axis1=1, axis2=2).imag / max(s, 1)
@@ -179,8 +175,7 @@ def reassemble_trace(traceless: CommutingTuple, tau: np.ndarray) -> CommutingTup
 def stabilize(x: CommutingTuple, m: int) -> CommutingTuple:
     """Append m zero components; the composition law
     stabilize(stabilize(x, a), b) = stabilize(x, a + b) holds on the nose."""
-    if x.kind != "skew_hermitian":
-        raise ValueError("stabilize expects a skew-Hermitian tuple")
+    require_kind(x, "skew_hermitian")
     if m < 0:
         raise ValueError("cannot remove components")
     zeros = np.zeros((m, x.s, x.s), dtype=complex)
@@ -190,6 +185,6 @@ def stabilize(x: CommutingTuple, m: int) -> CommutingTuple:
 def pairing_chart(x: CommutingTuple, y: CommutingTuple) -> CommutingTuple:
     """Kronecker pairing of skew-Hermitian tuples:
     (X_1 (x) Id, ..., X_n (x) Id, Id (x) Y_1, ..., Id (x) Y_m)."""
-    if x.kind != "skew_hermitian" or y.kind != "skew_hermitian":
-        raise ValueError("pairing expects skew-Hermitian tuples")
+    require_kind(x, "skew_hermitian")
+    require_kind(y, "skew_hermitian")
     return CommutingTuple("skew_hermitian", kron_pair(x.mats, y.mats))

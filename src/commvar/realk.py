@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, F_blocks, joint_diagonalize
+from .commodel import CommutingTuple, EigenBlock, F_blocks, joint_diagonalize, require_kind
 from .errors import NotRealizable
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
 from .rankstrata import (
@@ -61,7 +61,9 @@ def real_cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of real_cayley.  Input must be unitary complex symmetric with
-    A - Id non-singular; output is real symmetric."""
+    A - Id non-singular; output is real symmetric.  Raises as cayley_solve
+    (InvalidTuple, NotUnitary, SingularAtOne), and NotRealizable when the
+    solve is not real."""
     # the realness check reads the raw solve: symmetrizing first would hide
     # a complex symmetric result
     x = _real_part(-1j * cayley_solve(a, tol))
@@ -76,8 +78,7 @@ def joint_diagonalize_real(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     constructively realizes every commuting symmetric tuple as a rotation of
     a diagonal one.
     """
-    if t.kind != "real_symmetric":
-        raise ValueError("expected a real symmetric tuple")
+    require_kind(t, "real_symmetric")
     q, blocks = joint_diagonalize(t, tol)
     if np.linalg.det(q) < 0:
         q = q.copy()
@@ -87,8 +88,7 @@ def joint_diagonalize_real(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
 
 def real_trace_split(t: CommutingTuple) -> RealSplit:
     """Split off the scalar part: X_i = traceless_i + tau_i Id, tau real."""
-    if t.kind != "real_symmetric":
-        raise ValueError("expected a real symmetric tuple")
+    require_kind(t, "real_symmetric")
     bar, tau = trace_split(CommutingTuple("skew_hermitian", 1j * t.mats))
     return RealSplit(CommutingTuple("real_symmetric", bar.mats.imag), tau)
 
@@ -107,8 +107,7 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     otherwise).  The frame is determined up to O(s).
     The F blocks and their order are those of the complex chart.
     """
-    if t.kind != "unitary":
-        raise ValueError("charts are defined for unitary tuples")
+    require_kind(t, "unitary")
     return real_chart_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
 
 

@@ -228,7 +228,7 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     n = rng.randint(1, cfg.n_max + 1)
     t = gen_random_commuting(rng.next_u64(), n, min(s, cfg.s_max), "unitary")
     u = haar_unitary(rng, t.s)
-    conj = np.array([u @ a @ u.conj().T for a in t.mats])
+    conj = u @ t.mats @ u.conj().T
     rec.check("defect conjugation invariance",
               abs(commutator_defect(conj) - commutator_defect(t.mats)), 1e-12)
 
@@ -284,9 +284,7 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
     # residual invariance under pre-conjugation
     u2 = haar_unitary(rng, tup.s)
-    conj_t = CommutingTuple("unitary",
-                            np.array([u2 @ a @ u2.conj().T for a in tup.mats]),
-                            tup.ambient)
+    conj_t = CommutingTuple("unitary", u2 @ tup.mats @ u2.conj().T, tup.ambient)
     q2, _ = joint_diagonalize(conj_t, tol)
     d2 = q2.conj().T @ conj_t.mats @ q2
     res2 = stack_off_norm(d2)
@@ -383,6 +381,11 @@ def _random_point(rng: SplitMix64, n: int) -> SpherePoint:
     return SpherePoint([unit_phase(rng, 0.4) for _ in range(n)])
 
 
+def _random_perm(rng: SplitMix64, n: int) -> list[int]:
+    """A uniformly random permutation of 0..n-1, from one randint draw."""
+    return list(list(itertools.permutations(range(n)))[rng.randint(0, math.factorial(n))])
+
+
 @_trial_suite("spectrum")
 def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
@@ -421,8 +424,7 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                               sigma_action_config(chi, ab, tol)),
               1e-8)
 
-    sigma = list(list(itertools.permutations(range(n)))[rng.randint(0, math.factorial(n))])
-    tau = list(list(itertools.permutations(range(m)))[rng.randint(0, math.factorial(m))])
+    sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
     rho = sigma + [n + t for t in tau]
     rec.check("multiply equivariance",
               config_distance(multiply(sigma_action_config(sigma, a, tol),
@@ -486,12 +488,10 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rec.check("psi isometry numeric", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)))
 
     perms_u = list(itertools.permutations(range(n)))
-    sigma = list(perms_u[rng.randint(0, len(perms_u))])
-    tau_all = list(itertools.permutations(range(m)))
-    tau = list(tau_all[rng.randint(0, len(tau_all))])
+    sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
     ps = sigma_star(sigma, u)
     rec.expect("sigma_* fixes scalar line", ps[u.index[(0,) * n]] == u.index[(0,) * n])
-    sig2 = list(perms_u[rng.randint(0, len(perms_u))])
+    sig2 = _random_perm(rng, n)
     comp = [sigma[sig2[j]] for j in range(n)]
     rec.expect("sigma_* homomorphism",
                bool(np.all(sigma_star(comp, u)
@@ -725,8 +725,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                    == tu_type.parts)
         if kind == "skew_hermitian":
             u = haar_unitary(rng, s)
-            conj = CommutingTuple(kind, np.array(
-                [u @ m @ u.conj().T for m in tu.mats]))
+            conj = CommutingTuple(kind, u @ tu.mats @ u.conj().T)
             rec.expect("type conjugation invariant",
                        decomposition_type(conj, tol).parts == tu_type.parts)
             rec.expect("stabilize keeps type",
@@ -747,10 +746,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     # the swapped preimage canonicalizes to the same class
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g2, x2 = isodecomp.canonical_flag_class(
-        g @ swap,
-        CommutingTuple("skew_hermitian",
-                       np.array([swap @ m @ swap for m in x.mats])),
-        tol)
+        g @ swap, CommutingTuple("skew_hermitian", swap @ x.mats @ swap), tol)
     g1, x1 = isodecomp.canonical_flag_class(g, x, tol)
     rec.check("flag class uniqueness", fro(g1 - g2) + rep_distance(x1, x2), 1e-8)
 

@@ -143,6 +143,17 @@ def test_stratify_rejects_malformed_json():
     assert json.loads(out)["error"] == "invalid_input"
 
 
+@pytest.mark.parametrize("payload", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"kind": "unitary", "n": ' + "[" * 5000 + "]" * 5000 + ', "s": 1, "mats": []}',
+], ids=["top-level", "inside-n"])
+def test_stratify_rejects_deeply_nested_json(payload, monkeypatch, capsys):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["stratify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
 def test_stratify_tolerance_breach_exit_3():
     # eigenvalue at arc distance ~5e-9 from 1: outside the default basepoint
     # window (1e-9) so it stays in F, but inside a widened structural

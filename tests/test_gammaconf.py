@@ -210,6 +210,13 @@ def test_push_labels_raises_rank_deficient_as_before(frames, alpha):
         push_labels(labels, alpha, 1, 4)
 
 
+def test_push_labels_orthonormalizes_a_nan_frame():
+    # a NaN frame is not isometric, so it is not kept; orthonormalize rejects it
+    labels = [Label(np.array([[np.nan], [0.0]], dtype=complex), SpherePoint([-1.0]))]
+    with pytest.raises(RankDeficient):
+        push_labels(labels, [1], 1, 2)
+
+
 def test_sigma_action_is_group_action():
     u = UniverseBasis(3, 1)
     c = gen_random_config(9, u, max_labels=2, max_rank=3)

@@ -302,3 +302,13 @@ def test_orthonormalize_rank_deficient_where_the_mgs_loop_is():
     # just above the threshold both accept
     fine = np.column_stack([v, v[:, 1] + 1e-6 * rng.complex_normals(6, 1)[:, 0]])
     assert fro(orthonormalize(fine) - _mgs_orthonormalize(fine)) <= 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_orthonormalize_handles_entries_above_1e154():
+    # the column norms never square an entry, so they stay finite up to the
+    # largest float and the dependence test reads them as for small vectors
+    q = orthonormalize(np.array([[1e200], [1e200]]))
+    assert fro(q - np.full((2, 1), np.sqrt(0.5))) <= 1e-15
+    with pytest.raises(RankDeficient, match="vector 1"):
+        orthonormalize(np.array([[1e200, 2e200], [1e200, 2e200]]))

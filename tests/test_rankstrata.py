@@ -160,6 +160,14 @@ def test_wrong_stratum_on_bad_frame():
             subquotient_chart(t, frame=bad)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wrong_stratum_on_a_nan_frame():
+    # F is the first coordinate line; a NaN frame has a NaN projection defect
+    t = CommutingTuple("unitary", np.array([np.diag([-1.0, 1.0])]))
+    with pytest.raises(WrongStratum):
+        subquotient_chart(t, frame=np.array([[np.nan], [0.0]]))
+
+
 def test_trace_split_examples():
     x = gen_random_commuting(3, 2, 3, "skew_hermitian")
     bar, tau = trace_split(x)
