@@ -16,7 +16,7 @@ import numpy as np
 
 from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
 from .errors import ShapeMismatch, ZeroTuple
-from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, phase_normalize
+from .numkit import DEFAULT_TOL, Tolerances, check_entries, check_structure, fro, phase_normalize
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,31 @@ def tuple_norm(t: CommutingTuple) -> float:
 
 
 def _check_traceless(t: CommutingTuple, eps: float):
+    check_entries(t.mats)  # before any norm is taken
     scale = max((fro(m) for m in t.mats), default=0.0)
     for m in t.mats:
-        if not abs(np.trace(m)) <= eps * max(1.0, scale):
+        if abs(np.trace(m)) > eps * max(1.0, scale):
             raise ValueError("tuple is not traceless")
 
 
 def unit_normalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
-    """Scale a nonzero traceless tuple to unit norm.  Raises ZeroTuple when
-    the norm is not above eps_struct (a NaN norm included)."""
+    """Scale a nonzero traceless tuple to unit norm.  Raises InvalidTuple
+    (check_entries), and ZeroTuple when the norm is not above eps_struct."""
     require_kind(t, "skew_hermitian", "real_symmetric")
     _check_traceless(t, tol.eps_struct)
     norm = tuple_norm(t)
-    if not norm > tol.eps_struct:
+    if norm <= tol.eps_struct:
         raise ZeroTuple(f"tuple norm {norm:.3e}")
     return CommutingTuple(t.kind, t.mats / norm, t.ambient)
 
 
 def _check_diagonal_unit(x: CommutingTuple, tol: Tolerances):
     require_kind(x, "skew_hermitian")
-    for m in x.mats:
-        if not fro(m - np.diag(np.diagonal(m))) <= tol.eps_struct:
-            raise ValueError("flag coordinates must be diagonal")
     _check_traceless(x, tol.eps_struct)
-    if not abs(tuple_norm(x) - 1.0) <= tol.eps_struct:
+    for m in x.mats:
+        if fro(m - np.diag(np.diagonal(m))) > tol.eps_struct:
+            raise ValueError("flag coordinates must be diagonal")
+    if abs(tuple_norm(x) - 1.0) > tol.eps_struct:
         raise ValueError("flag coordinates must have unit norm")
 
 

@@ -108,18 +108,23 @@ _STRUCTURES = {
 }
 
 
-def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
-    """Check a square matrix against a tuple kind or "hermitian": the one
-    gate for every matrix a caller hands in.
-
-    Raises InvalidTuple, before any product is taken, when an entry is NaN,
-    infinite or above MAX_ENTRY in modulus; then the kind's InvalidTuple
-    subclass, naming the defect, unless the kind's defect is at most
-    eps_struct max(1, ||a||_F).
-    """
-    require_square(a)
+def check_entries(a):
+    """The input gate's entry bound: InvalidTuple unless every entry of the
+    array a is finite and at most MAX_ENTRY in modulus."""
     if not np.max(np.abs(a), initial=0.0) <= MAX_ENTRY:
         raise InvalidTuple(f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus")
+
+
+def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
+    """Check a square matrix against a tuple kind or "hermitian": the input
+    gate for a caller's matrix.
+
+    Raises check_entries' InvalidTuple before any product is taken; then the
+    kind's InvalidTuple subclass, naming the defect, unless the kind's
+    defect is at most eps_struct max(1, ||a||_F).
+    """
+    require_square(a)
+    check_entries(a)
     defect_of, error, name = _STRUCTURES[kind]
     defect = defect_of(a)
     if not defect <= tol.eps_struct * max(1.0, fro(a)):

@@ -70,10 +70,9 @@ def cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """(Id - A)^{-1}(Id + A), the solve shared by both inverse transforms.
 
-    A must pass check_structure("unitary"): InvalidTuple on an entry that is
-    not finite or above MAX_ENTRY in modulus, NotUnitary off the unitaries.
-    Requires the smallest singular value of A - Id to exceed eps_struct;
-    raises SingularAtOne otherwise.
+    A must pass check_structure("unitary") (InvalidTuple, NotUnitary), and
+    the smallest singular value of A - Id must exceed eps_struct (else
+    SingularAtOne).
     """
     a = np.asarray(a, dtype=complex)
     check_structure("unitary", a, tol)
@@ -85,12 +84,9 @@ def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Inverse Cayley transform (Id - A)^{-1}(Id + A) of a unitary A.
-
-    Raises as cayley_solve: InvalidTuple on a non-finite or oversized entry,
-    NotUnitary off the unitaries, SingularAtOne when the smallest singular
-    value of A - Id is at most eps_struct.  The result is skew-Hermitized to
-    kill roundoff in the Hermitian direction.
+    """Inverse Cayley transform (Id - A)^{-1}(Id + A) of a unitary A; raises
+    as cayley_solve.  The result is skew-Hermitized to kill roundoff in the
+    Hermitian direction.
     """
     x = cayley_solve(a, tol)
     return 0.5 * (x - x.conj().T)

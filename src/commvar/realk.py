@@ -61,9 +61,8 @@ def real_cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of real_cayley.  Input must be unitary complex symmetric with
-    A - Id non-singular; output is real symmetric.  Raises as cayley_solve
-    (InvalidTuple, NotUnitary, SingularAtOne), and NotRealizable when the
-    solve is not real."""
+    A - Id non-singular; output is real symmetric.  Raises as cayley_solve,
+    and NotRealizable when the solve is not real."""
     # the realness check reads the raw solve: symmetrizing first would hide
     # a complex symmetric result
     x = _real_part(-1j * cayley_solve(a, tol))

@@ -1,6 +1,7 @@
-"""numkit.check_structure is the one gate for every matrix a caller hands in:
-each entry point behind it rejects a NaN, infinite or oversized entry with
-InvalidTuple before it takes any product, so no RuntimeWarning is raised."""
+"""The input gate's entry bound (numkit.check_entries, which
+numkit.check_structure runs first) guards every matrix a caller hands in:
+each entry point rejects a NaN, infinite or oversized entry with InvalidTuple
+before it takes any norm or product, so no RuntimeWarning is raised."""
 
 import contextlib
 import io
@@ -16,7 +17,7 @@ from commvar import jsonio
 from commvar.cli import main
 from commvar.commodel import MAX_ENTRY, CommutingTuple
 from commvar.errors import InvalidTuple, NotUnitary
-from commvar.isodecomp import flag_map
+from commvar.isodecomp import flag_map, unit_normalize
 from commvar.numkit import hermitian_eig
 from commvar.rankstrata import cayley, cayley_inv
 from commvar.realk import real_cayley, real_cayley_inv
@@ -25,6 +26,11 @@ BAD = {"nan": np.nan, "inf": np.inf, "1e200": 1e200}
 BOUND_MESSAGE = f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus"
 # a unit traceless diagonal flag coordinate of size 2
 FLAG_X = CommutingTuple("skew_hermitian", np.array([np.diag([1j, -1j]) / np.sqrt(2.0)]))
+
+
+def _diagonal(b):
+    """The traceless skew-Hermitian tuple diag(i b, -i b)."""
+    return CommutingTuple("skew_hermitian", np.array([np.diag([complex(0, b), complex(0, -b)])]))
 
 
 def _stratify(b):
@@ -48,6 +54,8 @@ ENTRY_POINTS = {
     "cayley_inv": lambda b: cayley_inv(np.array([[0.0, b], [b, 0.0]], dtype=complex)),
     "real_cayley_inv": lambda b: real_cayley_inv(np.array([[0.0, b], [b, 0.0]], dtype=complex)),
     "flag_map": lambda b: flag_map(np.array([[b, 0.0], [0.0, 1.0]]), FLAG_X),
+    "flag_map_coordinates": lambda b: flag_map(np.eye(2), _diagonal(b)),
+    "unit_normalize": lambda b: unit_normalize(_diagonal(b)),
 }
 
 

@@ -192,23 +192,3 @@ def test_zero_size_tuples_have_no_decomposition_type(kind, n):
         decomposition_type(t)
     with pytest.raises(ShapeMismatch):
         block_type(joint_diagonalize(t)[1])
-
-
-def _nan_diagonal():
-    return CommutingTuple("skew_hermitian", np.array([np.diag([np.nan * 1j, np.nan * 1j])]))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_flag_map_rejects_nan_coordinates():
-    with pytest.raises(ValueError):
-        flag_map(np.eye(2, dtype=complex), _nan_diagonal())
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_unit_normalize_rejects_nan_entries():
-    with pytest.raises(ValueError):
-        unit_normalize(_nan_diagonal())
-    # a NaN off the diagonal leaves the trace finite and makes the norm NaN
-    off = CommutingTuple("skew_hermitian", np.array([[[0.0, np.nan], [np.nan, 0.0]]]))
-    with pytest.raises(ZeroTuple):
-        unit_normalize(off)
