@@ -3,10 +3,12 @@
 A commuting tuple is a list of pairwise commuting square matrices, flagged as
 unitary, skew-Hermitian, or real symmetric.  Joint diagonalization
 (numkit.joint_diagonalizer) yields the unique coarsest orthogonal decomposition
-on whose summands every matrix acts by a scalar; the eigenblocks with no
-value equal to 1 assemble the distinguished subspace F on which every
-component minus the identity is non-singular.  Reading eigenblocks as labels
-(frame, value tuple) converts a unitary tuple into a configuration and back.
+on whose summands every matrix acts by a scalar.  For a unitary tuple the
+eigenvectors with no joint value within eps_base of 1 span the distinguished
+subspace F on which every component minus the identity is non-singular;
+joint_diagonalize decides this once per eigenvector and marks each block in
+or off F.  Reading eigenblocks as labels (frame, value tuple) converts a
+unitary tuple into a configuration and back.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
-    leading_indices,
     phase_normalize,
     stack_off_norm,
 )
@@ -102,10 +103,12 @@ def identity_tuple(n: int, s: int, ambient: UniverseBasis | None = None) -> Comm
 
 @dataclass
 class EigenBlock:
-    """Simultaneous eigenspace with its tuple of eigenvalues."""
+    """Simultaneous eigenspace with its tuple of eigenvalues, and whether it
+    lies in F: none of its columns has a joint value within eps_base of 1."""
 
     frame: np.ndarray
     values: np.ndarray
+    in_F: bool
 
 
 def _hermitian_components(t: CommutingTuple) -> np.ndarray:
@@ -124,8 +127,10 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     Returns (Q, blocks): Q unitary (orthogonal for real tuples) with
     Q^H A_j Q diagonal up to a joint residual of 1e-8 max_j ||A_j||_F, and
     the coarsest eigenblock decomposition obtained by single-linkage
-    clustering of the joint eigenvalue tuples at eps_cluster.  Blocks are
-    sorted by their value tuples.  A block's frame is its columns of
+    clustering of the joint eigenvalue tuples at eps_cluster, in chart order
+    (leading frame coordinate, then value tuple).  For a unitary tuple only
+    columns on one side of the cut at eps_base from 1 link, so each block is
+    in or off F as a whole.  A block's frame is its columns of
     phase_normalize(Q): Q is unitary by construction (LAPACK eigenvectors
     times plane rotations), so the frames are orthonormal without a
     further Gram-Schmidt pass.
@@ -145,42 +150,32 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     # single linkage in the max metric; with no components every column agrees
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster
+    near = near_basepoint_rows(vals.T, tol.eps_base)
+    if t.kind == "unitary":  # a value near 1 means nothing to the Lie kinds
+        close &= near[:, None] == near
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
     means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
-    order = frame_order(np.zeros(len(groups), int), means)
-    return q, [EigenBlock(frames[:, groups[i]], means[i]) for i in order]
-
-
-def F_blocks(blocks: list[EigenBlock], tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:
-    """The eigenblocks (as joint_diagonalize returns them) that span the
-    distinguished subspace F, in chart order.
-
-    A block belongs to F when its value tuple, read as a sphere point, is
-    not near the basepoint: no coordinate lies within eps_base of 1.  For an
-    empty tuple (n = 0) the condition is vacuous and F is the whole space.
-    Chart order sorts by the leading coordinate of the frame, then by the
-    value tuple, as configuration labels are sorted.
-    """
-    values = np.array([b.values for b in blocks] or np.zeros((0, 0)))
-    keep = np.flatnonzero(~near_basepoint_rows(values, tol.eps_base))
-    order = frame_order(leading_indices([blocks[i].frame for i in keep], tol), values[keep])
-    return [blocks[keep[i]] for i in order]
+    # leading_indices column by column: the first row above eps_struct, or the sentinel s
+    first = np.vstack([np.abs(frames) > tol.eps_struct, [True] * t.s]).argmax(axis=0).tolist()
+    order = frame_order([min(first[c] for c in cols) for cols in groups], means)
+    in_f = (~near).tolist()
+    return q, [EigenBlock(frames[:, groups[i]], means[i], all(in_f[c] for c in groups[i]))
+               for i in order]
 
 
 def F_frame(t: CommutingTuple, blocks: list[EigenBlock],
             tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Isometric frame of F from the eigenblocks of t: the frames of
-    F_blocks side by side."""
-    frames = [b.frame for b in F_blocks(blocks, tol)]
+    """Isometric frame of F from the eigenblocks of t: the frames of the
+    in_F blocks side by side, in block order."""
+    frames = [b.frame for b in blocks if b.in_F]
     return np.hstack(frames) if frames else np.zeros((t.s, 0), dtype=t.mats.dtype)
 
 
 def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Frame spanning the largest subspace on which every A_i - Id is
-    non-singular: the sum of the eigenblocks whose value tuple stays away
-    from 1 in every coordinate (threshold eps_base), the whole space when
-    n = 0."""
+    non-singular: the span of the joint eigenvectors whose values all stay
+    farther than eps_base from 1, the whole space when n = 0."""
     _, blocks = joint_diagonalize(t, tol)
     return F_frame(t, blocks, tol)
 
@@ -260,7 +255,7 @@ def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Con
 def config_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
                        tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """commuting_to_config of a unitary tuple with an ambient universe, from its blocks."""
-    labels = [Label(b.frame, SpherePoint(b.values)) for b in F_blocks(blocks, tol)]
+    labels = [Label(b.frame, SpherePoint(b.values)) for b in blocks if b.in_F]
     return canonicalize(Configuration(t.ambient, labels), tol)
 
 

@@ -150,7 +150,7 @@ def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
 def flag_preimage_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
                               tol: Tolerances = DEFAULT_TOL):
     """flag_map_preimage of a unit tuple from its eigenblocks."""
-    if any(b.frame.shape[1] != 1 for b in blocks):
+    if block_type(blocks).k != t.s:
         raise ValueError("flag preimage needs a simple joint spectrum")
     g = np.hstack([b.frame for b in blocks])
     diags = np.array([b.values for b in blocks]).T[:, :, None] * np.eye(t.s)

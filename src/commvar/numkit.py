@@ -314,9 +314,10 @@ def commutator_defect(mats) -> float:
     for m in arr[1:]:
         if require_square(m) != n0:
             raise ShapeMismatch("matrices in a tuple must share one size")
+    norms = [fro(m) for m in arr]
     worst = 0.0
     for i in range(len(arr)):
         for j in range(i + 1, len(arr)):
             comm = fro(arr[i] @ arr[j] - arr[j] @ arr[i])
-            worst = max(worst, comm / max(1.0, fro(arr[i]) * fro(arr[j])))
+            worst = max(worst, comm / max(1.0, norms[i] * norms[j]))
     return worst

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, F_blocks, joint_diagonalize, require_kind
+from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
 from .errors import NotRealizable
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
 from .rankstrata import (
@@ -114,7 +114,7 @@ def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
                            tol: Tolerances = DEFAULT_TOL) -> SubquotientChart:
     """real_stratum_chart of a unitary tuple from its eigenblocks."""
     frames = []
-    for b in F_blocks(blocks, tol):
+    for b in [b for b in blocks if b.in_F]:
         proj = b.frame @ b.frame.conj().T
         if fro(proj.imag) > tol.eps_struct:
             raise NotRealizable(

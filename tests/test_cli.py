@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -23,10 +24,14 @@ from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary
 from commvar.verify import MAX_D, MAX_N, MAX_TRIALS
 
 
+# child processes get the warning policy that pyproject.toml sets for pytest
+CHILD_ENV = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+
+
 def run_cli(args, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "commvar.cli", *args],
-        input=stdin, capture_output=True, text=True,
+        input=stdin, capture_output=True, text=True, env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -243,7 +248,7 @@ assert "scipy" not in sys.modules, "scipy was imported"
 
 def test_cli_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", _GENERATE_THEN_STRATIFY],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -590,7 +595,7 @@ def test_verify_accepts_caps_at_the_bound(capsys):
 def test_generate_into_a_closed_pipe_ends_quietly():
     # about 300 KB of output, more than a pipe buffer holds
     proc = subprocess.Popen([sys.executable, "-m", "commvar.cli", "generate", "--s", "64"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     head = proc.stdout.read(20)
     proc.stdout.close()
     err = proc.stderr.read()

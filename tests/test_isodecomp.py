@@ -192,3 +192,12 @@ def test_zero_size_tuples_have_no_decomposition_type(kind, n):
         decomposition_type(t)
     with pytest.raises(ShapeMismatch):
         block_type(joint_diagonalize(t)[1])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_flag_preimage_of_a_zero_size_tuple_has_no_type(n):
+    # the s = 0 case meets block_type's error, not numpy's from an empty hstack
+    with pytest.raises(ShapeMismatch, match="an s = 0 tuple has no decomposition type"):
+        flag_map_preimage(CommutingTuple("skew_hermitian", np.zeros((n, 0, 0))))
+    with pytest.raises(ValueError, match="simple joint spectrum"):
+        flag_map_preimage(gen_partition_tuple(2, 2, (2, 1), unit=True, traceless=True))

@@ -312,3 +312,17 @@ def test_orthonormalize_handles_entries_above_1e154():
     assert fro(q - np.full((2, 1), np.sqrt(0.5))) <= 1e-15
     with pytest.raises(RankDeficient, match="vector 1"):
         orthonormalize(np.array([[1e200, 2e200], [1e200, 2e200]]))
+
+
+def test_commutator_defect_takes_each_norm_once(monkeypatch):
+    import commvar.numkit as numkit
+
+    rng = SplitMix64(11)
+    mats = [rng.complex_normals(3, 3) for _ in range(4)]
+    want = max(fro(a @ b - b @ a) / max(1.0, fro(a) * fro(b))
+               for i, a in enumerate(mats) for b in mats[i + 1:])
+    calls = []
+    monkeypatch.setattr(numkit, "fro", lambda a: calls.append(1) or fro(a))
+    assert commutator_defect(mats) == want
+    # one norm per component and one per commutator: 4 + 6
+    assert len(calls) == 10
