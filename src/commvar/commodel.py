@@ -130,10 +130,12 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     clustering of the joint eigenvalue tuples at eps_cluster, in chart order
     (leading frame coordinate, then value tuple).  For a unitary tuple only
     columns on one side of the cut at eps_base from 1 link, so each block is
-    in or off F as a whole.  A block's frame is its columns of
-    phase_normalize(Q): Q is unitary by construction (LAPACK eigenvectors
-    times plane rotations), so the frames are orthonormal without a
-    further Gram-Schmidt pass.
+    in or off F as a whole, and two in-F columns whose phases in one
+    coordinate have opposite signs in the right half-plane do not link, so
+    no in-F block straddles 1 and its mean stays off it.  A block's frame is
+    its columns of phase_normalize(Q): Q is unitary by construction (LAPACK
+    eigenvectors times Cayley transforms and plane rotations), so the frames
+    are orthonormal without a further Gram-Schmidt pass.
 
     The tuple is validated first (an InvalidTuple subclass on failure); a
     joint residual above its bound raises NoConvergence.
@@ -152,7 +154,10 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
                    initial=0.0) < tol.eps_cluster
     near = near_basepoint_rows(vals.T, tol.eps_base)
     if t.kind == "unitary":  # a value near 1 means nothing to the Lie kinds
-        close &= near[:, None] == near
+        # an in-F block must not straddle 1: no coordinate of its columns
+        # takes phases of both signs in the right half-plane
+        side = np.where((vals.real > 0) & ~near, np.sign(vals.imag), 0.0)
+        close &= (near[:, None] == near) & ~np.any(side[:, :, None] * side[:, None] < 0, axis=0)
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
     means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)

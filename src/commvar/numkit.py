@@ -4,9 +4,13 @@ Provides orthonormalization, the shared tolerance policy, structure checks,
 commutator defects, and the eigen-machinery used everywhere else.  A family
 of commuting Hermitian matrices is jointly diagonalized by the LAPACK
 eigenvectors of a seeded random real combination of its members (He &
-Kressner, arXiv:2212.07248), refined by joint Jacobi sweeps to a target
-off-norm or until a sweep gains under 1e-6 relative; a single Hermitian
-matrix takes LAPACK eigh alone.  A sweep visits the index pairs in
+Kressner, arXiv:2212.07248).  A start above the target off-norm is refined
+by all-pairs steps, each one Cayley transform that corrects every pair with
+a joint gap to first order at once (Ogita & Aishima, Japan J. Indust. Appl.
+Math. 35, 2018; the unitary form of FFDIAG, Ziehe, Laskov, Nolte & Mueller,
+JMLR 5, 2004), and then by joint Jacobi sweeps over the pairs under the gap
+floor, to the target or until a sweep gains under 1e-6 relative; a single
+Hermitian matrix takes LAPACK eigh alone.  A sweep visits the index pairs in
 round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985) and
 rotates the disjoint pairs of each round together.  Each rotation maximizes
 the summed squared diagonal separation of its pair, which is equivalent to
@@ -17,6 +21,7 @@ form from the dominant eigenvector of a 3x3 real symmetric matrix G (Cardoso
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +60,11 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-# cap on the Jacobi sweeps of one joint_diagonalizer call
+# caps on the all-pairs steps and the Jacobi sweeps of one joint_diagonalizer call
+MAX_STEPS = 4
 MAX_SWEEPS = 100
+# a pair whose joint gap is under GAP_FLOOR times the stack norm is left to the sweeps
+GAP_FLOOR = 1e-6
 # largest entry modulus a caller's matrix may hold: every norm and product
 # that the checks and the kernel take then stays finite, for s up to 256
 MAX_ENTRY = 1e64
@@ -208,8 +216,40 @@ def _round_robin(s: int) -> tuple[np.ndarray, np.ndarray]:
     return p[keep].reshape(m - 1, -1), q[keep].reshape(m - 1, -1)
 
 
-def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
-                   off_target: float = 0.0) -> np.ndarray:
+def _all_pairs_steps(c: np.ndarray, off_target: float):
+    """All-pairs refinement of a nearly diagonal Hermitian stack, in place.
+
+    A step takes the diagonal gaps d_k = c_k,pp - c_k,qq and the first-order
+    correction of every pair at once, the skew-Hermitian
+    K_pq = -sum_k d_k c_k,pq / sum_k d_k^2 (the all-pairs update of Ogita &
+    Aishima and of FFDIAG), and applies U = (Id - K/2)^{-1} (Id + K/2):
+    exactly unitary, and real for real C.  A pair whose joint gap
+    sqrt(sum_k d_k^2) is under GAP_FLOOR ||C||_F keeps K_pq = 0.  Steps stop
+    at `off_target`, after a step that fails to halve the stack off-norm
+    (undone if it does not lower it), or after MAX_STEPS.  Returns
+    (Q, pairs, steps): the accumulated unitary, the mask of the pairs p < q
+    under the floor, and the steps taken.
+    """
+    eye = np.eye(c.shape[-1], dtype=c.dtype)
+    q_acc, off, steps, gained = eye, stack_off_norm(c), 0, True
+    floor = (GAP_FLOOR * fro(c)) ** 2
+    while True:
+        d = np.diagonal(c, axis1=1, axis2=2).real
+        gaps = d[:, :, None] - d[:, None, :]
+        gap2 = np.sum(gaps * gaps, axis=0)
+        if off <= off_target or not gained or steps == MAX_STEPS:
+            return q_acc, np.triu(gap2 < floor, 1), steps
+        k = -np.sum(gaps * c, axis=0) / np.where(gap2 < floor, np.inf, gap2)
+        u = np.linalg.solve(eye - 0.5 * k, eye + 0.5 * k)
+        stepped, steps = u.conj().T @ c @ u, steps + 1
+        new_off = stack_off_norm(stepped)
+        gained = new_off <= 0.5 * off
+        if new_off < off:
+            c[...], q_acc, off = stepped, q_acc @ u, new_off
+
+
+def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, off_target: float = 0.0,
+                   pairs: np.ndarray | None = None, steps: int = 0) -> np.ndarray:
     """Round-robin Jacobi sweeps on a stack of Hermitian matrices, in place.
 
     Returns the accumulated unitary (orthogonal for real input) Q with
@@ -220,9 +260,14 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
     of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.  A sweep is
     the s - 1 rounds of `_round_robin`; the pairs of one round are disjoint,
     so their rotations commute and are taken together from one batched
-    eigh of their G matrices.  Sweeping stops at `off_target` (checked at
-    entry too), after a sweep that lowers the stack off-norm by under 1e-6
-    relative (as one that rotates nothing does), or after `max_sweeps`.
+    eigh of their G matrices.  An (s, s) boolean `pairs` mask, read at
+    p < q, keeps only its pairs; with none there is no sweep.  Sweeping
+    stops at `off_target` (checked at entry too), after a sweep that lowers
+    the stack off-norm by under 1e-6 relative (as one that rotates nothing
+    does), or after `max_sweeps`.  Ending above `off_target` logs one DEBUG
+    line on the commvar.numkit logger, once a caller has imported logging:
+    the all-pairs `steps` taken before, the sweeps, their pairs and the
+    off-norm relative to the stack norm.
     """
     s = c.shape[-1]
     real_input = not np.iscomplexobj(c)
@@ -230,8 +275,12 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
     off = stack_off_norm(c)
     if off <= off_target:
         return q_acc
-    rounds = list(zip(*_round_robin(s)))
-    for _sweep in range(max_sweeps):
+    rounds = list(zip(*_round_robin(s))) if pairs is None or pairs.any() else []
+    if pairs is not None:
+        rounds = [(p[m], q[m]) for p, q in rounds if (m := pairs[p, q]).any()]
+    sweeps = 0
+    while rounds and sweeps < max_sweeps:
+        sweeps += 1
         for p, q in rounds:
             d = c[:, p, q]
             hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
@@ -262,6 +311,12 @@ def _jacobi_sweeps(c: np.ndarray, max_sweeps: int,
         # at the target, or stalled on the floor of a nearly-commuting family
         if off <= off_target or not off < prev_off * (1.0 - 1e-6):
             break
+    # only a process that imported logging can have a handler for the line;
+    # importing it here would cost a few ms and 0.4 MB the first time
+    if off > off_target and "logging" in sys.modules:
+        sys.modules["logging"].getLogger(__name__).debug(
+            "refinement ended above target: %d all-pairs steps, %d sweeps over %d pairs, "
+            "relative off-norm %.3e", steps, sweeps, sum(p.size for p, _ in rounds), off / fro(c))
     return q_acc
 
 
@@ -272,10 +327,11 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     Input already diagonal to `off_target` gives the identity.  Otherwise Q
     starts as the LAPACK eigenvectors of a deterministic random
     real-coefficient combination of the inputs, which separates every
-    eigenspace the family does (He & Kressner, arXiv:2212.07248); joint
-    Jacobi sweeps then refine the conjugated family under the stop rule of
-    `_jacobi_sweeps` at `off_target`, at most MAX_SWEEPS, also resolving
-    clusters the combination leaves mixed.  The caller bounds the residual.
+    eigenspace the family does (He & Kressner, arXiv:2212.07248).  A start
+    above `off_target` is refined by `_all_pairs_steps`, then by joint
+    Jacobi sweeps on the pairs under their gap floor only (the clusters the
+    combination leaves mixed) under the stop rule of `_jacobi_sweeps`, at
+    most MAX_SWEEPS.  The caller bounds the residual.
     """
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
@@ -284,7 +340,10 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)
     q0 = np.linalg.eigh(np.tensordot(coeffs, c, axes=(0, 0)))[1]
     c = q0.conj().T @ c @ q0
-    return q0 @ _jacobi_sweeps(c, MAX_SWEEPS, off_target=off_target)
+    if stack_off_norm(c) <= off_target:
+        return q0 @ _jacobi_sweeps(c, MAX_SWEEPS, off_target=off_target)
+    u, pairs, steps = _all_pairs_steps(c, off_target)
+    return q0 @ u @ _jacobi_sweeps(c, MAX_SWEEPS, off_target, pairs=pairs, steps=steps)
 
 
 def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):

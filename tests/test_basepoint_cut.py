@@ -20,12 +20,13 @@ from hypothesis.extra import numpy as hnp
 
 from commvar import jsonio
 from commvar.cli import main
-from commvar.commodel import CommutingTuple, F_frame, joint_diagonalize
-from commvar.gammaconf import frame_order
+from commvar.commodel import CommutingTuple, F_frame, commuting_to_config, joint_diagonalize
+from commvar.gammaconf import frame_order, rank
 from commvar.generate import gen_exact_rank_tuple, gen_partition_tuple
 from commvar.isodecomp import decomposition_type
 from commvar.numkit import DEFAULT_TOL, leading_indices
 from commvar.rankstrata import stratum_rank
+from commvar.symuniverse import UniverseBasis
 
 EPS_BASE, EPS_CLUSTER = DEFAULT_TOL.eps_base, DEFAULT_TOL.eps_cluster
 # 0; +-1/2 and +-2 times each threshold; a chain spaced just under eps_cluster;
@@ -73,7 +74,12 @@ def test_rank_chart_and_type_read_one_cut(phases):
     ([[1e-10, 9e-7, 2.0]], 2, [1, 1, 1], 2 / 9e-7),
     # two columns near 1 in different coordinates, 5e-7 apart: one block, off F
     ([[0.0, 5e-7, 2.0], [5e-7, 0.0, 1.0]], 1, [2, 1], None),
-], ids=["two-columns", "chain", "chain-off-zero", "pair"])
+    # in F on both sides of 1: two blocks, each off 1
+    ([[2e-9, -2e-9, 2.0]], 3, [1, 1, 1], 1e9),
+    # 2e-7 apart across i and across -1: one block each
+    ([[np.pi / 2 - 1e-7, np.pi / 2 + 1e-7, np.pi - 1e-7, 1e-7 - np.pi]], 4, [2, 2], None),
+], ids=["two-columns", "chain", "chain-off-zero", "pair", "straddle-one",
+        "straddle-i-and-minus-one"])
 def test_values_near_one_leave_F_column_by_column(phases, rank, parts, x_max):
     t = diagonal_unitary(phases)
     code, report = stratify(t)
@@ -83,6 +89,24 @@ def test_values_near_one_leave_F_column_by_column(phases, rank, parts, x_max):
     if x_max is not None:
         x = jsonio.tuple_from_json(report["chart"]["X"]).mats
         assert np.max(np.abs(x)) == pytest.approx(x_max, rel=1e-3)
+
+
+def test_a_block_in_F_that_would_straddle_1_keeps_its_rank_as_a_configuration():
+    t = CommutingTuple("unitary", diagonal_unitary([[2e-9, -2e-9, 2.0]]).mats, UniverseBasis(1, 2))
+    assert stratum_rank(t) == rank(commuting_to_config(t)) == 3
+
+
+# universes of dimension at most 6, by (n, D)
+UNIVERSES = [(1, d) for d in range(6)] + [(2, 1), (2, 2), (3, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(UNIVERSES).flatmap(lambda nd: st.tuples(st.just(nd), hnp.arrays(
+    float, (nd[0], UniverseBasis(*nd).dim), elements=st.sampled_from(PHASES)))))
+def test_configuration_rank_is_the_stratum_rank(case):
+    (n, d), phases = case
+    t = CommutingTuple("unitary", diagonal_unitary(phases).mats, UniverseBasis(n, d))
+    assert rank(commuting_to_config(t)) == stratum_rank(t) == columns_off_one(phases)
 
 
 def test_lie_kinds_are_not_cut_at_one():

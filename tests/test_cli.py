@@ -252,6 +252,41 @@ def test_cli_leaves_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+_STRATIFY_NEAR_COMMUTING = """
+import contextlib, io, sys
+import numpy as np
+from commvar import jsonio
+from commvar.cli import main
+from commvar.commodel import CommutingTuple
+from commvar.generate import gen_random_commuting
+base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
+h = np.add.outer(np.arange(12.0), np.arange(12.0)) ** 2
+w, v = np.linalg.eigh(h / np.linalg.norm(h))
+near = CommutingTuple("unitary", base.mats @ ((v * np.exp(1e-10j * w)) @ v.conj().T))
+doc = jsonio.dumps(jsonio.tuple_to_json(near))
+def stratify():  # unittest.mock would import logging
+    sys.stdin = io.StringIO(doc)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["stratify"]) == 0
+stratify()
+assert "logging" not in sys.modules, "logging was imported"
+import logging
+log = io.StringIO()
+logging.basicConfig(level=logging.DEBUG, stream=log)
+stratify()
+assert "refinement ended above target" in log.getvalue(), log.getvalue()
+"""
+
+
+def test_the_kernel_log_line_leaves_logging_unloaded_until_a_caller_loads_it():
+    # the near-commuting stratify ends its refinement above the target: the
+    # DEBUG line goes out only once the caller has imported logging
+    proc = subprocess.run([sys.executable, "-c", _STRATIFY_NEAR_COMMUTING],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == proc.stderr == ""
+
+
 @pytest.mark.parametrize("kind", ["unitary", "skew_hermitian"])
 def test_stratify_diagonalizes_once(kind, monkeypatch, capsys):
     original = commodel.joint_diagonalize

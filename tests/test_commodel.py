@@ -148,21 +148,29 @@ def _times_near_identity(mats, rng):
     return CommutingTuple("unitary", np.array(out))
 
 
-def _capped(monkeypatch, t, cap):
-    """joint_diagonalize(t)'s Q with the sweep cap at `cap`, and the stack
-    off-norm that the sweeps left, over their target."""
+def _capped(monkeypatch, t, cap, max_steps=numkit.MAX_STEPS, calls=None):
+    """joint_diagonalize(t)'s Q with the sweep cap at `cap` and the step cap
+    at `max_steps`, and the stack off-norm that the sweeps left, over their
+    target; the sweeps' input stack and keywords are appended to `calls`."""
     left = []
 
-    def recorded(c, max_sweeps, off_target=0.0):
-        q = _jacobi_sweeps(c, max_sweeps, off_target)
+    def recorded(c, max_sweeps, off_target=0.0, **kwargs):
+        if calls is not None:
+            calls.append((c.copy(), kwargs))
+        q = _jacobi_sweeps(c, max_sweeps, off_target, **kwargs)
         left.append(stack_off_norm(c) / off_target)
         return q
 
     monkeypatch.setattr(numkit, "MAX_SWEEPS", cap)
+    monkeypatch.setattr(numkit, "MAX_STEPS", max_steps)
     monkeypatch.setattr(numkit, "_jacobi_sweeps", recorded)
     q = joint_diagonalize(t)[0]
     assert len(left) == 1
     return q, left[0]
+
+
+def _steps_taken(calls):
+    return [kwargs.get("steps", 0) for _, kwargs in calls]
 
 
 def test_sweeps_return_at_entry_when_the_start_is_at_the_target(monkeypatch):
@@ -174,23 +182,31 @@ def test_sweeps_return_at_entry_when_the_start_is_at_the_target(monkeypatch):
 
 
 def test_sweeps_stop_at_the_target(monkeypatch):
+    # exactly commuting, but the LAPACK start misses the target: one
+    # all-pairs step reaches it, and the sweeps return at entry
     t = gen_random_commuting(1000, 2, 16, "unitary", margin=0.3, min_separation=0.2)
-    q1, left = _capped(monkeypatch, t, 1)
-    assert left <= 1.0
-    assert not np.array_equal(_capped(monkeypatch, t, 0)[0], q1)
+    calls = []
+    q1, left = _capped(monkeypatch, t, 0, calls=calls)
+    assert left <= 1.0 and _steps_taken(calls) == [1]
+    assert not np.array_equal(_capped(monkeypatch, t, 0, max_steps=0)[0], q1)
     assert np.array_equal(_capped(monkeypatch, t, 100)[0], q1)
 
 
 def test_sweeps_stop_when_a_sweep_gains_nothing(monkeypatch):
-    # the near-commuting tuple above: one sweep reaches the floor its
-    # perturbation leaves, above the target, and the next rotates nothing
+    # the near-commuting tuple above: one step reaches the floor its
+    # perturbation leaves, above the target, and the next fails to halve the
+    # off-norm; every pair has a joint gap, so no sweep has a pair to rotate
     base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
     t = _times_near_identity(base.mats, SplitMix64(5 ^ 0xA5A5))
-    q1, _ = _capped(monkeypatch, t, 1)
-    q, left = _capped(monkeypatch, t, 100)
-    assert left > 1.0
-    assert not np.array_equal(_capped(monkeypatch, t, 0)[0], q1)
-    assert np.array_equal(q, q1)
+    calls = []
+    q, left = _capped(monkeypatch, t, 100, calls=calls)
+    assert left > 1.0 and _steps_taken(calls) == [2] and numkit.MAX_STEPS > 2
+    # the second step does not lower the off-norm and is undone; the step
+    # cap holds too
+    calls.clear()
+    assert np.array_equal(_capped(monkeypatch, t, 0, max_steps=1, calls=calls)[0], q)
+    assert _steps_taken(calls) == [1]
+    assert not np.array_equal(_capped(monkeypatch, t, 0, max_steps=0)[0], q)
 
 
 def test_sweeps_stop_when_a_sweep_gains_under_1e_6_relative(monkeypatch):
@@ -203,6 +219,80 @@ def test_sweeps_stop_when_a_sweep_gains_under_1e_6_relative(monkeypatch):
     assert np.array_equal(_capped(monkeypatch, t, 10)[0], q)
     # the cap: one sweep stops short of where the rule stops
     assert not np.array_equal(_capped(monkeypatch, t, 1)[0], q)
+
+
+def test_sweeps_with_no_pair_to_rotate_return_at_once(caplog):
+    c = np.array([[[1.0, 1e-3], [1e-3, 2.0]]])
+    with caplog.at_level("DEBUG", logger="commvar.numkit"):
+        q = _jacobi_sweeps(c, 100, pairs=np.zeros((2, 2), bool), steps=3)
+    assert np.array_equal(q, np.eye(2)) and c[0, 0, 1] == 1e-3
+    assert caplog.messages == ["refinement ended above target: 3 all-pairs steps, "
+                               "0 sweeps over 0 pairs, relative off-norm 6.325e-04"]
+
+
+def test_a_refinement_that_ends_above_the_target_logs_one_line(caplog):
+    base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
+    near = _times_near_identity(base.mats, SplitMix64(5 ^ 0xA5A5))
+    with caplog.at_level("DEBUG", logger="commvar.numkit"):
+        joint_diagonalize(base)
+        assert not caplog.records
+        q, _ = joint_diagonalize(near)
+    [record] = caplog.records
+    assert (record.name, record.levelname) == ("commvar.numkit", "DEBUG")
+    steps, sweeps, pairs, off = record.args
+    assert (steps, sweeps, pairs) == (2, 0, 0)
+    assert 1e-12 < off <= 1e-10
+    assert record.getMessage().startswith("refinement ended above target: 2 all-pairs steps")
+
+
+@pytest.mark.parametrize("s", [12, 32])
+def test_the_step_keeps_a_real_q_orthogonal(monkeypatch, s):
+    # a real symmetric tuple plus a symmetric perturbation of norm 1e-10
+    base = gen_random_commuting(s, 2, s, "real_symmetric", min_separation=0.2)
+    g = np.array(SplitMix64(s ^ 0xA5A5).normals(s * s)).reshape(s, s)
+    h = (g + g.T) / np.linalg.norm(g + g.T)
+    t = CommutingTuple("real_symmetric", base.mats + 1e-10 * np.array([h, h @ h]))
+    calls = []
+    q, _ = _capped(monkeypatch, t, 100, calls=calls)
+    assert _steps_taken(calls)[0] >= 1
+    assert not np.iscomplexobj(q)
+    assert fro(q.T @ q - np.eye(s)) <= 1e-14
+    assert _relative_joint_residual(t, q) <= 1e-10
+
+
+def _pairs_apart(s, gap):
+    """Two unitary components, conjugated by one Haar unitary, whose joint
+    eigenvalues come in s/2 pairs gap apart in phase, the pairs 0.2 apart."""
+    ph = np.repeat(0.3 + 0.2 * np.arange(s // 2), 2) + np.tile([0.0, gap], s // 2)
+    q = haar_unitary(SplitMix64(s), s)
+    return [q @ np.diag(np.exp(1j * k * ph)) @ q.conj().T for k in (1, -2)]
+
+
+def test_the_step_hands_the_pairs_under_the_gap_floor_to_the_sweeps(monkeypatch):
+    t = _times_near_identity(_pairs_apart(16, 1e-7), SplitMix64(16 ^ 0xA5A5))
+    calls = []
+    q, _ = _capped(monkeypatch, t, 100, calls=calls)
+    [(c, kwargs)] = calls
+    d = np.diagonal(c, axis1=1, axis2=2).real
+    gap2 = np.sum((d[:, :, None] - d[:, None, :]) ** 2, axis=0)
+    floor = (numkit.GAP_FLOOR * fro(c)) ** 2
+    assert _steps_taken(calls)[0] >= 1
+    assert np.array_equal(kwargs["pairs"], np.triu(gap2 < floor, 1))
+    # exactly the eight pairs 1e-7 apart, far from the floor both ways
+    assert kwargs["pairs"].sum() == 8
+    assert np.max(gap2[kwargs["pairs"]]) < 1e-2 * floor
+    assert np.min(gap2[np.triu(~kwargs["pairs"], 1)]) > 1e2 * floor
+    assert _relative_joint_residual(t, q) <= 1e-8
+    assert block_type(joint_diagonalize(t)[1]).parts == (2,) * 8
+
+
+def test_blocks_under_a_near_commuting_perturbation_keep_their_type():
+    parts = [16] + [2] * 23 + [1, 1]
+    x = gen_partition_tuple(64, 2, parts, kind="skew_hermitian")
+    t = _times_near_identity([cayley(m) for m in x.mats], SplitMix64(64 ^ 0xA5A5))
+    q, blocks = joint_diagonalize(t)
+    assert block_type(blocks).parts == tuple(parts)
+    assert _relative_joint_residual(t, q) <= 1e-10
 
 
 def _check_partition_tuple(seed, kind, parts):
