@@ -5,18 +5,20 @@ commutator defects, and the eigen-machinery used everywhere else.  A family
 of commuting Hermitian matrices is jointly diagonalized by the LAPACK
 eigenvectors of a seeded random real combination of its members (He &
 Kressner, arXiv:2212.07248).  A start above the target off-norm is refined
-by all-pairs steps, each one Cayley transform that corrects every pair with
-a joint gap to first order at once (Ogita & Aishima, Japan J. Indust. Appl.
+by one all-pairs step, a Cayley transform that corrects every pair with a
+joint gap to first order at once (Ogita & Aishima, Japan J. Indust. Appl.
 Math. 35, 2018; the unitary form of FFDIAG, Ziehe, Laskov, Nolte & Mueller,
-JMLR 5, 2004), and then by joint Jacobi sweeps over the pairs under the gap
-floor, to the target or until a sweep gains under 1e-6 relative; a single
-Hermitian matrix takes LAPACK eigh alone.  A sweep visits the index pairs in
-round-robin order (Brent & Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985) and
-rotates the disjoint pairs of each round together.  Each rotation maximizes
-the summed squared diagonal separation of its pair, which is equivalent to
-minimizing the summed off-diagonal Frobenius energy, and is taken in closed
-form from the dominant eigenvector of a 3x3 real symmetric matrix G (Cardoso
-& Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
+JMLR 5, 2004), and then by one joint Jacobi sweep over the pairs the step
+cannot settle: those under the gap floor, and those whose first-order angle
+|K_pq| is above it, since the step leaves an error of order K_pq^2 on a
+pair; a single Hermitian matrix takes LAPACK eigh alone.  The sweep visits
+the index pairs in round-robin order (Brent & Luk, SIAM J. Sci. Stat.
+Comput. 6(1), 1985) and rotates the disjoint pairs of each round together.
+Each rotation maximizes the summed squared diagonal separation of its pair,
+which is equivalent to minimizing the summed off-diagonal Frobenius energy,
+and is taken in closed form from the dominant eigenvector of a 3x3 real
+symmetric matrix G (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17(1),
+1996).
 """
 
 from __future__ import annotations
@@ -60,10 +62,8 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-# caps on the all-pairs steps and the Jacobi sweeps of one joint_diagonalizer call
-MAX_STEPS = 4
-MAX_SWEEPS = 100
-# a pair whose joint gap is under GAP_FLOOR times the stack norm is left to the sweeps
+# a pair whose joint gap is under GAP_FLOOR times the stack norm, or whose
+# first-order angle is above GAP_FLOOR, is left to the sweep
 GAP_FLOOR = 1e-6
 # largest entry modulus a caller's matrix may hold: every norm and product
 # that the checks and the kernel take then stays finite, for s up to 256
@@ -216,107 +216,96 @@ def _round_robin(s: int) -> tuple[np.ndarray, np.ndarray]:
     return p[keep].reshape(m - 1, -1), q[keep].reshape(m - 1, -1)
 
 
-def _all_pairs_steps(c: np.ndarray, off_target: float):
-    """All-pairs refinement of a nearly diagonal Hermitian stack, in place.
+def _all_pairs_step(c: np.ndarray, off: float):
+    """One all-pairs refinement step of a nearly diagonal Hermitian stack of
+    off-norm `off`, in place.
 
-    A step takes the diagonal gaps d_k = c_k,pp - c_k,qq and the first-order
-    correction of every pair at once, the skew-Hermitian
+    The step takes the diagonal gaps d_k = c_k,pp - c_k,qq and the
+    first-order correction of every pair at once, the skew-Hermitian
     K_pq = -sum_k d_k c_k,pq / sum_k d_k^2 (the all-pairs update of Ogita &
     Aishima and of FFDIAG), and applies U = (Id - K/2)^{-1} (Id + K/2):
     exactly unitary, and real for real C.  A pair whose joint gap
-    sqrt(sum_k d_k^2) is under GAP_FLOOR ||C||_F keeps K_pq = 0.  Steps stop
-    at `off_target`, after a step that fails to halve the stack off-norm
-    (undone if it does not lower it), or after MAX_STEPS.  Returns
-    (Q, pairs, steps): the accumulated unitary, the mask of the pairs p < q
-    under the floor, and the steps taken.
+    sqrt(sum_k d_k^2) is under GAP_FLOOR ||C||_F keeps K_pq = 0.  A step
+    that does not lower the stack off-norm is undone.  The step's error on a
+    pair is of order K_pq^2, so a pair with |K_pq| <= GAP_FLOOR is settled.
+    Returns (U, pairs): the unitary taken (the identity if undone), and the
+    mask of the pairs p < q it does not settle, under the floor or with
+    |K_pq| above GAP_FLOOR.
     """
     eye = np.eye(c.shape[-1], dtype=c.dtype)
-    q_acc, off, steps, gained = eye, stack_off_norm(c), 0, True
-    floor = (GAP_FLOOR * fro(c)) ** 2
-    while True:
-        d = np.diagonal(c, axis1=1, axis2=2).real
-        gaps = d[:, :, None] - d[:, None, :]
-        gap2 = np.sum(gaps * gaps, axis=0)
-        if off <= off_target or not gained or steps == MAX_STEPS:
-            return q_acc, np.triu(gap2 < floor, 1), steps
-        k = -np.sum(gaps * c, axis=0) / np.where(gap2 < floor, np.inf, gap2)
-        u = np.linalg.solve(eye - 0.5 * k, eye + 0.5 * k)
-        stepped, steps = u.conj().T @ c @ u, steps + 1
-        new_off = stack_off_norm(stepped)
-        gained = new_off <= 0.5 * off
-        if new_off < off:
-            c[...], q_acc, off = stepped, q_acc @ u, new_off
+    d = np.diagonal(c, axis1=1, axis2=2).real
+    gaps = d[:, :, None] - d[:, None, :]
+    gap2 = np.sum(gaps * gaps, axis=0)
+    under_floor = gap2 < (GAP_FLOOR * fro(c)) ** 2
+    k = -np.sum(gaps * c, axis=0) / np.where(under_floor, np.inf, gap2)
+    u = np.linalg.solve(eye - 0.5 * k, eye + 0.5 * k)
+    stepped = u.conj().T @ c @ u
+    if stack_off_norm(stepped) < off:
+        c[...] = stepped
+    else:
+        u = eye
+    return u, np.triu(under_floor | (np.abs(k) > GAP_FLOOR), 1)
 
 
-def _jacobi_sweeps(c: np.ndarray, max_sweeps: int, off_target: float = 0.0,
-                   pairs: np.ndarray | None = None, steps: int = 0) -> np.ndarray:
-    """Round-robin Jacobi sweeps on a stack of Hermitian matrices, in place.
+def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
+                   pairs: np.ndarray | None = None) -> np.ndarray:
+    """One round-robin Jacobi sweep on a stack of Hermitian matrices, in place.
 
     Returns the accumulated unitary (orthogonal for real input) Q with
-    Q^H C_k Q as diagonal as the sweeps achieve.  For each pair (p, q) the
+    Q^H C_k Q as diagonal as the sweep achieves.  For each pair (p, q) the
     plane rotation maximizes sum_k (c'_pp - c'_qq)^2, the classical extended
     Jacobi angle choice; per pair this equals minimizing sum_k |c'_pq|^2.
     The maximizer is the dominant eigenvector v of G = H H^T, where column k
-    of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.  A sweep is
-    the s - 1 rounds of `_round_robin`; the pairs of one round are disjoint,
-    so their rotations commute and are taken together from one batched
-    eigh of their G matrices.  An (s, s) boolean `pairs` mask, read at
-    p < q, keeps only its pairs; with none there is no sweep.  Sweeping
-    stops at `off_target` (checked at entry too), after a sweep that lowers
-    the stack off-norm by under 1e-6 relative (as one that rotates nothing
-    does), or after `max_sweeps`.  Ending above `off_target` logs one DEBUG
-    line on the commvar.numkit logger, once a caller has imported logging:
-    the all-pairs `steps` taken before, the sweeps, their pairs and the
-    off-norm relative to the stack norm.
+    of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.  The sweep
+    is the s - 1 rounds of `_round_robin`; the pairs of one round are
+    disjoint, so their rotations commute and are taken together from one
+    batched eigh of their G matrices.  An (s, s) boolean `pairs` mask, read
+    at p < q, keeps only its pairs, and only the rounds that hold one.  A
+    stack at `off_target` is returned at entry.  Ending above `off_target`
+    logs one DEBUG line on the commvar.numkit logger, once a caller has
+    imported logging: the sweeps (0 or 1), their pairs and the off-norm
+    relative to the stack norm.
     """
     s = c.shape[-1]
     real_input = not np.iscomplexobj(c)
     q_acc = np.eye(s, dtype=c.dtype)
-    off = stack_off_norm(c)
-    if off <= off_target:
+    if stack_off_norm(c) <= off_target:
         return q_acc
-    rounds = list(zip(*_round_robin(s))) if pairs is None or pairs.any() else []
+    rounds = list(zip(*_round_robin(s)))
     if pairs is not None:
         rounds = [(p[m], q[m]) for p, q in rounds if (m := pairs[p, q]).any()]
-    sweeps = 0
-    while rounds and sweeps < max_sweeps:
-        sweeps += 1
-        for p, q in rounds:
-            d = c[:, p, q]
-            hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
-                             -2.0 * d.real, -2.0 * d.imag], axis=1).T
-            g = hmat @ np.swapaxes(hmat, 1, 2)
-            v = np.linalg.eigh(g)[1][:, :, -1]
-            v *= np.where(v[:, :1] < 0, -1.0, 1.0)
-            cth = np.sqrt(0.5 * (1.0 + v[:, 0]))
-            if real_input:
-                s_rot = v[:, 1] / (2.0 * cth)
-            else:
-                s_rot = (v[:, 1] - 1j * v[:, 2]) / (2.0 * cth)
-            # a zero G (equal diagonals, zero off-diagonal) needs no
-            # rotation; eigh returns an arbitrary top vector for it
-            live = g.any(axis=(1, 2)) & (np.abs(s_rot) > 1e-14)
-            if not live.any():
-                continue
-            p, q, cth, s_rot = p[live], q[live], cth[live, None], s_rot[live, None]
-            # C <- J^H C J with J = [[cth, conj(s)], [-s, cth]] on (p, q)
-            rp, rq = c[:, p, :], c[:, q, :]
-            c[:, p, :] = cth * rp - np.conj(s_rot) * rq
-            c[:, q, :] = s_rot * rp + cth * rq
-            for m in (c, q_acc[None]):
-                cp, cq = m[:, :, p], m[:, :, q]
-                m[:, :, p] = cp * cth.T - cq * s_rot.T
-                m[:, :, q] = cp * np.conj(s_rot).T + cq * cth.T
-        prev_off, off = off, stack_off_norm(c)
-        # at the target, or stalled on the floor of a nearly-commuting family
-        if off <= off_target or not off < prev_off * (1.0 - 1e-6):
-            break
+    for p, q in rounds:
+        d = c[:, p, q]
+        hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
+                         -2.0 * d.real, -2.0 * d.imag], axis=1).T
+        g = hmat @ np.swapaxes(hmat, 1, 2)
+        v = np.linalg.eigh(g)[1][:, :, -1]
+        v *= np.where(v[:, :1] < 0, -1.0, 1.0)
+        cth = np.sqrt(0.5 * (1.0 + v[:, 0]))
+        if real_input:
+            s_rot = v[:, 1] / (2.0 * cth)
+        else:
+            s_rot = (v[:, 1] - 1j * v[:, 2]) / (2.0 * cth)
+        # a zero G (equal diagonals, zero off-diagonal) needs no
+        # rotation; eigh returns an arbitrary top vector for it
+        live = g.any(axis=(1, 2)) & (np.abs(s_rot) > 1e-14)
+        if not live.any():
+            continue
+        p, q, cth, s_rot = p[live], q[live], cth[live, None], s_rot[live, None]
+        # C <- J^H C J with J = [[cth, conj(s)], [-s, cth]] on (p, q)
+        rp, rq = c[:, p, :], c[:, q, :]
+        c[:, p, :] = cth * rp - np.conj(s_rot) * rq
+        c[:, q, :] = s_rot * rp + cth * rq
+        for m in (c, q_acc[None]):
+            cp, cq = m[:, :, p], m[:, :, q]
+            m[:, :, p] = cp * cth.T - cq * s_rot.T
+            m[:, :, q] = cp * np.conj(s_rot).T + cq * cth.T
     # only a process that imported logging can have a handler for the line;
     # importing it here would cost a few ms and 0.4 MB the first time
-    if off > off_target and "logging" in sys.modules:
+    if "logging" in sys.modules and (off := stack_off_norm(c)) > off_target:
         sys.modules["logging"].getLogger(__name__).debug(
-            "refinement ended above target: %d all-pairs steps, %d sweeps over %d pairs, "
-            "relative off-norm %.3e", steps, sweeps, sum(p.size for p, _ in rounds), off / fro(c))
+            "refinement ended above target: %d sweeps over %d pairs, relative off-norm %.3e",
+            int(bool(rounds)), sum(p.size for p, _ in rounds), off / fro(c))
     return q_acc
 
 
@@ -328,10 +317,11 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     starts as the LAPACK eigenvectors of a deterministic random
     real-coefficient combination of the inputs, which separates every
     eigenspace the family does (He & Kressner, arXiv:2212.07248).  A start
-    above `off_target` is refined by `_all_pairs_steps`, then by joint
-    Jacobi sweeps on the pairs under their gap floor only (the clusters the
-    combination leaves mixed) under the stop rule of `_jacobi_sweeps`, at
-    most MAX_SWEEPS.  The caller bounds the residual.
+    above `off_target` is refined by one `_all_pairs_step`, then by one
+    joint Jacobi sweep over the pairs the step does not settle: those under
+    the gap floor (the clusters the combination leaves mixed) and those
+    whose first-order angle |K_pq| exceeds GAP_FLOOR, as where two joint
+    eigenvalues collide in the combination.  The caller bounds the residual.
     """
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
@@ -340,10 +330,13 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)
     q0 = np.linalg.eigh(np.tensordot(coeffs, c, axes=(0, 0)))[1]
     c = q0.conj().T @ c @ q0
-    if stack_off_norm(c) <= off_target:
-        return q0 @ _jacobi_sweeps(c, MAX_SWEEPS, off_target=off_target)
-    u, pairs, steps = _all_pairs_steps(c, off_target)
-    return q0 @ u @ _jacobi_sweeps(c, MAX_SWEEPS, off_target, pairs=pairs, steps=steps)
+    off = stack_off_norm(c)
+    if off <= off_target:
+        # adding 0.0 turns a -0.0 entry into +0.0, as the refined path's
+        # products do: the signs of zeros reach seeded output
+        return q0 + 0.0
+    u, pairs = _all_pairs_step(c, off)
+    return q0 @ u @ _jacobi_sweeps(c, off_target, pairs)
 
 
 def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):

@@ -21,6 +21,7 @@ from commvar.commodel import KINDS, CommutingTuple, identity_tuple
 from commvar.errors import InvalidTuple, NoConvergence, NotOddPrime
 from commvar.generate import gen_random_commuting
 from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary_defect
+from commvar.rng import SplitMix64, haar_unitary
 from commvar.verify import MAX_D, MAX_N, MAX_TRIALS
 
 
@@ -181,6 +182,21 @@ def test_stratify_exit_3_when_the_joint_residual_is_too_large(monkeypatch, capsy
     assert main(["stratify"]) == 3
     body = json.loads(capsys.readouterr().out)
     assert body["error"] == "stratum_error" and "joint residual" in body["message"]
+
+
+def test_stratify_separates_eigenvalues_that_collide_in_the_kernel_combination(
+        monkeypatch, capsys):
+    # eigenphases alpha +- 0.7 take one value in the kernel's combination
+    # a (A + A^H)/2 + b (A - A^H)/2i, alpha = atan2(b, a): the LAPACK start
+    # mixes them, and the first-order step alone cannot separate them
+    a, b = SplitMix64(0x5EEDC0FFEE ^ (2 << 16) ^ 2).normals(2)
+    ph = np.arctan2(b, a) + np.array([0.7, -0.7])
+    q = haar_unitary(SplitMix64(0), 2)
+    t = CommutingTuple("unitary", ((q * np.exp(1j * ph)) @ q.conj().T)[None])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main(["stratify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank"] == 2 and report["decomposition_type"] == [1, 1]
 
 
 def test_stratify_rejects_empty_matrices(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commvar import commodel, numkit
 from commvar.commodel import (
@@ -26,9 +28,17 @@ from commvar.gammaconf import (
 )
 from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
 from commvar.isodecomp import block_type
-from commvar.numkit import DEFAULT_TOL, _jacobi_sweeps, fro, off_norm, stack_off_norm
+from commvar.numkit import (
+    DEFAULT_TOL,
+    _all_pairs_step,
+    _jacobi_sweeps,
+    commutator_defect,
+    fro,
+    off_norm,
+    stack_off_norm,
+)
 from commvar.rankstrata import cayley
-from commvar.rng import SplitMix64, haar_unitary
+from commvar.rng import SplitMix64, haar_orthogonal, haar_unitary
 from commvar.symuniverse import UniverseBasis
 
 
@@ -136,98 +146,92 @@ def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
     assert block_type(blocks).parts == (1,) * 12
 
 
-def _times_near_identity(mats, rng):
-    """Each matrix right-multiplied by exp(i 1e-10 H), H a random unit-norm
+def _times_near_identity(mats, rng, eps=1e-10):
+    """Each matrix right-multiplied by exp(i eps H), H a random unit-norm
     Hermitian matrix from rng, as in the near-commuting test above."""
     out = []
     for a in mats:
         g = rng.complex_normals(a.shape[0], a.shape[0])
         h = 0.5 * (g + g.conj().T)
         w, v = np.linalg.eigh(h / np.linalg.norm(h))
-        out.append(a @ (v * np.exp(1j * 1e-10 * w)) @ v.conj().T)
+        out.append(a @ (v * np.exp(1j * eps * w)) @ v.conj().T)
     return CommutingTuple("unitary", np.array(out))
 
 
-def _capped(monkeypatch, t, cap, max_steps=numkit.MAX_STEPS, calls=None):
-    """joint_diagonalize(t)'s Q with the sweep cap at `cap` and the step cap
-    at `max_steps`, and the stack off-norm that the sweeps left, over their
-    target; the sweeps' input stack and keywords are appended to `calls`."""
-    left = []
+def _refined(monkeypatch, t):
+    """joint_diagonalize(t)'s Q, the off-norm each all-pairs step started
+    from, and for each sweep call its input stack, target, pair mask and
+    returned unitary."""
+    steps, sweeps = [], []
 
-    def recorded(c, max_sweeps, off_target=0.0, **kwargs):
-        if calls is not None:
-            calls.append((c.copy(), kwargs))
-        q = _jacobi_sweeps(c, max_sweeps, off_target, **kwargs)
-        left.append(stack_off_norm(c) / off_target)
+    def step(c, off):
+        steps.append(off)
+        return _all_pairs_step(c, off)
+
+    def sweep(c, off_target, pairs=None):
+        entry = c.copy()
+        q = _jacobi_sweeps(c, off_target, pairs)
+        sweeps.append((entry, off_target, pairs, q))
         return q
 
-    monkeypatch.setattr(numkit, "MAX_SWEEPS", cap)
-    monkeypatch.setattr(numkit, "MAX_STEPS", max_steps)
-    monkeypatch.setattr(numkit, "_jacobi_sweeps", recorded)
-    q = joint_diagonalize(t)[0]
-    assert len(left) == 1
-    return q, left[0]
-
-
-def _steps_taken(calls):
-    return [kwargs.get("steps", 0) for _, kwargs in calls]
+    monkeypatch.setattr(numkit, "_all_pairs_step", step)
+    monkeypatch.setattr(numkit, "_jacobi_sweeps", sweep)
+    return joint_diagonalize(t)[0], steps, sweeps
 
 
 def test_sweeps_return_at_entry_when_the_start_is_at_the_target(monkeypatch):
-    # an exactly commuting tuple: the LAPACK start is already at the target
+    # an exactly commuting tuple: the LAPACK start is already at the target,
+    # and the kernel returns it with no step and no sweep
     t = gen_random_commuting(0, 2, 8, "unitary", min_separation=0.2)
-    q0, left = _capped(monkeypatch, t, 0)
-    assert left <= 1.0
-    assert np.array_equal(_capped(monkeypatch, t, 100)[0], q0)
+    q, steps, sweeps = _refined(monkeypatch, t)
+    assert steps == [] and sweeps == []
+    # LAPACK gives the last row real, one imaginary part -0.0; the kernel
+    # returns +0.0 there, as a product would, and seeded output shows it
+    parts = q.view(float)
+    assert (parts == 0.0).any() and not np.signbit(parts[parts == 0.0]).any()
 
 
 def test_sweeps_stop_at_the_target(monkeypatch):
-    # exactly commuting, but the LAPACK start misses the target: one
-    # all-pairs step reaches it, and the sweeps return at entry
+    # exactly commuting, but the LAPACK start misses the target: the
+    # all-pairs step reaches it, and the sweep returns at entry
     t = gen_random_commuting(1000, 2, 16, "unitary", margin=0.3, min_separation=0.2)
-    calls = []
-    q1, left = _capped(monkeypatch, t, 0, calls=calls)
-    assert left <= 1.0 and _steps_taken(calls) == [1]
-    assert not np.array_equal(_capped(monkeypatch, t, 0, max_steps=0)[0], q1)
-    assert np.array_equal(_capped(monkeypatch, t, 100)[0], q1)
+    _, [start], [(entry, target, _, q)] = _refined(monkeypatch, t)
+    assert start > target >= stack_off_norm(entry)
+    assert np.array_equal(q, np.eye(16))
+
+
+def test_the_sweep_returns_at_entry_at_its_target():
+    c = np.array([[[1.0, 1e-3], [1e-3, 2.0]]])
+    assert np.array_equal(_jacobi_sweeps(c, 1e-2), np.eye(2)) and c[0, 0, 1] == 1e-3
 
 
 def test_sweeps_stop_when_a_sweep_gains_nothing(monkeypatch):
-    # the near-commuting tuple above: one step reaches the floor its
-    # perturbation leaves, above the target, and the next fails to halve the
-    # off-norm; every pair has a joint gap, so no sweep has a pair to rotate
+    # the near-commuting tuple above: the step reaches the floor its
+    # perturbation leaves, above the target; every pair has a joint gap and
+    # a first-order angle under GAP_FLOOR, so the sweep has no pair to rotate
     base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
     t = _times_near_identity(base.mats, SplitMix64(5 ^ 0xA5A5))
-    calls = []
-    q, left = _capped(monkeypatch, t, 100, calls=calls)
-    assert left > 1.0 and _steps_taken(calls) == [2] and numkit.MAX_STEPS > 2
-    # the second step does not lower the off-norm and is undone; the step
-    # cap holds too
-    calls.clear()
-    assert np.array_equal(_capped(monkeypatch, t, 0, max_steps=1, calls=calls)[0], q)
-    assert _steps_taken(calls) == [1]
-    assert not np.array_equal(_capped(monkeypatch, t, 0, max_steps=0)[0], q)
+    _, [start], [(entry, target, pairs, q)] = _refined(monkeypatch, t)
+    assert start > stack_off_norm(entry) > target
+    assert not pairs.any() and np.array_equal(q, np.eye(12))
 
 
-def test_sweeps_stop_when_a_sweep_gains_under_1e_6_relative(monkeypatch):
-    # clustered eigenvalues under a near-commuting perturbation: sweeps keep
-    # gaining for a while, then stall above the target before the cap
-    blocks = gen_partition_tuple(0, 2, [2, 2, 2, 1, 1], kind="skew_hermitian")
-    t = _times_near_identity([cayley(x) for x in blocks.mats], SplitMix64(0 ^ 0xA5A5))
-    q, left = _capped(monkeypatch, t, 100)
-    assert left > 1.0
-    assert np.array_equal(_capped(monkeypatch, t, 10)[0], q)
-    # the cap: one sweep stops short of where the rule stops
-    assert not np.array_equal(_capped(monkeypatch, t, 1)[0], q)
+def test_a_step_that_does_not_lower_the_off_norm_is_undone():
+    # |K_01| = 1.5: the Cayley step overshoots, from off-norm 2.12 to 2.17,
+    # and leaves the pair to the sweep
+    c = np.array([[[0.0, 1.5], [1.5, 1.0]]])
+    u, pairs = _all_pairs_step(c, stack_off_norm(c))
+    assert np.array_equal(u, np.eye(2)) and c[0, 0, 1] == 1.5
+    assert pairs.tolist() == [[False, True], [False, False]]
 
 
 def test_sweeps_with_no_pair_to_rotate_return_at_once(caplog):
     c = np.array([[[1.0, 1e-3], [1e-3, 2.0]]])
     with caplog.at_level("DEBUG", logger="commvar.numkit"):
-        q = _jacobi_sweeps(c, 100, pairs=np.zeros((2, 2), bool), steps=3)
+        q = _jacobi_sweeps(c, 0.0, pairs=np.zeros((2, 2), bool))
     assert np.array_equal(q, np.eye(2)) and c[0, 0, 1] == 1e-3
-    assert caplog.messages == ["refinement ended above target: 3 all-pairs steps, "
-                               "0 sweeps over 0 pairs, relative off-norm 6.325e-04"]
+    assert caplog.messages == ["refinement ended above target: 0 sweeps over 0 pairs, "
+                               "relative off-norm 6.325e-04"]
 
 
 def test_a_refinement_that_ends_above_the_target_logs_one_line(caplog):
@@ -239,10 +243,10 @@ def test_a_refinement_that_ends_above_the_target_logs_one_line(caplog):
         q, _ = joint_diagonalize(near)
     [record] = caplog.records
     assert (record.name, record.levelname) == ("commvar.numkit", "DEBUG")
-    steps, sweeps, pairs, off = record.args
-    assert (steps, sweeps, pairs) == (2, 0, 0)
+    sweeps, pairs, off = record.args
+    assert (sweeps, pairs) == (0, 0)
     assert 1e-12 < off <= 1e-10
-    assert record.getMessage().startswith("refinement ended above target: 2 all-pairs steps")
+    assert record.getMessage().startswith("refinement ended above target: 0 sweeps over 0 pairs")
 
 
 @pytest.mark.parametrize("s", [12, 32])
@@ -252,9 +256,8 @@ def test_the_step_keeps_a_real_q_orthogonal(monkeypatch, s):
     g = np.array(SplitMix64(s ^ 0xA5A5).normals(s * s)).reshape(s, s)
     h = (g + g.T) / np.linalg.norm(g + g.T)
     t = CommutingTuple("real_symmetric", base.mats + 1e-10 * np.array([h, h @ h]))
-    calls = []
-    q, _ = _capped(monkeypatch, t, 100, calls=calls)
-    assert _steps_taken(calls)[0] >= 1
+    q, steps, _ = _refined(monkeypatch, t)
+    assert steps
     assert not np.iscomplexobj(q)
     assert fro(q.T @ q - np.eye(s)) <= 1e-14
     assert _relative_joint_residual(t, q) <= 1e-10
@@ -270,18 +273,16 @@ def _pairs_apart(s, gap):
 
 def test_the_step_hands_the_pairs_under_the_gap_floor_to_the_sweeps(monkeypatch):
     t = _times_near_identity(_pairs_apart(16, 1e-7), SplitMix64(16 ^ 0xA5A5))
-    calls = []
-    q, _ = _capped(monkeypatch, t, 100, calls=calls)
-    [(c, kwargs)] = calls
+    q, steps, [(c, _, pairs, _)] = _refined(monkeypatch, t)
     d = np.diagonal(c, axis1=1, axis2=2).real
     gap2 = np.sum((d[:, :, None] - d[:, None, :]) ** 2, axis=0)
     floor = (numkit.GAP_FLOOR * fro(c)) ** 2
-    assert _steps_taken(calls)[0] >= 1
-    assert np.array_equal(kwargs["pairs"], np.triu(gap2 < floor, 1))
+    assert steps
+    assert np.array_equal(pairs, np.triu(gap2 < floor, 1))
     # exactly the eight pairs 1e-7 apart, far from the floor both ways
-    assert kwargs["pairs"].sum() == 8
-    assert np.max(gap2[kwargs["pairs"]]) < 1e-2 * floor
-    assert np.min(gap2[np.triu(~kwargs["pairs"], 1)]) > 1e2 * floor
+    assert pairs.sum() == 8
+    assert np.max(gap2[pairs]) < 1e-2 * floor
+    assert np.min(gap2[np.triu(~pairs, 1)]) > 1e2 * floor
     assert _relative_joint_residual(t, q) <= 1e-8
     assert block_type(joint_diagonalize(t)[1]).parts == (2,) * 8
 
@@ -293,6 +294,72 @@ def test_blocks_under_a_near_commuting_perturbation_keep_their_type():
     q, blocks = joint_diagonalize(t)
     assert block_type(blocks).parts == tuple(parts)
     assert _relative_joint_residual(t, q) <= 1e-10
+
+
+def test_one_sweep_brings_an_accepted_edge_input_under_the_bound(monkeypatch):
+    # pairs 1e-7 apart under exp(i 6e-8 H): the validator accepts the tuple,
+    # and only the sweep over the pairs under the gap floor takes its joint
+    # residual under the 1e-8 bound (1.155e-7 without it)
+    t = _times_near_identity(_pairs_apart(128, 1e-7), SplitMix64(0 ^ 0xA5A5), eps=6e-8)
+    assert 9.40e-10 < commutator_defect(t.mats) < 9.42e-10
+    q, _ = joint_diagonalize(t)
+    assert _relative_joint_residual(t, q) <= 1e-8
+    monkeypatch.setattr(numkit, "_jacobi_sweeps",
+                        lambda c, *args: np.eye(c.shape[-1], dtype=c.dtype))
+    with pytest.raises(NoConvergence, match="joint residual"):
+        joint_diagonalize(t)
+
+
+def _collision(s, seed, phi):
+    """An n = 1 unitary tuple of size s, conjugated by a Haar unitary, with
+    eigenphases alpha +- phi and others strictly between alpha + phi and
+    alpha + pi; and the values of its phases in the kernel's combination
+    a (A + A^H)/2 + b (A - A^H)/2i, alpha = atan2(b, a).  The phases
+    alpha +- phi take one value there."""
+    a, b = SplitMix64(0x5EEDC0FFEE ^ (2 << 16) ^ s).normals(2)
+    ph = np.arctan2(b, a) + np.concatenate(
+        [[phi, -phi], phi + np.arange(1, s - 1) * (np.pi - phi) / (s - 1)])
+    q = haar_unitary(SplitMix64(seed), s)
+    t = CommutingTuple("unitary", ((q * np.exp(1j * ph)) @ q.conj().T)[None])
+    return t, a * np.cos(ph) + b * np.sin(ph)
+
+
+def _real_collision(s, seed):
+    """A real symmetric pair of size s, conjugated by a Haar orthogonal
+    matrix, with joint eigenvalues (0, 0), (b, -a) and the others on the line
+    through (a, b); and their values in the kernel's combination a A + b B.
+    The first two take one value there."""
+    a, b = SplitMix64(0x5EEDC0FFEE ^ (2 << 16) ^ s).normals(2)
+    pts = np.array([[0.0, 0.0], [b, -a], *(0.7 * j * np.array([a, b]) for j in range(1, s - 1))])
+    q = haar_orthogonal(SplitMix64(seed), s)
+    t = CommutingTuple("real_symmetric", np.array([(q * pts[:, k]) @ q.T for k in (0, 1)]))
+    return t, pts @ [a, b]
+
+
+def _check_collision(t, values):
+    # the precondition: two joint eigenvalues take one value in the
+    # combination, so the LAPACK start mixes them and the step leaves their
+    # pair to the sweep
+    assert abs(values[0] - values[1]) <= 1e-14
+    with pytest.MonkeyPatch.context() as mp:
+        q, steps, [(_, _, pairs, _)] = _refined(mp, t)
+    assert steps and pairs.any()
+    assert _relative_joint_residual(t, q) <= 1e-12
+    assert block_type(joint_diagonalize(t)[1]).parts == (1,) * t.s
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("s", [2, 3, 4, 6, 8])
+def test_eigenvalues_that_collide_in_the_combination_are_swept_apart(s, seed):
+    for phi in np.linspace(0.1, 3.0, 8):
+        _check_collision(*_collision(s, seed, phi))
+    _check_collision(*_real_collision(s, seed))
+
+
+@given(st.integers(2, 8), st.integers(0, 2**16), st.floats(0.05, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_any_collision_in_the_combination_is_swept_apart(s, seed, phi):
+    _check_collision(*_collision(s, seed, phi))
 
 
 def _check_partition_tuple(seed, kind, parts):

@@ -114,7 +114,7 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
     h = r[:, :2] * np.sqrt([4.0, 3.99])
     c = np.array([[[h0 / 2, -h1 / 2], [-h1 / 2, -h0 / 2]] for h0, h1, _ in h.T])
     g = h @ h.T
-    _jacobi_sweeps(c, max_sweeps=1)
+    _jacobi_sweeps(c)
     off = np.sum(np.abs(c[:, 0, 1]) ** 2)
     best = (np.trace(g) - np.linalg.eigvalsh(g)[-1]) / 4
     assert abs(off - best) <= 1e-12 * best
@@ -124,7 +124,7 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
 def test_jacobi_sweeps_return_the_identity_with_no_off_diagonal_entry(shape):
     # no matrices, or matrices too small to have an off-diagonal entry:
     # the off-norm is 0, at any target
-    assert np.array_equal(_jacobi_sweeps(np.ones(shape), max_sweeps=5), np.eye(shape[-1]))
+    assert np.array_equal(_jacobi_sweeps(np.ones(shape)), np.eye(shape[-1]))
 
 
 @pytest.mark.parametrize("s", range(2, 10))
