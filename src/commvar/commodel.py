@@ -35,8 +35,8 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
+    off_norm,
     phase_normalize,
-    stack_off_norm,
 )
 from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
 
@@ -145,7 +145,7 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     scale = max((fro(a) for a in t.mats), default=0.0)
     q = joint_diagonalizer(comps, off_target=1e-12 * scale)
     diag = q.conj().T @ t.mats @ q
-    resid = stack_off_norm(diag)
+    resid = off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
         raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
     vals = np.diagonal(diag, axis1=1, axis2=2)

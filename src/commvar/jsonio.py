@@ -22,6 +22,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _count(d: dict, field: str) -> int:
+    if type(v := d[field]) is not int:  # a JSON integer: not a bool, a float or a string
+        raise ValueError(f"{field} must be an integer, got {type(v).__name__} {v!r:.40}")
+    return v
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a)
     rows, cols = a.shape
@@ -34,7 +40,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = int(d["rows"]), int(d["cols"])
+    rows, cols = _count(d, "rows"), _count(d, "cols")
     real, data = d.get("field") == "real", d["data"]
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
@@ -60,7 +66,7 @@ def tuple_to_json(t: CommutingTuple) -> dict:
 
 def tuple_from_json(d: dict) -> CommutingTuple:
     kind = d["kind"]
-    n, s = int(d["n"]), int(d["s"])
+    n, s = _count(d, "n"), _count(d, "s")
     mats = [matrix_from_json(m) for m in d["mats"]]
     if len(mats) != n or s < 0 or any(m.shape != (s, s) for m in mats):
         raise ValueError("tuple shape fields disagree with matrix data")
@@ -90,7 +96,7 @@ def config_to_json(c: Configuration) -> dict:
 
 
 def config_from_json(d: dict) -> Configuration:
-    u = UniverseBasis(int(d["universe"]["n"]), int(d["universe"]["D"]))
+    u = UniverseBasis(_count(d["universe"], "n"), _count(d["universe"], "D"))
     labels = [
         Label(matrix_from_json(lab["frame"]), point_from_json(lab["point"]))
         for lab in d["labels"]

@@ -5,20 +5,20 @@ commutator defects, and the eigen-machinery used everywhere else.  A family
 of commuting Hermitian matrices is jointly diagonalized by the LAPACK
 eigenvectors of a seeded random real combination of its members (He &
 Kressner, arXiv:2212.07248).  A start above the target off-norm is refined
-by one all-pairs step, a Cayley transform that corrects every pair with a
-joint gap to first order at once (Ogita & Aishima, Japan J. Indust. Appl.
-Math. 35, 2018; the unitary form of FFDIAG, Ziehe, Laskov, Nolte & Mueller,
-JMLR 5, 2004), and then by one joint Jacobi sweep over the pairs the step
-cannot settle: those under the gap floor, and those whose first-order angle
-|K_pq| is above it, since the step leaves an error of order K_pq^2 on a
-pair; a single Hermitian matrix takes LAPACK eigh alone.  The sweep visits
-the index pairs in round-robin order (Brent & Luk, SIAM J. Sci. Stat.
-Comput. 6(1), 1985) and rotates the disjoint pairs of each round together.
-Each rotation maximizes the summed squared diagonal separation of its pair,
-which is equivalent to minimizing the summed off-diagonal Frobenius energy,
-and is taken in closed form from the dominant eigenvector of a 3x3 real
-symmetric matrix G (Cardoso & Souloumiac, SIAM J. Matrix Anal. Appl. 17(1),
-1996).
+by one all-pairs step, a Cayley transform that corrects pairs to first
+order all at once (Ogita & Aishima, Japan J. Indust. Appl. Math. 35, 2018;
+the unitary form of FFDIAG, Ziehe, Laskov, Nolte & Mueller, JMLR 5, 2004),
+and then by one joint Jacobi sweep.  The step applies only what it
+settles; the sweep takes the rest: the pairs under the gap floor, and
+those whose first-order angle |K_pq| is above it, since the step leaves an
+error of order K_pq^2 on a pair.  A single Hermitian matrix takes LAPACK
+eigh alone.  The sweep visits the index pairs in round-robin order (Brent
+& Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985) and rotates the disjoint
+pairs of each round together.  Each rotation maximizes the summed squared
+diagonal separation of its pair, which is equivalent to minimizing the
+summed off-diagonal Frobenius energy, and is taken in closed form from the
+dominant eigenvector of a 3x3 real symmetric matrix G (Cardoso &
+Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ def off_norm(a: np.ndarray) -> float:
     matrices of a stack together."""
     a = np.asarray(a)
     return fro(a[..., ~np.eye(a.shape[-1], dtype=bool)])
-
-
-stack_off_norm = off_norm
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -216,21 +213,20 @@ def _round_robin(s: int) -> tuple[np.ndarray, np.ndarray]:
     return p[keep].reshape(m - 1, -1), q[keep].reshape(m - 1, -1)
 
 
-def _all_pairs_step(c: np.ndarray, off: float):
-    """One all-pairs refinement step of a nearly diagonal Hermitian stack of
-    off-norm `off`, in place.
+def _all_pairs_step(c: np.ndarray):
+    """One all-pairs refinement step of a nearly diagonal Hermitian stack,
+    in place.
 
     The step takes the diagonal gaps d_k = c_k,pp - c_k,qq and the
     first-order correction of every pair at once, the skew-Hermitian
     K_pq = -sum_k d_k c_k,pq / sum_k d_k^2 (the all-pairs update of Ogita &
     Aishima and of FFDIAG), and applies U = (Id - K/2)^{-1} (Id + K/2):
-    exactly unitary, and real for real C.  A pair whose joint gap
-    sqrt(sum_k d_k^2) is under GAP_FLOOR ||C||_F keeps K_pq = 0.  A step
-    that does not lower the stack off-norm is undone.  The step's error on a
-    pair is of order K_pq^2, so a pair with |K_pq| <= GAP_FLOOR is settled.
-    Returns (U, pairs): the unitary taken (the identity if undone), and the
-    mask of the pairs p < q it does not settle, under the floor or with
-    |K_pq| above GAP_FLOOR.
+    exactly unitary, and real for real C.  Its error on a pair is of order
+    K_pq^2, so it applies K_pq only where that settles the pair: the joint
+    gap sqrt(sum_k d_k^2) is at least GAP_FLOOR ||C||_F and |K_pq| is at
+    most GAP_FLOOR.  Every other pair keeps K_pq = 0 and is left to the
+    sweep.  Returns (U, pairs): the unitary taken, and the mask of the
+    pairs p < q it leaves to the sweep.
     """
     eye = np.eye(c.shape[-1], dtype=c.dtype)
     d = np.diagonal(c, axis1=1, axis2=2).real
@@ -238,17 +234,16 @@ def _all_pairs_step(c: np.ndarray, off: float):
     gap2 = np.sum(gaps * gaps, axis=0)
     under_floor = gap2 < (GAP_FLOOR * fro(c)) ** 2
     k = -np.sum(gaps * c, axis=0) / np.where(under_floor, np.inf, gap2)
+    # |K| is symmetric only to rounding; a symmetric mask keeps U unitary
+    wide = (np.abs(k) > GAP_FLOOR) | (np.abs(k.T) > GAP_FLOOR)
+    # zero only these: the signed zeros under the floor reach seeded output
+    k[wide] = 0.0
     u = np.linalg.solve(eye - 0.5 * k, eye + 0.5 * k)
-    stepped = u.conj().T @ c @ u
-    if stack_off_norm(stepped) < off:
-        c[...] = stepped
-    else:
-        u = eye
-    return u, np.triu(under_floor | (np.abs(k) > GAP_FLOOR), 1)
+    c[...] = u.conj().T @ c @ u
+    return u, np.triu(under_floor | wide, 1)
 
 
-def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
-                   pairs: np.ndarray | None = None) -> np.ndarray:
+def _jacobi_sweeps(c: np.ndarray, off_target: float, pairs: np.ndarray) -> np.ndarray:
     """One round-robin Jacobi sweep on a stack of Hermitian matrices, in place.
 
     Returns the accumulated unitary (orthogonal for real input) Q with
@@ -259,9 +254,9 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
     of H is (c_pp - c_qq, -2 Re c_pq, -2 Im c_pq) for matrix k.  The sweep
     is the s - 1 rounds of `_round_robin`; the pairs of one round are
     disjoint, so their rotations commute and are taken together from one
-    batched eigh of their G matrices.  An (s, s) boolean `pairs` mask, read
-    at p < q, keeps only its pairs, and only the rounds that hold one.  A
-    stack at `off_target` is returned at entry.  Ending above `off_target`
+    batched eigh of their G matrices, over only the pairs of the (s, s)
+    boolean mask `pairs`, read at p < q: the pairs the all-pairs step left.
+    A stack at `off_target` is returned at entry.  Ending above `off_target`
     logs one DEBUG line on the commvar.numkit logger, once a caller has
     imported logging: the sweeps (0 or 1), their pairs and the off-norm
     relative to the stack norm.
@@ -269,11 +264,9 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
     s = c.shape[-1]
     real_input = not np.iscomplexobj(c)
     q_acc = np.eye(s, dtype=c.dtype)
-    if stack_off_norm(c) <= off_target:
+    if off_norm(c) <= off_target:
         return q_acc
-    rounds = list(zip(*_round_robin(s)))
-    if pairs is not None:
-        rounds = [(p[m], q[m]) for p, q in rounds if (m := pairs[p, q]).any()]
+    rounds = [(p[m], q[m]) for p, q in zip(*_round_robin(s)) if (m := pairs[p, q]).any()]
     for p, q in rounds:
         d = c[:, p, q]
         hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
@@ -289,8 +282,6 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
         # a zero G (equal diagonals, zero off-diagonal) needs no
         # rotation; eigh returns an arbitrary top vector for it
         live = g.any(axis=(1, 2)) & (np.abs(s_rot) > 1e-14)
-        if not live.any():
-            continue
         p, q, cth, s_rot = p[live], q[live], cth[live, None], s_rot[live, None]
         # C <- J^H C J with J = [[cth, conj(s)], [-s, cth]] on (p, q)
         rp, rq = c[:, p, :], c[:, q, :]
@@ -302,7 +293,7 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float = 0.0,
             m[:, :, q] = cp * np.conj(s_rot).T + cq * cth.T
     # only a process that imported logging can have a handler for the line;
     # importing it here would cost a few ms and 0.4 MB the first time
-    if "logging" in sys.modules and (off := stack_off_norm(c)) > off_target:
+    if "logging" in sys.modules and (off := off_norm(c)) > off_target:
         sys.modules["logging"].getLogger(__name__).debug(
             "refinement ended above target: %d sweeps over %d pairs, relative off-norm %.3e",
             int(bool(rounds)), sum(p.size for p, _ in rounds), off / fro(c))
@@ -317,25 +308,24 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     starts as the LAPACK eigenvectors of a deterministic random
     real-coefficient combination of the inputs, which separates every
     eigenspace the family does (He & Kressner, arXiv:2212.07248).  A start
-    above `off_target` is refined by one `_all_pairs_step`, then by one
-    joint Jacobi sweep over the pairs the step does not settle: those under
-    the gap floor (the clusters the combination leaves mixed) and those
-    whose first-order angle |K_pq| exceeds GAP_FLOOR, as where two joint
-    eigenvalues collide in the combination.  The caller bounds the residual.
+    above `off_target` is refined by one `_all_pairs_step`, which applies
+    only what it settles, then by one joint Jacobi sweep over the rest: the
+    pairs under the gap floor (the clusters the combination leaves mixed)
+    and those whose first-order angle |K_pq| exceeds GAP_FLOOR, as where
+    two joint eigenvalues collide in it.  The caller bounds the residual.
     """
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
-    if stack_off_norm(c) <= max(off_target, 1e-300):
+    if off_norm(c) <= max(off_target, 1e-300):
         return np.eye(s, dtype=c.dtype)
     coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)
     q0 = np.linalg.eigh(np.tensordot(coeffs, c, axes=(0, 0)))[1]
     c = q0.conj().T @ c @ q0
-    off = stack_off_norm(c)
-    if off <= off_target:
+    if off_norm(c) <= off_target:
         # adding 0.0 turns a -0.0 entry into +0.0, as the refined path's
         # products do: the signs of zeros reach seeded output
         return q0 + 0.0
-    u, pairs = _all_pairs_step(c, off)
+    u, pairs = _all_pairs_step(c)
     return q0 @ u @ _jacobi_sweeps(c, off_target, pairs)
 
 

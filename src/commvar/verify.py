@@ -82,8 +82,8 @@ from .numkit import (
     commutator_defect,
     fro,
     hermitian_eig,
+    off_norm,
     orthonormalize,
-    stack_off_norm,
 )
 from .rankstrata import (
     cayley,
@@ -287,7 +287,7 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     conj_t = CommutingTuple("unitary", u2 @ tup.mats @ u2.conj().T, tup.ambient)
     q2, _ = joint_diagonalize(conj_t, tol)
     d2 = q2.conj().T @ conj_t.mats @ q2
-    res2 = stack_off_norm(d2)
+    res2 = off_norm(d2)
     rec.check("joint residual after conjugation", res2,
               1e-8 * max(1.0, max(fro(a) for a in conj_t.mats)))
 
@@ -561,7 +561,7 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
     q, _ = joint_diagonalize_real(t, tol)
     diag = q.T @ t.mats @ q
-    res = stack_off_norm(diag)
+    res = off_norm(diag)
     rec.check("SO joint residual", res, 1e-8 * max(1.0, max(fro(m) for m in t.mats)))
     rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 

@@ -453,7 +453,14 @@ def test_stratify_real_symmetric_imaginary_parts(imag, code, monkeypatch, capsys
     ' "mats": [{"rows": Infinity, "cols": 1, "data": [[1, 0]]}]}',
     '{"kind": "unitary", "n": 1, "s": 1,'
     ' "mats": [{"rows": 1, "cols": 1, "data": [[1' + "0" * 400 + ', 0]]}]}',
-], ids=["n-1e400", "rows-Infinity", "entry-401-digits"])
+    '{"kind": "unitary", "n": "1", "s": "1",'
+    ' "mats": [{"rows": "1", "cols": " 1 ", "data": [[1, 0]]}]}',
+    '{"kind": "unitary", "n": 1.9, "s": 1.2,'
+    ' "mats": [{"rows": 1.7, "cols": 1, "data": [[1, 0]]}]}',
+    '{"kind": "unitary", "n": true, "s": true,'
+    ' "mats": [{"rows": true, "cols": true, "data": [[1, 0]]}]}',
+], ids=["n-1e400", "rows-Infinity", "entry-401-digits", "fields-strings", "fields-floats",
+        "fields-bools"])
 def test_stratify_rejects_overflowing_fields(payload, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert main(["stratify"]) == 2

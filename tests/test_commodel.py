@@ -35,7 +35,6 @@ from commvar.numkit import (
     commutator_defect,
     fro,
     off_norm,
-    stack_off_norm,
 )
 from commvar.rankstrata import cayley
 from commvar.rng import SplitMix64, haar_orthogonal, haar_unitary
@@ -115,7 +114,7 @@ def test_joint_diagonalize_checks_the_kernel_residual(monkeypatch):
 
 def _relative_joint_residual(t, q):
     diag = q.conj().T @ t.mats @ q
-    return stack_off_norm(diag) / max(fro(a) for a in t.mats)
+    return off_norm(diag) / max(fro(a) for a in t.mats)
 
 
 def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
@@ -164,11 +163,11 @@ def _refined(monkeypatch, t):
     returned unitary."""
     steps, sweeps = [], []
 
-    def step(c, off):
-        steps.append(off)
-        return _all_pairs_step(c, off)
+    def step(c):
+        steps.append(off_norm(c))
+        return _all_pairs_step(c)
 
-    def sweep(c, off_target, pairs=None):
+    def sweep(c, off_target, pairs):
         entry = c.copy()
         q = _jacobi_sweeps(c, off_target, pairs)
         sweeps.append((entry, off_target, pairs, q))
@@ -196,13 +195,14 @@ def test_sweeps_stop_at_the_target(monkeypatch):
     # all-pairs step reaches it, and the sweep returns at entry
     t = gen_random_commuting(1000, 2, 16, "unitary", margin=0.3, min_separation=0.2)
     _, [start], [(entry, target, _, q)] = _refined(monkeypatch, t)
-    assert start > target >= stack_off_norm(entry)
+    assert start > target >= off_norm(entry)
     assert np.array_equal(q, np.eye(16))
 
 
 def test_the_sweep_returns_at_entry_at_its_target():
     c = np.array([[[1.0, 1e-3], [1e-3, 2.0]]])
-    assert np.array_equal(_jacobi_sweeps(c, 1e-2), np.eye(2)) and c[0, 0, 1] == 1e-3
+    q = _jacobi_sweeps(c, 1e-2, np.ones((2, 2), bool))
+    assert np.array_equal(q, np.eye(2)) and c[0, 0, 1] == 1e-3
 
 
 def test_sweeps_stop_when_a_sweep_gains_nothing(monkeypatch):
@@ -212,16 +212,27 @@ def test_sweeps_stop_when_a_sweep_gains_nothing(monkeypatch):
     base = gen_random_commuting(5, 2, 12, "unitary", margin=0.3, min_separation=0.2)
     t = _times_near_identity(base.mats, SplitMix64(5 ^ 0xA5A5))
     _, [start], [(entry, target, pairs, q)] = _refined(monkeypatch, t)
-    assert start > stack_off_norm(entry) > target
+    assert start > off_norm(entry) > target
     assert not pairs.any() and np.array_equal(q, np.eye(12))
 
 
-def test_a_step_that_does_not_lower_the_off_norm_is_undone():
-    # |K_01| = 1.5: the Cayley step overshoots, from off-norm 2.12 to 2.17,
-    # and leaves the pair to the sweep
+def test_the_step_leaves_a_pair_with_a_wide_angle_to_the_sweep():
+    # |K_01| = 1.5, far above GAP_FLOOR: the step does not rotate the pair
+    # and hands it to the sweep
     c = np.array([[[0.0, 1.5], [1.5, 1.0]]])
-    u, pairs = _all_pairs_step(c, stack_off_norm(c))
+    u, pairs = _all_pairs_step(c)
     assert np.array_equal(u, np.eye(2)) and c[0, 0, 1] == 1.5
+    assert pairs.tolist() == [[False, True], [False, False]]
+
+
+def test_the_step_masks_both_sides_of_a_pair_that_straddles_the_floor():
+    # Hermitian only to rounding, as a conjugated stack is: |K_01| one ulp
+    # above GAP_FLOOR and |K_10| one ulp below.  Zeroing one side alone
+    # would leave K not skew-Hermitian and U not unitary
+    f = numkit.GAP_FLOOR
+    c = np.array([[[0.0, np.nextafter(f, 1.0)], [np.nextafter(f, 0.0), 1.0]]])
+    u, pairs = _all_pairs_step(c)
+    assert np.array_equal(u, np.eye(2))
     assert pairs.tolist() == [[False, True], [False, False]]
 
 
@@ -346,6 +357,24 @@ def _check_collision(t, values):
     assert steps and pairs.any()
     assert _relative_joint_residual(t, q) <= 1e-12
     assert block_type(joint_diagonalize(t)[1]).parts == (1,) * t.s
+
+
+def test_the_step_does_not_rotate_a_collided_pair(monkeypatch):
+    # s = 2, phases alpha +- 0.1 that take one value in the combination: the
+    # start mixes them, and the pair's first-order angle is far above
+    # GAP_FLOOR, so the step takes the identity and the sweep the pair
+    t, _ = _collision(2, 1, 0.1)
+    taken = []
+
+    def step(c):
+        taken.append(_all_pairs_step(c))
+        return taken[-1]
+
+    monkeypatch.setattr(numkit, "_all_pairs_step", step)
+    q, _ = joint_diagonalize(t)
+    [(u, pairs)] = taken
+    assert np.array_equal(u, np.eye(2)) and pairs.tolist() == [[False, True], [False, False]]
+    assert _relative_joint_residual(t, q) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -19,7 +19,6 @@ from commvar.numkit import (
     off_norm,
     orthonormalize,
     phase_normalize,
-    stack_off_norm,
 )
 from commvar.rng import SplitMix64, haar_unitary
 
@@ -114,7 +113,7 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
     h = r[:, :2] * np.sqrt([4.0, 3.99])
     c = np.array([[[h0 / 2, -h1 / 2], [-h1 / 2, -h0 / 2]] for h0, h1, _ in h.T])
     g = h @ h.T
-    _jacobi_sweeps(c)
+    _jacobi_sweeps(c, 0.0, np.ones((2, 2), bool))
     off = np.sum(np.abs(c[:, 0, 1]) ** 2)
     best = (np.trace(g) - np.linalg.eigvalsh(g)[-1]) / 4
     assert abs(off - best) <= 1e-12 * best
@@ -124,7 +123,8 @@ def test_jacobi_rotation_reaches_optimal_pair_residual():
 def test_jacobi_sweeps_return_the_identity_with_no_off_diagonal_entry(shape):
     # no matrices, or matrices too small to have an off-diagonal entry:
     # the off-norm is 0, at any target
-    assert np.array_equal(_jacobi_sweeps(np.ones(shape)), np.eye(shape[-1]))
+    pairs = np.ones(shape[1:], bool)
+    assert np.array_equal(_jacobi_sweeps(np.ones(shape), 0.0, pairs), np.eye(shape[-1]))
 
 
 @pytest.mark.parametrize("s", range(2, 10))
@@ -142,9 +142,9 @@ def test_stack_off_norm_matches_per_matrix_norms():
     rng = SplitMix64(11)
     c = rng.complex_normals(3, 5, 5)
     per_matrix = np.sqrt(sum(fro(ck - np.diag(np.diag(ck))) ** 2 for ck in c))
-    assert abs(stack_off_norm(c) - per_matrix) <= 1e-14 * per_matrix
-    assert off_norm(c[0]) == stack_off_norm(c[:1])
-    assert stack_off_norm(np.zeros((0, 4, 4))) == 0.0
+    assert abs(off_norm(c) - per_matrix) <= 1e-14 * per_matrix
+    assert off_norm(c[0]) == off_norm(c[:1])
+    assert off_norm(np.zeros((0, 4, 4))) == 0.0
 
 
 def test_orthonormalize_accepts_single_vector_and_lists():
