@@ -15,9 +15,10 @@ Suite map (each invariant family is reachable through exactly one suite):
 
 Each suite runs `trials` seeded trials (deterministic per trial index) and
 reports {suite, trials, failures, worst_residual, messages}, the messages
-naming the first 20 failed checks.  The isotropy suite's deterministic sweep
-solves the null-space oracle once per (parts, field) for one matrix and
-compares n times that count with the fixed-dimension formula for n = 1..3.
+naming the first 20 failed checks.  Two deterministic sweeps ignore the size
+caps: isotropy solves the null-space oracle once per (parts, field) of
+s = 1..5 for one matrix, all from one Gaussian draw, and compares n times each
+count with the formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
 """
 
 from __future__ import annotations
@@ -257,13 +258,9 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     for a in tup.mats:
         w, v = np.linalg.eig(a)
         kernels.append(v[:, np.abs(w - 1.0) <= 1e-8])
-    kmat = np.hstack(kernels) if kernels else np.zeros((tup.s, 0), dtype=complex)
-    if kmat.shape[1]:
-        u_, sv, _ = np.linalg.svd(kmat)
-        rank_k = int(np.sum(sv > 1e-8))
-        pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
-    else:
-        pk = np.zeros((tup.s, tup.s), dtype=complex)
+    u_, sv, _ = np.linalg.svd(np.hstack(kernels))
+    rank_k = int(np.sum(sv > 1e-8))
+    pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
     rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
     can = rep_from_blocks(tup, blocks, tol)
@@ -644,61 +641,75 @@ def _field_columns(s: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     return cols, trace
 
 
-def _block_elements(parts, field: str, rng: SplitMix64) -> np.ndarray:
-    """(2 + len(parts), s, s) stack generating (a dense subgroup of) the block
-    subgroup: two Haar block elements from one Gaussian draw scattered through
-    the block-diagonal mask and one stacked `phase_fixed_q` (the Householder
-    QR keeps off-block entries exactly 0), then one reflection
-    I - 2 e e^T per block, e the unit vector at its first coordinate."""
-    s = sum(parts)
+@functools.cache
+def _block_layout(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only block-diagonal mask of `parts` and its reflections I - 2 e e^T,
+    one per block, e the unit vector at the block's first coordinate."""
     labels = np.repeat(np.arange(len(parts)), parts)
+    e = np.eye(len(labels))[np.searchsorted(labels, np.arange(len(parts)))]
     mask = labels[:, None] == labels[None, :]
-    z = np.zeros((2, s, s), dtype=complex if field == "complex" else float)
-    z[:, mask] = (rng.complex_normals if field == "complex" else rng.normals)(2, mask.sum())
-    e = np.eye(s)[np.searchsorted(labels, np.arange(len(parts)))]
-    return np.concatenate([phase_fixed_q(z), np.eye(s) - 2 * e[:, :, None] * e[:, None, :]])
+    reflections = np.eye(len(labels)) - 2 * e[:, :, None] * e[:, None, :]
+    mask.flags.writeable = reflections.flags.writeable = False
+    return mask, reflections
+
+
+def _block_elements(partitions, field: str, normals: np.ndarray) -> list[np.ndarray]:
+    """Per partition of one size s, the (2 + len(parts), s, s) stack generating
+    (a dense subgroup of) its block subgroup: two Haar block elements, then its
+    `_block_layout` reflections.  Each mask takes its k entries as
+    complex_normals(2, k) (real field: normals(2, k)) draws them from a stream
+    starting with `normals`, so one draw serves all; one stacked `phase_fixed_q`
+    makes each pair Haar (its Householder QR keeps off-block entries 0)."""
+    s = sum(partitions[0])
+    z = np.zeros((len(partitions), 2, s, s), dtype=complex if field == "complex" else float)
+    layouts = [_block_layout(tuple(parts)) for parts in partitions]
+    for zi, (mask, _) in zip(z, layouts):
+        w = normals[:4 * mask.sum()].reshape(2, 2, -1)
+        zi[:, mask] = w[0] if field == "real" else (w[0] + 1j * w[1]) / math.sqrt(2.0)
+    q = phase_fixed_q(z.reshape(2 * len(partitions), s, s)).reshape(z.shape)
+    return [np.concatenate([qi, refl]) for qi, (_, refl) in zip(q, layouts)]
+
+
+def _fixed_dims(partitions, field: str, normals: np.ndarray):
+    """Yields, per partition of one size s, the fixed-subspace dimension on one
+    matrix: the SVD null-space dimension of the real-linear system 'commutes with
+    the block subgroup and is traceless'.  Row-major, X -> g X g^H is g (x) conj(g),
+    so one Kronecker stack and one matmul per partition give every commutator defect."""
+    s = sum(partitions[0])
+    cols, trace = _field_columns(s, field)
+    for g in _block_elements(partitions, field, normals):
+        kron = (g[:, :, None, :, None] * g.conj()[:, None, :, None, :]).reshape(len(g), s * s, s * s)
+        diff = kron @ cols - cols
+        sv = np.linalg.svd(np.concatenate([*diff.real, *diff.imag, trace[None]]), compute_uv=False)
+        yield len(trace) - int(np.sum(sv > 1e-8 * sv[:1]))
 
 
 def fixed_dim_nullspace_oracle(parts, n: int, field: str, seed: int = 0) -> int:
-    """Independent route to the fixed-subspace dimension: the null-space
-    dimension, by SVD, of the real-linear system 'commutes with the block
-    subgroup and is traceless' on one matrix, times n for the n-fold direct
-    sum.  On row-major flattened matrices X -> g X g^H is g (x) conj(g): one
-    stacked Kronecker product and one matmul give every commutator defect."""
-    s = sum(parts)
-    cols, trace = _field_columns(s, field)
-    g = _block_elements(parts, field, SplitMix64(seed ^ 0xFACADE))
-    kron = (g[:, :, None, :, None] * g.conj()[:, None, :, None, :]).reshape(len(g), s * s, s * s)
-    diff = kron @ cols - cols
-    sv = np.linalg.svd(np.concatenate([*diff.real, *diff.imag, trace[None]]), compute_uv=False)
-    rank_ = int(np.sum(sv > 1e-8 * (sv[0] if sv.size else 1.0)))
-    return n * (len(trace) - rank_)
+    """`_fixed_dims` of one partition on the first 4 sum p_i^2 normals of its
+    stream SplitMix64(seed ^ 0xFACADE), times n for the n-fold direct sum."""
+    normals = SplitMix64(seed ^ 0xFACADE).normals(4 * sum(p * p for p in parts))
+    return n * next(_fixed_dims([parts], field, normals))
 
 
-def _partitions(s: int):
-    def rec(left, cap):
-        if left == 0:
-            yield ()
-            return
-        for first in range(min(left, cap), 0, -1):
-            for rest in rec(left - first, first):
-                yield (first,) + rest
-    yield from rec(s, s)
+def _partitions(s: int, cap: int = 0):
+    if s == 0:
+        yield ()
+    for first in range(min(s, cap or s), 0, -1):
+        yield from ((first,) + rest for rest in _partitions(s - first, first))
 
 
 def _fixed_dim_sweep(cfg: RunConfig, rec: Recorder):
-    """Deterministic sweep: the fixed-dimension formula against the
-    null-space oracle, solved once per (parts, field) for one matrix; the
-    n-tuple space is its n-fold direct sum."""
-    fields = ("complex", "real")
+    """Deterministic sweep at s = 1..5, whatever cfg's caps: the formula for
+    n = 1..3 against n times the oracle on one matrix, one `_fixed_dims` call
+    per (s, field), all on one draw of the oracle stream (4 * 5^2 normals)."""
+    normals = SplitMix64(cfg.seed ^ 0xFACADE).normals(100)
     for s in range(1, 6):
-        for parts in _partitions(s):
-            d = DecompType(parts)
-            per_matrix = {f: fixed_dim_nullspace_oracle(parts, 1, f, cfg.seed) for f in fields}
-            for n in range(1, 4):
-                for field_ in fields:
-                    rec.expect(f"fixed dim {parts} n={n} {field_}",
-                               fixed_subspace_dim(d, n, field_) == n * per_matrix[field_])
+        partitions = list(_partitions(s))
+        dims = {f: list(_fixed_dims(partitions, f, normals)) for f in ("complex", "real")}
+        for i, parts in enumerate(partitions):
+            for n, field_ in itertools.product(range(1, 4), dims):
+                rec.expect(f"fixed dim {parts} n={n} {field_}",
+                           fixed_subspace_dim(DecompType(parts), n, field_) == n * dims[field_][i])
 
 
 @_trial_suite("isotropy", sweep=_fixed_dim_sweep)
@@ -755,7 +766,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
 
 def _cohomology_tables(cfg: RunConfig, rec: Recorder):
-    """Deterministic sweep: the fixed tables and the rejected non-primes."""
+    """Deterministic sweep: the fixed tables at p = 3, 5, 7, 11 and the rejected non-primes."""
     p3 = cohomtab.poincare_poly(3)
     rec.expect("p=3 expansion", p3.to_dict() == {0: 1, 3: 1, 4: 2, 5: 1})
     rec.expect("p=3 reduced table", cohomtab.a0_lambda_table(3) == {3: 1, 4: 2, 5: 1})

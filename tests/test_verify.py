@@ -121,20 +121,61 @@ def test_no_tuple_object_is_diagonalized_twice(name, monkeypatch):
 
 
 def test_isotropy_sweep_solves_each_system_once(monkeypatch):
-    original = verify.fixed_dim_nullspace_oracle
-    calls = []
+    original, qr = verify._fixed_dims, verify.phase_fixed_q
+    calls, qr_calls, draws = [], [], []
 
-    def counted(parts, n, field, seed=0):
-        calls.append((parts, n, field))
-        return original(parts, n, field, seed)
+    def counted(partitions, field, normals):
+        dims = list(original(partitions, field, normals))
+        calls.extend((parts, field, dim) for parts, dim in zip(partitions, dims))
+        return dims
 
-    monkeypatch.setattr(verify, "fixed_dim_nullspace_oracle", counted)
+    class Stream(SplitMix64):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.seed = seed
+
+        def normals(self, *shape):
+            draws.append(self.seed)
+            return super().normals(*shape)
+
+    monkeypatch.setattr(verify, "_fixed_dims", counted)
+    monkeypatch.setattr(verify, "phase_fixed_q", lambda z: qr_calls.append(z.shape) or qr(z))
+    monkeypatch.setattr(verify, "SplitMix64", Stream)
     out = run_suite("isotropy", RunConfig(seed=0, trials=1))
     assert out["failures"] == 0, out["messages"]
     # 18 partitions of s = 1..5, two fields, one matrix each
     assert len(calls) == 36
-    assert {n for _, n, _ in calls} == {1}
-    assert len({(parts, field) for parts, _, field in calls}) == 36
+    assert len({(parts, field) for parts, field, _ in calls}) == 36
+    assert all(dim == fixed_subspace_dim(DecompType(parts), 1, field)
+               for parts, field, dim in calls)
+    # one draw of the oracle stream, one stacked QR per (s, field)
+    assert draws.count(0xFACADE) == 1  # the oracle stream of seed 0
+    assert len(qr_calls) == 10
+
+
+def test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch):
+    formula = verify.fixed_subspace_dim
+    monkeypatch.setattr(verify, "fixed_subspace_dim",
+                        lambda d, n, field: formula(d, n, field) + (d.parts == (2, 1)))
+    out = run_suite("isotropy", RunConfig(seed=0, trials=1))
+    assert out["failures"] == 6
+    assert sorted(out["messages"]) == sorted(
+        f"fixed dim (2, 1) n={n} {field}: expectation failed"
+        for n in (1, 2, 3) for field in ("complex", "real"))
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_one_shared_draw_gives_each_partition_its_own_block_elements(field):
+    # a partition's stack from its size's batch on one long draw equals the
+    # stack it gets alone from a draw of exactly its own length
+    for seed in range(4):
+        shared = SplitMix64(seed).normals(4 * 6 * 6)
+        for s in range(1, 7):
+            partitions = list(_partitions(s))
+            for parts, g in zip(partitions, _block_elements(partitions, field, shared)):
+                own = SplitMix64(seed).normals(4 * sum(p * p for p in parts))
+                alone, = _block_elements([parts], field, own)
+                assert g.dtype == alone.dtype and np.array_equal(g, alone)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -194,7 +235,7 @@ def test_block_elements_are_block_unitary_then_one_reflection_per_block(field):
     dtype = complex if field == "complex" else float
     for s in range(1, 7):
         for parts in _partitions(s):
-            g = _block_elements(parts, field, SplitMix64(s))
+            g, = _block_elements([parts], field, SplitMix64(s).normals(4 * s * s))
             assert g.shape == (2 + len(parts), s, s) and g.dtype == dtype
             assert np.all(g[:, ~_block_mask(parts)] == 0)
             assert np.abs(g @ g.conj().swapaxes(1, 2) - np.eye(s)).max() <= 1e-12
@@ -218,7 +259,7 @@ def test_block_elements_are_the_written_out_phase_fixed_qr(field):
             q, r = np.linalg.qr(z)
             d = np.diagonal(r, axis1=1, axis2=2)
             q *= (d / np.abs(d))[:, None, :]
-            g = _block_elements(parts, field, SplitMix64(seed))
+            g, = _block_elements([parts], field, SplitMix64(seed).normals(4 * s * s))
             assert g.dtype == q.dtype and np.array_equal(g[:2], q)
 
 
