@@ -248,6 +248,15 @@ def config_to_commuting(c: Configuration) -> CommutingTuple:
     return t
 
 
+def config_blocks(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:
+    """The in-F eigenblocks of config_to_commuting(c) for a canonical c, read
+    off its labels instead of diagonalizing: one per label, with the label's
+    phase-normalized frame and its point, in the chart order canonicalize
+    already gives."""
+    return [EigenBlock(phase_normalize(lab.frame, tol), lab.point.coords, True)
+            for lab in c.labels]
+
+
 def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Inverse direction: eigenblocks whose value tuple avoids 1 become
     labels; blocks touching 1 are the basepoint part and disappear."""

@@ -15,10 +15,13 @@ Suite map (each invariant family is reachable through exactly one suite):
 
 Each suite runs `trials` seeded trials (deterministic per trial index) and
 reports {suite, trials, failures, worst_residual, messages}, the messages
-naming the first 20 failed checks.  Two deterministic sweeps ignore the size
-caps: isotropy solves the null-space oracle once per (parts, field) of
-s = 1..5 for one matrix, all from one Gaussian draw, and compares n times each
-count with the formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
+naming the first 20 failed checks.  The cross-picture checks of spectrum and
+equivariance read a configuration's blocks off its labels
+(commodel.config_blocks) and diagonalize only the tuple side.  Two
+deterministic sweeps ignore the size caps: isotropy solves the null-space
+oracle once per (parts, field) of s = 1..5 for one matrix, all from one
+Gaussian draw and seed-free reflection rows built once, and compares n times
+each count with the formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .commodel import (
     CommutingTuple,
     F_frame,
     canonical_rep,
-    class_distance,
+    config_blocks,
     config_from_blocks,
     config_to_commuting,
     extend_by_identity,
@@ -126,7 +129,7 @@ from .symuniverse import (
 
 # largest tuple length, truncation degree and trial count a run accepts: the
 # equivariance suite charts all n! permutations, a universe holds C(n + D, n)
-# monomials, and a trial of all suites takes about 0.06 s
+# monomials, and a trial of all suites takes about 0.04 s
 MAX_N = 6
 MAX_D = 4
 MAX_TRIALS = 1000
@@ -357,8 +360,8 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
               max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
     rec.check("trace split reassembly", rep_distance(reassemble_trace(bar, tau), xt), 1e-12)
 
-    yt = gen_random_commuting(rng.next_u64(), rng.randint(1, 3), rng.randint(1, 4),
-                              "skew_hermitian")
+    yt = gen_random_commuting(rng.next_u64(), rng.randint(1, min(2, cfg.n_max) + 1),
+                              rng.randint(1, min(3, cfg.s_max) + 1), "skew_hermitian")
     pair = pairing_chart(xt, yt)
     rec.check("pairing commutes", commutator_defect(pair.mats), 1e-12)
     tr_err = max(
@@ -383,11 +386,16 @@ def _random_perm(rng: SplitMix64, n: int) -> list[int]:
     return list(list(itertools.permutations(range(n)))[rng.randint(0, math.factorial(n))])
 
 
+def _config_rep(c: Configuration, tol: Tolerances) -> CommutingTuple:
+    """canonical_rep(config_to_commuting(c)) of a canonical c, its blocks read off its labels."""
+    return rep_from_blocks(config_to_commuting(c), config_blocks(c, tol), tol)
+
+
 @_trial_suite("spectrum")
 def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
-    n = rng.randint(1, 3)
-    m = rng.randint(1, 3)
+    n = rng.randint(1, min(2, cfg.n_max) + 1)
+    m = rng.randint(1, min(2, cfg.n_max) + 1)
     ua = UniverseBasis(n, 1)
     ub = UniverseBasis(m, 1)
     a = gen_random_config(rng.next_u64(), ua, max_labels=2, max_rank=2, tol=tol)
@@ -395,22 +403,23 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     x = _random_point(rng, n)
     y = _random_point(rng, m)
 
+    unit_x = unit_map(x, ua, tol)
+    ay = structure_map(a, y, tol=tol)
     rec.check("unit law",
-              config_distance(structure_map(unit_map(x, ua, tol), y, tol=tol),
+              config_distance(structure_map(unit_x, y, tol=tol),
                               unit_map(smash(x, y), UniverseBasis(n + m, 2), tol)),
               1e-8)
     rec.check("structure = multiply(unit)",
-              config_distance(structure_map(a, y, tol=tol),
-                              multiply(a, unit_map(y, UniverseBasis(m, ua.D), tol), tol=tol)),
+              config_distance(ay, multiply(a, unit_map(y, UniverseBasis(m, ua.D), tol), tol=tol)),
               1e-8)
     ab = multiply(a, b, tol=tol)
     rec.expect("rank multiplicative", rank(ab) == rank(a) * rank(b))
-    rec.expect("rank preserved", rank(structure_map(a, y, tol=tol)) == rank(a))
+    rec.expect("rank preserved", rank(ay) == rank(a))
 
     uc = UniverseBasis(1, 1)
     c = gen_random_config(rng.next_u64(), uc, max_labels=1, max_rank=1, tol=tol)
     rec.check("associativity",
-              config_distance(multiply(multiply(a, b, tol=tol), c, tol=tol),
+              config_distance(multiply(ab, c, tol=tol),
                               multiply(a, multiply(b, c, tol=tol), tol=tol)),
               1e-8)
 
@@ -423,33 +432,30 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
     sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
     rho = sigma + [n + t for t in tau]
+    sigma_a = sigma_action_config(sigma, a, tol)
     rec.check("multiply equivariance",
-              config_distance(multiply(sigma_action_config(sigma, a, tol),
-                                       sigma_action_config(tau, b, tol), tol=tol),
+              config_distance(multiply(sigma_a, sigma_action_config(tau, b, tol), tol=tol),
                               sigma_action_config(rho, ab, tol)),
               1e-8)
     rec.check("structure map equivariance",
-              config_distance(
-                  structure_map(sigma_action_config(sigma, a, tol),
-                                permute_point(tau, y), tol=tol),
-                  sigma_action_config(rho, structure_map(a, y, tol=tol), tol)),
+              config_distance(structure_map(sigma_a, permute_point(tau, y), tol=tol),
+                              sigma_action_config(rho, ay, tol)),
               1e-8)
 
-    # cross-picture coherence
-    ta = config_to_commuting(a)
-    tb = config_to_commuting(b)
-    _, blocks_a = joint_diagonalize(ta, tol)
+    # cross-picture coherence: the configuration side reads its blocks off
+    # its labels, the tuple side is diagonalized
+    ta, tb = config_to_commuting(a), config_to_commuting(b)
+    blocks_a = config_blocks(a, tol)
     rec.check("cross-picture multiply",
-              class_distance(config_to_commuting(ab), multiply_from_blocks(
-                  ta, blocks_a, tb, joint_diagonalize(tb, tol)[1], tol=tol), tol),
+              rep_distance(_config_rep(ab, tol), canonical_rep(multiply_from_blocks(
+                  ta, blocks_a, tb, config_blocks(b, tol), tol=tol), tol)),
               1e-8)
     rec.check("cross-picture structure map",
-              class_distance(config_to_commuting(structure_map(a, y, tol=tol)),
-                             structure_map_from_blocks(ta, blocks_a, y, tol=tol), tol),
+              rep_distance(_config_rep(ay, tol), canonical_rep(
+                  structure_map_from_blocks(ta, blocks_a, y, tol=tol), tol)),
               1e-8)
     rec.check("cross-picture unit",
-              class_distance(config_to_commuting(unit_map(x, ua, tol)),
-                             unit_map_tuple(x, ua), tol),
+              rep_distance(_config_rep(unit_x, tol), canonical_rep(unit_map_tuple(x, ua), tol)),
               1e-8)
 
 
@@ -460,7 +466,7 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
     n = rng.randint(1, cfg.n_max + 1)
-    m = rng.randint(1, 3)
+    m = rng.randint(1, min(2, cfg.n_max) + 1)
     du = rng.randint(1, cfg.D_max + 1)
     u = UniverseBasis(n, du)
     v = UniverseBasis(m, rng.randint(1, 2))
@@ -513,16 +519,14 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
         ts = t if sg == perms_u[0] else sigma_action_tuple(list(sg), t)
         return ts, joint_diagonalize(ts, tol)[1]
 
-    rec.check("model equivariance",
-              rep_distance(rep_from_blocks(*permuted(tuple(sigma)), tol), canonical_rep(
-                  config_to_commuting(sigma_action_config(sigma, c, tol)), tol)),
-              1e-8)
+    sigma_c = sigma_action_config(sigma, c, tol)
+    rec.check("model equivariance", rep_distance(rep_from_blocks(*permuted(tuple(sigma)), tol),
+                                                 _config_rep(sigma_c, tol)), 1e-8)
     comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t))
     rec.check("tuple action composition",
               rep_distance(canonical_rep(comp_t, tol),
                            rep_from_blocks(*permuted(tuple(comp)), tol)), 1e-8)
-    rec.expect("rank invariance",
-               rank(sigma_action_config(sigma, c, tol)) == rank(c))
+    rec.expect("rank invariance", rank(sigma_c) == rank(c))
 
     # chart equivariance for every permutation
     ch = chart_from_blocks(*permuted(perms_u[0]), tol)
@@ -653,34 +657,55 @@ def _block_layout(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
     return mask, reflections
 
 
-def _block_elements(partitions, field: str, normals: np.ndarray) -> list[np.ndarray]:
-    """Per partition of one size s, the (2 + len(parts), s, s) stack generating
-    (a dense subgroup of) its block subgroup: two Haar block elements, then its
-    `_block_layout` reflections.  Each mask takes its k entries as
-    complex_normals(2, k) (real field: normals(2, k)) draws them from a stream
-    starting with `normals`, so one draw serves all; one stacked `phase_fixed_q`
-    makes each pair Haar (its Householder QR keeps off-block entries 0)."""
+def _block_elements(partitions, field: str, normals: np.ndarray) -> np.ndarray:
+    """Per partition of one size s, the (2, s, s) pair of Haar block elements
+    that with its `_block_layout` reflections generates (a dense subgroup of)
+    its block subgroup, as one (len(partitions), 2, s, s) array.  Each mask
+    takes its k entries as complex_normals(2, k) (real field: normals(2, k))
+    draws them from a stream starting with `normals`, so one draw serves all;
+    one stacked `phase_fixed_q` makes each pair Haar (its Householder QR keeps
+    off-block entries 0)."""
     s = sum(partitions[0])
     z = np.zeros((len(partitions), 2, s, s), dtype=complex if field == "complex" else float)
-    layouts = [_block_layout(tuple(parts)) for parts in partitions]
-    for zi, (mask, _) in zip(z, layouts):
+    for zi, parts in zip(z, partitions):
+        mask = _block_layout(tuple(parts))[0]
         w = normals[:4 * mask.sum()].reshape(2, 2, -1)
         zi[:, mask] = w[0] if field == "real" else (w[0] + 1j * w[1]) / math.sqrt(2.0)
-    q = phase_fixed_q(z.reshape(2 * len(partitions), s, s)).reshape(z.shape)
-    return [np.concatenate([qi, refl]) for qi, (_, refl) in zip(q, layouts)]
+    return phase_fixed_q(z.reshape(2 * len(partitions), s, s)).reshape(z.shape)
+
+
+def _defect_rows(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """g X g^H - X for each element g of a stack and each column X of cols,
+    row-major, where X -> g X g^H is g (x) conj(g): one Kronecker stack, one matmul."""
+    s = g.shape[-1]
+    kron = (g[:, :, None, :, None] * g.conj()[:, None, :, None, :]).reshape(len(g), s * s, s * s)
+    return kron @ cols - cols
+
+
+@functools.cache
+def _reflection_rows(parts: tuple, field: str) -> np.ndarray:
+    """Read-only seed-free `_defect_rows` of the `_block_layout` reflections of
+    `parts`, in the field's dtype, so each row is the one a stack with the
+    Haar pair gives, bit for bit."""
+    cols, _ = _field_columns(sum(parts), field)
+    rows = _defect_rows(_block_layout(parts)[1].astype(cols.dtype), cols)
+    rows.flags.writeable = False
+    return rows
 
 
 def _fixed_dims(partitions, field: str, normals: np.ndarray):
     """Yields, per partition of one size s, the fixed-subspace dimension on one
     matrix: the SVD null-space dimension of the real-linear system 'commutes with
-    the block subgroup and is traceless'.  Row-major, X -> g X g^H is g (x) conj(g),
-    so one Kronecker stack and one matmul per partition give every commutator defect."""
+    the block subgroup and is traceless'.  Rows: the defects of the Haar pair and
+    of the reflections, real parts then (complex field only; a real field's are
+    exactly 0) imaginary parts, then the trace row."""
     s = sum(partitions[0])
     cols, trace = _field_columns(s, field)
-    for g in _block_elements(partitions, field, normals):
-        kron = (g[:, :, None, :, None] * g.conj()[:, None, :, None, :]).reshape(len(g), s * s, s * s)
-        diff = kron @ cols - cols
-        sv = np.linalg.svd(np.concatenate([*diff.real, *diff.imag, trace[None]]), compute_uv=False)
+    for parts, g in zip(partitions, _block_elements(partitions, field, normals)):
+        diff = np.concatenate([_defect_rows(g, cols), _reflection_rows(tuple(parts), field)])
+        rows = diff.reshape(len(diff) * s * s, len(trace))
+        halves = [rows] if field == "real" else [rows.real, rows.imag]
+        sv = np.linalg.svd(np.concatenate([*halves, trace[None]]), compute_uv=False)
         yield len(trace) - int(np.sum(sv > 1e-8 * sv[:1]))
 
 

@@ -10,6 +10,7 @@ from commvar.commodel import (
     canonical_rep,
     class_distance,
     commuting_to_config,
+    config_blocks,
     config_to_commuting,
     identity_tuple,
     joint_diagonalize,
@@ -35,6 +36,7 @@ from commvar.numkit import (
     commutator_defect,
     fro,
     off_norm,
+    phase_normalize,
 )
 from commvar.rankstrata import cayley
 from commvar.rng import SplitMix64, haar_orthogonal, haar_unitary
@@ -528,6 +530,25 @@ def test_empty_config_gives_identities():
     t = config_to_commuting(Configuration(u, []))
     assert all(fro(m - np.eye(u.dim)) < 1e-14 for m in t.mats)
     assert commuting_to_config(t).k == 0
+
+
+@pytest.mark.parametrize("n,D", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_config_blocks_are_the_in_F_blocks_of_the_configuration_tuple(n, D):
+    u = UniverseBasis(n, D)
+    configs = [Configuration(u, [])] + [
+        gen_random_config(seed, u, max_labels=3, max_rank=min(u.dim, 6)) for seed in range(12)]
+    widths = []
+    for c in configs:
+        got = config_blocks(c)
+        want = [b for b in joint_diagonalize(config_to_commuting(c))[1] if b.in_F]
+        assert len(got) == len(want) == c.k
+        for g, w in zip(got, want):
+            assert g.in_F and np.max(np.abs(g.frame - phase_normalize(g.frame))) <= 1e-15
+            proj = g.frame @ g.frame.conj().T - w.frame @ w.frame.conj().T
+            assert np.max(np.abs(proj)) <= 1e-12
+            assert np.max(np.abs(g.values - w.values)) <= 1e-12
+            widths.append(g.frame.shape[1])
+    assert max(widths) > 1  # some label spans more than one column
 
 
 @pytest.mark.parametrize("seed", range(10))

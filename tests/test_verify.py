@@ -12,8 +12,11 @@ from commvar.verify import (
     SUITES,
     RunConfig,
     _block_elements,
+    _block_layout,
     _field_basis,
+    _fixed_dims,
     _partitions,
+    _reflection_rows,
     fixed_dim_nullspace_oracle,
     run_suite,
 )
@@ -118,6 +121,95 @@ def test_no_tuple_object_is_diagonalized_twice(name, monkeypatch):
         twice = [(t.kind, t.mats.shape) for t in seen if counts[id(t)] > 1]
         assert not twice, (seed, twice)
         assert seen or name == "cohomology"
+
+
+def _record_outputs(monkeypatch, *names) -> dict:
+    """Rebind each named verify function; the returned dict lists, per name,
+    the values it returned (kept alive, so their ids stay unique)."""
+    made = {name: [] for name in names}
+    for name in names:
+        def recorded(*args, _name=name, _original=getattr(verify, name), **kwargs):
+            made[_name].append(_original(*args, **kwargs))
+            return made[_name][-1]
+        monkeypatch.setattr(verify, name, recorded)
+    return made
+
+
+def test_a_spectrum_trial_diagonalizes_only_its_tuple_picture_outputs(monkeypatch):
+    made = _record_outputs(monkeypatch, "config_to_commuting", "multiply_from_blocks",
+                           "structure_map_from_blocks", "unit_map_tuple")
+    seen = _record_diagonalizations(monkeypatch)
+    for seed in range(6):
+        for values in made.values():
+            values.clear()
+        seen.clear()
+        out = run_suite("spectrum", RunConfig(seed=seed, trials=1))
+        assert out["failures"] == 0, out["messages"]
+        # the multiply, structure map and unit outputs, once each and in that order
+        want = (made["multiply_from_blocks"] + made["structure_map_from_blocks"]
+                + made["unit_map_tuple"])
+        assert len(seen) == len(want) == 3
+        assert all(t is w for t, w in zip(seen, want))
+        assert made["config_to_commuting"]
+        assert not {id(t) for t in made["config_to_commuting"]} & set(map(id, seen))
+
+
+def test_model_equivariance_reads_its_configuration_blocks(monkeypatch):
+    made = _record_outputs(monkeypatch, "config_to_commuting")
+    seen = _record_diagonalizations(monkeypatch)
+    for seed in range(6):
+        made["config_to_commuting"].clear()
+        seen.clear()
+        out = run_suite("equivariance", RunConfig(seed=seed, trials=1))
+        assert out["failures"] == 0, out["messages"]
+        # t = config_to_commuting(c), diagonalized for the charts, then the
+        # model-equivariance tuple of sigma . c, which is not
+        t, sigma_t = made["config_to_commuting"]
+        assert any(x is t for x in seen) and not any(x is sigma_t for x in seen)
+
+
+@pytest.mark.parametrize("name", ["spectrum", "equivariance", "cayley"])
+def test_suites_draw_their_sizes_inside_the_caps(name, monkeypatch):
+    sizes = []
+
+    def record(name_, size_of):
+        original = getattr(verify, name_)
+        monkeypatch.setattr(verify, name_, lambda *a, **k: sizes.append(size_of(*a)) or
+                            original(*a, **k))
+
+    record("gen_random_config", lambda seed, universe, *a: (universe.n,))
+    record("gen_random_commuting", lambda seed, n, s, *a: (n, s))
+    record("psi_embed", lambda u, v, *a: (u.n, v.n))
+    for seed in range(8):
+        out = run_suite(name, RunConfig(seed=seed, trials=2, n_max=1, s_max=1, D_max=1))
+        assert out["failures"] == 0, out["messages"]
+    assert sizes and all(size == 1 for sizes_ in sizes for size in sizes_), sorted(set(sizes))
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_each_isotropy_system_gives_the_formula_dimension(field):
+    for seed in range(20):
+        normals = SplitMix64(seed ^ 0xFACADE).normals(100)
+        for s in range(1, 6):
+            partitions = list(_partitions(s))
+            assert list(_fixed_dims(partitions, field, normals)) == [
+                fixed_subspace_dim(DecompType(parts), 1, field) for parts in partitions]
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_reflection_rows_are_read_only_defects_of_the_block_layout(field):
+    for s in range(1, 6):
+        basis = _field_basis(s, field)
+        for parts in _partitions(s):
+            rows = _reflection_rows(parts, field)
+            assert rows is _reflection_rows(parts, field)
+            # g X g^H - X, one reflection and one basis element at a time
+            want = np.array([np.stack([(g @ x @ g.T - x).ravel() for x in basis], axis=1)
+                             for g in _block_layout(parts)[1]])
+            assert rows.dtype == basis.dtype and np.array_equal(rows, want)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0] = 0.0
 
 
 def test_isotropy_sweep_solves_each_system_once(monkeypatch):
@@ -235,8 +327,9 @@ def test_block_elements_are_block_unitary_then_one_reflection_per_block(field):
     dtype = complex if field == "complex" else float
     for s in range(1, 7):
         for parts in _partitions(s):
-            g, = _block_elements([parts], field, SplitMix64(s).normals(4 * s * s))
-            assert g.shape == (2 + len(parts), s, s) and g.dtype == dtype
+            pair, = _block_elements([parts], field, SplitMix64(s).normals(4 * s * s))
+            g = np.concatenate([pair, _block_layout(parts)[1]])
+            assert pair.dtype == dtype and g.shape == (2 + len(parts), s, s)
             assert np.all(g[:, ~_block_mask(parts)] == 0)
             assert np.abs(g @ g.conj().swapaxes(1, 2) - np.eye(s)).max() <= 1e-12
             for k, first in enumerate(np.cumsum((0,) + parts[:-1])):
