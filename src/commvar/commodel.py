@@ -35,6 +35,7 @@ from .numkit import (
     commutator_defect,
     fro,
     joint_diagonalizer,
+    leading_rows,
     off_norm,
     phase_normalize,
 )
@@ -161,8 +162,7 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
     means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
-    # leading_indices column by column: the first row above eps_struct, or the sentinel s
-    first = np.vstack([np.abs(frames) > tol.eps_struct, [True] * t.s]).argmax(axis=0).tolist()
+    first = leading_rows(frames, tol).tolist()
     order = frame_order([min(first[c] for c in cols) for cols in groups], means)
     in_f = (~near).tolist()
     return q, [EigenBlock(frames[:, groups[i]], means[i], all(in_f[c] for c in groups[i]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
-from .numkit import DEFAULT_TOL, Tolerances, leading_indices, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, leading_indices, leading_rows, orthonormalize
 from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
 
 
@@ -51,7 +51,7 @@ BASEPOINT = SpherePoint(None)
 
 def near_basepoint_rows(values: np.ndarray, eps: float) -> np.ndarray:
     """Whether each row of a (k, n) coordinate array has an entry within eps of 1."""
-    return np.any(np.abs(values - 1.0) <= eps, axis=1)
+    return (np.abs(values - 1.0) <= eps).any(axis=1)
 
 
 def sphere_coord(t: float) -> complex:
@@ -113,8 +113,13 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
     """Single-linkage clusters of 0..count-1 under the (count, count)
     boolean closeness matrix close, of which only the entries i < j are
     read.  Members are listed in increasing order and clusters by their
-    smallest member."""
+    smallest member; with no close pair every item is its own cluster, and
+    no union-find runs."""
     count = close.shape[0]
+    rows, cols = np.nonzero(close)
+    upper = rows < cols
+    if not upper.any():
+        return [[i] for i in range(count)]
     parent = list(range(count))
 
     def find(i):
@@ -123,8 +128,7 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
             i = parent[i]
         return i
 
-    rows, cols = np.nonzero(close)
-    for i, j in zip(rows[rows < cols].tolist(), cols[rows < cols].tolist()):
+    for i, j in zip(rows[upper].tolist(), cols[upper].tolist()):
         parent[find(j)] = find(i)
     groups: dict[int, list[int]] = {}
     for i in range(count):
@@ -159,6 +163,10 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     re-orthonormalizing frames), and sorts the result deterministically; a
     label that merges with no other keeps its frame when that is isometric
     to eps_struct.  Raises NotOrthogonal when surviving labels overlap.
+
+    One Gram matrix of the stacked frames checks every pair and isometry,
+    and the same stack gives each label's leading row; a single label, or
+    labels that neither merge nor need a new frame, skip the merge pass.
     """
     u = c.universe
     labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
@@ -168,37 +176,44 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
         _check_labels(labels, u, tol)
     values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
     live = ~near_basepoint_rows(values, tol.eps_base)
-    labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
+    if not live.all():
+        labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
     if not np.max(np.abs(np.abs(values) - 1.0), initial=0.0) <= tol.eps_struct:
         _check_labels(labels, u, tol)
     if not labels:
         return Configuration(u, [])
 
-    # one Gram matrix of the stacked frames checks all label pairs and isometries
-    frames = [lab.frame for lab in labels]
-    stacked = np.hstack(frames)
-    owner = np.repeat(np.arange(len(labels)), [f.shape[1] for f in frames])
-    defect = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))
-    off = ~(defect <= tol.eps_struct)
-    cross = off & (owner[:, None] < owner)
-    if cross.any():
-        i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
-        overlap = np.max(defect[np.ix_(owner == i, owner == j)])
-        raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
+    widths = np.array([lab.frame.shape[1] for lab in labels])
+    stacked = np.hstack([lab.frame for lab in labels])
+    gram = stacked.conj().T @ stacked
+    gram.reshape(-1)[::gram.shape[0] + 1] -= 1
+    defect = np.abs(gram)
     non_isometric = np.zeros(len(labels), bool)
-    non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
+    # orthonormal frames on mutually orthogonal labels leave nothing to locate
+    if not defect.max() <= tol.eps_struct:
+        owner = np.repeat(np.arange(len(labels)), widths)
+        off = ~(defect <= tol.eps_struct)
+        cross = off & (owner[:, None] < owner)
+        if cross.any():
+            i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
+            overlap = np.max(defect[np.ix_(owner == i, owner == j)])
+            raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
+        non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
 
-    order = frame_order(leading_indices(frames, tol), values)
-    labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
-    groups = single_linkage(np.max(np.abs(values[:, None] - values), axis=2) < tol.eps_cluster)
+    groups = [[0]]
+    if len(labels) > 1:
+        lead = np.minimum.reduceat(leading_rows(stacked, tol), np.cumsum(widths) - widths)
+        order = frame_order(lead, values)
+        labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
+        groups = single_linkage(np.abs(values[:, None] - values).max(axis=2) < tol.eps_cluster)
+    # only a merge or a re-orthonormalized frame can move a label
+    if len(groups) == len(labels) and not non_isometric.any():
+        return Configuration(u, labels)
     merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
         orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
         for g in groups]
-    # only a merge or a re-orthonormalized frame can move a label
-    if len(groups) < len(labels) or non_isometric.any():
-        lead = leading_indices([lab.frame for lab in merged], tol)
-        merged = [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])]
-    return Configuration(u, merged)
+    lead = leading_indices([lab.frame for lab in merged], tol)
+    return Configuration(u, [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])])
 
 
 def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
@@ -250,11 +265,10 @@ def sigma_action_config(sigma, c: Configuration,
                         tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Permutation action: frames move by the induced universe isometry,
     point coordinates by (sigma . x)_j = x_{sigma^{-1}(j)}."""
-    perm = sigma_star(sigma, c.universe)
-    labels = [
-        Label(apply_perm_to_coords(perm, lab.frame), permute_point(sigma, lab.point))
-        for lab in c.labels
-    ]
+    perm, inv = sigma_star(sigma, c.universe), perm_inverse(sigma)
+    labels = [Label(apply_perm_to_coords(perm, lab.frame),
+                    BASEPOINT if lab.point.is_basepoint else SpherePoint(lab.point.coords[inv]))
+              for lab in c.labels]
     return canonicalize(Configuration(c.universe, labels), tol)
 
 
@@ -312,21 +326,26 @@ def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def config_distance(a: Configuration, b: Configuration) -> float:
     """Label-matching distance: optimal assignment on point distance plus
     frame projection distance, reported as the worst matched pair.
-    Infinite when the universes or label counts differ."""
+    Infinite when the universes or label counts differ, or when the best
+    matching pairs a basepoint with a point or matches a point whose
+    dimension is not the universe's."""
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:
         return 0.0
     # (k, n) point arrays with a nan row for the basepoint or a point of another
-    # dimension: infinitely far (cost 1e6) from all points, but two basepoints are at 0
+    # dimension: infinitely far from all points, but two basepoints are at 0.
+    # The assignment sees the finite cost 1e6 there (inf - inf breaks its potentials)
     nan = np.full(a.universe.n, np.nan)
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
     dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
-    cost = np.where(np.outer(base_a, base_b), 0.0, np.where(np.isnan(dist), 1e6, dist))
+    both = np.outer(base_a, base_b)
+    far = np.isnan(dist) & ~both
+    cost = np.where(both, 0.0, np.where(far, 1e6, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):
             cost[i, j] += frame_distance(la.frame, lb.frame)
     rows, cols = min_cost_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    return math.inf if far[rows, cols].any() else float(np.max(cost[rows, cols]))

@@ -180,18 +180,24 @@ def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     return out
 
 
+def leading_rows(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """For each column of a (d, k) array, the first row index holding a
+    non-negligible entry; d for a column with none."""
+    # a sentinel row d below the columns stops each one's search
+    big = np.ones((a.shape[0] + 1, a.shape[1]), bool)
+    np.greater(np.abs(a), tol.eps_struct, out=big[:-1])
+    return big.argmax(axis=0)
+
+
 def leading_indices(frames, tol: Tolerances = DEFAULT_TOL) -> list[int]:
     """For each frame of a sequence of frames with one row count d, the
     smallest row index at which any of its columns has a non-negligible
     entry; d for a frame with none (or with no columns)."""
     if not frames:
         return []
-    d = frames[0].shape[0]
-    big = np.abs(np.hstack(frames)) > tol.eps_struct
-    # a sentinel row d below the frames stops each column's search
-    first = np.vstack([big, np.ones((1, big.shape[1]), bool)]).argmax(axis=0)
-    lead = np.full(len(frames), d)
-    np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]), first)
+    lead = np.full(len(frames), frames[0].shape[0])
+    np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]),
+                  leading_rows(np.hstack(frames), tol))
     return lead.tolist()
 
 

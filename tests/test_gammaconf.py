@@ -15,9 +15,11 @@ from commvar.gammaconf import (
     Label,
     SpherePoint,
     apply_based_map,
+    _check_labels,
     canonicalize,
     config_distance,
     frame_distance,
+    frame_order,
     min_cost_assignment,
     point_distance,
     push_labels,
@@ -30,7 +32,7 @@ from commvar.gammaconf import (
 from commvar.generate import gen_random_config
 from commvar.numkit import DEFAULT_TOL, fro, orthonormalize
 from commvar.rng import SplitMix64, haar_unitary
-from commvar.symuniverse import UniverseBasis
+from commvar.symuniverse import UniverseBasis, psi_embed
 
 
 def _unit_labels(universe, *specs):
@@ -258,6 +260,25 @@ def test_config_distance_detects_differences():
     assert config_distance(a, moved) > 0.5
 
 
+def test_config_distance_is_infinite_across_the_basepoint_and_dimensions():
+    # point_distance is infinite for these pairs; the assignment's finite
+    # stand-in cost must not be reported as a distance
+    u = UniverseBasis(2, 1)
+    e = np.eye(u.dim, dtype=complex)
+    x = SpherePoint([np.exp(0.5j), np.exp(1j)])
+    point = Configuration(u, [Label(e[:, :1], x)])
+    base = Configuration(u, [Label(e[:, :1], BASEPOINT)])
+    wrong = Configuration(u, [Label(e[:, :1], SpherePoint([np.exp(0.5j), np.exp(1j), -1.0]))])
+    assert point_distance(BASEPOINT, x) == math.inf
+    assert config_distance(base, point) == config_distance(point, base) == math.inf
+    assert config_distance(wrong, point) == config_distance(point, wrong) == math.inf
+    assert config_distance(base, base) == 0.0
+    # a matching that can avoid the divide still does
+    two = Configuration(u, [Label(e[:, :1], BASEPOINT), Label(e[:, 1:2], x)])
+    swapped = Configuration(u, [Label(e[:, 1:2], x), Label(e[:, :1], BASEPOINT)])
+    assert config_distance(two, swapped) == 0.0
+
+
 def test_config_distance_runs_without_scipy(monkeypatch):
     # a None entry in sys.modules makes any import of that module fail
     monkeypatch.setitem(sys.modules, "scipy", None)
@@ -456,3 +477,175 @@ def test_canonicalize_reports_the_first_failing_label_check_of_the_loop():
             continue
         with pytest.raises(expect[0], match=expect[1]):
             canonicalize(Configuration(u, labels))
+
+
+def _union_find(close):
+    # plain union-find over the pairs i < j, listed by smallest member
+    count = close.shape[0]
+    root = list(range(count))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if close[i, j]:
+                a, b = find(i), find(j)
+                root[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@settings(deadline=None, max_examples=300)
+@given(hnp.arrays(bool, st.integers(0, 9).map(lambda n: (n, n))))
+def test_single_linkage_matches_a_plain_union_find(close):
+    assert single_linkage(close) == _union_find(close)
+
+
+def _reference_leading_indices(frames, tol=DEFAULT_TOL):
+    # the stacked leading indices with a vstacked sentinel row
+    if not frames:
+        return []
+    big = np.abs(np.hstack(frames)) > tol.eps_struct
+    first = np.vstack([big, np.ones((1, big.shape[1]), bool)]).argmax(axis=0)
+    lead = np.full(len(frames), frames[0].shape[0])
+    np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]), first)
+    return lead.tolist()
+
+
+def _reference_canonicalize(c, tol=DEFAULT_TOL):
+    # canonicalize before the one-pass rewrite: every mask built on every
+    # call, leading indices stacked a second time, linkage always run
+    u = c.universe
+    labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
+    if any(len(lab.point.coords) != u.n or lab.frame.shape[0] != u.dim for lab in labels):
+        labels = [lab for lab in labels if not lab.point.near_basepoint(tol.eps_base)]
+        _check_labels(labels, u, tol)
+    values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
+    live = ~np.any(np.abs(values - 1.0) <= tol.eps_base, axis=1)
+    labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
+    if not np.max(np.abs(np.abs(values) - 1.0), initial=0.0) <= tol.eps_struct:
+        _check_labels(labels, u, tol)
+    if not labels:
+        return Configuration(u, [])
+    frames = [lab.frame for lab in labels]
+    stacked = np.hstack(frames)
+    owner = np.repeat(np.arange(len(labels)), [f.shape[1] for f in frames])
+    defect = np.abs(stacked.conj().T @ stacked - np.eye(stacked.shape[1]))
+    off = ~(defect <= tol.eps_struct)
+    cross = off & (owner[:, None] < owner)
+    if cross.any():
+        i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
+        overlap = np.max(defect[np.ix_(owner == i, owner == j)])
+        raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
+    non_isometric = np.zeros(len(labels), bool)
+    non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
+    order = frame_order(_reference_leading_indices(frames, tol), values)
+    labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
+    groups = _union_find(np.max(np.abs(values[:, None] - values), axis=2) < tol.eps_cluster)
+    merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
+        orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
+        for g in groups]
+    if len(groups) < len(labels) or non_isometric.any():
+        lead = _reference_leading_indices([lab.frame for lab in merged], tol)
+        merged = [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])]
+    return Configuration(u, merged)
+
+
+_ORACLE_UNIVERSES = [UniverseBasis(1, 1), UniverseBasis(2, 1), UniverseBasis(1, 4),
+                     UniverseBasis(2, 2), UniverseBasis(3, 2)]
+
+
+def _oracle_config(rng):
+    """A seeded configuration mixing the cases canonicalize treats apart:
+    merges and chains of close points, tied and distinct leading rows,
+    non-isometric frames, basepoint, near-basepoint and zero-width labels,
+    overlapping labels and points of the wrong dimension; one label or none
+    in some draws."""
+    u = _ORACLE_UNIVERSES[rng.integers(len(_ORACLE_UNIVERSES))]
+    eps = DEFAULT_TOL.eps_cluster
+    # a unitary with a block of leading zero rows in some columns, so that
+    # labels differ in their leading rows; columns in shuffled order
+    q = np.zeros((u.dim, u.dim), dtype=complex)
+    cut = int(rng.integers(u.dim))
+    for lo, hi in ((0, cut), (cut, u.dim)):
+        z = rng.normal(size=(hi - lo, hi - lo)) + 1j * rng.normal(size=(hi - lo, hi - lo))
+        q[lo:hi, lo:hi] = np.linalg.qr(z)[0]
+    q = q[:, rng.permutation(u.dim)]
+    labels, start = [], 0
+    for _ in range(rng.choice([0, 1, 2, 3, 4, 5], p=[0.05, 0.15, 0.2, 0.2, 0.2, 0.2])):
+        width = min(int(rng.integers(0, 3)), u.dim - start)
+        frame = q[:, start:start + width]
+        start += width
+        kind = rng.choice(["fresh", "close", "chain", "base", "near", "wrong"],
+                          p=[0.4, 0.2, 0.15, 0.1, 0.1, 0.05])
+        if kind in ("close", "chain") and labels and not labels[-1].point.is_basepoint:
+            # close points merge; a chain steps 0.6 eps_cluster from the last one
+            step = 0.6 if kind == "chain" else rng.uniform(0.0, 0.9)
+            coords = labels[-1].point.coords * np.exp(1j * step * eps)
+        else:
+            coords = np.exp(1j * rng.uniform(0.5, 2 * np.pi - 0.5, size=u.n))
+        if kind == "base":
+            point = BASEPOINT
+        elif kind == "wrong":
+            point = SpherePoint(np.append(coords, -1.0))
+        else:
+            if kind == "near":
+                coords[rng.integers(u.n)] = np.exp(1j * rng.choice([1e-12, 1e-10]))
+            point = SpherePoint(coords)
+        flaw = rng.random()
+        if width and flaw < 0.1:
+            frame = frame * (1.0 + rng.choice([1e-6, 1e-11]))  # non-isometric, or within eps_struct
+        elif width == 2 and flaw < 0.2:
+            frame = frame @ np.array([[1.0, 0.3], [0.0, 1.0]])
+        elif width and labels and flaw < 0.27:
+            other = next((lab.frame for lab in labels if lab.frame.shape[1]), None)
+            if other is not None:  # tilt toward an earlier label
+                tilted = frame[:, :1] + rng.choice([0.1, 1e-12]) * other[:, :1]
+                frame = np.hstack([tilted / np.linalg.norm(tilted), frame[:, 1:]])
+        labels.append(Label(frame, point))
+    return Configuration(u, labels)
+
+
+def _outcome(fn, c):
+    try:
+        out = fn(c)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(lab.frame.dtype, lab.frame.shape, lab.frame.tobytes(), lab.point.coords.tobytes())
+            for lab in out.labels]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonicalize_matches_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(400):
+        c = _oracle_config(rng)
+        expect = _outcome(_reference_canonicalize, c)
+        assert _outcome(canonicalize, c) == expect
+        seen.add(expect[0].__name__ if isinstance(expect, tuple) else min(len(expect), 2))
+    # every outcome shows up: none, one or several labels, and each error
+    assert seen == {0, 1, 2, "NotOrthogonal", "ValueError"}
+
+
+def test_canonicalize_matches_the_reference_on_products():
+    # products of dimension-10 factors: four labels in dimension 210, with
+    # some pairs of points made to coincide
+    u = UniverseBasis(3, 2)
+    psi = psi_embed(u, u)
+    for seed in range(20):
+        a = gen_random_config(seed, u, dims=(2, 1))
+        b = gen_random_config(seed + 100, u, dims=(2, 1))
+        if seed % 2:
+            b.labels[1].point = b.labels[0].point
+        big = Configuration(psi.target, [
+            Label(psi.kron_frame(la.frame, lb.frame), smash(la.point, lb.point))
+            for la in a.labels for lb in b.labels])
+        expect = _outcome(_reference_canonicalize, big)
+        assert len(expect) == (2 if seed % 2 else 4)
+        assert _outcome(canonicalize, big) == expect
