@@ -77,17 +77,6 @@ def permute_point(sigma, x: SpherePoint) -> SpherePoint:
     return SpherePoint(x.coords[inv])
 
 
-def point_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """Max per-coordinate distance; infinite across the basepoint divide."""
-    if x.is_basepoint and y.is_basepoint:
-        return 0.0
-    if x.is_basepoint or y.is_basepoint:
-        return math.inf
-    if len(x.coords) != len(y.coords):
-        return math.inf
-    return float(np.max(np.abs(x.coords - y.coords))) if len(x.coords) else 0.0
-
-
 @dataclass
 class Label:
     frame: np.ndarray
@@ -328,7 +317,13 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     frame projection distance, reported as the worst matched pair.
     Infinite when the universes or label counts differ, or when the best
     matching pairs a basepoint with a point or matches a point whose
-    dimension is not the universe's."""
+    dimension is not the universe's.
+
+    A matching other than the identity displaces two labels, and each cost is
+    at least its point distance, so it costs at least twice the least
+    off-diagonal point distance m.  An identity total below m certifies the
+    identity (a basepoint or another dimension gives a nan, which fails):
+    its k costs give the value, and the k^2 costs and assignment are skipped."""
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:
@@ -340,6 +335,10 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
     dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
+    diag = dist.diagonal() + [frame_distance(la.frame, lb.frame)
+                              for la, lb in zip(a.labels, b.labels)]
+    if diag.sum() < np.where(np.eye(a.k, dtype=bool), np.inf, dist).min():
+        return float(diag.max())
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
     both = np.outer(base_a, base_b)
     far = np.isnan(dist) & ~both

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from commvar import gammaconf
 from commvar.errors import IndexOutOfRange, NotOrthogonal, RankDeficient
 from commvar.gammaconf import (
     BASEPOINT,
@@ -21,7 +22,6 @@ from commvar.gammaconf import (
     frame_distance,
     frame_order,
     min_cost_assignment,
-    point_distance,
     push_labels,
     rank,
     sigma_action_config,
@@ -32,6 +32,7 @@ from commvar.gammaconf import (
 from commvar.generate import gen_random_config
 from commvar.numkit import DEFAULT_TOL, fro, orthonormalize
 from commvar.rng import SplitMix64, haar_unitary
+from commvar.spectrumops import multiply, structure_map, unit_map
 from commvar.symuniverse import UniverseBasis, psi_embed
 
 
@@ -43,6 +44,17 @@ def _unit_labels(universe, *specs):
         point = BASEPOINT if coords is None else SpherePoint(coords)
         out.append(Label(eye[:, list(cols)], point))
     return out
+
+
+def point_distance(x: SpherePoint, y: SpherePoint) -> float:
+    """Max per-coordinate distance; infinite across the basepoint divide."""
+    if x.is_basepoint and y.is_basepoint:
+        return 0.0
+    if x.is_basepoint or y.is_basepoint:
+        return math.inf
+    if len(x.coords) != len(y.coords):
+        return math.inf
+    return float(np.max(np.abs(x.coords - y.coords))) if len(x.coords) else 0.0
 
 
 def test_sphere_coord_values():
@@ -649,3 +661,148 @@ def test_canonicalize_matches_the_reference_on_products():
         expect = _outcome(_reference_canonicalize, big)
         assert len(expect) == (2 if seed % 2 else 4)
         assert _outcome(canonicalize, big) == expect
+
+
+def _reference_config_distance(a, b):
+    # config_distance before the identity certificate: every k x k frame
+    # distance, then the assignment
+    if a.universe != b.universe or a.k != b.k:
+        return math.inf
+    if a.k == 0:
+        return 0.0
+    nan = np.full(a.universe.n, np.nan)
+    pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
+                        else lab.point.coords for lab in x.labels]) for x in (a, b))
+    dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
+    base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
+    both = np.outer(base_a, base_b)
+    far = np.isnan(dist) & ~both
+    cost = np.where(both, 0.0, np.where(far, 1e6, dist))
+    for i, la in enumerate(a.labels):
+        for j, lb in enumerate(b.labels):
+            cost[i, j] += frame_distance(la.frame, lb.frame)
+    rows, cols = min_cost_assignment(cost)
+    return math.inf if far[rows, cols].any() else float(np.max(cost[rows, cols]))
+
+
+@pytest.fixture
+def assignments(monkeypatch):
+    """The number of min_cost_assignment runs config_distance starts."""
+    calls = [0]
+
+    def counted(cost):
+        calls[0] += 1
+        return min_cost_assignment(cost)
+
+    monkeypatch.setattr(gammaconf, "min_cost_assignment", counted)
+    return calls
+
+
+def _law_pairs(seed):
+    """(lhs, rhs) pairs of the configuration laws on dims-(2, 1) factors in
+    n = 3, D = 2: products in dimension 210, their permutations and a based
+    map, each side in its own label order."""
+    u = UniverseBasis(3, 2)
+    rng = np.random.default_rng(seed)
+    a = gen_random_config(seed, u, dims=(2, 1))
+    b = gen_random_config(seed + 1000, u, dims=(2, 1))
+    sigma, tau = rng.permutation(3).tolist(), rng.permutation(3).tolist()
+    y = SpherePoint(np.exp(1j * rng.uniform(0.4, 2 * np.pi - 0.4, size=2)))
+    ab = multiply(a, b)
+    alpha = (rng.permutation(4) + 1).tolist()
+    return [
+        (canonicalize(multiply(b, a)), sigma_action_config([3, 4, 5, 0, 1, 2], ab)),
+        (canonicalize(structure_map(a, y)), multiply(a, unit_map(y, UniverseBasis(2, 2)))),
+        (canonicalize(multiply(sigma_action_config(sigma, a), sigma_action_config(tau, b))),
+         sigma_action_config(sigma + [3 + t for t in tau], ab)),
+        (Configuration(ab.universe, push_labels(ab.labels, alpha, 4, ab.universe.dim)),
+         apply_based_map(ab, alpha, 4)),
+        (a, b),
+    ]
+
+
+def _shuffled(c, rng):
+    return Configuration(c.universe, [c.labels[i] for i in rng.permutation(c.k)])
+
+
+def _nudged(c, rng, size):
+    """c with every point moved and every frame tilted by about size."""
+    labels = []
+    for lab in c.labels:
+        frame = lab.frame
+        if frame.shape[1]:
+            tilt = rng.normal(size=frame.shape) + 1j * rng.normal(size=frame.shape)
+            frame = np.linalg.qr(frame + size * tilt)[0]
+        point = lab.point
+        if not point.is_basepoint:
+            point = SpherePoint(point.coords * np.exp(1j * size * rng.normal(size=len(point.coords))))
+        labels.append(Label(frame, point))
+    return Configuration(c.universe, labels)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_config_distance_matches_the_reference_bit_for_bit(seed, assignments):
+    rng = np.random.default_rng(seed)
+    pairs = [pair for s in range(10 * seed, 10 * seed + 10) for pair in _law_pairs(s)]
+    for _ in range(300):
+        c = _oracle_config(rng)
+        pairs += [(c, c), (c, _shuffled(c, rng)), (_nudged(c, rng, 1e-9), c),
+                  (c, _nudged(c, rng, rng.choice([1e-12, 1e-7, 1e-3])))]
+    for a, b in pairs:
+        assert repr(config_distance(a, b)) == repr(_reference_config_distance(a, b))
+    # both paths are taken
+    assert 0 < assignments[0] < len(pairs)
+
+
+def test_config_distance_certificate_on_single_labels_and_sentinels(assignments):
+    u = UniverseBasis(3, 2)
+    one = gen_random_config(5, u, dims=(3,))
+    other = gen_random_config(6, u, dims=(2,))
+    # k = 1 has no off-diagonal pair: always certified, however far apart
+    for a, b in [(one, one), (one, other), (other, _nudged(other, np.random.default_rng(0), 0.1))]:
+        assert repr(config_distance(a, b)) == repr(_reference_config_distance(a, b))
+    assert config_distance(one, other) > 0.5
+    assert assignments[0] == 0
+    # a basepoint or a point of another dimension always takes the assignment
+    e = np.eye(u.dim, dtype=complex)
+    x, z = SpherePoint(np.exp([0.5j, 1j, 2j])), SpherePoint(np.exp([1j, 2j, 3j]))
+    wrong = SpherePoint(np.exp([0.5j, 1j, 2j, 3j]))
+    for p, q in [(BASEPOINT, x), (x, BASEPOINT), (BASEPOINT, BASEPOINT), (wrong, x), (wrong, wrong)]:
+        a = Configuration(u, [Label(e[:, :1], p), Label(e[:, 1:2], z)])
+        b = Configuration(u, [Label(e[:, :1], q), Label(e[:, 1:2], z)])
+        calls = assignments[0]
+        assert repr(config_distance(a, b)) == repr(_reference_config_distance(a, b))
+        assert assignments[0] == calls + 1
+
+
+def test_config_distance_falls_back_near_coincident_points(assignments):
+    # two labels m = 1e-7 apart: the identity is certified while its total
+    # stays below m, and not between m and the exact bound 2 m
+    u = UniverseBasis(2, 1)
+    e = np.eye(u.dim, dtype=complex)
+    x = np.exp([0.5j, 1j])
+    a = Configuration(u, [Label(e[:, :1], SpherePoint(x)),
+                          Label(e[:, 1:2], SpherePoint(x * np.exp(1e-7j)))])
+
+    def tilted(t):  # label 0 turned by atan(t): frame distance sqrt(2) sin(atan(t))
+        frame = (e[:, :1] + t * e[:, 2:3]) / math.hypot(1.0, t)
+        return Configuration(u, [Label(frame, a.labels[0].point), a.labels[1]])
+
+    swapped = Configuration(u, a.labels[::-1])
+    cases = [(a, 0.0, 0), (tilted(0.5e-7), 7.07e-8, 0), (tilted(1e-7), 1.414e-7, 1),
+             (tilted(1e-6), 1.414e-6, 1), (swapped, 0.0, 1)]
+    for b, dist, runs in cases:
+        calls = assignments[0]
+        assert repr(config_distance(a, b)) == repr(_reference_config_distance(a, b))
+        assert assignments[0] == calls + runs
+        assert config_distance(a, b) == pytest.approx(dist, rel=1e-3, abs=1e-15)
+
+
+def test_config_distance_runs_the_assignment_only_when_not_certified(assignments):
+    u = UniverseBasis(3, 2)
+    a = gen_random_config(7, u, dims=(2, 1, 1))
+    assert config_distance(a, _nudged(a, np.random.default_rng(1), 1e-10)) < 1e-8
+    assert assignments[0] == 0
+    permuted = Configuration(u, a.labels[::-1])
+    assert config_distance(a, permuted) < 1e-13
+    assert assignments[0] == 1

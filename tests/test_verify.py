@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from commvar import commodel, verify
+from commvar import commodel, symuniverse, verify
 from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
 from commvar.rng import SplitMix64
@@ -76,6 +76,22 @@ def test_cayley_suite_passes_its_tolerances_to_every_cayley_call(monkeypatch):
     out = run_suite("cayley", cfg)
     assert out["failures"] == 0, out["messages"]
     assert len(received) >= 52  # two matrix checks and the 50 scalar charts
+    assert all(tol is cfg.tol for tol in received)
+
+
+def test_equivariance_suite_passes_its_tolerances_to_kron_frame(monkeypatch):
+    original = symuniverse.PsiIsometry.kron_frame
+    received = []
+
+    def recorded(self, f, g, *args, **kwargs):
+        received.append(args[0] if args else kwargs.get("tol"))
+        return original(self, f, g, *args, **kwargs)
+
+    monkeypatch.setattr(symuniverse.PsiIsometry, "kron_frame", recorded)
+    cfg = RunConfig(seed=0, trials=2, tol=Tolerances(eps_struct=2e-9))
+    out = run_suite("equivariance", cfg)
+    assert out["failures"] == 0, out["messages"]
+    assert len(received) >= 4  # the two psi.kron_vec images of each trial
     assert all(tol is cfg.tol for tol in received)
 
 
