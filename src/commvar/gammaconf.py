@@ -127,9 +127,11 @@ def single_linkage(close: np.ndarray) -> list[list[int]]:
 
 def frame_order(lead, values: np.ndarray) -> np.ndarray:
     """Stable order of k items by leading frame index, then by their row of the
-    (k, n) value array (real, then imaginary part of each coordinate), in one lexsort."""
-    keys = [part for col in values.T[::-1] for part in (col.imag, col.real)]
-    return np.lexsort([*keys, lead])
+    (k, n) value array (real, then imaginary part of each coordinate): one sort of
+    (lead, re_0, im_0, ...) tuples, as a lexsort orders them (no value is a nan)."""
+    rows = np.ascontiguousarray(values, dtype=complex).view(float).tolist()
+    keys = [(i, *row) for i, row in zip(lead, rows)]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
 
 
 def _check_labels(labels: list[Label], u: UniverseBasis, tol: Tolerances):
@@ -154,8 +156,9 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     to eps_struct.  Raises NotOrthogonal when surviving labels overlap.
 
     One Gram matrix of the stacked frames checks every pair and isometry,
-    and the same stack gives each label's leading row; a single label, or
-    labels that neither merge nor need a new frame, skip the merge pass.
+    and the same stack gives each label's leading row (per-label data are
+    Python lists); a single label, or labels that neither merge nor need a
+    new frame, skip the merge pass.
     """
     u = c.universe
     labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
@@ -172,12 +175,12 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     if not labels:
         return Configuration(u, [])
 
-    widths = np.array([lab.frame.shape[1] for lab in labels])
-    stacked = np.hstack([lab.frame for lab in labels])
+    widths = [lab.frame.shape[1] for lab in labels]
+    stacked = np.concatenate([lab.frame for lab in labels], axis=1)
     gram = stacked.conj().T @ stacked
     gram.reshape(-1)[::gram.shape[0] + 1] -= 1
     defect = np.abs(gram)
-    non_isometric = np.zeros(len(labels), bool)
+    non_isometric = [False] * len(labels)
     # orthonormal frames on mutually orthogonal labels leave nothing to locate
     if not defect.max() <= tol.eps_struct:
         owner = np.repeat(np.arange(len(labels)), widths)
@@ -187,16 +190,18 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
             i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
             overlap = np.max(defect[np.ix_(owner == i, owner == j)])
             raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
-        non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
+        for i in owner[np.any(off & (owner[:, None] == owner), axis=1)].tolist():
+            non_isometric[i] = True
 
     groups = [[0]]
     if len(labels) > 1:
-        lead = np.minimum.reduceat(leading_rows(stacked, tol), np.cumsum(widths) - widths)
-        order = frame_order(lead, values)
-        labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
+        first = iter(leading_rows(stacked, tol).tolist())
+        order = frame_order([min(next(first) for _ in range(w)) for w in widths], values)
+        labels, non_isometric = [labels[i] for i in order], [non_isometric[i] for i in order]
+        values = values[order]
         groups = single_linkage(np.abs(values[:, None] - values).max(axis=2) < tol.eps_cluster)
     # only a merge or a re-orthonormalized frame can move a label
-    if len(groups) == len(labels) and not non_isometric.any():
+    if len(groups) == len(labels) and not any(non_isometric):
         return Configuration(u, labels)
     merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
         orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
@@ -335,8 +340,8 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
     dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
-    diag = dist.diagonal() + [frame_distance(la.frame, lb.frame)
-                              for la, lb in zip(a.labels, b.labels)]
+    frames = [frame_distance(la.frame, lb.frame) for la, lb in zip(a.labels, b.labels)]
+    diag = dist.diagonal() + frames
     if diag.sum() < np.where(np.eye(a.k, dtype=bool), np.inf, dist).min():
         return float(diag.max())
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
@@ -345,6 +350,6 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     cost = np.where(both, 0.0, np.where(far, 1e6, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):
-            cost[i, j] += frame_distance(la.frame, lb.frame)
+            cost[i, j] += frames[i] if i == j else frame_distance(la.frame, lb.frame)
     rows, cols = min_cost_assignment(cost)
     return math.inf if far[rows, cols].any() else float(np.max(cost[rows, cols]))

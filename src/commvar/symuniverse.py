@@ -89,11 +89,6 @@ def _check_perm(sigma, n: int):
     return sigma
 
 
-def permute_multi_index(sigma, alpha) -> tuple[int, ...]:
-    """(sigma . alpha)_j = alpha_{sigma^{-1}(j)}."""
-    return tuple(alpha[j] for j in perm_inverse(sigma))
-
-
 @functools.cache
 def _monomial_codes(n: int, D: int):
     """Exponents (dim, n) of the (n, D) monomials, the place values of their
@@ -147,7 +142,8 @@ class PsiIsometry:
         self.left = left
         self.right = right
         self.target = UniverseBasis(left.n + right.n, degree_bound)
-        self.pair_index = _pair_index(left.n, left.D, right.n, right.D, degree_bound)
+        self.pair_index, self._rows, self._kept, self._lost = _pair_index(
+            left.n, left.D, right.n, right.D, degree_bound)
 
     def kron_vec(self, u: np.ndarray, v: np.ndarray,
                  tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -157,29 +153,38 @@ class PsiIsometry:
     def kron_frame(self, f: np.ndarray, g: np.ndarray,
                    tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Columnwise images of all tensor pairs; pair (a, b) lands at
-        column a * g.shape[1] + b, matching np.kron index order."""
+        column a * g.shape[1] + b, matching np.kron index order.  A cached
+        scatter writes the products of row pair (i, k) to its target row; only
+        pairs past the degree bound (none at the default) are checked."""
         f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+        if (f.shape[0], g.shape[0]) != self.pair_index.shape:
+            raise ValueError(f"frame rows {f.shape[0]}, {g.shape[0]} != {self.pair_index.shape}")
         w = (f[:, None, :, None] * g[None, :, None, :]).reshape(
-            f.shape[0], g.shape[0], f.shape[1] * g.shape[1])
-        lost = self.pair_index < 0
-        if np.any(np.abs(w[lost]) > tol.eps_struct):
-            raise TruncationOverflow(f"product monomial exceeds degree bound {self.target.D}")
-        out = np.zeros((self.target.dim, w.shape[2]), dtype=complex)
-        out[self.pair_index[~lost]] = w[~lost]
+            f.shape[0] * g.shape[0], f.shape[1] * g.shape[1])
+        if self._lost is not None:
+            if np.any(np.abs(w[self._lost]) > tol.eps_struct):
+                raise TruncationOverflow(f"product monomial exceeds degree bound {self.target.D}")
+            w = w[self._kept]
+        out = np.zeros((self.target.dim, w.shape[1]), dtype=complex)
+        out[self._rows] = w
         return out
 
 
 @functools.cache
 def _pair_index(left_n: int, left_D: int, right_n: int, right_D: int,
-                degree_bound: int) -> np.ndarray:
+                degree_bound: int) -> tuple:
     """Read-only (left.dim, right.dim) array of target indices of the
-    concatenated multi-indices, -1 where the degree exceeds degree_bound."""
+    concatenated multi-indices, -1 where the degree exceeds degree_bound, and
+    its flat scatter, also read-only: the target rows of the kept pairs, then
+    the flat positions of the kept and of the lost pairs (None if none is lost)."""
     target = _monomials(left_n + right_n, degree_bound)[1]
     right = _monomials(right_n, right_D)[0]
     idx = np.array([[target.get(a + b, -1) for b in right]
                     for a in _monomials(left_n, left_D)[0]], dtype=int)
-    idx.flags.writeable = False
-    return idx
+    kept, lost = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
+    rows = idx.reshape(-1)[kept]
+    idx.flags.writeable = rows.flags.writeable = kept.flags.writeable = lost.flags.writeable = False
+    return (idx, rows, kept, lost) if lost.size else (idx, rows, None, None)
 
 
 def psi_embed(left: UniverseBasis, right: UniverseBasis,

@@ -529,6 +529,45 @@ def _reference_leading_indices(frames, tol=DEFAULT_TOL):
     return lead.tolist()
 
 
+def _reference_frame_order(lead, values):
+    # frame_order before the key sort: one lexsort, its last key (lead) first
+    keys = [part for col in values.T[::-1] for part in (col.imag, col.real)]
+    return np.lexsort([*keys, lead])
+
+
+@st.composite
+def _order_inputs(draw):
+    """Leads and (k, n) values for frame_order: k = 0..24, parts drawn from a
+    few values so that leads and coordinates tie, signed zeros among them;
+    real or complex values, C or Fortran order, leads as a list or an array."""
+    k, n = draw(st.integers(0, 24)), draw(st.integers(0, 3))
+    parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300])
+    lead = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    values = draw(hnp.arrays(float, (k, n), elements=parts))
+    if draw(st.booleans()):
+        values = values.astype(complex)
+        values.imag = draw(hnp.arrays(float, (k, n), elements=parts))
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    return (np.array(lead, dtype=int) if draw(st.booleans()) else lead), values
+
+
+@settings(deadline=None, max_examples=400)
+@given(_order_inputs())
+def test_frame_order_matches_the_lexsort(inputs):
+    lead, values = inputs
+    order, expect = frame_order(lead, values), _reference_frame_order(lead, values)
+    assert order.dtype == expect.dtype and order.tolist() == expect.tolist()
+
+
+def test_frame_order_ties_signed_zeros_and_keeps_input_order():
+    values = np.zeros((4, 1), dtype=complex)
+    values.real, values.imag = [[0.0], [-0.0], [0.0], [-0.0]], [[1.0], [1.0], [-0.0], [0.0]]
+    for lead, expect in [([0, 0, 0, 0], [2, 3, 0, 1]), ([1, 0, 1, 0], [3, 1, 2, 0])]:
+        assert frame_order(lead, values).tolist() == expect
+        assert _reference_frame_order(lead, values).tolist() == expect
+
+
 def _reference_canonicalize(c, tol=DEFAULT_TOL):
     # canonicalize before the one-pass rewrite: every mask built on every
     # call, leading indices stacked a second time, linkage always run
@@ -556,7 +595,7 @@ def _reference_canonicalize(c, tol=DEFAULT_TOL):
         raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
     non_isometric = np.zeros(len(labels), bool)
     non_isometric[owner[np.any(off & (owner[:, None] == owner), axis=1)]] = True
-    order = frame_order(_reference_leading_indices(frames, tol), values)
+    order = _reference_frame_order(_reference_leading_indices(frames, tol), values)
     labels, values, non_isometric = [labels[i] for i in order], values[order], non_isometric[order]
     groups = _union_find(np.max(np.abs(values[:, None] - values), axis=2) < tol.eps_cluster)
     merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
@@ -564,7 +603,7 @@ def _reference_canonicalize(c, tol=DEFAULT_TOL):
         for g in groups]
     if len(groups) < len(labels) or non_isometric.any():
         lead = _reference_leading_indices([lab.frame for lab in merged], tol)
-        merged = [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])]
+        merged = [merged[i] for i in _reference_frame_order(lead, values[[g[0] for g in groups]])]
     return Configuration(u, merged)
 
 
@@ -806,3 +845,24 @@ def test_config_distance_runs_the_assignment_only_when_not_certified(assignments
     permuted = Configuration(u, a.labels[::-1])
     assert config_distance(a, permuted) < 1e-13
     assert assignments[0] == 1
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 1, 1), (2, 1, 1), (1, 1, 1, 1, 1)])
+def test_config_distance_fallback_computes_each_frame_distance_once(dims, monkeypatch,
+                                                                    assignments):
+    # reversed labels fail the identity certificate: the k diagonal frame
+    # distances of the certificate are reused by the k^2 cost loop
+    calls = [0]
+
+    def counted(f, g):
+        calls[0] += 1
+        return frame_distance(f, g)
+
+    monkeypatch.setattr(gammaconf, "frame_distance", counted)
+    a = gen_random_config(11, UniverseBasis(3, 2), dims=dims)
+    for b in (Configuration(a.universe, a.labels[::-1]),
+              _nudged(Configuration(a.universe, a.labels[::-1]), np.random.default_rng(2), 1e-6)):
+        calls[0], runs = 0, assignments[0]
+        got = config_distance(a, b)
+        assert (calls[0], assignments[0]) == (a.k ** 2, runs + 1)
+        assert repr(got) == repr(_reference_config_distance(a, b))

@@ -5,17 +5,22 @@ import numpy as np
 import pytest
 
 from commvar.errors import TruncationOverflow
-from commvar.numkit import fro
+from commvar.numkit import DEFAULT_TOL, fro
 from commvar.rng import SplitMix64
 from commvar.symuniverse import (
     UniverseBasis,
     apply_perm_to_coords,
     conjugate_by_perm,
     j0,
-    permute_multi_index,
+    perm_inverse,
     psi_embed,
     sigma_star,
 )
+
+
+def permute_multi_index(sigma, alpha) -> tuple[int, ...]:
+    """(sigma . alpha)_j = alpha_{sigma^{-1}(j)}: the per-monomial oracle for sigma_star."""
+    return tuple(alpha[j] for j in perm_inverse(sigma))
 
 
 @pytest.mark.parametrize("n,D", [(1, 1), (2, 2), (3, 1), (2, 3), (4, 2)])
@@ -250,3 +255,97 @@ def test_kron_frame_truncation_overflow():
     out = psi.kron_frame(f[:, :1], f[:, :1])
     assert out.shape == (psi.target.dim, 1)
     assert out[psi.target.index[(1, 1)], 0] == 1.0
+
+
+def _reference_kron_frame(psi, f, g, tol=DEFAULT_TOL):
+    # kron_frame before the cached scatter: boolean gathers of the lost and
+    # the kept pairs on every call
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    w = (f[:, None, :, None] * g[None, :, None, :]).reshape(
+        f.shape[0], g.shape[0], f.shape[1] * g.shape[1])
+    lost = psi.pair_index < 0
+    if np.any(np.abs(w[lost]) > tol.eps_struct):
+        raise TruncationOverflow(f"product monomial exceeds degree bound {psi.target.D}")
+    out = np.zeros((psi.target.dim, w.shape[2]), dtype=complex)
+    out[psi.pair_index[~lost]] = w[~lost]
+    return out
+
+
+def _low_degree_frame(rng, u, width, top, tiny=0.0):
+    """A (u.dim, width) complex frame supported on the monomials of degree at
+    most top, with entries of size tiny on the others."""
+    low = np.array([sum(a) <= top for a in u.monomials])
+    f = rng.normal(size=(u.dim, width)) + 1j * rng.normal(size=(u.dim, width))
+    f[~low] *= tiny
+    return f
+
+
+@pytest.mark.parametrize("shapes,bound", [
+    (((3, 2), (2, 2)), None), (((3, 2), (3, 2)), None), (((1, 1), (2, 3)), None),
+    (((1, 2), (1, 2)), 2), (((2, 2), (2, 1)), 2), (((3, 2), (3, 2)), 3)])
+def test_kron_frame_matches_the_reference_bit_for_bit(shapes, bound):
+    rng = np.random.default_rng(5)
+    u, v = (UniverseBasis(*nd) for nd in shapes)
+    psi = psi_embed(u, v, bound)
+    for ka, kb in [(1, 1), (2, 3), (3, 0), (0, 2), (4, 2)]:
+        if bound is None:
+            f, g = rng.normal(size=(u.dim, ka)) + 0j, _low_degree_frame(rng, v, kb, v.D)
+        else:  # products within the bound, and lost products below eps_struct
+            f = _low_degree_frame(rng, u, ka, 1, tiny=rng.choice([0.0, 1e-14]))
+            g = _low_degree_frame(rng, v, kb, bound - 1, tiny=rng.choice([0.0, 1e-14]))
+        out, expect = psi.kron_frame(f, g), _reference_kron_frame(psi, f, g)
+        assert out.dtype == expect.dtype and out.shape == expect.shape
+        assert out.tobytes() == expect.tobytes()
+
+
+def test_kron_frame_overflow_matches_the_reference():
+    rng = np.random.default_rng(6)
+    u = UniverseBasis(2, 2)
+    psi = psi_embed(u, u, degree_bound=2)
+    for size in (1.0, 1e-6, 1e3 * DEFAULT_TOL.eps_struct):
+        f = _low_degree_frame(rng, u, 2, 1)
+        f[u.index[(1, 1)], 1] = size  # (1, 1) times a degree-1 monomial of g is lost
+        g = _low_degree_frame(rng, u, 1, 1)
+        with pytest.raises(TruncationOverflow) as expect:
+            _reference_kron_frame(psi, f, g)
+        with pytest.raises(TruncationOverflow) as got:
+            psi.kron_frame(f, g)
+        assert str(got.value) == str(expect.value) == "product monomial exceeds degree bound 2"
+
+
+def test_kron_frame_drops_lost_pairs_below_eps_struct():
+    u = UniverseBasis(1, 2)
+    psi = psi_embed(u, u, degree_bound=2)
+    f = np.zeros((u.dim, 1), dtype=complex)
+    f[u.index[(1,)], 0] = 1.0
+    f[u.index[(2,)], 0] = 0.5 * DEFAULT_TOL.eps_struct  # its products have degree 3 or 4
+    out = psi.kron_frame(f, f)
+    assert out.tobytes() == _reference_kron_frame(psi, f, f).tobytes()
+    expect = np.zeros((psi.target.dim, 1), dtype=complex)
+    expect[psi.target.index[(1, 1)], 0] = 1.0
+    assert np.array_equal(out, expect)
+
+
+def test_kron_frame_scatter_is_cached_and_read_only():
+    u = UniverseBasis(2, 2)
+    full, cut = psi_embed(u, u), psi_embed(u, u, degree_bound=2)
+    # the default bound keeps every pair: the rows are the flat pair index
+    assert full._kept is None and full._lost is None
+    assert full._rows.tolist() == full.pair_index.reshape(-1).tolist()
+    assert cut._rows.tolist() == [t for t in cut.pair_index.reshape(-1).tolist() if t >= 0]
+    assert sorted(cut._kept.tolist() + cut._lost.tolist()) == list(range(u.dim ** 2))
+    assert psi_embed(u, u, degree_bound=2)._rows is cut._rows
+    for a in (full._rows, cut._rows, cut._kept, cut._lost):
+        assert a.flags.writeable is False
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_kron_frame_rejects_frames_of_the_wrong_universes():
+    # 6 x 3 = 3 x 6 rows: swapped factors fit the flat scatter, and are refused
+    u, v = UniverseBasis(2, 2), UniverseBasis(2, 1)
+    psi = psi_embed(u, v)
+    f, g = np.ones((u.dim, 1)), np.ones((v.dim, 1))
+    assert psi.kron_frame(f, g).shape == (psi.target.dim, 1)
+    with pytest.raises(ValueError, match="frame rows"):
+        psi.kron_frame(g, f)
