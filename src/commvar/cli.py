@@ -165,10 +165,17 @@ def cmd_stratify(args) -> int:
     report = {"rank": None, "chart": None, "split": None,
               "decomposition_type": list(block_type(blocks).parts)}
     if t.kind == "unitary":
-        enc = jsonio.chart_to_json(chart_from_blocks(t, blocks, tol))
+        chart = chart_from_blocks(t, blocks, tol)
+        # JSON output writes each matrix stack as text in one call; text
+        # output prints the matrix dicts
+        enc = (jsonio.chart_to_json(chart, jsonio.matrix_texts) if args.output == "json"
+               else jsonio.chart_to_json(chart))
         report.update({"rank": enc["s"], "chart": {"X": enc["X"], "f": enc["f"]},
                        "split": enc["split"]})
-    _emit(report, args.output)
+    if args.output == "json":
+        _write(jsonio.dumps_tree(report))
+    else:
+        _emit(report, args.output)
     return EXIT_OK
 
 

@@ -138,6 +138,12 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     eigenvectors times Cayley transforms and plane rotations), so the frames
     are orthonormal without a further Gram-Schmidt pass.
 
+    After the residual check the blocks are built in one pass:
+    _group_reduce gives each group's mean, leading row and F flag, with a
+    per-group np.mean only for a group of 8 floats or more, and one gather
+    of the columns in block order gives every frame, each a C-contiguous
+    (s, w) array as a per-group fancy index would give it.
+
     The tuple is validated first (an InvalidTuple subclass on failure); a
     joint residual above its bound raises NoConvergence.
     """
@@ -161,12 +167,38 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
         close &= (near[:, None] == near) & ~np.any(side[:, :, None] * side[:, None] < 0, axis=0)
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
-    means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
-    first = leading_rows(frames, tol).tolist()
-    order = frame_order([min(first[c] for c in cols) for cols in groups], means)
-    in_f = (~near).tolist()
-    return q, [EigenBlock(frames[:, groups[i]], means[i], all(in_f[c] for c in groups[i]))
-               for i in order]
+    means, lead, in_f = _group_reduce(vals, groups, leading_rows(frames, tol), ~near)
+    order, in_f = frame_order(lead.tolist(), means).tolist(), in_f.tolist()
+    # one gather puts the columns of every block side by side, in block order,
+    # as rows; a frame is its rows transposed, copied only to make it C-contiguous
+    rows, blocks, end = frames.T[[c for i in order for c in groups[i]]], [], 0
+    for i in order:
+        start, end = end, end + len(groups[i])
+        blocks.append(EigenBlock(np.ascontiguousarray(rows[start:end].T), means[i], in_f[i]))
+    return q, blocks
+
+
+def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
+                  in_f: np.ndarray):
+    """Per group, as single_linkage lists them: vals[:, cols].mean(axis=1)
+    bit for bit, min(lead[cols]) and all(in_f[cols]).  np.mean adds fewer
+    than 8 floats (8 real values, 4 complex) to +0.0 left to right, then
+    divides by the count, which for one value is exact: a sum begun at +0.0
+    holds no -0.0.  So one value's mean is 0 + v, and reduceat over the
+    columns in group order with a zero row put before each group sums as
+    np.mean does.  Larger groups keep np.mean."""
+    n, s = vals.shape
+    if len(groups) == s:  # every column its own group
+        return np.add(vals.T, 0.0, order="C"), lead, in_f
+    sizes, g = np.array([len(cols) for cols in groups]), len(groups)
+    members, starts = np.concatenate(groups), np.cumsum(sizes) - sizes
+    padded = np.zeros((s + g, n), vals.dtype)
+    padded[np.arange(s) + np.repeat(np.arange(1, g + 1), sizes)] = vals.T[members]
+    means = np.add.reduceat(padded, starts + np.arange(g), axis=0) / sizes[:, None]
+    for i in np.flatnonzero(sizes >= (4 if vals.dtype.kind == "c" else 8)).tolist():
+        means[i] = vals[:, groups[i]].mean(axis=1)
+    return (means, np.minimum.reduceat(lead[members], starts),
+            np.logical_and.reduceat(in_f[members], starts))
 
 
 def F_frame(t: CommutingTuple, blocks: list[EigenBlock],

@@ -13,13 +13,31 @@ import json
 import numpy as np
 
 from .commodel import CommutingTuple
-from .gammaconf import BASEPOINT, Configuration, Label, SpherePoint
 from .rankstrata import SubquotientChart
-from .symuniverse import UniverseBasis
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
+
+
+class Text(str):
+    """JSON text that dumps_tree writes as it stands."""
+
+
+def dumps_tree(obj) -> str:
+    """dumps(obj) for a tree of dicts and lists whose Text leaves are JSON
+    already; a dict, or a list holding a dict, a list or a Text, is walked,
+    and everything else is written by dumps."""
+    if isinstance(obj, Text):
+        return obj
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{dumps(k)}:{dumps_tree(obj[k])}" for k in sorted(obj)) + "}"
+    if isinstance(obj, list) and any(isinstance(x, (Text, dict, list)) for x in obj):
+        return "[" + ",".join(map(dumps_tree, obj)) + "]"
+    return dumps(obj)
 
 
 def _count(d: dict, field: str) -> int:
@@ -39,6 +57,33 @@ def matrix_to_json(a: np.ndarray) -> dict:
             "field": "real"}
 
 
+# the all-zero complex entries, indexed by 2 signbit(re) + signbit(im)
+_ZEROS = np.array(["[0.0,0.0]", "[0.0,-0.0]", "[-0.0,0.0]", "[-0.0,-0.0]"], dtype=object)
+
+
+def matrix_texts(stack: np.ndarray) -> list[Text]:
+    """dumps(matrix_to_json(m)) for each matrix m of a (k, rows, cols)
+    complex stack, byte for byte, with no Python float for an exact zero: an
+    entry whose parts are both zero is one of four constant texts, chosen by
+    the sign bits of its parts, and every other entry is [repr(re),repr(im)].
+    A real stack, or one holding a nan or an infinity (which json writes as
+    NaN and Infinity), takes dumps(matrix_to_json(m)) itself."""
+    k, rows, cols = stack.shape
+    if not np.iscomplexobj(stack) or not np.isfinite(stack).all():
+        return [Text(dumps(matrix_to_json(m))) for m in stack]
+    parts = np.ascontiguousarray(stack, dtype=complex).view(float).reshape(k, rows * cols, 2)
+    sign = np.signbit(parts)
+    entries = _ZEROS[2 * sign[..., 0] + sign[..., 1]]
+    live = (parts != 0).any(axis=2)
+    entries[live] = [f"[{re!r},{im!r}]" for re, im in parts[live].tolist()]
+    return [Text(f'{{"cols":{cols},"data":[{",".join(row)}],"rows":{rows}}}')
+            for row in entries.tolist()]
+
+
+def _matrix_dicts(stack: np.ndarray) -> list[dict]:
+    return [matrix_to_json(m) for m in stack]
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
     rows, cols = _count(d, "rows"), _count(d, "cols")
     real, data = d.get("field") == "real", d["data"]
@@ -55,12 +100,14 @@ def matrix_from_json(d: dict) -> np.ndarray:
     return (data if real else data.view(complex)).reshape(rows, cols)
 
 
-def tuple_to_json(t: CommutingTuple) -> dict:
+def tuple_to_json(t: CommutingTuple, encode=_matrix_dicts) -> dict:
+    """The tuple's wire form; encode maps its (n, s, s) stack to the list of
+    matrix encodings (matrix_to_json dicts, or matrix_texts for dumps_tree)."""
     return {
         "n": t.n,
         "s": t.s,
         "kind": t.kind,
-        "mats": [matrix_to_json(m) for m in t.mats],
+        "mats": encode(t.mats),
     }
 
 
@@ -73,44 +120,14 @@ def tuple_from_json(d: dict) -> CommutingTuple:
     return CommutingTuple(kind, np.reshape(mats, (n, s, s)))
 
 
-def point_to_json(p: SpherePoint):
-    if p.is_basepoint:
-        return "basepoint"
-    return {"coords": [[float(z.real), float(z.imag)] for z in p.coords]}
-
-
-def point_from_json(d) -> SpherePoint:
-    if d == "basepoint":
-        return BASEPOINT
-    return SpherePoint([complex(re, im) for re, im in d["coords"]])
-
-
-def config_to_json(c: Configuration) -> dict:
-    return {
-        "universe": {"n": c.universe.n, "D": c.universe.D},
-        "labels": [
-            {"frame": matrix_to_json(lab.frame), "point": point_to_json(lab.point)}
-            for lab in c.labels
-        ],
-    }
-
-
-def config_from_json(d: dict) -> Configuration:
-    u = UniverseBasis(_count(d["universe"], "n"), _count(d["universe"], "D"))
-    labels = [
-        Label(matrix_from_json(lab["frame"]), point_from_json(lab["point"]))
-        for lab in d["labels"]
-    ]
-    return Configuration(u, labels)
-
-
-def chart_to_json(chart: SubquotientChart) -> dict:
+def chart_to_json(chart: SubquotientChart, encode=_matrix_dicts) -> dict:
+    """The chart's wire form, its matrices encoded as tuple_to_json's are."""
     return {
         "s": chart.s,
-        "X": tuple_to_json(chart.X),
-        "f": matrix_to_json(chart.f),
+        "X": tuple_to_json(chart.X, encode),
+        "f": encode(chart.f[None])[0],
         "split": {
-            "traceless": tuple_to_json(chart.traceless),
+            "traceless": tuple_to_json(chart.traceless, encode),
             "tau": chart.tau.astype(float).tolist(),
         },
     }

@@ -709,13 +709,6 @@ def _fixed_dims(partitions, field: str, normals: np.ndarray):
         yield len(trace) - int(np.sum(sv > 1e-8 * sv[:1]))
 
 
-def fixed_dim_nullspace_oracle(parts, n: int, field: str, seed: int = 0) -> int:
-    """`_fixed_dims` of one partition on the first 4 sum p_i^2 normals of its
-    stream SplitMix64(seed ^ 0xFACADE), times n for the n-fold direct sum."""
-    normals = SplitMix64(seed ^ 0xFACADE).normals(4 * sum(p * p for p in parts))
-    return n * next(_fixed_dims([parts], field, normals))
-
-
 def _partitions(s: int, cap: int = 0):
     if s == 0:
         yield ()

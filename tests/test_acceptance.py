@@ -71,7 +71,7 @@ from commvar.spectrumops import (
     unit_map,
 )
 from commvar.symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
-from commvar.verify import fixed_dim_nullspace_oracle
+from isotropy_oracle import fixed_dim_nullspace_oracle
 
 SEED = 20260809
 

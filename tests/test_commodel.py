@@ -24,8 +24,11 @@ from commvar.gammaconf import (
     SpherePoint,
     canonicalize,
     config_distance,
+    frame_order,
+    near_basepoint_rows,
     rank,
     sigma_action_config,
+    single_linkage,
 )
 from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
 from commvar.isodecomp import block_type
@@ -600,3 +603,146 @@ def test_sigma_action_intertwines_configurations(sigma):
     lhs = sigma_action_tuple(sigma, t)
     rhs = config_to_commuting(sigma_action_config(sigma, c))
     assert class_distance(lhs, rhs) <= 1e-8
+
+
+def _reference_joint_diagonalize(t, tol=DEFAULT_TOL):
+    # the tail before the one-pass rewrite: one np.mean and one fancy index
+    # per group
+    t.validate(tol)
+    comps = commodel._hermitian_components(t)
+    scale = max((fro(a) for a in t.mats), default=0.0)
+    q = numkit.joint_diagonalizer(comps, off_target=1e-12 * scale)
+    diag = q.conj().T @ t.mats @ q
+    resid = off_norm(diag)
+    if resid > 1e-8 * max(scale, 1e-300):
+        raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
+    vals = np.diagonal(diag, axis1=1, axis2=2)
+    close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
+                   initial=0.0) < tol.eps_cluster
+    near = near_basepoint_rows(vals.T, tol.eps_base)
+    if t.kind == "unitary":
+        side = np.where((vals.real > 0) & ~near, np.sign(vals.imag), 0.0)
+        close &= (near[:, None] == near) & ~np.any(side[:, :, None] * side[:, None] < 0, axis=0)
+    frames = phase_normalize(q, tol)
+    groups = single_linkage(close)
+    means = np.array([vals[:, cols].mean(axis=1) for cols in groups]).reshape(len(groups), t.n)
+    first = numkit.leading_rows(frames, tol).tolist()
+    order = frame_order([min(first[c] for c in cols) for cols in groups], means)
+    in_f = (~near).tolist()
+    return q, [commodel.EigenBlock(frames[:, groups[i]], means[i], all(in_f[c] for c in groups[i]))
+               for i in order]
+
+
+def _conjugated(kind, diag_mats, seed):
+    """The diagonal stack conjugated by a Haar unitary (orthogonal for a real kind)."""
+    s = diag_mats.shape[-1]
+    u = (haar_orthogonal if kind == "real_symmetric" else haar_unitary)(SplitMix64(seed), s)
+    return CommutingTuple(kind, u @ diag_mats @ u.conj().T)
+
+
+def _one_pass_cases():
+    cases = {}
+    for kind in ("unitary", "skew_hermitian", "real_symmetric"):
+        cases[f"{kind}-singletons"] = gen_random_commuting(3, 2, 12, kind)
+        cases[f"{kind}-s1"] = gen_random_commuting(4, 2, 1, kind)
+        cases[f"{kind}-n0"] = CommutingTuple(kind, np.zeros((0, 3, 3)))
+        cases[f"{kind}-n0-s9"] = CommutingTuple(kind, np.zeros((0, 9, 9)))
+        for parts in ([2, 3, 4, 5, 6, 7, 1], [8, 1], [9, 2, 1], [12, 3, 3, 1, 1], [7, 7], [4]):
+            cases[f"{kind}-parts{parts}"] = gen_partition_tuple(5, 2, parts, kind=kind)
+        for seed in range(6):
+            rng = SplitMix64(seed)
+            parts = [1 + rng.randint(0, 10) for _ in range(1 + rng.randint(0, 5))]
+            cases[f"{kind}-random{seed}"] = gen_partition_tuple(seed, 1 + seed % 3, parts,
+                                                                kind=kind)
+    # columns at and within eps_base of 1 beside clusters and singletons, in a
+    # dense frame (every leading row 0, so the order falls to the values)
+    phases = np.array([[0.0, 0.0, 0.0, 1e-10, 0.5, 0.5, 1.1, 2.0, 2.0 + 3e-7, -2.5],
+                       [0.0, 0.0, 0.0, 0.0, 0.7, 0.7, -1.3, 0.4, 0.4, 3.0]])
+    diag = np.exp(1j * phases)[:, :, None] * np.eye(10)
+    cases["unitary-near-basepoint"] = _conjugated("unitary", diag, 11)
+    cases["unitary-near-basepoint-diagonal"] = CommutingTuple("unitary", diag)
+    # a Lie kind links across the cut at 1, so a block can hold columns on
+    # both sides of it, and is then off F
+    values = np.array([[1.0, 1.0 + 5e-7, 1.0 + 9e-7, 2.0, 2.0, -3.0]])
+    cases["real_symmetric-straddles-the-cut"] = _conjugated(
+        "real_symmetric", values[:, :, None] * np.eye(6), 12)
+    # diagonal tuples: the frames are unit columns, so leading rows are the
+    # column indices; a negative zero survives into the values of these
+    for name, imag in (("singletons", [1.0, -0.0]), ("pair", [-0.0, -0.0]),
+                       ("triple", [-0.0, -0.0, -0.0])):
+        cases[f"skew_hermitian-negative-zero-{name}"] = CommutingTuple(
+            "skew_hermitian", np.diag([complex(-0.0, y) for y in imag])[None])
+    return cases
+
+
+_ONE_PASS_CASES = _one_pass_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_PASS_CASES))
+def test_joint_diagonalize_matches_the_reference_bit_for_bit(name):
+    t = _ONE_PASS_CASES[name]
+    q, blocks = joint_diagonalize(t)
+    q_ref, expect = _reference_joint_diagonalize(t)
+    assert q.tobytes() == q_ref.tobytes()
+    assert len(blocks) == len(expect)
+    for got, ref in zip(blocks, expect):
+        assert got.frame.dtype == ref.frame.dtype and got.frame.shape == ref.frame.shape
+        assert got.frame.flags.c_contiguous
+        assert got.frame.tobytes() == ref.frame.tobytes()
+        assert got.values.dtype == ref.values.dtype and got.values.shape == ref.values.shape
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.in_F is ref.in_F
+
+
+def test_the_one_pass_cases_reach_every_branch():
+    # singleton, short-sum and np.mean groups, off-F blocks and negative zeros
+    sizes, in_f, negative_zero = set(), set(), False
+    for t in _ONE_PASS_CASES.values():
+        q, blocks = _reference_joint_diagonalize(t)
+        sizes.update(b.frame.shape[1] for b in blocks)
+        in_f.update((t.kind, b.in_F) for b in blocks)
+        vals = np.diagonal(q.conj().T @ t.mats @ q, axis1=1, axis2=2).copy()
+        parts = vals.view(float) if vals.dtype.kind == "c" else vals
+        negative_zero |= bool(np.any((parts == 0) & np.signbit(parts)))
+    assert set(range(1, 10)) <= sizes
+    assert ("unitary", False) in in_f and ("real_symmetric", False) in in_f
+    assert negative_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["unitary", "skew_hermitian", "real_symmetric"]),
+       st.integers(0, 3), st.lists(st.integers(1, 10), min_size=1, max_size=6),
+       st.integers(0, 2**16))
+def test_joint_diagonalize_matches_the_reference_on_partitions(kind, n, parts, seed):
+    t = gen_partition_tuple(seed, n, parts, kind=kind) if n else CommutingTuple(
+        kind, np.zeros((0, sum(parts), sum(parts))))
+    q, blocks = joint_diagonalize(t)
+    _, expect = _reference_joint_diagonalize(t)
+    assert [(b.frame.tobytes(), b.values.tobytes(), b.in_F) for b in blocks] == \
+        [(b.frame.tobytes(), b.values.tobytes(), b.in_F) for b in expect]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_group_reduce_matches_per_group_np_mean_min_and_all(dtype):
+    # signed zeros and values of mixed magnitude, in groups of every size
+    # around the short-sum bound, and all singletons
+    rng = np.random.default_rng(3)
+    entries = np.array([-0.0, 0.0, -1.5, 2.25, 1e-300, -5e-324, 3.0, 0.1, -0.7])
+    for trial in range(300):
+        n, sizes = trial % 4, rng.integers(1, 11, size=rng.integers(1, 7)).tolist()
+        s = sum(sizes)
+        vals = np.zeros((n, s), dtype)
+        parts = vals.reshape(-1).view(float)
+        parts[:] = rng.choice(entries, size=parts.size)
+        lead, in_f = rng.integers(0, 5, size=s), rng.random(s) < 0.8
+        cols = rng.permutation(s).tolist()
+        # as single_linkage lists them: members increasing, groups by their first
+        groups = sorted(sorted(cols[a:a + w]) for a, w in zip(np.cumsum([0] + sizes[:-1]), sizes))
+        for groups in (groups, [[c] for c in range(s)]):
+            means, got_lead, got_in_f = commodel._group_reduce(vals, groups, lead, in_f)
+            expect = np.array([vals[:, g].mean(axis=1) for g in groups]).reshape(len(groups), n)
+            assert means.dtype == expect.dtype and means.shape == expect.shape
+            assert means.flags.c_contiguous
+            assert means.tobytes() == expect.tobytes(), (trial, groups)
+            assert got_lead.tolist() == [min(lead[g]) for g in groups]
+            assert got_in_f.tolist() == [bool(all(in_f[g])) for g in groups]

@@ -18,7 +18,7 @@ from commvar.isodecomp import (
 from commvar.numkit import fro
 from commvar.rankstrata import stabilize
 from commvar.rng import SplitMix64, haar_unitary
-from commvar.verify import fixed_dim_nullspace_oracle
+from isotropy_oracle import fixed_dim_nullspace_oracle
 from commvar.commodel import joint_diagonalize
 from commvar.errors import ShapeMismatch
 from commvar.isodecomp import block_type

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from commvar import jsonio
-from commvar.commodel import KINDS, CommutingTuple
-from commvar.gammaconf import BASEPOINT, SpherePoint
-from commvar.generate import gen_random_commuting, gen_random_config
+from commvar import cli, jsonio
+from commvar.commodel import KINDS, CommutingTuple, identity_tuple, joint_diagonalize
+from commvar.generate import gen_exact_rank_tuple, gen_random_commuting
+from commvar.isodecomp import block_type
 from commvar.numkit import fro
-from commvar.rankstrata import subquotient_chart
-from commvar.generate import gen_exact_rank_tuple
-from commvar.symuniverse import UniverseBasis
+from commvar.rankstrata import chart_from_blocks, subquotient_chart
 
 
 def test_matrix_schema_complex():
@@ -71,28 +72,6 @@ def test_tuple_schema_roundtrip():
     tr = gen_random_commuting(4, 1, 2, "real_symmetric")
     back_r = jsonio.tuple_from_json(jsonio.tuple_to_json(tr))
     assert back_r.mats.dtype.kind == "f"
-
-
-def test_point_schema():
-    assert jsonio.point_to_json(BASEPOINT) == "basepoint"
-    p = SpherePoint([-1.0, 1j])
-    d = jsonio.point_to_json(p)
-    assert d == {"coords": [[-1.0, 0.0], [0.0, 1.0]]}
-    assert jsonio.point_from_json("basepoint").is_basepoint
-    back = jsonio.point_from_json(d)
-    assert np.allclose(back.coords, p.coords)
-
-
-def test_config_schema_roundtrip():
-    u = UniverseBasis(2, 1)
-    c = gen_random_config(9, u, max_labels=2, max_rank=2)
-    d = jsonio.config_to_json(c)
-    assert d["universe"] == {"n": 2, "D": 1}
-    assert all(set(lab) == {"frame", "point"} for lab in d["labels"])
-    back = jsonio.config_from_json(d)
-    from commvar.gammaconf import config_distance
-
-    assert config_distance(back, c) < 1e-15
 
 
 def test_chart_schema():
@@ -174,3 +153,112 @@ def test_matrix_from_json_rejects_strings_and_null(data, field):
         d["field"] = field
     with pytest.raises(ValueError):
         jsonio.matrix_from_json(d)
+
+
+def _reference_matrix_text(m):
+    # the encoding before matrix_texts: a matrix_to_json dict through json.dumps
+    return json.dumps(jsonio.matrix_to_json(m), sort_keys=True, separators=(",", ":"))
+
+
+def _texts_cases():
+    rng = np.random.default_rng(11)
+    dense = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+    signed = np.zeros((1, 2, 3), complex)
+    signed.reshape(-1)[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                              complex(0.0, 0.0)]
+    signed.reshape(-1)[4:] = [complex(-0.0, 1.5), complex(2.5, -0.0)]
+    tiny = np.array([[[5e-324 + 0j, complex(-5e-324, 2.2250738585072014e-308)],
+                      [complex(0.0, -1e-310), 1e300 - 1e-300j]]])
+    diag = 1j * np.array([1.0, -2.0, 0.0])[:, None] * np.eye(3)  # -0.0 off the diagonal
+    cases = {"dense": dense, "signed-zeros": signed, "subnormal": tiny, "diag": diag[None],
+             "one-by-one": np.array([[[complex(-0.0, 3.0)]]]),
+             "one-by-one-zero": np.zeros((1, 1, 1), complex),
+             "empty": np.zeros((2, 0, 0), complex), "no-columns": np.zeros((1, 3, 0), complex),
+             "no-matrices": np.zeros((0, 2, 2), complex), "complex64": dense.astype(np.complex64),
+             "real": rng.normal(size=(2, 2, 2))}
+    for name, bad in (("nan", complex(np.nan, 0.0)), ("inf", complex(0.0, np.inf)),
+                      ("minus-inf", complex(-np.inf, 1.0))):
+        with_bad = dense.copy()
+        with_bad[1, 2, 3] = bad
+        cases[name] = with_bad
+    return cases
+
+
+@pytest.mark.parametrize("name,stack", sorted(_texts_cases().items()))
+def test_matrix_texts_match_dumps_of_matrix_to_json(name, stack):
+    texts = jsonio.matrix_texts(stack)
+    assert all(isinstance(t, jsonio.Text) for t in texts)
+    assert texts == [_reference_matrix_text(m) for m in stack]
+    assert [jsonio.dumps_tree(t) for t in texts] == texts
+
+
+def test_matrix_texts_write_non_finite_entries_as_json_does():
+    cases = _texts_cases()
+    assert "NaN" in jsonio.matrix_texts(cases["nan"])[1]
+    assert "Infinity" in jsonio.matrix_texts(cases["inf"])[1]
+    assert "-Infinity" in jsonio.matrix_texts(cases["minus-inf"])[1]
+    text, = jsonio.matrix_texts(cases["signed-zeros"])
+    assert '"data":[[-0.0,0.0],[0.0,-0.0],[-0.0,-0.0],[0.0,0.0],[-0.0,1.5],[2.5,-0.0]]' in text
+
+
+def test_dumps_tree_matches_dumps():
+    tree = {"b": [1, 2.5, None], "a": {"z": [[1, 2], "x"], "y": True}, "c": [], "d": {}, "e": -0.0}
+    assert jsonio.dumps_tree(tree) == jsonio.dumps(tree)
+    text = jsonio.Text('{"k":[1]}')
+    assert (jsonio.dumps_tree({"m": [text, text], "t": text})
+            == '{"m":[{"k":[1]},{"k":[1]}],"t":{"k":[1]}}')
+
+
+def _reference_report(t, blocks):
+    # the stratify report as the command built it before matrix_texts: the
+    # chart's matrix_to_json dicts, written through json.dumps or as text lines
+    report = {"rank": None, "chart": None, "split": None,
+              "decomposition_type": list(block_type(blocks).parts)}
+    if t.kind == "unitary":
+        c = chart_from_blocks(t, blocks)
+
+        def tup(x):
+            return {"n": x.n, "s": x.s, "kind": x.kind,
+                    "mats": [jsonio.matrix_to_json(m) for m in x.mats]}
+
+        report.update({"rank": c.s, "chart": {"X": tup(c.X), "f": jsonio.matrix_to_json(c.f)},
+                       "split": {"traceless": tup(c.traceless),
+                                 "tau": c.tau.astype(float).tolist()}})
+    return {"json": json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
+            "text": "".join(f"{key}: {value}\n" for key, value in report.items())}
+
+
+def _check_stratify_stdout(t, monkeypatch):
+    """stratify's stdout and exit code in both modes against the reference
+    report of the same wire-decoded tuple."""
+    payload = jsonio.dumps(jsonio.tuple_to_json(t))
+    t = jsonio.tuple_from_json(json.loads(payload))
+    expect = _reference_report(t, joint_diagonalize(t)[1])
+    for mode in ("json", "text"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["stratify", "--output", mode])
+        assert (code, out.getvalue()) == (0, expect[mode]), mode
+    return expect
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("kind", KINDS)
+def test_stratify_stdout_matches_the_reference_on_the_generate_grid(kind, n, monkeypatch):
+    for s in (1, 3, 6, 12, 24, 64, 128):
+        for seed in (0, 7):
+            _check_stratify_stdout(gen_random_commuting(seed, n, s, kind), monkeypatch)
+
+
+@pytest.mark.parametrize("name,t", [
+    ("rank-0", identity_tuple(2, 3)),
+    ("rank-0-one-by-one", identity_tuple(1, 1)),
+    ("padded", gen_exact_rank_tuple(3, 2, 2, 5)),
+    ("one-by-one", CommutingTuple("unitary", np.array([[[1j]], [[complex(-1.0, -0.0)]]]))),
+])
+def test_stratify_stdout_matches_the_reference_on_edge_charts(name, t, monkeypatch):
+    expect = _check_stratify_stdout(t, monkeypatch)
+    if name.startswith("rank-0"):
+        empty = '"X":{"kind":"skew_hermitian","mats":[{"cols":0,"data":[],"rows":0}'
+        assert empty in expect["json"]

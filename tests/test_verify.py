@@ -17,9 +17,9 @@ from commvar.verify import (
     _fixed_dims,
     _partitions,
     _reflection_rows,
-    fixed_dim_nullspace_oracle,
     run_suite,
 )
+from isotropy_oracle import fixed_dim_nullspace_oracle
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
