@@ -28,9 +28,9 @@ from . import jsonio
 from .commodel import KINDS, joint_diagonalize
 from .errors import CommVarError, InvalidTuple, NotOddPrime
 from .generate import gen_random_commuting
-from .isodecomp import block_type
+from .isodecomp import decomposition_type
 from .numkit import Tolerances
-from .rankstrata import chart_from_blocks
+from .rankstrata import subquotient_chart
 from .verify import SUITES, RunConfig, run_suite
 
 EXIT_OK = 0
@@ -163,9 +163,9 @@ def cmd_stratify(args) -> int:
     # the decomposition type
     _, blocks = joint_diagonalize(t, tol)
     report = {"rank": None, "chart": None, "split": None,
-              "decomposition_type": list(block_type(blocks).parts)}
+              "decomposition_type": list(decomposition_type(t, tol, blocks).parts)}
     if t.kind == "unitary":
-        chart = chart_from_blocks(t, blocks, tol)
+        chart = subquotient_chart(t, tol, blocks=blocks)
         # JSON output writes each matrix stack as text in one call; text
         # output prints the matrix dicts
         enc = (jsonio.chart_to_json(chart, jsonio.matrix_texts) if args.output == "json"

@@ -8,7 +8,9 @@ eigenvectors with no joint value within eps_base of 1 span the distinguished
 subspace F on which every component minus the identity is non-singular;
 joint_diagonalize decides this once per eigenvector and marks each block in
 or off F.  Reading eigenblocks as labels (frame, value tuple) converts a
-unitary tuple into a configuration and back.
+unitary tuple into a configuration and back.  Each function that
+diagonalizes its tuple takes optional blocks, so a caller holding them
+diagonalizes once.
 """
 
 from __future__ import annotations
@@ -201,20 +203,15 @@ def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
             np.logical_and.reduceat(in_f[members], starts))
 
 
-def F_frame(t: CommutingTuple, blocks: list[EigenBlock],
-            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Isometric frame of F from the eigenblocks of t: the frames of the
-    in_F blocks side by side, in block order."""
+def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+               blocks: list[EigenBlock] | None = None) -> np.ndarray:
+    """Frame spanning the largest subspace on which every A_i - Id is
+    non-singular, the whole space when n = 0: the frames of the in_F blocks
+    (no joint value within eps_base of 1) side by side, in block order."""
+    if blocks is None:
+        _, blocks = joint_diagonalize(t, tol)
     frames = [b.frame for b in blocks if b.in_F]
     return np.hstack(frames) if frames else np.zeros((t.s, 0), dtype=t.mats.dtype)
-
-
-def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Frame spanning the largest subspace on which every A_i - Id is
-    non-singular: the span of the joint eigenvectors whose values all stay
-    farther than eps_base from 1, the whole space when n = 0."""
-    _, blocks = joint_diagonalize(t, tol)
-    return F_frame(t, blocks, tol)
 
 
 def extend_by_identity(g: np.ndarray, smalls: np.ndarray) -> np.ndarray:
@@ -232,16 +229,12 @@ def kron_pair(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
                            np.kron(np.eye(xs.shape[-1])[None], ys)])
 
 
-def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                  blocks: list[EigenBlock] | None = None) -> CommutingTuple:
     """Canonical representative of the equivalence class of a unitary tuple:
     each component restricted to F and extended by the identity."""
-    return rep_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
-
-
-def rep_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
-                    tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
-    """canonical_rep of a unitary tuple from its eigenblocks."""
-    f = F_frame(t, blocks, tol)
+    require_kind(t, "unitary")
+    f = F_subspace(t, tol, blocks)
     return CommutingTuple("unitary", extend_by_identity(f, f.conj().T @ t.mats @ f), t.ambient)
 
 
@@ -289,18 +282,15 @@ def config_blocks(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> list[Eigen
             for lab in c.labels]
 
 
-def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Configuration:
+def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                        blocks: list[EigenBlock] | None = None) -> Configuration:
     """Inverse direction: eigenblocks whose value tuple avoids 1 become
     labels; blocks touching 1 are the basepoint part and disappear."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe to become a configuration")
     require_kind(t, "unitary")
-    return config_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
-
-
-def config_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
-                       tol: Tolerances = DEFAULT_TOL) -> Configuration:
-    """commuting_to_config of a unitary tuple with an ambient universe, from its blocks."""
+    if blocks is None:
+        _, blocks = joint_diagonalize(t, tol)
     labels = [Label(b.frame, SpherePoint(b.values)) for b in blocks if b.in_F]
     return canonicalize(Configuration(t.ambient, labels), tol)
 

@@ -39,19 +39,15 @@ class DecompType:
         return len(self.parts)
 
 
-def block_type(blocks: list[EigenBlock]) -> DecompType:
-    """Partition of the size by the dimensions of the eigenblocks that
-    joint_diagonalize returned.  An s = 0 tuple has no blocks and raises
-    ShapeMismatch."""
+def decomposition_type(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                       blocks: list[EigenBlock] | None = None) -> DecompType:
+    """Partition of the size by the coarsest joint eigenblock dimensions.
+    An s = 0 tuple has no blocks and raises ShapeMismatch."""
+    if blocks is None:
+        _, blocks = joint_diagonalize(t, tol)
     if not blocks:
         raise ShapeMismatch("an s = 0 tuple has no decomposition type")
     return DecompType(tuple(b.frame.shape[1] for b in blocks))
-
-
-def decomposition_type(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> DecompType:
-    """Partition of the size by the coarsest joint eigenblock dimensions."""
-    _, blocks = joint_diagonalize(t, tol)
-    return block_type(blocks)
 
 
 def is_complete_type(d: DecompType) -> bool:
@@ -137,20 +133,17 @@ def canonical_flag_class(g: np.ndarray, x: CommutingTuple,
     return phase_normalize(g_sorted, tol), CommutingTuple("skew_hermitian", mats)
 
 
-def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
+def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                      blocks: list[EigenBlock] | None = None):
     """Canonical preimage of a unit tuple under the flag map.
 
     Requires the joint spectrum to be simple (all eigenblocks of dimension
     one); joint diagonalization supplies the frame and the diagonals, and
     canonicalization picks the representative of the preimage class.
     """
-    return flag_preimage_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
-
-
-def flag_preimage_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
-                              tol: Tolerances = DEFAULT_TOL):
-    """flag_map_preimage of a unit tuple from its eigenblocks."""
-    if block_type(blocks).k != t.s:
+    if blocks is None:
+        _, blocks = joint_diagonalize(t, tol)
+    if decomposition_type(t, tol, blocks).k != t.s:
         raise ValueError("flag preimage needs a simple joint spectrum")
     g = np.hstack([b.frame for b in blocks])
     diags = np.array([b.values for b in blocks]).T[:, :, None] * np.eye(t.s)

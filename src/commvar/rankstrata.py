@@ -7,9 +7,10 @@ unitary tuple onto its distinguished subspace F and pulling back along the
 transform yields the chart (X, f) of the open stratum of exact rank s: X a
 commuting skew-Hermitian tuple of size s, f an isometric frame spanning F.
 
-The chart is read off the joint spectrum of one joint diagonalization
-(`chart_from_blocks`): the columns of the F frame are joint eigenvectors, so
-X is diagonal in that frame, the inverse transform of the Rayleigh quotients.
+The chart is read off the joint spectrum of one joint diagonalization;
+subquotient_chart takes optional blocks, so a caller holding them
+diagonalizes once.  The columns of the F frame are joint eigenvectors, so X
+is diagonal in that frame, the inverse transform of the Rayleigh quotients.
 For a tuple that commutes only to working tolerance this is the chart of its
 clustered tuple: the off-diagonal joint residual is dropped.  The real chart
 of `realk` is this chart in a real frame of F, plus a realness check.
@@ -24,10 +25,8 @@ import numpy as np
 from .commodel import (
     CommutingTuple,
     EigenBlock,
-    F_frame,
     F_subspace,
     extend_by_identity,
-    joint_diagonalize,
     kron_pair,
     require_kind,
 )
@@ -97,14 +96,20 @@ def stratum_rank(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> int:
     return F_subspace(t, tol).shape[1]
 
 
-def chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
-                      tol: Tolerances = DEFAULT_TOL,
-                      frame: np.ndarray | None = None) -> SubquotientChart:
-    """subquotient_chart of a unitary tuple from the eigenblocks that
-    joint_diagonalize returned for it: X_i = diag(i Im((1 + v)/(1 - v))) for
-    the Rayleigh quotients v = diag(f^H A_i f) of the F frame's columns; a
-    supplied frame gets W^H X_i W with W = f^H frame."""
-    f = F_frame(t, blocks, tol)
+def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                      frame: np.ndarray | None = None,
+                      blocks: list[EigenBlock] | None = None) -> SubquotientChart:
+    """Chart of a unitary tuple in the open stratum of its exact rank:
+    X_i = diag(i Im((1 + v)/(1 - v))) for the Rayleigh quotients
+    v = diag(f^H A_i f) of the columns of the F frame.
+
+    The frame defaults to the joint eigenblock frames of F sorted by their
+    leading coordinate; passing a frame spanning F exposes the documented
+    U(s)-conjugation ambiguity, and gives W^H X_i W with W = f^H frame.
+    Raises WrongStratum when some component minus the identity is singular
+    on F at working tolerance."""
+    require_kind(t, "unitary")
+    f = F_subspace(t, tol, blocks)
     s = f.shape[1]
     v = np.sum(f.conj() * (t.mats @ f), axis=1)
     if np.any(np.abs(v - 1) <= tol.eps_struct):
@@ -122,20 +127,6 @@ def chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
     x = CommutingTuple("skew_hermitian", x)
     traceless, tau = trace_split(x)
     return SubquotientChart(s, x, f, traceless, tau)
-
-
-def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                      frame: np.ndarray | None = None) -> SubquotientChart:
-    """Chart of a unitary tuple in the open stratum of its exact rank.
-
-    The frame defaults to the joint eigenblock frames of F sorted by their
-    leading coordinate; passing a frame spanning F exposes the documented
-    U(s)-conjugation ambiguity.  Raises WrongStratum when some component
-    minus the identity is singular on F at working tolerance.
-    """
-    require_kind(t, "unitary")
-    _, blocks = joint_diagonalize(t, tol)
-    return chart_from_blocks(t, blocks, tol, frame)
 
 
 def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,

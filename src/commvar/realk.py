@@ -9,6 +9,8 @@ real symmetric tuple together with a real isometric frame.
 Every piece is the complex one of `rankstrata` applied to iX, plus a
 realness step: real_cayley(X) = cayley(iX), and the real chart is -i times
 the complex chart in a real frame of F, checked to be real as a whole stack.
+real_stratum_chart takes optional blocks, so a caller holding them
+diagonalizes once.
 A block is real when the imaginary part of its projection P is at most
 eps_struct; its real frame is then the top eigenvectors of Re P.
 """
@@ -26,9 +28,9 @@ from .rankstrata import (
     SubquotientChart,
     cayley,
     cayley_solve,
-    chart_from_blocks,
     reassemble_trace,
     reconstruct_chart,
+    subquotient_chart,
     trace_split,
 )
 
@@ -97,7 +99,8 @@ def reassemble_real_split(split: RealSplit) -> CommutingTuple:
     return CommutingTuple("real_symmetric", reassemble_trace(ix, split.tau).mats.imag)
 
 
-def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> SubquotientChart:
+def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                       blocks: list[EigenBlock] | None = None) -> SubquotientChart:
     """Chart of a commuting tuple of symmetric unitaries.
 
     Each joint eigenblock must be the complexification of a real subspace
@@ -107,12 +110,8 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Subq
     The F blocks and their order are those of the complex chart.
     """
     require_kind(t, "unitary")
-    return real_chart_from_blocks(t, joint_diagonalize(t, tol)[1], tol)
-
-
-def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
-                           tol: Tolerances = DEFAULT_TOL) -> SubquotientChart:
-    """real_stratum_chart of a unitary tuple from its eigenblocks."""
+    if blocks is None:
+        _, blocks = joint_diagonalize(t, tol)
     frames = []
     for b in [b for b in blocks if b.in_F]:
         proj = b.frame @ b.frame.conj().T
@@ -125,7 +124,7 @@ def real_chart_from_blocks(t: CommutingTuple, blocks: list[EigenBlock],
         frames.append(np.linalg.eigh(proj.real)[1][:, -b.frame.shape[1]:])
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
     x = CommutingTuple("real_symmetric",
-                       _real_part(-1j * chart_from_blocks(t, blocks, tol, frame=f).X.mats))
+                       _real_part(-1j * subquotient_chart(t, tol, f, blocks).X.mats))
     split = real_trace_split(x)
     return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 

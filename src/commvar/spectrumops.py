@@ -12,10 +12,9 @@ from __future__ import annotations
 from .commodel import (
     CommutingTuple,
     EigenBlock,
-    F_frame,
+    F_subspace,
     extend_by_identity,
     identity_tuple,
-    joint_diagonalize,
     kron_pair,
 )
 from .gammaconf import (
@@ -94,8 +93,9 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
     return canonicalize(Configuration(psi.target, labels), tol)
 
 
-def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
-                   tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
+                   blocks_a: list[EigenBlock] | None = None,
+                   blocks_b: list[EigenBlock] | None = None) -> CommutingTuple:
     """Tuple picture of the multiplication.
 
     Restrict each component to the distinguished subspace of its own tuple,
@@ -104,16 +104,8 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple,
     """
     if ta.ambient is None or tb.ambient is None:
         raise ValueError("both tuples need ambient universes")
-    return multiply_from_blocks(ta, joint_diagonalize(ta, tol)[1],
-                                tb, joint_diagonalize(tb, tol)[1], tol)
-
-
-def multiply_from_blocks(ta: CommutingTuple, blocks_a: list[EigenBlock], tb: CommutingTuple,
-                         blocks_b: list[EigenBlock],
-                         tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
-    """multiply_tuple from the eigenblocks of two tuples with ambient universes."""
-    fa = F_frame(ta, blocks_a, tol)
-    fb = F_frame(tb, blocks_b, tol)
+    fa = F_subspace(ta, tol, blocks_a)
+    fb = F_subspace(tb, tol, blocks_b)
     psi = psi_embed(ta.ambient, tb.ambient)
     g = psi.kron_frame(fa, fb, tol)
     smalls = kron_pair(fa.conj().T @ ta.mats @ fa, fb.conj().T @ tb.mats @ fb)
@@ -121,20 +113,13 @@ def multiply_from_blocks(ta: CommutingTuple, blocks_a: list[EigenBlock], tb: Com
 
 
 def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
-                        tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
+                        tol: Tolerances = DEFAULT_TOL,
+                        blocks: list[EigenBlock] | None = None) -> CommutingTuple:
     """Tuple picture of the structure map: components of t act on F tensored
     with the scalar line of a fresh universe of m variables and the degree
     of t's universe; the new components scale that subspace by the
-    coordinates of y."""
-    blocks = [] if t.ambient is None or y.is_basepoint else joint_diagonalize(t, tol)[1]
-    return structure_map_from_blocks(t, blocks, y, m, tol)
-
-
-def structure_map_from_blocks(t: CommutingTuple, blocks: list[EigenBlock], y: SpherePoint,
-                              m: int | None = None,
-                              tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
-    """structure_map_tuple from the eigenblocks of t, which are read only
-    when y is not the basepoint."""
+    coordinates of y.  The arguments are checked before t is diagonalized,
+    which happens only when y is not the basepoint."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe")
     if m is None:
@@ -147,7 +132,7 @@ def structure_map_from_blocks(t: CommutingTuple, blocks: list[EigenBlock], y: Sp
     psi = psi_embed(t.ambient, right)
     if y.is_basepoint:
         return identity_tuple(t.n + m, psi.target.dim, psi.target)
-    f = F_frame(t, blocks, tol)
+    f = F_subspace(t, tol, blocks)
     g = psi.kron_frame(f, j0(right), tol)
     smalls = kron_pair(f.conj().T @ t.mats @ f, y.coords[:, None, None])
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)

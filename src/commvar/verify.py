@@ -36,15 +36,14 @@ import numpy as np
 from . import cohomtab, isodecomp
 from .commodel import (
     CommutingTuple,
-    F_frame,
+    F_subspace,
     canonical_rep,
+    commuting_to_config,
     config_blocks,
-    config_from_blocks,
     config_to_commuting,
     extend_by_identity,
     joint_diagonalize,
     rep_distance,
-    rep_from_blocks,
     sigma_action_tuple,
 )
 from .errors import CommVarError, NotOddPrime, SingularAtOne
@@ -72,11 +71,10 @@ from .generate import (
 )
 from .isodecomp import (
     DecompType,
-    block_type,
     decomposition_type,
     fixed_subspace_dim,
     flag_map,
-    flag_preimage_from_blocks,
+    flag_map_preimage,
     is_complete_type,
     tuple_norm,
     unit_normalize,
@@ -92,11 +90,11 @@ from .numkit import (
 from .rankstrata import (
     cayley,
     cayley_inv,
-    chart_from_blocks,
     pairing_chart,
     reassemble_trace,
     reconstruct_chart,
     stabilize,
+    subquotient_chart,
     trace_split,
 )
 from .realk import (
@@ -104,7 +102,7 @@ from .realk import (
     joint_diagonalize_real,
     real_cayley,
     real_cayley_inv,
-    real_chart_from_blocks,
+    real_stratum_chart,
     real_trace_split,
     reassemble_real_split,
     reconstruct_real_chart,
@@ -112,9 +110,9 @@ from .realk import (
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, phase_fixed_q, subseed, unit_phase
 from .spectrumops import (
     multiply,
-    multiply_from_blocks,
+    multiply_tuple,
     structure_map,
-    structure_map_from_blocks,
+    structure_map_tuple,
     unit_map,
     unit_map_tuple,
 )
@@ -246,8 +244,8 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     # tup is diagonalized once, for every check of it below
     tup = config_to_commuting(c)
     _, blocks = joint_diagonalize(tup, tol)
-    rec.check("config round trip", config_distance(c, config_from_blocks(tup, blocks, tol)), 1e-6)
-    f = F_frame(tup, blocks, tol)
+    rec.check("config round trip", config_distance(c, commuting_to_config(tup, tol, blocks)), 1e-6)
+    f = F_subspace(tup, tol, blocks)
     rec.expect("rank additivity", f.shape[1] == rank(c))
 
     torus = max(
@@ -266,7 +264,7 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
     rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
-    can = rep_from_blocks(tup, blocks, tol)
+    can = canonical_rep(tup, tol, blocks)
     rec.check("canonical_rep idempotent", rep_distance(canonical_rep(can, tol), can), 1e-8)
 
     # class constancy: rotating one component on the joint kernel keeps
@@ -343,14 +341,14 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     srank = rng.randint(1, min(5, cfg.s_max) + 1)
     t_ex = gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
     _, blocks = joint_diagonalize(t_ex, tol)
-    chart = chart_from_blocks(t_ex, blocks, tol)
+    chart = subquotient_chart(t_ex, tol, blocks=blocks)
     rec.expect("stratum rank", chart.s == srank)
     rec.check("chart X commuting", commutator_defect(chart.X.mats), 1e-9)
     rec.check("chart reconstruction",
               rep_distance(canonical_rep(reconstruct_chart(chart, t_ex.s, tol), tol),
-                           rep_from_blocks(t_ex, blocks, tol)), 1e-8)
+                           canonical_rep(t_ex, tol, blocks)), 1e-8)
     g = haar_unitary(rng, srank)
-    chart2 = chart_from_blocks(t_ex, blocks, tol, frame=chart.f @ g)
+    chart2 = subquotient_chart(t_ex, tol, chart.f @ g, blocks)
     rec.check("chart frame ambiguity", rep_distance(chart2.X, CommutingTuple(
         "skew_hermitian", g.conj().T @ chart.X.mats @ g)), 1e-8)
 
@@ -388,7 +386,7 @@ def _random_perm(rng: SplitMix64, n: int) -> list[int]:
 
 def _config_rep(c: Configuration, tol: Tolerances) -> CommutingTuple:
     """canonical_rep(config_to_commuting(c)) of a canonical c, its blocks read off its labels."""
-    return rep_from_blocks(config_to_commuting(c), config_blocks(c, tol), tol)
+    return canonical_rep(config_to_commuting(c), tol, config_blocks(c, tol))
 
 
 @_trial_suite("spectrum")
@@ -447,12 +445,12 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     ta, tb = config_to_commuting(a), config_to_commuting(b)
     blocks_a = config_blocks(a, tol)
     rec.check("cross-picture multiply",
-              rep_distance(_config_rep(ab, tol), canonical_rep(multiply_from_blocks(
-                  ta, blocks_a, tb, config_blocks(b, tol), tol=tol), tol)),
+              rep_distance(_config_rep(ab, tol), canonical_rep(multiply_tuple(
+                  ta, tb, tol, blocks_a, config_blocks(b, tol)), tol)),
               1e-8)
     rec.check("cross-picture structure map",
               rep_distance(_config_rep(ay, tol), canonical_rep(
-                  structure_map_from_blocks(ta, blocks_a, y, tol=tol), tol)),
+                  structure_map_tuple(ta, y, tol=tol, blocks=blocks_a), tol)),
               1e-8)
     rec.check("cross-picture unit",
               rep_distance(_config_rep(unit_x, tol), canonical_rep(unit_map_tuple(x, ua), tol)),
@@ -517,22 +515,22 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     @functools.cache
     def permuted(sg):  # sigma_action_tuple(sg, t) and its blocks, once; t for the identity
         ts = t if sg == perms_u[0] else sigma_action_tuple(list(sg), t)
-        return ts, joint_diagonalize(ts, tol)[1]
+        return {"t": ts, "blocks": joint_diagonalize(ts, tol)[1]}  # keyword arguments
 
     sigma_c = sigma_action_config(sigma, c, tol)
-    rec.check("model equivariance", rep_distance(rep_from_blocks(*permuted(tuple(sigma)), tol),
+    rec.check("model equivariance", rep_distance(canonical_rep(**permuted(tuple(sigma)), tol=tol),
                                                  _config_rep(sigma_c, tol)), 1e-8)
     comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t))
     rec.check("tuple action composition",
               rep_distance(canonical_rep(comp_t, tol),
-                           rep_from_blocks(*permuted(tuple(comp)), tol)), 1e-8)
+                           canonical_rep(**permuted(tuple(comp)), tol=tol)), 1e-8)
     rec.expect("rank invariance", rank(sigma_c) == rank(c))
 
     # chart equivariance for every permutation
-    ch = chart_from_blocks(*permuted(perms_u[0]), tol)
+    ch = subquotient_chart(**permuted(perms_u[0]), tol=tol)
     if ch.s:
         for sg in perms_u:
-            ch_s = ch if sg == perms_u[0] else chart_from_blocks(*permuted(sg), tol)
+            ch_s = ch if sg == perms_u[0] else subquotient_chart(**permuted(sg), tol=tol)
             perm_univ = sigma_star(list(sg), u)
             f_moved = apply_perm_to_coords(perm_univ, ch.f)
             g = ch_s.f.conj().T @ f_moved
@@ -585,13 +583,13 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rec.expect("complexified data is symmetric",
                all(is_symmetric_unitary(m) for m in tsym.mats))
     _, blocks = joint_diagonalize(tsym, tol)
-    chart = real_chart_from_blocks(tsym, blocks, tol)
+    chart = real_stratum_chart(tsym, tol, blocks)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
     rec.check("real chart reconstruction",
               rep_distance(canonical_rep(reconstruct_real_chart(chart, dim, tol), tol),
-                           rep_from_blocks(tsym, blocks, tol)), 1e-8)
+                           canonical_rep(tsym, tol, blocks)), 1e-8)
 
-    chart_c = chart_from_blocks(tsym, blocks, tol)
+    chart_c = subquotient_chart(tsym, tol, blocks=blocks)
     if chart.s:
         g = chart_c.f.conj().T @ chart.f.astype(complex)
         rec.check("real chart complexifies", rep_distance(
@@ -769,8 +767,8 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     target = flag_map(g, x, tol)
     rec.check("flag image unit", abs(tuple_norm(target) - 1.0), 1e-10)
     _, blocks = joint_diagonalize(target, tol)
-    rec.expect("flag type", block_type(blocks).parts == (1, 1))
-    gc, xc = flag_preimage_from_blocks(target, blocks, tol)
+    rec.expect("flag type", decomposition_type(target, tol, blocks).parts == (1, 1))
+    gc, xc = flag_map_preimage(target, tol, blocks)
     rec.check("flag preimage residual", rep_distance(flag_map(gc, xc, tol), target), 1e-8)
     # the swapped preimage canonicalizes to the same class
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from commvar import jsonio
 from commvar.cli import main
-from commvar.commodel import CommutingTuple, F_frame, commuting_to_config, joint_diagonalize
+from commvar.commodel import CommutingTuple, F_subspace, commuting_to_config, joint_diagonalize
 from commvar.gammaconf import frame_order, rank
 from commvar.generate import gen_exact_rank_tuple, gen_partition_tuple
 from commvar.isodecomp import decomposition_type
@@ -127,7 +127,7 @@ def test_blocks_come_in_chart_order(t):
     lead = leading_indices([b.frame for b in blocks])
     values = np.array([b.values for b in blocks])
     assert frame_order(lead, values).tolist() == list(range(len(blocks)))
-    assert np.array_equal(F_frame(t, blocks),
+    assert np.array_equal(F_subspace(t, blocks=blocks),
                           np.hstack([b.frame for b in blocks if b.in_F] or [np.zeros((t.s, 0))]))
     if t.kind == "unitary":
         # a block is in F exactly when none of its columns has a value at 1

@@ -1,7 +1,8 @@
-"""Each one-shot function that diagonalizes its tuple equals
-`joint_diagonalize` followed by its blocks core, bit for bit, on tuples of
-every kind: results are compared by dtype, shape and bytes, and a raised
-error by its type and message."""
+"""Each function that diagonalizes its tuple takes optional blocks, and
+handed the blocks `joint_diagonalize` returns it gives what it gives on its
+own, bit for bit, on tuples of every kind: results are compared by dtype,
+shape and bytes, and a raised error by its type and message.  Handed the
+blocks, none of them diagonalizes again."""
 
 import dataclasses
 
@@ -10,13 +11,12 @@ import pytest
 
 from commvar.commodel import (
     CommutingTuple,
+    F_subspace,
     canonical_rep,
     commuting_to_config,
-    config_from_blocks,
     config_to_commuting,
     identity_tuple,
     joint_diagonalize,
-    rep_from_blocks,
 )
 from commvar.gammaconf import BASEPOINT, Configuration, Label, SpherePoint, canonicalize
 from commvar.generate import (
@@ -25,17 +25,13 @@ from commvar.generate import (
     gen_random_commuting,
     gen_random_config,
 )
-from commvar.isodecomp import flag_map_preimage, flag_preimage_from_blocks
-from commvar.rankstrata import chart_from_blocks, subquotient_chart
-from commvar.realk import real_chart_from_blocks, real_stratum_chart
+from commvar.isodecomp import decomposition_type, flag_map_preimage
+from commvar.rankstrata import subquotient_chart
+from commvar.realk import real_stratum_chart
 from commvar.rng import SplitMix64, haar_orthogonal
-from commvar.spectrumops import (
-    multiply_from_blocks,
-    multiply_tuple,
-    structure_map_from_blocks,
-    structure_map_tuple,
-)
+from commvar.spectrumops import multiply_tuple, structure_map, structure_map_tuple
 from commvar.symuniverse import UniverseBasis
+from test_verify import _record_diagonalizations
 
 
 def _bits(x):
@@ -103,23 +99,35 @@ IDS = [f"{t.kind}-n{t.n}-s{t.s}-{i}" for i, t in enumerate(TUPLES)]
 
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
+def test_F_subspace_with_and_without_blocks(t):
+    assert _outcome(lambda: F_subspace(t)) == _outcome(lambda: F_subspace(t, blocks=_blocks(t)))
+
+
+@pytest.mark.parametrize("t", TUPLES, ids=IDS)
+def test_decomposition_type_with_and_without_blocks(t):
+    assert _outcome(lambda: decomposition_type(t)) == _outcome(
+        lambda: decomposition_type(t, blocks=_blocks(t)))
+
+
+@pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_canonical_rep_is_its_blocks_core(t):
-    assert _outcome(lambda: canonical_rep(t)) == _outcome(lambda: rep_from_blocks(t, _blocks(t)))
+    assert _outcome(lambda: canonical_rep(t)) == _outcome(
+        lambda: canonical_rep(t, blocks=_blocks(t)))
 
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_flag_map_preimage_is_its_blocks_core(t):
     assert _outcome(lambda: flag_map_preimage(t)) == _outcome(
-        lambda: flag_preimage_from_blocks(t, _blocks(t)))
+        lambda: flag_map_preimage(t, blocks=_blocks(t)))
 
 
 @pytest.mark.parametrize("t", [t for t in TUPLES if t.kind == "unitary"],
                          ids=[i for i, t in zip(IDS, TUPLES) if t.kind == "unitary"])
 def test_charts_are_their_blocks_cores(t):
     assert _outcome(lambda: subquotient_chart(t)) == _outcome(
-        lambda: chart_from_blocks(t, _blocks(t)))
+        lambda: subquotient_chart(t, blocks=_blocks(t)))
     assert _outcome(lambda: real_stratum_chart(t)) == _outcome(
-        lambda: real_chart_from_blocks(t, _blocks(t)))
+        lambda: real_stratum_chart(t, blocks=_blocks(t)))
 
 
 def test_real_chart_core_covers_both_outcomes():
@@ -131,7 +139,7 @@ def test_real_chart_core_covers_both_outcomes():
 @pytest.mark.parametrize("t", _ambient_tuples())
 def test_commuting_to_config_is_its_blocks_core(t):
     assert _outcome(lambda: commuting_to_config(t)) == _outcome(
-        lambda: config_from_blocks(t, _blocks(t)))
+        lambda: commuting_to_config(t, blocks=_blocks(t)))
 
 
 @pytest.mark.parametrize("y", [SpherePoint([-1.0]), SpherePoint([1j, -1j]), BASEPOINT])
@@ -139,7 +147,44 @@ def test_tuple_level_maps_are_their_blocks_cores(y):
     ambient, m = _ambient_tuples(), 2 if y.is_basepoint else None
     for ta in ambient:
         assert _outcome(lambda: structure_map_tuple(ta, y, m)) == _outcome(
-            lambda: structure_map_from_blocks(ta, _blocks(ta), y, m))
+            lambda: structure_map_tuple(ta, y, m, blocks=_blocks(ta)))
         for tb in ambient[:3]:
             assert _outcome(lambda: multiply_tuple(ta, tb)) == _outcome(
-                lambda: multiply_from_blocks(ta, _blocks(ta), tb, _blocks(tb)))
+                lambda: multiply_tuple(ta, tb, blocks_a=_blocks(ta), blocks_b=_blocks(tb)))
+    # the arguments are checked before the tuple is diagonalized, so a tuple
+    # that fails validation meets the configuration picture's ValueError
+    bad = CommutingTuple("unitary", 2 * ambient[0].mats, ambient[0].ambient)
+    assert _outcome(bad.validate)[:2] == ("error", "NotUnitary")
+    wrong_m = None if y.is_basepoint else len(y.coords) + 1
+    want = _outcome(lambda: structure_map(commuting_to_config(ambient[0]), y, wrong_m))
+    assert want[:2] == ("error", "ValueError")
+    assert _outcome(lambda: structure_map_tuple(bad, y, wrong_m)) == want
+    assert _outcome(lambda: structure_map_tuple(
+        ambient[0], y, wrong_m, blocks=_blocks(ambient[0]))) == want
+
+
+AMBIENT = _ambient_tuples()
+# each function that takes blocks, as a call on a tuple and its blocks, with
+# the tuples it is called on
+WITH_BLOCKS = {
+    "F_subspace": (TUPLES, lambda t, b: F_subspace(t, blocks=b)),
+    "canonical_rep": (TUPLES, lambda t, b: canonical_rep(t, blocks=b)),
+    "commuting_to_config": (AMBIENT, lambda t, b: commuting_to_config(t, blocks=b)),
+    "subquotient_chart": (TUPLES, lambda t, b: subquotient_chart(t, blocks=b)),
+    "real_stratum_chart": (TUPLES, lambda t, b: real_stratum_chart(t, blocks=b)),
+    "decomposition_type": (TUPLES, lambda t, b: decomposition_type(t, blocks=b)),
+    "flag_map_preimage": (TUPLES, lambda t, b: flag_map_preimage(t, blocks=b)),
+    "multiply_tuple": (AMBIENT, lambda t, b: multiply_tuple(t, t, blocks_a=b, blocks_b=b)),
+    "structure_map_tuple": (AMBIENT, lambda t, b: structure_map_tuple(
+        t, SpherePoint([1j, -1j]), blocks=b)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITH_BLOCKS))
+def test_given_blocks_no_function_diagonalizes_again(name, monkeypatch):
+    tuples, call = WITH_BLOCKS[name]
+    blocks = [_blocks(t) for t in tuples]
+    seen = _record_diagonalizations(monkeypatch)
+    outcomes = [_outcome(lambda: call(t, b)) for t, b in zip(tuples, blocks)]
+    assert not seen
+    assert "value" in {outcome[0] for outcome in outcomes}

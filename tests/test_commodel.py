@@ -31,7 +31,7 @@ from commvar.gammaconf import (
     single_linkage,
 )
 from commvar.generate import gen_partition_tuple, gen_random_commuting, gen_random_config
-from commvar.isodecomp import block_type
+from commvar.isodecomp import decomposition_type
 from commvar.numkit import (
     DEFAULT_TOL,
     _all_pairs_step,
@@ -147,7 +147,7 @@ def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
     q, blocks = joint_diagonalize(t)
     assert len(calls) == 1
     assert _relative_joint_residual(t, q) <= 1e-8
-    assert block_type(blocks).parts == (1,) * 12
+    assert decomposition_type(t, blocks=blocks).parts == (1,) * 12
 
 
 def _times_near_identity(mats, rng, eps=1e-10):
@@ -300,7 +300,7 @@ def test_the_step_hands_the_pairs_under_the_gap_floor_to_the_sweeps(monkeypatch)
     assert np.max(gap2[pairs]) < 1e-2 * floor
     assert np.min(gap2[np.triu(~pairs, 1)]) > 1e2 * floor
     assert _relative_joint_residual(t, q) <= 1e-8
-    assert block_type(joint_diagonalize(t)[1]).parts == (2,) * 8
+    assert decomposition_type(t).parts == (2,) * 8
 
 
 def test_blocks_under_a_near_commuting_perturbation_keep_their_type():
@@ -308,7 +308,7 @@ def test_blocks_under_a_near_commuting_perturbation_keep_their_type():
     x = gen_partition_tuple(64, 2, parts, kind="skew_hermitian")
     t = _times_near_identity([cayley(m) for m in x.mats], SplitMix64(64 ^ 0xA5A5))
     q, blocks = joint_diagonalize(t)
-    assert block_type(blocks).parts == tuple(parts)
+    assert decomposition_type(t, blocks=blocks).parts == tuple(parts)
     assert _relative_joint_residual(t, q) <= 1e-10
 
 
@@ -361,7 +361,7 @@ def _check_collision(t, values):
         q, steps, [(_, _, pairs, _)] = _refined(mp, t)
     assert steps and pairs.any()
     assert _relative_joint_residual(t, q) <= 1e-12
-    assert block_type(joint_diagonalize(t)[1]).parts == (1,) * t.s
+    assert decomposition_type(t).parts == (1,) * t.s
 
 
 def test_the_step_does_not_rotate_a_collided_pair(monkeypatch):
@@ -404,7 +404,7 @@ def _check_partition_tuple(seed, kind, parts):
     assert fro(q.conj().T @ q - np.eye(t.s)) <= 1e-12
     if kind == "real_symmetric":
         assert not np.iscomplexobj(q)
-    assert block_type(blocks).parts == tuple(parts)
+    assert decomposition_type(t, blocks=blocks).parts == tuple(parts)
 
 
 @pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
@@ -487,6 +487,21 @@ def test_canonical_rep_idempotent_and_fixed():
     assert fro(canonical_rep(t2).mats[0] - t2.mats[0]) < 1e-12
     ident = identity_tuple(2, 3)
     assert fro(canonical_rep(ident).mats[0] - np.eye(3)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["skew_hermitian", "real_symmetric"])
+def test_canonical_rep_refuses_lie_kind_tuples(kind):
+    # a Lie-kind value near 1 means nothing, so there is no F to restrict to
+    scale = 1j if kind == "skew_hermitian" else 1
+    t = CommutingTuple(kind, scale * np.diag([1, 2, 1 + 5e-10])[None])
+    unitary = identity_tuple(1, 3)
+    message = f"expected a unitary tuple, got {kind}"
+    for call in (lambda: canonical_rep(t),
+                 lambda: canonical_rep(t, blocks=joint_diagonalize(t)[1]),
+                 lambda: class_distance(t, unitary), lambda: class_distance(unitary, t),
+                 lambda: tuples_equivalent(t, unitary)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_canonical_rep_constant_on_classes():

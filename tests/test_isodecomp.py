@@ -21,7 +21,6 @@ from commvar.rng import SplitMix64, haar_unitary
 from isotropy_oracle import fixed_dim_nullspace_oracle
 from commvar.commodel import joint_diagonalize
 from commvar.errors import ShapeMismatch
-from commvar.isodecomp import block_type
 
 
 def test_decomp_type_normalizes():
@@ -191,12 +190,12 @@ def test_zero_size_tuples_have_no_decomposition_type(kind, n):
     with pytest.raises(ShapeMismatch, match="an s = 0 tuple has no decomposition type"):
         decomposition_type(t)
     with pytest.raises(ShapeMismatch):
-        block_type(joint_diagonalize(t)[1])
+        decomposition_type(t, blocks=joint_diagonalize(t)[1])
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_flag_preimage_of_a_zero_size_tuple_has_no_type(n):
-    # the s = 0 case meets block_type's error, not numpy's from an empty hstack
+    # the s = 0 case meets decomposition_type's error, not numpy's from an empty hstack
     with pytest.raises(ShapeMismatch, match="an s = 0 tuple has no decomposition type"):
         flag_map_preimage(CommutingTuple("skew_hermitian", np.zeros((n, 0, 0))))
     with pytest.raises(ValueError, match="simple joint spectrum"):

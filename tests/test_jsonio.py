@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 from commvar import cli, jsonio
 from commvar.commodel import KINDS, CommutingTuple, identity_tuple, joint_diagonalize
 from commvar.generate import gen_exact_rank_tuple, gen_random_commuting
-from commvar.isodecomp import block_type
+from commvar.isodecomp import decomposition_type
 from commvar.numkit import fro
-from commvar.rankstrata import chart_from_blocks, subquotient_chart
+from commvar.rankstrata import subquotient_chart
 
 
 def test_matrix_schema_complex():
@@ -213,9 +213,9 @@ def _reference_report(t, blocks):
     # the stratify report as the command built it before matrix_texts: the
     # chart's matrix_to_json dicts, written through json.dumps or as text lines
     report = {"rank": None, "chart": None, "split": None,
-              "decomposition_type": list(block_type(blocks).parts)}
+              "decomposition_type": list(decomposition_type(t, blocks=blocks).parts)}
     if t.kind == "unitary":
-        c = chart_from_blocks(t, blocks)
+        c = subquotient_chart(t, blocks=blocks)
 
         def tup(x):
             return {"n": x.n, "s": x.s, "kind": x.kind,

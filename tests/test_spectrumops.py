@@ -25,7 +25,6 @@ from commvar.spectrumops import (
     multiply,
     multiply_tuple,
     structure_map,
-    structure_map_from_blocks,
     structure_map_tuple,
     unit_map,
     unit_map_tuple,
@@ -210,7 +209,7 @@ def test_structure_map_rejects_an_m_other_than_the_point_dimension(m):
     with pytest.raises(ValueError, match=message):
         structure_map_tuple(ta, y, m)
     with pytest.raises(ValueError, match=message):
-        structure_map_from_blocks(ta, joint_diagonalize(ta)[1], y, m)
+        structure_map_tuple(ta, y, m, blocks=joint_diagonalize(ta)[1])
 
 
 def test_structure_map_rejects_an_m_other_than_the_point_dimension_with_no_labels():

@@ -152,8 +152,8 @@ def _record_outputs(monkeypatch, *names) -> dict:
 
 
 def test_a_spectrum_trial_diagonalizes_only_its_tuple_picture_outputs(monkeypatch):
-    made = _record_outputs(monkeypatch, "config_to_commuting", "multiply_from_blocks",
-                           "structure_map_from_blocks", "unit_map_tuple")
+    made = _record_outputs(monkeypatch, "config_to_commuting", "multiply_tuple",
+                           "structure_map_tuple", "unit_map_tuple")
     seen = _record_diagonalizations(monkeypatch)
     for seed in range(6):
         for values in made.values():
@@ -162,7 +162,7 @@ def test_a_spectrum_trial_diagonalizes_only_its_tuple_picture_outputs(monkeypatc
         out = run_suite("spectrum", RunConfig(seed=seed, trials=1))
         assert out["failures"] == 0, out["messages"]
         # the multiply, structure map and unit outputs, once each and in that order
-        want = (made["multiply_from_blocks"] + made["structure_map_from_blocks"]
+        want = (made["multiply_tuple"] + made["structure_map_tuple"]
                 + made["unit_map_tuple"])
         assert len(seen) == len(want) == 3
         assert all(t is w for t, w in zip(seen, want))
