@@ -7,7 +7,9 @@ on whose summands every matrix acts by a scalar.  For a unitary tuple the
 eigenvectors with no joint value within eps_base of 1 span the distinguished
 subspace F on which every component minus the identity is non-singular;
 joint_diagonalize decides this once per eigenvector and marks each block in
-or off F.  Reading eigenblocks as labels (frame, value tuple) converts a
+or off F.  A skew-Hermitian or real symmetric tuple never reaches the point
+at infinity, which the Cayley transforms send to 1, so its F is the whole
+space.  Reading eigenblocks as labels (frame, value tuple) converts a
 unitary tuple into a configuration and back.  Each function that
 diagonalizes its tuple takes optional blocks, so a caller holding them
 diagonalizes once.
@@ -107,7 +109,8 @@ def identity_tuple(n: int, s: int, ambient: UniverseBasis | None = None) -> Comm
 @dataclass
 class EigenBlock:
     """Simultaneous eigenspace with its tuple of eigenvalues, and whether it
-    lies in F: none of its columns has a joint value within eps_base of 1."""
+    lies in F: for a unitary tuple, none of its columns has a joint value
+    within eps_base of 1; every block of a Lie-kind tuple lies in F."""
 
     frame: np.ndarray
     values: np.ndarray
@@ -161,8 +164,9 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     # single linkage in the max metric; with no components every column agrees
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster
-    near = near_basepoint_rows(vals.T, tol.eps_base)
-    if t.kind == "unitary":  # a value near 1 means nothing to the Lie kinds
+    near = np.zeros(t.s, dtype=bool)  # a value near 1 means nothing to the Lie kinds
+    if t.kind == "unitary":
+        near = near_basepoint_rows(vals.T, tol.eps_base)
         # an in-F block must not straddle 1: no coordinate of its columns
         # takes phases of both signs in the right half-plane
         side = np.where((vals.real > 0) & ~near, np.sign(vals.imag), 0.0)
@@ -205,9 +209,9 @@ def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
 
 def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
                blocks: list[EigenBlock] | None = None) -> np.ndarray:
-    """Frame spanning the largest subspace on which every A_i - Id is
-    non-singular, the whole space when n = 0: the frames of the in_F blocks
-    (no joint value within eps_base of 1) side by side, in block order."""
+    """Frame spanning the largest subspace on which every A_i - Id of a
+    unitary tuple is non-singular, the whole space when n = 0 or t is of a
+    Lie kind: the frames of the in_F blocks side by side, in block order."""
     if blocks is None:
         _, blocks = joint_diagonalize(t, tol)
     frames = [b.frame for b in blocks if b.in_F]

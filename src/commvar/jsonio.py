@@ -40,9 +40,16 @@ def dumps_tree(obj) -> str:
     return dumps(obj)
 
 
-def _count(d: dict, field: str) -> int:
-    if type(v := d[field]) is not int:  # a JSON integer: not a bool, a float or a string
-        raise ValueError(f"{field} must be an integer, got {type(v).__name__} {v!r:.40}")
+_JSON_TYPES = {int: "an integer", list: "a list"}
+
+
+def _member(d: dict, key: str, kind: type = int):
+    """d[key] of a JSON object d, of exactly the type kind: so a JSON
+    integer is not a bool, a float or a string."""
+    if type(d) is not dict:
+        raise ValueError(f"expected an object holding {key}, got {type(d).__name__}")
+    if type(v := d[key]) is not kind:
+        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, got {type(v).__name__} {v!r:.40}")
     return v
 
 
@@ -85,15 +92,18 @@ def _matrix_dicts(stack: np.ndarray) -> list[dict]:
 
 
 def matrix_from_json(d: dict) -> np.ndarray:
-    rows, cols = _count(d, "rows"), _count(d, "cols")
-    real, data = d.get("field") == "real", d["data"]
+    rows, cols = _member(d, "rows"), _member(d, "cols")
+    field = d.get("field", "complex")
+    if field not in ("complex", "real"):
+        raise ValueError(f'field must be "real" or "complex", got {field!r:.40}')
+    real, data = field == "real", _member(d, "data", list)
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
     if not real and set(map(len, data)) - {2}:
         raise ValueError("complex matrix entries must be [re, im] pairs")
     # one flat array: a string gives a str array, null (or an int past int64) an object one
     data = np.array(data if real else list(itertools.chain.from_iterable(data)))
-    if data.ndim != 1 or not (data.dtype.kind in "biuf" or data.dtype.kind == "O" and all(
+    if data.ndim != 1 or not (data.dtype.kind in "iuf" or data.dtype.kind == "O" and all(
             isinstance(x, (int, float)) for x in data)):
         raise ValueError("matrix entries must be numbers")
     data = data.astype(float)
@@ -112,12 +122,11 @@ def tuple_to_json(t: CommutingTuple, encode=_matrix_dicts) -> dict:
 
 
 def tuple_from_json(d: dict) -> CommutingTuple:
-    kind = d["kind"]
-    n, s = _count(d, "n"), _count(d, "s")
-    mats = [matrix_from_json(m) for m in d["mats"]]
+    n, s = _member(d, "n"), _member(d, "s")
+    mats = [matrix_from_json(m) for m in _member(d, "mats", list)]
     if len(mats) != n or s < 0 or any(m.shape != (s, s) for m in mats):
         raise ValueError("tuple shape fields disagree with matrix data")
-    return CommutingTuple(kind, np.reshape(mats, (n, s, s)))
+    return CommutingTuple(d["kind"], np.reshape(mats, (n, s, s)))
 
 
 def chart_to_json(chart: SubquotientChart, encode=_matrix_dicts) -> dict:

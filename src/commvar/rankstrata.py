@@ -92,7 +92,7 @@ def cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 def stratum_rank(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the distinguished subspace F of a unitary tuple."""
+    """Dimension of the distinguished subspace F: s for a Lie-kind tuple."""
     return F_subspace(t, tol).shape[1]
 
 

@@ -66,6 +66,20 @@ def multiply(a: Configuration, b: Configuration, degree_bound: int | None = None
     return canonicalize(Configuration(psi.target, labels), tol)
 
 
+def _structure_target(universe: UniverseBasis, y: SpherePoint, m: int | None):
+    """The universe of m variables (default: one per coordinate of y) at the
+    degree of `universe`, and psi_embed of the pair; raises ValueError when
+    m is missing at the basepoint or disagrees with y's coordinates."""
+    if m is None:
+        if y.is_basepoint:
+            raise ValueError("structure map at the basepoint needs an explicit m")
+        m = len(y.coords)
+    if not y.is_basepoint and len(y.coords) != m:
+        raise ValueError("sphere point dimension must match the universe")
+    right = UniverseBasis(m, universe.D)
+    return right, psi_embed(universe, right)
+
+
 def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
                   tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Structure map: smash every point with y and embed every frame along
@@ -75,14 +89,7 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
     Equals multiply(a, unit_map(y, ...)); implemented directly from its own
     formula so that the equality stays a testable law.
     """
-    if m is None:
-        if y.is_basepoint:
-            raise ValueError("structure map at the basepoint needs an explicit m")
-        m = len(y.coords)
-    if not y.is_basepoint and len(y.coords) != m:
-        raise ValueError("sphere point dimension must match the universe")
-    right = UniverseBasis(m, a.universe.D)
-    psi = psi_embed(a.universe, right)
+    right, psi = _structure_target(a.universe, y, m)
     if y.is_basepoint:
         return Configuration(psi.target, [])
     jframe = j0(right)
@@ -122,16 +129,9 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     which happens only when y is not the basepoint."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe")
-    if m is None:
-        if y.is_basepoint:
-            raise ValueError("structure map at the basepoint needs an explicit m")
-        m = len(y.coords)
-    if not y.is_basepoint and len(y.coords) != m:
-        raise ValueError("sphere point dimension must match the universe")
-    right = UniverseBasis(m, t.ambient.D)
-    psi = psi_embed(t.ambient, right)
+    right, psi = _structure_target(t.ambient, y, m)
     if y.is_basepoint:
-        return identity_tuple(t.n + m, psi.target.dim, psi.target)
+        return identity_tuple(t.n + right.n, psi.target.dim, psi.target)
     f = F_subspace(t, tol, blocks)
     g = psi.kron_frame(f, j0(right), tol)
     smalls = kron_pair(f.conj().T @ t.mats @ f, y.coords[:, None, None])

@@ -33,96 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cohomtab, isodecomp
-from .commodel import (
-    CommutingTuple,
-    F_subspace,
-    canonical_rep,
-    commuting_to_config,
-    config_blocks,
-    config_to_commuting,
-    extend_by_identity,
-    joint_diagonalize,
-    rep_distance,
-    sigma_action_tuple,
-)
+from . import (cohomtab, commodel, gammaconf, generate, isodecomp, numkit, rankstrata, realk,
+               spectrumops, symuniverse)
 from .errors import CommVarError, NotOddPrime, SingularAtOne
-from .gammaconf import (
-    Configuration,
-    Label,
-    SpherePoint,
-    apply_based_map,
-    canonicalize,
-    config_distance,
-    permute_point,
-    push_labels,
-    rank,
-    sigma_action_config,
-    smash,
-    sphere_coord,
-)
-from .generate import (
-    config_on_basis,
-    gen_exact_rank_tuple,
-    gen_partition_tuple,
-    gen_random_commuting,
-    gen_random_config,
-    sample_value_columns,
-)
-from .isodecomp import (
-    DecompType,
-    decomposition_type,
-    fixed_subspace_dim,
-    flag_map,
-    flag_map_preimage,
-    is_complete_type,
-    tuple_norm,
-    unit_normalize,
-)
-from .numkit import (
-    Tolerances,
-    commutator_defect,
-    fro,
-    hermitian_eig,
-    off_norm,
-    orthonormalize,
-)
-from .rankstrata import (
-    cayley,
-    cayley_inv,
-    pairing_chart,
-    reassemble_trace,
-    reconstruct_chart,
-    stabilize,
-    subquotient_chart,
-    trace_split,
-)
-from .realk import (
-    is_symmetric_unitary,
-    joint_diagonalize_real,
-    real_cayley,
-    real_cayley_inv,
-    real_stratum_chart,
-    real_trace_split,
-    reassemble_real_split,
-    reconstruct_real_chart,
-)
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, phase_fixed_q, subseed, unit_phase
-from .spectrumops import (
-    multiply,
-    multiply_tuple,
-    structure_map,
-    structure_map_tuple,
-    unit_map,
-    unit_map_tuple,
-)
-from .symuniverse import (
-    UniverseBasis,
-    apply_perm_to_coords,
-    perm_inverse,
-    psi_embed,
-    sigma_star,
-)
 
 
 # largest tuple length, truncation degree and trial count a run accepts: the
@@ -139,7 +53,7 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 25
-    tol: Tolerances = field(default_factory=Tolerances)
+    tol: numkit.Tolerances = field(default_factory=numkit.Tolerances)
     n_max: int = 3
     s_max: int = 6
     D_max: int = 2
@@ -218,35 +132,37 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
     s = rng.randint(2, 9)
     h = _random_hermitian(rng, s)
-    q, lam = hermitian_eig(h, tol)
-    rec.check("eig unitary", fro(q @ q.conj().T - np.eye(s)), 1e-10)
-    rec.check("eig residual", fro(q.conj().T @ h @ q - np.diag(lam)),
-              1e-10 * max(fro(h), 1e-30))
+    q, lam = numkit.hermitian_eig(h, tol)
+    rec.check("eig unitary", numkit.fro(q @ q.conj().T - np.eye(s)), 1e-10)
+    rec.check("eig residual", numkit.fro(q.conj().T @ h @ q - np.diag(lam)),
+              1e-10 * max(numkit.fro(h), 1e-30))
     rec.expect("eig ascending", bool(np.all(np.diff(lam) >= -1e-12)))
 
-    frame = orthonormalize(rng.complex_normals(s, min(3, s)), tol)
-    rec.check("orthonormalize idempotent", fro(orthonormalize(frame, tol) - frame), 1e-12)
+    frame = numkit.orthonormalize(rng.complex_normals(s, min(3, s)), tol)
+    rec.check("orthonormalize idempotent",
+              numkit.fro(numkit.orthonormalize(frame, tol) - frame), 1e-12)
 
     n = rng.randint(1, cfg.n_max + 1)
-    t = gen_random_commuting(rng.next_u64(), n, min(s, cfg.s_max), "unitary")
+    t = generate.gen_random_commuting(rng.next_u64(), n, min(s, cfg.s_max), "unitary")
     u = haar_unitary(rng, t.s)
     conj = u @ t.mats @ u.conj().T
     rec.check("defect conjugation invariance",
-              abs(commutator_defect(conj) - commutator_defect(t.mats)), 1e-12)
+              abs(numkit.commutator_defect(conj) - numkit.commutator_defect(t.mats)), 1e-12)
 
-    universe = UniverseBasis(n, rng.randint(1, cfg.D_max + 1))
-    c = gen_random_config(rng.next_u64(), universe, max_labels=3,
-                          max_rank=min(universe.dim, 6), tol=tol)
+    universe = symuniverse.UniverseBasis(n, rng.randint(1, cfg.D_max + 1))
+    c = generate.gen_random_config(rng.next_u64(), universe, max_labels=3,
+                                   max_rank=min(universe.dim, 6), tol=tol)
     rec.check("canonicalize idempotent",
-              config_distance(canonicalize(c, tol), c), 1e-12)
-    rec.expect("rank bound", rank(c) <= universe.dim)
+              gammaconf.config_distance(gammaconf.canonicalize(c, tol), c), 1e-12)
+    rec.expect("rank bound", gammaconf.rank(c) <= universe.dim)
 
     # tup is diagonalized once, for every check of it below
-    tup = config_to_commuting(c)
-    _, blocks = joint_diagonalize(tup, tol)
-    rec.check("config round trip", config_distance(c, commuting_to_config(tup, tol, blocks)), 1e-6)
-    f = F_subspace(tup, tol, blocks)
-    rec.expect("rank additivity", f.shape[1] == rank(c))
+    tup = commodel.config_to_commuting(c)
+    _, blocks = commodel.joint_diagonalize(tup, tol)
+    rec.check("config round trip",
+              gammaconf.config_distance(c, commodel.commuting_to_config(tup, tol, blocks)), 1e-6)
+    f = commodel.F_subspace(tup, tol, blocks)
+    rec.expect("rank additivity", f.shape[1] == gammaconf.rank(c))
 
     torus = max(
         (float(np.max(np.abs(np.abs(b.values) - 1.0))) for b in blocks if b.values.size),
@@ -262,10 +178,11 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     u_, sv, _ = np.linalg.svd(np.hstack(kernels))
     rank_k = int(np.sum(sv > 1e-8))
     pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
-    rec.check("F two-route", fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
+    rec.check("F two-route", numkit.fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
-    can = canonical_rep(tup, tol, blocks)
-    rec.check("canonical_rep idempotent", rep_distance(canonical_rep(can, tol), can), 1e-8)
+    can = commodel.canonical_rep(tup, tol, blocks)
+    rec.check("canonical_rep idempotent",
+              commodel.rep_distance(commodel.canonical_rep(can, tol), can), 1e-8)
 
     # class constancy: rotating one component on the joint kernel keeps
     # the class, because the other components still pin those directions
@@ -275,40 +192,39 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
         phase = unit_phase(rng, 0.3)
         k0 = np.linalg.svd(np.eye(tup.s) - f @ f.conj().T)[0][:, :1]  # a complement column
         perturbed = tup.mats.copy()
-        perturbed[0] = perturbed[0] @ extend_by_identity(k0, np.array([[phase]]))
+        perturbed[0] = perturbed[0] @ commodel.extend_by_identity(k0, np.array([[phase]]))
+        rotated = commodel.CommutingTuple("unitary", perturbed, tup.ambient)
         rec.check("class constancy",
-                  rep_distance(canonical_rep(CommutingTuple("unitary", perturbed, tup.ambient),
-                                             tol), can), 1e-8)
+                  commodel.rep_distance(commodel.canonical_rep(rotated, tol), can), 1e-8)
 
     # residual invariance under pre-conjugation
     u2 = haar_unitary(rng, tup.s)
-    conj_t = CommutingTuple("unitary", u2 @ tup.mats @ u2.conj().T, tup.ambient)
-    q2, _ = joint_diagonalize(conj_t, tol)
+    conj_t = commodel.CommutingTuple("unitary", u2 @ tup.mats @ u2.conj().T, tup.ambient)
+    q2, _ = commodel.joint_diagonalize(conj_t, tol)
     d2 = q2.conj().T @ conj_t.mats @ q2
-    res2 = off_norm(d2)
+    res2 = numkit.off_norm(d2)
     rec.check("joint residual after conjugation", res2,
-              1e-8 * max(1.0, max(fro(a) for a in conj_t.mats)))
+              1e-8 * max(1.0, max(numkit.fro(a) for a in conj_t.mats)))
 
     # based-map functoriality: indexed pushes compose on the nose, and
     # canonicalizing the two-step push equals applying the composite
     if c.k >= 1:
         point = c.labels[0].point
-        eq = canonicalize(
-            Configuration(c.universe, [Label(lab.frame, point) for lab in c.labels]),
-            tol)
+        eq = gammaconf.canonicalize(gammaconf.Configuration(
+            c.universe, [gammaconf.Label(lab.frame, point) for lab in c.labels]), tol)
         k = eq.k
         if k:
             alpha = [rng.randint(0, 3) for _ in range(k)]  # into <2>
             beta = [rng.randint(0, 4) for _ in range(2)]  # <2> -> <3>
-            mid = push_labels(eq.labels, alpha, 2, eq.universe.dim, tol)
-            two_step = canonicalize(
-                Configuration(eq.universe,
-                              push_labels(mid, beta, 3, eq.universe.dim, tol)),
+            mid = gammaconf.push_labels(eq.labels, alpha, 2, eq.universe.dim, tol)
+            two_step = gammaconf.canonicalize(
+                gammaconf.Configuration(eq.universe,
+                                        gammaconf.push_labels(mid, beta, 3, eq.universe.dim, tol)),
                 tol)
             composed = [beta[a - 1] if a else 0 for a in alpha]
-            direct = apply_based_map(eq, composed, 3, tol)
+            direct = gammaconf.apply_based_map(eq, composed, 3, tol)
             rec.check("based-map functoriality",
-                      config_distance(two_step, direct), 1e-9)
+                      gammaconf.config_distance(two_step, direct), 1e-9)
 
 
 # ------------------------------------------------------------------ cayley
@@ -318,65 +234,68 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
     s = rng.randint(1, min(6, cfg.s_max) + 1)
-    x = gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
-    a = cayley(x, tol)
-    rec.check("cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
-    rec.check("cayley round trip", fro(cayley_inv(a, tol) - x), 1e-10)
+    x = generate.gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
+    a = rankstrata.cayley(x, tol)
+    rec.check("cayley unitary", numkit.fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("cayley round trip", numkit.fro(rankstrata.cayley_inv(a, tol) - x), 1e-10)
     u = haar_unitary(rng, s)
     rec.check("cayley equivariance",
-              fro(cayley(u @ x @ u.conj().T, tol) - u @ a @ u.conj().T), 1e-10)
-    rec.check("cayley_inv(-Id)", fro(cayley_inv(-np.eye(s, dtype=complex), tol)), 1e-12)
+              numkit.fro(rankstrata.cayley(u @ x @ u.conj().T, tol) - u @ a @ u.conj().T), 1e-10)
+    rec.check("cayley_inv(-Id)",
+              numkit.fro(rankstrata.cayley_inv(-np.eye(s, dtype=complex), tol)), 1e-12)
     try:
-        cayley_inv(np.eye(s, dtype=complex), tol)
+        rankstrata.cayley_inv(np.eye(s, dtype=complex), tol)
         rec.expect("cayley_inv singular detection", False)
     except SingularAtOne:
         pass
 
     for i in range(50):
         t = math.tan((rng.uniform() - 0.5) * math.pi * 0.98)
-        rec.check("cayley scalar chart",
-                  abs(cayley(np.array([[1j * t]]), tol)[0, 0] - sphere_coord(t)), 1e-14)
+        rec.check("cayley scalar chart", abs(rankstrata.cayley(np.array([[1j * t]]), tol)[0, 0]
+                                             - gammaconf.sphere_coord(t)), 1e-14)
 
     n = rng.randint(1, cfg.n_max + 1)
     srank = rng.randint(1, min(5, cfg.s_max) + 1)
-    t_ex = gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
-    _, blocks = joint_diagonalize(t_ex, tol)
-    chart = subquotient_chart(t_ex, tol, blocks=blocks)
+    t_ex = generate.gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
+    _, blocks = commodel.joint_diagonalize(t_ex, tol)
+    chart = rankstrata.subquotient_chart(t_ex, tol, blocks=blocks)
     rec.expect("stratum rank", chart.s == srank)
-    rec.check("chart X commuting", commutator_defect(chart.X.mats), 1e-9)
+    rec.check("chart X commuting", numkit.commutator_defect(chart.X.mats), 1e-9)
+    rebuilt = rankstrata.reconstruct_chart(chart, t_ex.s, tol)
     rec.check("chart reconstruction",
-              rep_distance(canonical_rep(reconstruct_chart(chart, t_ex.s, tol), tol),
-                           canonical_rep(t_ex, tol, blocks)), 1e-8)
+              commodel.rep_distance(commodel.canonical_rep(rebuilt, tol),
+                                    commodel.canonical_rep(t_ex, tol, blocks)), 1e-8)
     g = haar_unitary(rng, srank)
-    chart2 = subquotient_chart(t_ex, tol, chart.f @ g, blocks)
-    rec.check("chart frame ambiguity", rep_distance(chart2.X, CommutingTuple(
+    chart2 = rankstrata.subquotient_chart(t_ex, tol, chart.f @ g, blocks)
+    rec.check("chart frame ambiguity", commodel.rep_distance(chart2.X, commodel.CommutingTuple(
         "skew_hermitian", g.conj().T @ chart.X.mats @ g)), 1e-8)
 
-    xt = gen_random_commuting(rng.next_u64(), n, srank, "skew_hermitian")
-    bar, tau = trace_split(xt)
+    xt = generate.gen_random_commuting(rng.next_u64(), n, srank, "skew_hermitian")
+    bar, tau = rankstrata.trace_split(xt)
     rec.check("trace split traceless",
               max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
-    rec.check("trace split reassembly", rep_distance(reassemble_trace(bar, tau), xt), 1e-12)
+    rec.check("trace split reassembly",
+              commodel.rep_distance(rankstrata.reassemble_trace(bar, tau), xt), 1e-12)
 
-    yt = gen_random_commuting(rng.next_u64(), rng.randint(1, min(2, cfg.n_max) + 1),
-                              rng.randint(1, min(3, cfg.s_max) + 1), "skew_hermitian")
-    pair = pairing_chart(xt, yt)
-    rec.check("pairing commutes", commutator_defect(pair.mats), 1e-12)
+    yt = generate.gen_random_commuting(rng.next_u64(), rng.randint(1, min(2, cfg.n_max) + 1),
+                                       rng.randint(1, min(3, cfg.s_max) + 1), "skew_hermitian")
+    pair = rankstrata.pairing_chart(xt, yt)
+    rec.check("pairing commutes", numkit.commutator_defect(pair.mats), 1e-12)
     tr_err = max(
         (abs(np.trace(pair.mats[i]) - yt.s * np.trace(xt.mats[i]))
          for i in range(xt.n)), default=0.0)
     rec.check("pairing trace identity", tr_err, 1e-10)
 
-    st = stabilize(stabilize(xt, 1), 2)
+    st = rankstrata.stabilize(rankstrata.stabilize(xt, 1), 2)
     rec.expect("stabilize composition", st.n == xt.n + 3)
-    rec.check("stabilize defect", commutator_defect(st.mats), 1e-12)
+    rec.check("stabilize defect", numkit.commutator_defect(st.mats), 1e-12)
 
 
 # ---------------------------------------------------------------- spectrum
 
 
-def _random_point(rng: SplitMix64, n: int) -> SpherePoint:
-    return SpherePoint([unit_phase(rng, 0.4) for _ in range(n)])
+def _random_point(rng: SplitMix64, n: int) -> gammaconf.SpherePoint:
+    return gammaconf.SpherePoint([unit_phase(rng, 0.4) for _ in range(n)])
 
 
 def _random_perm(rng: SplitMix64, n: int) -> list[int]:
@@ -384,9 +303,10 @@ def _random_perm(rng: SplitMix64, n: int) -> list[int]:
     return list(list(itertools.permutations(range(n)))[rng.randint(0, math.factorial(n))])
 
 
-def _config_rep(c: Configuration, tol: Tolerances) -> CommutingTuple:
+def _config_rep(c: gammaconf.Configuration, tol: numkit.Tolerances) -> commodel.CommutingTuple:
     """canonical_rep(config_to_commuting(c)) of a canonical c, its blocks read off its labels."""
-    return canonical_rep(config_to_commuting(c), tol, config_blocks(c, tol))
+    return commodel.canonical_rep(commodel.config_to_commuting(c), tol,
+                                  commodel.config_blocks(c, tol))
 
 
 @_trial_suite("spectrum")
@@ -394,67 +314,73 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tol = cfg.tol
     n = rng.randint(1, min(2, cfg.n_max) + 1)
     m = rng.randint(1, min(2, cfg.n_max) + 1)
-    ua = UniverseBasis(n, 1)
-    ub = UniverseBasis(m, 1)
-    a = gen_random_config(rng.next_u64(), ua, max_labels=2, max_rank=2, tol=tol)
-    b = gen_random_config(rng.next_u64(), ub, max_labels=2, max_rank=2, tol=tol)
+    ua = symuniverse.UniverseBasis(n, 1)
+    ub = symuniverse.UniverseBasis(m, 1)
+    a = generate.gen_random_config(rng.next_u64(), ua, max_labels=2, max_rank=2, tol=tol)
+    b = generate.gen_random_config(rng.next_u64(), ub, max_labels=2, max_rank=2, tol=tol)
     x = _random_point(rng, n)
     y = _random_point(rng, m)
 
-    unit_x = unit_map(x, ua, tol)
-    ay = structure_map(a, y, tol=tol)
+    unit_x = spectrumops.unit_map(x, ua, tol)
+    ay = spectrumops.structure_map(a, y, tol=tol)
     rec.check("unit law",
-              config_distance(structure_map(unit_x, y, tol=tol),
-                              unit_map(smash(x, y), UniverseBasis(n + m, 2), tol)),
+              gammaconf.config_distance(
+                  spectrumops.structure_map(unit_x, y, tol=tol),
+                  spectrumops.unit_map(gammaconf.smash(x, y), symuniverse.UniverseBasis(n + m, 2),
+                                       tol)),
               1e-8)
+    unit_y = spectrumops.unit_map(y, symuniverse.UniverseBasis(m, ua.D), tol)
     rec.check("structure = multiply(unit)",
-              config_distance(ay, multiply(a, unit_map(y, UniverseBasis(m, ua.D), tol), tol=tol)),
-              1e-8)
-    ab = multiply(a, b, tol=tol)
-    rec.expect("rank multiplicative", rank(ab) == rank(a) * rank(b))
-    rec.expect("rank preserved", rank(ay) == rank(a))
+              gammaconf.config_distance(ay, spectrumops.multiply(a, unit_y, tol=tol)), 1e-8)
+    ab = spectrumops.multiply(a, b, tol=tol)
+    rec.expect("rank multiplicative", gammaconf.rank(ab) == gammaconf.rank(a) * gammaconf.rank(b))
+    rec.expect("rank preserved", gammaconf.rank(ay) == gammaconf.rank(a))
 
-    uc = UniverseBasis(1, 1)
-    c = gen_random_config(rng.next_u64(), uc, max_labels=1, max_rank=1, tol=tol)
+    uc = symuniverse.UniverseBasis(1, 1)
+    c = generate.gen_random_config(rng.next_u64(), uc, max_labels=1, max_rank=1, tol=tol)
     rec.check("associativity",
-              config_distance(multiply(ab, c, tol=tol),
-                              multiply(a, multiply(b, c, tol=tol), tol=tol)),
+              gammaconf.config_distance(
+                  spectrumops.multiply(ab, c, tol=tol),
+                  spectrumops.multiply(a, spectrumops.multiply(b, c, tol=tol), tol=tol)),
               1e-8)
 
     # commutativity up to the block swap
     chi = list(range(m, m + n)) + list(range(m))
     rec.check("commutativity up to swap",
-              config_distance(multiply(b, a, tol=tol),
-                              sigma_action_config(chi, ab, tol)),
+              gammaconf.config_distance(spectrumops.multiply(b, a, tol=tol),
+                                        gammaconf.sigma_action_config(chi, ab, tol)),
               1e-8)
 
     sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
     rho = sigma + [n + t for t in tau]
-    sigma_a = sigma_action_config(sigma, a, tol)
+    sigma_a = gammaconf.sigma_action_config(sigma, a, tol)
     rec.check("multiply equivariance",
-              config_distance(multiply(sigma_a, sigma_action_config(tau, b, tol), tol=tol),
-                              sigma_action_config(rho, ab, tol)),
+              gammaconf.config_distance(
+                  spectrumops.multiply(sigma_a, gammaconf.sigma_action_config(tau, b, tol),
+                                       tol=tol),
+                  gammaconf.sigma_action_config(rho, ab, tol)),
               1e-8)
     rec.check("structure map equivariance",
-              config_distance(structure_map(sigma_a, permute_point(tau, y), tol=tol),
-                              sigma_action_config(rho, ay, tol)),
+              gammaconf.config_distance(
+                  spectrumops.structure_map(sigma_a, gammaconf.permute_point(tau, y), tol=tol),
+                  gammaconf.sigma_action_config(rho, ay, tol)),
               1e-8)
 
     # cross-picture coherence: the configuration side reads its blocks off
     # its labels, the tuple side is diagonalized
-    ta, tb = config_to_commuting(a), config_to_commuting(b)
-    blocks_a = config_blocks(a, tol)
+    ta, tb = commodel.config_to_commuting(a), commodel.config_to_commuting(b)
+    blocks_a = commodel.config_blocks(a, tol)
     rec.check("cross-picture multiply",
-              rep_distance(_config_rep(ab, tol), canonical_rep(multiply_tuple(
-                  ta, tb, tol, blocks_a, config_blocks(b, tol)), tol)),
-              1e-8)
+              commodel.rep_distance(_config_rep(ab, tol), commodel.canonical_rep(
+                  spectrumops.multiply_tuple(ta, tb, tol, blocks_a,
+                                             commodel.config_blocks(b, tol)), tol)), 1e-8)
     rec.check("cross-picture structure map",
-              rep_distance(_config_rep(ay, tol), canonical_rep(
-                  structure_map_tuple(ta, y, tol=tol, blocks=blocks_a), tol)),
+              commodel.rep_distance(_config_rep(ay, tol), commodel.canonical_rep(
+                  spectrumops.structure_map_tuple(ta, y, tol=tol, blocks=blocks_a), tol)),
               1e-8)
     rec.check("cross-picture unit",
-              rep_distance(_config_rep(unit_x, tol), canonical_rep(unit_map_tuple(x, ua), tol)),
-              1e-8)
+              commodel.rep_distance(_config_rep(unit_x, tol), commodel.canonical_rep(
+                  spectrumops.unit_map_tuple(x, ua), tol)), 1e-8)
 
 
 # ------------------------------------------------------------ equivariance
@@ -466,11 +392,11 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     n = rng.randint(1, cfg.n_max + 1)
     m = rng.randint(1, min(2, cfg.n_max) + 1)
     du = rng.randint(1, cfg.D_max + 1)
-    u = UniverseBasis(n, du)
-    v = UniverseBasis(m, rng.randint(1, 2))
+    u = symuniverse.UniverseBasis(n, du)
+    v = symuniverse.UniverseBasis(m, rng.randint(1, 2))
     rec.expect("dim binomial", u.dim == math.comb(u.n + u.D, u.n))
 
-    psi = psi_embed(u, v)
+    psi = symuniverse.psi_embed(u, v)
     norm_ok = all(
         u.norms_sq[i] * v.norms_sq[k]
         == psi.target.norms_sq[psi.pair_index[i, k]]
@@ -490,53 +416,55 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
     perms_u = list(itertools.permutations(range(n)))
     sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
-    ps = sigma_star(sigma, u)
+    ps = symuniverse.sigma_star(sigma, u)
     rec.expect("sigma_* fixes scalar line", ps[u.index[(0,) * n]] == u.index[(0,) * n])
     sig2 = _random_perm(rng, n)
     comp = [sigma[sig2[j]] for j in range(n)]
     rec.expect("sigma_* homomorphism",
-               bool(np.all(sigma_star(comp, u)
-                           == sigma_star(sigma, u)[sigma_star(sig2, u)])))
+               bool(np.all(symuniverse.sigma_star(comp, u)
+                           == symuniverse.sigma_star(sigma, u)[symuniverse.sigma_star(sig2, u)])))
 
     # psi equivariance: (sigma x tau)_* psi = psi (sigma_* (x) tau_*)
     rho = sigma + [n + t for t in tau]
-    pr = sigma_star(rho, psi.target)
-    pt = sigma_star(tau, v)
+    pr = symuniverse.sigma_star(rho, psi.target)
+    pt = symuniverse.sigma_star(tau, v)
     ok = all(
         pr[psi.pair_index[i, k]] == psi.pair_index[ps[i], pt[k]]
         for i in range(u.dim) for k in range(v.dim)
     )
     rec.expect("psi equivariance", ok)
 
-    c = gen_random_config(rng.next_u64(), u, max_labels=2,
-                          max_rank=min(u.dim, 4), tol=tol)
-    t = config_to_commuting(c)
+    c = generate.gen_random_config(rng.next_u64(), u, max_labels=2,
+                                   max_rank=min(u.dim, 4), tol=tol)
+    t = commodel.config_to_commuting(c)
 
     @functools.cache
     def permuted(sg):  # sigma_action_tuple(sg, t) and its blocks, once; t for the identity
-        ts = t if sg == perms_u[0] else sigma_action_tuple(list(sg), t)
-        return {"t": ts, "blocks": joint_diagonalize(ts, tol)[1]}  # keyword arguments
+        ts = t if sg == perms_u[0] else commodel.sigma_action_tuple(list(sg), t)
+        return {"t": ts, "blocks": commodel.joint_diagonalize(ts, tol)[1]}  # keyword arguments
 
-    sigma_c = sigma_action_config(sigma, c, tol)
-    rec.check("model equivariance", rep_distance(canonical_rep(**permuted(tuple(sigma)), tol=tol),
-                                                 _config_rep(sigma_c, tol)), 1e-8)
-    comp_t = sigma_action_tuple(sigma, sigma_action_tuple(sig2, t))
+    sigma_c = gammaconf.sigma_action_config(sigma, c, tol)
+    rec.check("model equivariance",
+              commodel.rep_distance(commodel.canonical_rep(**permuted(tuple(sigma)), tol=tol),
+                                    _config_rep(sigma_c, tol)), 1e-8)
+    comp_t = commodel.sigma_action_tuple(sigma, commodel.sigma_action_tuple(sig2, t))
     rec.check("tuple action composition",
-              rep_distance(canonical_rep(comp_t, tol),
-                           canonical_rep(**permuted(tuple(comp)), tol=tol)), 1e-8)
-    rec.expect("rank invariance", rank(sigma_c) == rank(c))
+              commodel.rep_distance(commodel.canonical_rep(comp_t, tol), commodel.canonical_rep(
+                  **permuted(tuple(comp)), tol=tol)), 1e-8)
+    rec.expect("rank invariance", gammaconf.rank(sigma_c) == gammaconf.rank(c))
 
     # chart equivariance for every permutation
-    ch = subquotient_chart(**permuted(perms_u[0]), tol=tol)
+    ch = rankstrata.subquotient_chart(**permuted(perms_u[0]), tol=tol)
     if ch.s:
         for sg in perms_u:
-            ch_s = ch if sg == perms_u[0] else subquotient_chart(**permuted(sg), tol=tol)
-            perm_univ = sigma_star(list(sg), u)
-            f_moved = apply_perm_to_coords(perm_univ, ch.f)
+            ch_s = (ch if sg == perms_u[0]
+                    else rankstrata.subquotient_chart(**permuted(sg), tol=tol))
+            perm_univ = symuniverse.sigma_star(list(sg), u)
+            f_moved = symuniverse.apply_perm_to_coords(perm_univ, ch.f)
             g = ch_s.f.conj().T @ f_moved
-            moved = g @ ch.X.mats[perm_inverse(list(sg))] @ g.conj().T
-            rec.check("chart equivariance",
-                      rep_distance(ch_s.X, CommutingTuple("skew_hermitian", moved)), 1e-8)
+            moved = g @ ch.X.mats[symuniverse.perm_inverse(list(sg))] @ g.conj().T
+            rec.check("chart equivariance", commodel.rep_distance(
+                ch_s.X, commodel.CommutingTuple("skew_hermitian", moved)), 1e-8)
 
 
 # -------------------------------------------------------------------- real
@@ -548,53 +476,55 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     s = rng.randint(1, min(6, cfg.s_max) + 1)
     n = rng.randint(1, cfg.n_max + 1)
 
-    x = gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
-    a = real_cayley(x, tol)
-    rec.check("real cayley unitary", fro(a.conj().T @ a - np.eye(s)), 1e-10)
-    rec.check("real cayley symmetric", fro(a - a.T), 1e-10)
-    rec.check("real cayley inverse", fro(real_cayley_inv(a, tol) - x), 1e-10)
+    x = generate.gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
+    a = realk.real_cayley(x, tol)
+    rec.check("real cayley unitary", numkit.fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("real cayley symmetric", numkit.fro(a - a.T), 1e-10)
+    rec.check("real cayley inverse", numkit.fro(realk.real_cayley_inv(a, tol) - x), 1e-10)
     o = haar_orthogonal(rng, s)
     rec.check("real cayley equivariance",
-              fro(real_cayley(o @ x @ o.T, tol) - o @ a @ o.T), 1e-10)
+              numkit.fro(realk.real_cayley(o @ x @ o.T, tol) - o @ a @ o.T), 1e-10)
 
-    t = gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
-    q, _ = joint_diagonalize_real(t, tol)
+    t = generate.gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
+    q, _ = realk.joint_diagonalize_real(t, tol)
     diag = q.T @ t.mats @ q
-    res = off_norm(diag)
-    rec.check("SO joint residual", res, 1e-8 * max(1.0, max(fro(m) for m in t.mats)))
+    res = numkit.off_norm(diag)
+    rec.check("SO joint residual", res, 1e-8 * max(1.0, max(numkit.fro(m) for m in t.mats)))
     rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 
-    split = real_trace_split(t)
+    split = realk.real_trace_split(t)
     rec.check("real split traceless",
               max((abs(np.trace(m)) for m in split.traceless.mats), default=0.0), 1e-12)
-    rec.check("real split reassembly", rep_distance(reassemble_real_split(split), t), 1e-12)
+    rec.check("real split reassembly",
+              commodel.rep_distance(realk.reassemble_real_split(split), t), 1e-12)
 
     # real configuration data -> symmetric unitaries -> real chart
-    universe = UniverseBasis(n, 1)
+    universe = symuniverse.UniverseBasis(n, 1)
     dim = universe.dim
     basis = haar_orthogonal(rng, dim)
     dims, left = [], rng.randint(1, min(dim, 3) + 1)
     while left > 0:
         dims.append(rng.randint(1, left + 1))
         left -= dims[-1]
-    pts = sample_value_columns(rng, "unitary", n, len(dims), 0.4, 0.2)
-    c = config_on_basis(universe, basis, dims, pts, tol)
-    tsym = config_to_commuting(c)
+    pts = generate.sample_value_columns(rng, "unitary", n, len(dims), 0.4, 0.2)
+    c = generate.config_on_basis(universe, basis, dims, pts, tol)
+    tsym = commodel.config_to_commuting(c)
     rec.expect("complexified data is symmetric",
-               all(is_symmetric_unitary(m) for m in tsym.mats))
-    _, blocks = joint_diagonalize(tsym, tol)
-    chart = real_stratum_chart(tsym, tol, blocks)
+               all(realk.is_symmetric_unitary(m) for m in tsym.mats))
+    _, blocks = commodel.joint_diagonalize(tsym, tol)
+    chart = realk.real_stratum_chart(tsym, tol, blocks)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
+    rebuilt = realk.reconstruct_real_chart(chart, dim, tol)
     rec.check("real chart reconstruction",
-              rep_distance(canonical_rep(reconstruct_real_chart(chart, dim, tol), tol),
-                           canonical_rep(tsym, tol, blocks)), 1e-8)
+              commodel.rep_distance(commodel.canonical_rep(rebuilt, tol),
+                                    commodel.canonical_rep(tsym, tol, blocks)), 1e-8)
 
-    chart_c = subquotient_chart(tsym, tol, blocks=blocks)
+    chart_c = rankstrata.subquotient_chart(tsym, tol, blocks=blocks)
     if chart.s:
         g = chart_c.f.conj().T @ chart.f.astype(complex)
-        rec.check("real chart complexifies", rep_distance(
-            CommutingTuple("skew_hermitian", 1j * chart.X.mats),
-            CommutingTuple("skew_hermitian", g.conj().T @ chart_c.X.mats @ g)), 1e-8)
+        rec.check("real chart complexifies", commodel.rep_distance(
+            commodel.CommutingTuple("skew_hermitian", 1j * chart.X.mats),
+            commodel.CommutingTuple("skew_hermitian", g.conj().T @ chart_c.X.mats @ g)), 1e-8)
 
     # unit sphere of the rank-one diagonal family: parametrization hits
     # valid tuples for s = 2
@@ -607,10 +537,10 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     if nrm > 1e-9:
         diag_vals /= nrm
         mats = np.array([rot @ np.diag(dv) @ rot.T for dv in diag_vals])
-        cand = CommutingTuple("real_symmetric", mats)
+        cand = commodel.CommutingTuple("real_symmetric", mats)
         cand.validate(tol)
         rec.check("moebius parametrization norm",
-                  abs(tuple_norm(cand) - 1.0), 1e-10)
+                  abs(isodecomp.tuple_norm(cand) - 1.0), 1e-10)
         rec.check("moebius parametrization traceless",
                   max(abs(np.trace(m)) for m in mats), 1e-10)
 
@@ -724,8 +654,8 @@ def _fixed_dim_sweep(cfg: RunConfig, rec: Recorder):
         dims = {f: list(_fixed_dims(partitions, f, normals)) for f in ("complex", "real")}
         for i, parts in enumerate(partitions):
             for n, field_ in itertools.product(range(1, 4), dims):
-                rec.expect(f"fixed dim {parts} n={n} {field_}",
-                           fixed_subspace_dim(DecompType(parts), n, field_) == n * dims[field_][i])
+                formula = isodecomp.fixed_subspace_dim(isodecomp.DecompType(parts), n, field_)
+                rec.expect(f"fixed dim {parts} n={n} {field_}", formula == n * dims[field_][i])
 
 
 @_trial_suite("isotropy", sweep=_fixed_dim_sweep)
@@ -736,46 +666,47 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     parts_all = [p for p in _partitions(s)]
     parts = parts_all[rng.randint(0, len(parts_all))]
     kind = "skew_hermitian" if rng.uniform() < 0.7 else "real_symmetric"
-    t = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind)
-    rec.expect("prescribed type", decomposition_type(t, tol).parts
+    t = generate.gen_partition_tuple(rng.next_u64(), n, parts, kind=kind)
+    rec.expect("prescribed type", isodecomp.decomposition_type(t, tol).parts
                == tuple(sorted(parts, reverse=True)))
 
     if len(parts) > 1:
-        tu = gen_partition_tuple(rng.next_u64(), n, parts, kind=kind,
-                                 traceless=True, unit=True)
-        rec.check("unit norm", abs(tuple_norm(tu) - 1.0), 1e-10)
-        tu_type = decomposition_type(tu, tol)
-        rec.expect("complete type", is_complete_type(tu_type))
+        tu = generate.gen_partition_tuple(rng.next_u64(), n, parts, kind=kind,
+                                          traceless=True, unit=True)
+        rec.check("unit norm", abs(isodecomp.tuple_norm(tu) - 1.0), 1e-10)
+        tu_type = isodecomp.decomposition_type(tu, tol)
+        rec.expect("complete type", isodecomp.is_complete_type(tu_type))
         rec.expect("type invariant under scaling",
-                   decomposition_type(unit_normalize(
-                       CommutingTuple(tu.kind, 7.0 * tu.mats), tol), tol).parts
+                   isodecomp.decomposition_type(isodecomp.unit_normalize(
+                       commodel.CommutingTuple(tu.kind, 7.0 * tu.mats), tol), tol).parts
                    == tu_type.parts)
         if kind == "skew_hermitian":
             u = haar_unitary(rng, s)
-            conj = CommutingTuple(kind, u @ tu.mats @ u.conj().T)
+            conj = commodel.CommutingTuple(kind, u @ tu.mats @ u.conj().T)
             rec.expect("type conjugation invariant",
-                       decomposition_type(conj, tol).parts == tu_type.parts)
-            rec.expect("stabilize keeps type",
-                       decomposition_type(stabilize(tu, 2), tol).parts == tu_type.parts)
+                       isodecomp.decomposition_type(conj, tol).parts == tu_type.parts)
+            rec.expect("stabilize keeps type", isodecomp.decomposition_type(
+                rankstrata.stabilize(tu, 2), tol).parts == tu_type.parts)
 
     # flag map sampling at p = 2
     g = haar_unitary(rng, 2)
     amp = 1.0 / math.sqrt(2.0)
     sign = 1.0 if rng.uniform() < 0.5 else -1.0
-    x = CommutingTuple("skew_hermitian",
-                       np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
-    target = flag_map(g, x, tol)
-    rec.check("flag image unit", abs(tuple_norm(target) - 1.0), 1e-10)
-    _, blocks = joint_diagonalize(target, tol)
-    rec.expect("flag type", decomposition_type(target, tol, blocks).parts == (1, 1))
-    gc, xc = flag_map_preimage(target, tol, blocks)
-    rec.check("flag preimage residual", rep_distance(flag_map(gc, xc, tol), target), 1e-8)
+    x = commodel.CommutingTuple("skew_hermitian",
+                                np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
+    target = isodecomp.flag_map(g, x, tol)
+    rec.check("flag image unit", abs(isodecomp.tuple_norm(target) - 1.0), 1e-10)
+    _, blocks = commodel.joint_diagonalize(target, tol)
+    rec.expect("flag type", isodecomp.decomposition_type(target, tol, blocks).parts == (1, 1))
+    gc, xc = isodecomp.flag_map_preimage(target, tol, blocks)
+    rec.check("flag preimage residual",
+              commodel.rep_distance(isodecomp.flag_map(gc, xc, tol), target), 1e-8)
     # the swapped preimage canonicalizes to the same class
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     g2, x2 = isodecomp.canonical_flag_class(
-        g @ swap, CommutingTuple("skew_hermitian", swap @ x.mats @ swap), tol)
+        g @ swap, commodel.CommutingTuple("skew_hermitian", swap @ x.mats @ swap), tol)
     g1, x1 = isodecomp.canonical_flag_class(g, x, tol)
-    rec.check("flag class uniqueness", fro(g1 - g2) + rep_distance(x1, x2), 1e-8)
+    rec.check("flag class uniqueness", numkit.fro(g1 - g2) + commodel.rep_distance(x1, x2), 1e-8)
 
 
 # -------------------------------------------------------------- cohomology

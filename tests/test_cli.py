@@ -218,9 +218,9 @@ def test_stratify_rejects_sizes_above_the_cap(s, monkeypatch, capsys):
 
 @pytest.mark.parametrize("entry,field,code", [
     ("-1.0", None, 0), ('"-1.0"', None, 2), ("null", None, 2),
-    ("-1.0", "real", 0), ('"-1.0"', "real", 2), ("null", "real", 2),
+    ("-1.0", "real", 0), ('"-1.0"', "real", 2), ("null", "real", 2), ("true", "real", 2),
 ], ids=["complex-number", "complex-string", "complex-null",
-        "real-number", "real-string", "real-null"])
+        "real-number", "real-string", "real-null", "real-bool"])
 def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypatch, capsys):
     if field:
         kind = "real_symmetric"
@@ -232,6 +232,25 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     assert main(["stratify"]) == code
     body = json.loads(capsys.readouterr().out)
     assert body.get("error") == ("invalid_input" if code else None)
+
+
+@pytest.mark.parametrize("payload,message", [
+    ('[{"kind": "unitary", "n": 1, "s": 1}]', "expected an object holding n, got list"),
+    ('{"kind": "unitary", "n": 1, "s": 1, "mats": {"0": {}}}', "mats must be a list, got dict"),
+    ('{"kind": "unitary", "n": 1, "s": 1, "mats": [[1, 0]]}',
+     "expected an object holding rows, got list"),
+    ('{"kind": "unitary", "n": 1, "s": 1,'
+     ' "mats": [{"rows": 1, "cols": 1, "field": "quaternion", "data": [[1, 0]]}]}',
+     'field must be "real" or "complex", got \'quaternion\''),
+    ('{"kind": "unitary", "n": 1, "s": 1,'
+     ' "mats": [{"rows": 1, "cols": 1, "data": [[true, false]]}]}',
+     "matrix entries must be numbers"),
+], ids=["top-level-list", "mats-object", "matrix-list", "field-quaternion", "complex-bools"])
+def test_stratify_names_what_it_rejects(payload, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["stratify"]) == 2
+    body = json.loads(capsys.readouterr().out)
+    assert body["error"] == "invalid_input" and body["message"].startswith(message)
 
 
 @pytest.mark.parametrize("flag,value", [("--n", "-1"), ("--s", "-1"), ("--s", "0"),

@@ -634,8 +634,9 @@ def _reference_joint_diagonalize(t, tol=DEFAULT_TOL):
     vals = np.diagonal(diag, axis1=1, axis2=2)
     close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
                    initial=0.0) < tol.eps_cluster
-    near = near_basepoint_rows(vals.T, tol.eps_base)
+    near = np.zeros(t.s, dtype=bool)
     if t.kind == "unitary":
+        near = near_basepoint_rows(vals.T, tol.eps_base)
         side = np.where((vals.real > 0) & ~near, np.sign(vals.imag), 0.0)
         close &= (near[:, None] == near) & ~np.any(side[:, :, None] * side[:, None] < 0, axis=0)
     frames = phase_normalize(q, tol)
@@ -676,8 +677,8 @@ def _one_pass_cases():
     diag = np.exp(1j * phases)[:, :, None] * np.eye(10)
     cases["unitary-near-basepoint"] = _conjugated("unitary", diag, 11)
     cases["unitary-near-basepoint-diagonal"] = CommutingTuple("unitary", diag)
-    # a Lie kind links across the cut at 1, so a block can hold columns on
-    # both sides of it, and is then off F
+    # a Lie kind has no cut at 1: a block holding values on both sides of 1
+    # lies in F
     values = np.array([[1.0, 1.0 + 5e-7, 1.0 + 9e-7, 2.0, 2.0, -3.0]])
     cases["real_symmetric-straddles-the-cut"] = _conjugated(
         "real_symmetric", values[:, :, None] * np.eye(6), 12)
@@ -720,7 +721,9 @@ def test_the_one_pass_cases_reach_every_branch():
         parts = vals.view(float) if vals.dtype.kind == "c" else vals
         negative_zero |= bool(np.any((parts == 0) & np.signbit(parts)))
     assert set(range(1, 10)) <= sizes
-    assert ("unitary", False) in in_f and ("real_symmetric", False) in in_f
+    # only a unitary tuple has blocks off F
+    assert ("unitary", False) in in_f
+    assert not {("skew_hermitian", False), ("real_symmetric", False)} & in_f
     assert negative_zero
 
 

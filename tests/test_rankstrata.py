@@ -23,6 +23,7 @@ from commvar.realk import real_stratum_chart
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.symuniverse import UniverseBasis
 from commvar.generate import gen_partition_tuple
+from commvar.isodecomp import decomposition_type
 
 
 def test_cayley_zero_and_scalar():
@@ -86,6 +87,18 @@ def test_empty_tuple_rank_is_full():
     assert F_subspace(t).shape == (3, 3)
     assert stratum_rank(t) == 3
     assert subquotient_chart(t).s == 3
+
+
+@pytest.mark.parametrize("kind,unit", [("real_symmetric", 1.0), ("skew_hermitian", 1j)])
+@pytest.mark.parametrize("values,parts", [([1.0, 2.0], (1, 1)),
+                                          ([1.0, 1.0 + 5e-10, 2.0], (2, 1))])
+def test_a_lie_tuple_with_a_value_at_1_has_full_rank(kind, unit, values, parts):
+    # the Cayley transforms send only the point at infinity to 1, and no
+    # finite Lie tuple reaches it, so F is the whole space
+    t = CommutingTuple(kind, unit * np.diag(values)[None])
+    assert stratum_rank(t) == len(values)
+    assert F_subspace(t).shape == (len(values), len(values))
+    assert decomposition_type(t).parts == parts
 
 
 def test_chart_scalar_example():

@@ -1,10 +1,11 @@
 import collections
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
-from commvar import commodel, symuniverse, verify
+from commvar import commodel, generate, isodecomp, rankstrata, spectrumops, symuniverse, verify
 from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
 from commvar.rng import SplitMix64
@@ -57,6 +58,16 @@ def test_deterministic_summary():
     assert a == b
 
 
+def test_verify_binds_no_function_or_class_of_another_commvar_module():
+    # verify reaches the package through module namespaces (rng and errors
+    # apart), so the one binding of each function is on its defining module
+    foreign = {name: value.__module__ for name, value in vars(verify).items()
+               if (inspect.isfunction(value) or inspect.isclass(value))
+               and value.__module__.startswith("commvar.")
+               and value.__module__ not in ("commvar.verify", "commvar.rng", "commvar.errors")}
+    assert not foreign
+
+
 def test_bad_tolerance_counts_failures():
     cfg = RunConfig(seed=1, trials=2, tol=Tolerances(eps_struct=1e-30))
     out = run_suite("roundtrip", cfg)
@@ -64,14 +75,14 @@ def test_bad_tolerance_counts_failures():
 
 
 def test_cayley_suite_passes_its_tolerances_to_every_cayley_call(monkeypatch):
-    original = verify.cayley
+    original = rankstrata.cayley
     received = []
 
     def recorded(x, *args, **kwargs):
         received.append(args[0] if args else kwargs.get("tol"))
         return original(x, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "cayley", recorded)
+    monkeypatch.setattr(rankstrata, "cayley", recorded)
     cfg = RunConfig(seed=0, trials=1, tol=Tolerances(eps_struct=2e-9))
     out = run_suite("cayley", cfg)
     assert out["failures"] == 0, out["messages"]
@@ -139,21 +150,22 @@ def test_no_tuple_object_is_diagonalized_twice(name, monkeypatch):
         assert seen or name == "cohomology"
 
 
-def _record_outputs(monkeypatch, *names) -> dict:
-    """Rebind each named verify function; the returned dict lists, per name,
-    the values it returned (kept alive, so their ids stay unique)."""
+def _record_outputs(monkeypatch, module, *names) -> dict:
+    """Rebind each named function of module; the returned dict lists, per
+    name, the values it returned (kept alive, so their ids stay unique)."""
     made = {name: [] for name in names}
     for name in names:
-        def recorded(*args, _name=name, _original=getattr(verify, name), **kwargs):
+        def recorded(*args, _name=name, _original=getattr(module, name), **kwargs):
             made[_name].append(_original(*args, **kwargs))
             return made[_name][-1]
-        monkeypatch.setattr(verify, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return made
 
 
 def test_a_spectrum_trial_diagonalizes_only_its_tuple_picture_outputs(monkeypatch):
-    made = _record_outputs(monkeypatch, "config_to_commuting", "multiply_tuple",
-                           "structure_map_tuple", "unit_map_tuple")
+    made = (_record_outputs(monkeypatch, commodel, "config_to_commuting")
+            | _record_outputs(monkeypatch, spectrumops, "multiply_tuple",
+                              "structure_map_tuple", "unit_map_tuple"))
     seen = _record_diagonalizations(monkeypatch)
     for seed in range(6):
         for values in made.values():
@@ -171,7 +183,7 @@ def test_a_spectrum_trial_diagonalizes_only_its_tuple_picture_outputs(monkeypatc
 
 
 def test_model_equivariance_reads_its_configuration_blocks(monkeypatch):
-    made = _record_outputs(monkeypatch, "config_to_commuting")
+    made = _record_outputs(monkeypatch, commodel, "config_to_commuting")
     seen = _record_diagonalizations(monkeypatch)
     for seed in range(6):
         made["config_to_commuting"].clear()
@@ -188,14 +200,14 @@ def test_model_equivariance_reads_its_configuration_blocks(monkeypatch):
 def test_suites_draw_their_sizes_inside_the_caps(name, monkeypatch):
     sizes = []
 
-    def record(name_, size_of):
-        original = getattr(verify, name_)
-        monkeypatch.setattr(verify, name_, lambda *a, **k: sizes.append(size_of(*a)) or
+    def record(module, name_, size_of):
+        original = getattr(module, name_)
+        monkeypatch.setattr(module, name_, lambda *a, **k: sizes.append(size_of(*a)) or
                             original(*a, **k))
 
-    record("gen_random_config", lambda seed, universe, *a: (universe.n,))
-    record("gen_random_commuting", lambda seed, n, s, *a: (n, s))
-    record("psi_embed", lambda u, v, *a: (u.n, v.n))
+    record(generate, "gen_random_config", lambda seed, universe, *a: (universe.n,))
+    record(generate, "gen_random_commuting", lambda seed, n, s, *a: (n, s))
+    record(symuniverse, "psi_embed", lambda u, v, *a: (u.n, v.n))
     for seed in range(8):
         out = run_suite(name, RunConfig(seed=seed, trials=2, n_max=1, s_max=1, D_max=1))
         assert out["failures"] == 0, out["messages"]
@@ -262,8 +274,8 @@ def test_isotropy_sweep_solves_each_system_once(monkeypatch):
 
 
 def test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch):
-    formula = verify.fixed_subspace_dim
-    monkeypatch.setattr(verify, "fixed_subspace_dim",
+    formula = isodecomp.fixed_subspace_dim
+    monkeypatch.setattr(isodecomp, "fixed_subspace_dim",
                         lambda d, n, field: formula(d, n, field) + (d.parts == (2, 1)))
     out = run_suite("isotropy", RunConfig(seed=0, trials=1))
     assert out["failures"] == 6
