@@ -40,15 +40,15 @@ def dumps_tree(obj) -> str:
     return dumps(obj)
 
 
-_JSON_TYPES = {int: "an integer", list: "a list"}
+_JSON_TYPES = {int: "an integer", list: "a list", str: "a string"}
 
 
 def _member(d: dict, key: str, kind: type = int):
     """d[key] of a JSON object d, of exactly the type kind: so a JSON
-    integer is not a bool, a float or a string."""
+    integer is not a bool, a float or a string, and a missing key is null."""
     if type(d) is not dict:
         raise ValueError(f"expected an object holding {key}, got {type(d).__name__}")
-    if type(v := d[key]) is not kind:
+    if type(v := d.get(key)) is not kind:
         raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, got {type(v).__name__} {v!r:.40}")
     return v
 
@@ -99,7 +99,11 @@ def matrix_from_json(d: dict) -> np.ndarray:
     real, data = field == "real", _member(d, "data", list)
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
-    if not real and set(map(len, data)) - {2}:
+    try:
+        unpaired = not real and set(map(len, data)) - {2}
+    except TypeError:  # an entry with no length
+        unpaired = True
+    if unpaired:
         raise ValueError("complex matrix entries must be [re, im] pairs")
     # one flat array: a string gives a str array, null (or an int past int64) an object one
     data = np.array(data if real else list(itertools.chain.from_iterable(data)))
@@ -126,7 +130,7 @@ def tuple_from_json(d: dict) -> CommutingTuple:
     mats = [matrix_from_json(m) for m in _member(d, "mats", list)]
     if len(mats) != n or s < 0 or any(m.shape != (s, s) for m in mats):
         raise ValueError("tuple shape fields disagree with matrix data")
-    return CommutingTuple(d["kind"], np.reshape(mats, (n, s, s)))
+    return CommutingTuple(_member(d, "kind", str), np.reshape(mats, (n, s, s)))
 
 
 def chart_to_json(chart: SubquotientChart, encode=_matrix_dicts) -> dict:

@@ -10,9 +10,8 @@ reproducible across platforms and implementations:
     output <- z XOR (z >> 31)
 
 Uniform doubles take the top 53 output bits; Gaussians use Box-Muller.
-Haar unitary and orthogonal matrices, and the isotropy oracle's block
-elements, all come from one phase-fixed QR of a Gaussian draw
-(`phase_fixed_q`).
+Haar unitary and orthogonal matrices both come from one phase-fixed QR of
+a Gaussian draw (`phase_fixed_q`).
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ naming the first 20 failed checks.  The cross-picture checks of spectrum and
 equivariance read a configuration's blocks off its labels
 (commodel.config_blocks) and diagonalize only the tuple side.  Two
 deterministic sweeps ignore the size caps: isotropy solves the null-space
-oracle once per (parts, field) of s = 1..5 for one matrix, all from one
-Gaussian draw and seed-free reflection rows built once, and compares n times
-each count with the formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
+oracle once per (parts, field) of s = 1..5 for one matrix, on fixed signed
+permutations of the block subgroup, and compares n times each count with the
+formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import (cohomtab, commodel, gammaconf, generate, isodecomp, numkit, rankstrata, realk,
                spectrumops, symuniverse)
 from .errors import CommVarError, NotOddPrime, SingularAtOne
-from .rng import SplitMix64, haar_orthogonal, haar_unitary, phase_fixed_q, subseed, unit_phase
+from .rng import SplitMix64, haar_orthogonal, haar_unitary, subseed, unit_phase
 
 
 # largest tuple length, truncation degree and trial count a run accepts: the
@@ -573,33 +573,18 @@ def _field_columns(s: int, field: str) -> tuple[np.ndarray, np.ndarray]:
     return cols, trace
 
 
-@functools.cache
-def _block_layout(parts: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only block-diagonal mask of `parts` and its reflections I - 2 e e^T,
-    one per block, e the unit vector at the block's first coordinate."""
-    labels = np.repeat(np.arange(len(parts)), parts)
-    e = np.eye(len(labels))[np.searchsorted(labels, np.arange(len(parts)))]
-    mask = labels[:, None] == labels[None, :]
-    reflections = np.eye(len(labels)) - 2 * e[:, :, None] * e[:, None, :]
-    mask.flags.writeable = reflections.flags.writeable = False
-    return mask, reflections
-
-
-def _block_elements(partitions, field: str, normals: np.ndarray) -> np.ndarray:
-    """Per partition of one size s, the (2, s, s) pair of Haar block elements
-    that with its `_block_layout` reflections generates (a dense subgroup of)
-    its block subgroup, as one (len(partitions), 2, s, s) array.  Each mask
-    takes its k entries as complex_normals(2, k) (real field: normals(2, k))
-    draws them from a stream starting with `normals`, so one draw serves all;
-    one stacked `phase_fixed_q` makes each pair Haar (its Householder QR keeps
-    off-block entries 0)."""
-    s = sum(partitions[0])
-    z = np.zeros((len(partitions), 2, s, s), dtype=complex if field == "complex" else float)
-    for zi, parts in zip(z, partitions):
-        mask = _block_layout(tuple(parts))[0]
-        w = normals[:4 * mask.sum()].reshape(2, 2, -1)
-        zi[:, mask] = w[0] if field == "real" else (w[0] + 1j * w[1]) / math.sqrt(2.0)
-    return phase_fixed_q(z.reshape(2 * len(partitions), s, s)).reshape(z.shape)
+def _block_generators(parts, dtype) -> np.ndarray:
+    """Signed permutations of the block subgroup of `parts`, as one stack: the
+    bit_length(s - 1) sign matrices diag((-1)^(bit b of a)), which together fix
+    only the diagonal matrices, then the permutation moving each coordinate to
+    the next one in its block, cyclically, which among those fixes only the
+    block scalars.  Each lies in every U(p) and O(p) block."""
+    s = sum(parts)
+    signs = 1 - 2 * ((np.arange(s) >> np.arange((s - 1).bit_length())[:, None]) & 1)
+    ends = np.cumsum(parts, dtype=int)
+    after = np.arange(1, s + 1)
+    after[ends - 1] = ends - parts
+    return np.concatenate([signs[:, None] * np.eye(s), np.eye(s)[after][None]]).astype(dtype)
 
 
 def _defect_rows(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -610,31 +595,18 @@ def _defect_rows(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return kron @ cols - cols
 
 
-@functools.cache
-def _reflection_rows(parts: tuple, field: str) -> np.ndarray:
-    """Read-only seed-free `_defect_rows` of the `_block_layout` reflections of
-    `parts`, in the field's dtype, so each row is the one a stack with the
-    Haar pair gives, bit for bit."""
-    cols, _ = _field_columns(sum(parts), field)
-    rows = _defect_rows(_block_layout(parts)[1].astype(cols.dtype), cols)
-    rows.flags.writeable = False
-    return rows
-
-
-def _fixed_dims(partitions, field: str, normals: np.ndarray):
-    """Yields, per partition of one size s, the fixed-subspace dimension on one
-    matrix: the SVD null-space dimension of the real-linear system 'commutes with
-    the block subgroup and is traceless'.  Rows: the defects of the Haar pair and
-    of the reflections, real parts then (complex field only; a real field's are
-    exactly 0) imaginary parts, then the trace row."""
-    s = sum(partitions[0])
-    cols, trace = _field_columns(s, field)
-    for parts, g in zip(partitions, _block_elements(partitions, field, normals)):
-        diff = np.concatenate([_defect_rows(g, cols), _reflection_rows(tuple(parts), field)])
-        rows = diff.reshape(len(diff) * s * s, len(trace))
-        halves = [rows] if field == "real" else [rows.real, rows.imag]
-        sv = np.linalg.svd(np.concatenate([*halves, trace[None]]), compute_uv=False)
-        yield len(trace) - int(np.sum(sv > 1e-8 * sv[:1]))
+def _fixed_dim(parts, field: str) -> int:
+    """The fixed-subspace dimension of `parts` on one matrix: the SVD null-space
+    dimension of the real-linear system 'commutes with the block subgroup and is
+    traceless'.  Rows: the `_block_generators` defects, real parts then (complex
+    field only; a real field's are exactly 0) imaginary parts, then the trace row.
+    The generators lie in the subgroup and fix only its fixed matrices, the block
+    scalars, so they pose the subgroup's system."""
+    cols, trace = _field_columns(sum(parts), field)
+    rows = np.concatenate(_defect_rows(_block_generators(parts, cols.dtype), cols))
+    halves = [rows] if field == "real" else [rows.real, rows.imag]
+    sv = np.linalg.svd(np.concatenate([*halves, trace[None]]), compute_uv=False)
+    return len(trace) - int(np.sum(sv > 1e-8 * sv[:1]))
 
 
 def _partitions(s: int, cap: int = 0):
@@ -646,16 +618,13 @@ def _partitions(s: int, cap: int = 0):
 
 def _fixed_dim_sweep(cfg: RunConfig, rec: Recorder):
     """Deterministic sweep at s = 1..5, whatever cfg's caps: the formula for
-    n = 1..3 against n times the oracle on one matrix, one `_fixed_dims` call
-    per (s, field), all on one draw of the oracle stream (4 * 5^2 normals)."""
-    normals = SplitMix64(cfg.seed ^ 0xFACADE).normals(100)
-    for s in range(1, 6):
-        partitions = list(_partitions(s))
-        dims = {f: list(_fixed_dims(partitions, f, normals)) for f in ("complex", "real")}
-        for i, parts in enumerate(partitions):
-            for n, field_ in itertools.product(range(1, 4), dims):
-                formula = isodecomp.fixed_subspace_dim(isodecomp.DecompType(parts), n, field_)
-                rec.expect(f"fixed dim {parts} n={n} {field_}", formula == n * dims[field_][i])
+    n = 1..3 against n times the oracle on one matrix, one `_fixed_dim` call
+    per (parts, field).  It draws nothing."""
+    for parts in itertools.chain.from_iterable(map(_partitions, range(1, 6))):
+        dims = {f: _fixed_dim(parts, f) for f in ("complex", "real")}
+        for n, field_ in itertools.product(range(1, 4), dims):
+            formula = isodecomp.fixed_subspace_dim(isodecomp.DecompType(parts), n, field_)
+            rec.expect(f"fixed dim {parts} n={n} {field_}", formula == n * dims[field_])
 
 
 @_trial_suite("isotropy", sweep=_fixed_dim_sweep)

@@ -245,7 +245,15 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     ('{"kind": "unitary", "n": 1, "s": 1,'
      ' "mats": [{"rows": 1, "cols": 1, "data": [[true, false]]}]}',
      "matrix entries must be numbers"),
-], ids=["top-level-list", "mats-object", "matrix-list", "field-quaternion", "complex-bools"])
+    ('{"kind": "unitary", "n": 1, "s": 1, "mats": [{"rows": 1, "cols": 1, "data": [5]}]}',
+     "complex matrix entries must be [re, im] pairs"),
+    ('{"n": 1, "s": 1, "mats": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}',
+     "kind must be a string, got NoneType"),
+    ('{"kind": "unitary", "s": 1, "mats": []}', "n must be an integer, got NoneType"),
+    ('{"kind": "unitary", "n": 1, "s": 1, "mats": [{"cols": 1, "data": [[1, 0]]}]}',
+     "rows must be an integer, got NoneType"),
+], ids=["top-level-list", "mats-object", "matrix-list", "field-quaternion", "complex-bools",
+        "complex-number", "missing-kind", "missing-n", "missing-rows"])
 def test_stratify_names_what_it_rejects(payload, message, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert main(["stratify"]) == 2

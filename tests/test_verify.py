@@ -8,16 +8,14 @@ import pytest
 from commvar import commodel, generate, isodecomp, rankstrata, spectrumops, symuniverse, verify
 from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
-from commvar.rng import SplitMix64
+from commvar.rng import SplitMix64, subseed
 from commvar.verify import (
     SUITES,
     RunConfig,
-    _block_elements,
-    _block_layout,
+    _block_generators,
     _field_basis,
-    _fixed_dims,
+    _fixed_dim,
     _partitions,
-    _reflection_rows,
     run_suite,
 )
 from isotropy_oracle import fixed_dim_nullspace_oracle
@@ -216,50 +214,26 @@ def test_suites_draw_their_sizes_inside_the_caps(name, monkeypatch):
 
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_each_isotropy_system_gives_the_formula_dimension(field):
-    for seed in range(20):
-        normals = SplitMix64(seed ^ 0xFACADE).normals(100)
-        for s in range(1, 6):
-            partitions = list(_partitions(s))
-            assert list(_fixed_dims(partitions, field, normals)) == [
-                fixed_subspace_dim(DecompType(parts), 1, field) for parts in partitions]
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_reflection_rows_are_read_only_defects_of_the_block_layout(field):
-    for s in range(1, 6):
-        basis = _field_basis(s, field)
+    for s in range(1, 8):
         for parts in _partitions(s):
-            rows = _reflection_rows(parts, field)
-            assert rows is _reflection_rows(parts, field)
-            # g X g^H - X, one reflection and one basis element at a time
-            want = np.array([np.stack([(g @ x @ g.T - x).ravel() for x in basis], axis=1)
-                             for g in _block_layout(parts)[1]])
-            assert rows.dtype == basis.dtype and np.array_equal(rows, want)
-            assert not rows.flags.writeable
-            with pytest.raises(ValueError):
-                rows[0] = 0.0
+            assert _fixed_dim(parts, field) == fixed_subspace_dim(DecompType(parts), 1, field)
 
 
 def test_isotropy_sweep_solves_each_system_once(monkeypatch):
-    original, qr = verify._fixed_dims, verify.phase_fixed_q
-    calls, qr_calls, draws = [], [], []
+    original = verify._fixed_dim
+    calls, streams = [], []
 
-    def counted(partitions, field, normals):
-        dims = list(original(partitions, field, normals))
-        calls.extend((parts, field, dim) for parts, dim in zip(partitions, dims))
-        return dims
+    def counted(parts, field):
+        dim = original(parts, field)
+        calls.append((parts, field, dim))
+        return dim
 
     class Stream(SplitMix64):
         def __init__(self, seed):
             super().__init__(seed)
-            self.seed = seed
+            streams.append(seed)
 
-        def normals(self, *shape):
-            draws.append(self.seed)
-            return super().normals(*shape)
-
-    monkeypatch.setattr(verify, "_fixed_dims", counted)
-    monkeypatch.setattr(verify, "phase_fixed_q", lambda z: qr_calls.append(z.shape) or qr(z))
+    monkeypatch.setattr(verify, "_fixed_dim", counted)
     monkeypatch.setattr(verify, "SplitMix64", Stream)
     out = run_suite("isotropy", RunConfig(seed=0, trials=1))
     assert out["failures"] == 0, out["messages"]
@@ -268,9 +242,8 @@ def test_isotropy_sweep_solves_each_system_once(monkeypatch):
     assert len({(parts, field) for parts, field, _ in calls}) == 36
     assert all(dim == fixed_subspace_dim(DecompType(parts), 1, field)
                for parts, field, dim in calls)
-    # one draw of the oracle stream, one stacked QR per (s, field)
-    assert draws.count(0xFACADE) == 1  # the oracle stream of seed 0
-    assert len(qr_calls) == 10
+    # the one trial builds the only stream: the sweep draws nothing
+    assert streams == [subseed(0, 0)]
 
 
 def test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch):
@@ -282,20 +255,6 @@ def test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch):
     assert sorted(out["messages"]) == sorted(
         f"fixed dim (2, 1) n={n} {field}: expectation failed"
         for n in (1, 2, 3) for field in ("complex", "real"))
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_one_shared_draw_gives_each_partition_its_own_block_elements(field):
-    # a partition's stack from its size's batch on one long draw equals the
-    # stack it gets alone from a draw of exactly its own length
-    for seed in range(4):
-        shared = SplitMix64(seed).normals(4 * 6 * 6)
-        for s in range(1, 7):
-            partitions = list(_partitions(s))
-            for parts, g in zip(partitions, _block_elements(partitions, field, shared)):
-                own = SplitMix64(seed).normals(4 * sum(p * p for p in parts))
-                alone, = _block_elements([parts], field, own)
-                assert g.dtype == alone.dtype and np.array_equal(g, alone)
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
@@ -350,38 +309,19 @@ def _block_mask(parts):
     return mask
 
 
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_block_elements_are_block_unitary_then_one_reflection_per_block(field):
-    dtype = complex if field == "complex" else float
-    for s in range(1, 7):
-        for parts in _partitions(s):
-            pair, = _block_elements([parts], field, SplitMix64(s).normals(4 * s * s))
-            g = np.concatenate([pair, _block_layout(parts)[1]])
-            assert pair.dtype == dtype and g.shape == (2 + len(parts), s, s)
-            assert np.all(g[:, ~_block_mask(parts)] == 0)
-            assert np.abs(g @ g.conj().swapaxes(1, 2) - np.eye(s)).max() <= 1e-12
-            for k, first in enumerate(np.cumsum((0,) + parts[:-1])):
-                reflection = np.eye(s)
-                reflection[first, first] = -1.0
-                assert np.array_equal(g[2 + k], reflection)
-
-
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_block_elements_are_the_written_out_phase_fixed_qr(field):
-    # the shared phase-fixed QR draws the same block elements as the stacked
-    # QR and R-diagonal phase fix written out here
-    for seed in range(4):
-        for parts in [(1,), (2, 1), (3, 2), (2, 2, 1), (4, 1, 1)]:
-            rng = SplitMix64(seed)
-            s = sum(parts)
-            mask = _block_mask(parts)
-            z = np.zeros((2, s, s), dtype=complex if field == "complex" else float)
-            z[:, mask] = (rng.complex_normals if field == "complex" else rng.normals)(2, mask.sum())
-            q, r = np.linalg.qr(z)
-            d = np.diagonal(r, axis1=1, axis2=2)
-            q *= (d / np.abs(d))[:, None, :]
-            g, = _block_elements([parts], field, SplitMix64(seed).normals(4 * s * s))
-            assert g.dtype == q.dtype and np.array_equal(g[:2], q)
+@pytest.mark.parametrize("s", range(1, 7))
+def test_block_generators_are_signed_permutations_fixing_only_block_scalars(s):
+    basis = _loop_basis(s, "real")
+    for parts in _partitions(s):
+        g = _block_generators(parts, float)
+        assert g.dtype == float and np.all(g[:, ~_block_mask(parts)] == 0)
+        # one entry +-1 in each row and each column
+        assert np.all(np.isin(g, (-1.0, 0.0, 1.0)))
+        assert np.all((g != 0).sum(axis=1) == 1) and np.all((g != 0).sum(axis=2) == 1)
+        # h x h^T - x, one generator and one basis element at a time
+        defects = np.concatenate([np.stack([(h @ x @ h.T - x).ravel() for x in basis], axis=1)
+                                  for h in g])
+        assert len(basis) - np.linalg.matrix_rank(defects) == len(parts)
 
 
 def test_all_suites_pass_at_matrix_size_cap_one():
