@@ -19,9 +19,9 @@ naming the first 20 failed checks.  The cross-picture checks of spectrum and
 equivariance read a configuration's blocks off its labels
 (commodel.config_blocks) and diagonalize only the tuple side.  Two
 deterministic sweeps ignore the size caps: isotropy solves the null-space
-oracle once per (parts, field) of s = 1..5 for one matrix, on fixed signed
+oracle once per process for each (parts, field) of s = 1..5, on fixed signed
 permutations of the block subgroup, and compares n times each count with the
-formula for n = 1..3; cohomology checks p = 3, 5, 7 and 11.
+formula for n = 1..3 on every run; cohomology checks p = 3, 5, 7 and 11.
 """
 
 from __future__ import annotations
@@ -595,13 +595,15 @@ def _defect_rows(g: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return kron @ cols - cols
 
 
-def _fixed_dim(parts, field: str) -> int:
+@functools.cache
+def _fixed_dim(parts: tuple, field: str) -> int:
     """The fixed-subspace dimension of `parts` on one matrix: the SVD null-space
     dimension of the real-linear system 'commutes with the block subgroup and is
     traceless'.  Rows: the `_block_generators` defects, real parts then (complex
     field only; a real field's are exactly 0) imaginary parts, then the trace row.
     The generators lie in the subgroup and fix only its fixed matrices, the block
-    scalars, so they pose the subgroup's system."""
+    scalars, so they pose the subgroup's system.  Solved once per process; a test
+    that rebinds its helpers calls `cache_clear()`."""
     cols, trace = _field_columns(sum(parts), field)
     rows = np.concatenate(_defect_rows(_block_generators(parts, cols.dtype), cols))
     halves = [rows] if field == "real" else [rows.real, rows.imag]

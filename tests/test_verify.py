@@ -1,5 +1,6 @@
 import collections
 import inspect
+import subprocess
 import sys
 
 import numpy as np
@@ -255,6 +256,37 @@ def test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch):
     assert sorted(out["messages"]) == sorted(
         f"fixed dim (2, 1) n={n} {field}: expectation failed"
         for n in (1, 2, 3) for field in ("complex", "real"))
+
+
+def test_isotropy_oracle_is_solved_once_per_process():
+    configs = [RunConfig(seed=0, trials=1), RunConfig(seed=3, trials=1),
+               RunConfig(seed=7, trials=2, n_max=1, s_max=1, D_max=1)]
+    cold = []
+    for cfg in configs:
+        verify._fixed_dim.cache_clear()
+        cold.append(run_suite("isotropy", cfg))
+        # 18 partitions of s = 1..5, two fields
+        assert verify._fixed_dim.cache_info().misses == 36
+    # each warm run reads the 36 counts back and solves none
+    for k, (cfg, want) in enumerate(zip(configs, cold), start=1):
+        assert run_suite("isotropy", cfg) == want
+        info = verify._fixed_dim.cache_info()
+        assert (info.hits, info.misses) == (36 * k, 36)
+
+
+def test_a_warm_isotropy_oracle_still_reports_each_wrong_formula_value(monkeypatch):
+    run_suite("isotropy", RunConfig(seed=0, trials=1))
+    misses = verify._fixed_dim.cache_info().misses
+    # the cache holds the oracle side only: the formula is read on every run
+    test_isotropy_sweep_reports_each_wrong_formula_value(monkeypatch)
+    assert verify._fixed_dim.cache_info().misses == misses
+
+
+def test_importing_the_cli_solves_no_isotropy_system():
+    code = ("import commvar.cli, commvar.verify; "
+            "print(commvar.verify._fixed_dim.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("field", ["complex", "real"])
