@@ -6,6 +6,7 @@ Subcommands:
   stratify   read a tuple from stdin or a file, report rank, chart, trace
              split and decomposition type
   verify     run a named verification suite and report a pass/fail summary
+  poincare   print the flag-manifold graded dimension tables at an odd prime
 
 Exit codes: 0 success, 1 suite failure, 2 invalid input, 3 stratum or
 tolerance error.  A command handler raises on bad input and returns only 0
@@ -127,10 +128,10 @@ def _write(*lines: str):
 
 
 def _emit(payload: dict, mode: str, text: list[str] | None = None):
-    """Write payload as JSON, or as text: the given lines, by default one
-    "key: value" line per payload entry."""
+    """Write payload as JSON (jsonio.dumps_tree, so Text leaves go out as they
+    stand) or as text: the given lines, by default one "key: value" per entry."""
     if mode == "json":
-        _write(jsonio.dumps(payload))
+        _write(jsonio.dumps_tree(payload))
     else:
         _write(*(text or (f"{key}: {value}" for key, value in payload.items())))
 
@@ -172,10 +173,7 @@ def cmd_stratify(args) -> int:
                else jsonio.chart_to_json(chart))
         report.update({"rank": enc["s"], "chart": {"X": enc["X"], "f": enc["f"]},
                        "split": enc["split"]})
-    if args.output == "json":
-        _write(jsonio.dumps_tree(report))
-    else:
-        _emit(report, args.output)
+    _emit(report, args.output)
     return EXIT_OK
 
 

@@ -29,13 +29,13 @@ class Text(str):
 
 def dumps_tree(obj) -> str:
     """dumps(obj) for a tree of dicts and lists whose Text leaves are JSON
-    already; a dict, or a list holding a dict, a list or a Text, is walked,
-    and everything else is written by dumps."""
+    already; a dict, or a list holding a dict or a Text, is walked, and
+    everything else, such as a list of number lists, is written whole by dumps."""
     if isinstance(obj, Text):
         return obj
     if isinstance(obj, dict):
         return "{" + ",".join(f"{dumps(k)}:{dumps_tree(obj[k])}" for k in sorted(obj)) + "}"
-    if isinstance(obj, list) and any(isinstance(x, (Text, dict, list)) for x in obj):
+    if isinstance(obj, list) and any(isinstance(x, (Text, dict)) for x in obj):
         return "[" + ",".join(map(dumps_tree, obj)) + "]"
     return dumps(obj)
 

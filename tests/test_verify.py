@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from commvar import commodel, generate, isodecomp, rankstrata, spectrumops, symuniverse, verify
+from commvar import (cohomtab, commodel, generate, isodecomp, rankstrata, spectrumops, symuniverse,
+                     verify)
 from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
 from commvar.rng import SplitMix64, subseed
@@ -374,3 +375,56 @@ def test_nullspace_oracle_matches_the_formula_one_size_above_the_sweep(field, se
 @pytest.mark.parametrize("field", ["complex", "real"])
 def test_nullspace_oracle_of_the_empty_partition_is_zero(field):
     assert fixed_dim_nullspace_oracle((), 1, field) == 0
+
+
+def test_equivariance_diagonalizes_each_tuple_once_over_trial_seeds(monkeypatch):
+    # the tuple-action check compares entries, so it diagonalizes nothing
+    seen = _record_diagonalizations(monkeypatch)
+    for seed in range(21):
+        out = run_suite("equivariance", RunConfig(seed=seed, trials=1))
+        assert out["failures"] == 0, out["messages"]
+    contents = collections.Counter((t.kind, t.mats.shape, t.mats.tobytes()) for t in seen)
+    assert len(seen) == 56
+    assert max(contents.values()) == 1
+
+
+def test_tuple_action_composition_catches_an_entry_error(monkeypatch):
+    # the action only moves entries, so a 1e-12 change to each entry breaks
+    # the exact composition law; a class distance at 1e-8 would not see it
+    original = commodel.sigma_action_tuple
+    monkeypatch.setattr(commodel, "sigma_action_tuple", lambda sigma, t: commodel.CommutingTuple(
+        t.kind, original(sigma, t).mats + 1e-12, t.ambient))
+    out = run_suite("equivariance", RunConfig(seed=0, trials=3))
+    assert out["failures"] == 3
+    assert out["messages"] == ["tuple action composition: expectation failed"] * 3
+
+
+def test_a_residual_above_its_bound_is_reported(monkeypatch):
+    original = rankstrata.cayley_inv
+    monkeypatch.setattr(rankstrata, "cayley_inv", lambda a, tol: original(a, tol) + 1e-6)
+    out = run_suite("cayley", RunConfig(seed=0, trials=1))
+    assert "cayley round trip: residual 3.000e-06 > 1.000e-10" in out["messages"]
+    assert out["worst_residual"] >= 3e-6
+
+
+def test_a_missing_singular_raise_is_reported(monkeypatch):
+    monkeypatch.setattr(rankstrata, "cayley_inv", lambda a, tol: np.zeros_like(a))
+    out = run_suite("cayley", RunConfig(seed=0, trials=1))
+    assert "cayley_inv singular detection: expectation failed" in out["messages"]
+
+
+def test_a_missing_not_odd_prime_raise_is_reported(monkeypatch):
+    original = cohomtab.poincare_poly
+    monkeypatch.setattr(cohomtab, "poincare_poly",
+                        lambda p: cohomtab.IntPolynomial.one() if p == 4 else original(p))
+    out = run_suite("cohomology", RunConfig(seed=0, trials=1))
+    assert out["messages"] == ["NotOddPrime 4: expectation failed"]
+
+
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_field_basis_is_built_once_and_read_only(field):
+    basis = _field_basis(3, field)
+    assert _field_basis(3, field) is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0, 0] = 0
