@@ -38,6 +38,7 @@ from .numkit import (
     check_structure,
     commutator_defect,
     fro,
+    identity,
     joint_diagonalizer,
     leading_rows,
     off_norm,
@@ -68,10 +69,10 @@ class CommutingTuple:
         real = self.kind == "real_symmetric"
         mats = np.asarray(self.mats)
         if real and np.iscomplexobj(mats):
-            if np.any(mats.imag != 0):
+            if (mats.imag != 0).any():
                 raise ValueError("real_symmetric matrices have a nonzero imaginary part")
             mats = mats.real
-        self.mats = np.asarray(mats, dtype=float if real else complex)
+        self.mats = mats.astype(float if real else complex, copy=False)
         if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
             raise ShapeMismatch(f"expected (n, s, s) stack, got {self.mats.shape}")
 
@@ -103,7 +104,7 @@ def require_kind(t: CommutingTuple, *kinds: str):
 
 
 def identity_tuple(n: int, s: int, ambient: UniverseBasis | None = None) -> CommutingTuple:
-    return CommutingTuple("unitary", np.broadcast_to(np.eye(s), (n, s, s)).copy(), ambient)
+    return CommutingTuple("unitary", np.broadcast_to(identity(s), (n, s, s)).copy(), ambient)
 
 
 @dataclass
@@ -162,15 +163,14 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
         raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
     vals = np.diagonal(diag, axis1=1, axis2=2)
     # single linkage in the max metric; with no components every column agrees
-    close = np.max(np.abs(vals[:, :, None] - vals[:, None, :]), axis=0,
-                   initial=0.0) < tol.eps_cluster
+    close = np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=0, initial=0.0) < tol.eps_cluster
     near = np.zeros(t.s, dtype=bool)  # a value near 1 means nothing to the Lie kinds
     if t.kind == "unitary":
         near = near_basepoint_rows(vals.T, tol.eps_base)
         # an in-F block must not straddle 1: no coordinate of its columns
         # takes phases of both signs in the right half-plane
         side = np.where((vals.real > 0) & ~near, np.sign(vals.imag), 0.0)
-        close &= (near[:, None] == near) & ~np.any(side[:, :, None] * side[:, None] < 0, axis=0)
+        close &= (near[:, None] == near) & ~(side[:, :, None] * side[:, None] < 0).any(axis=0)
     frames = phase_normalize(q, tol)
     groups = single_linkage(close)
     means, lead, in_f = _group_reduce(vals, groups, leading_rows(frames, tol), ~near)
@@ -222,15 +222,17 @@ def extend_by_identity(g: np.ndarray, smalls: np.ndarray) -> np.ndarray:
     """Stack of g X g^H + (Id - g g^H) over the stack smalls: each X acts on
     the span of the isometric frame g, the identity on its complement."""
     gh = g.conj().T
-    return g @ smalls @ gh + (np.eye(g.shape[0], dtype=complex) - g @ gh)
+    return g @ smalls @ gh + (identity(g.shape[0], complex) - g @ gh)
 
 
 def kron_pair(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """The stack X_1 (x) Id, ..., X_n (x) Id, Id (x) Y_1, ..., Id (x) Y_m of
     two stacks of square matrices."""
-    # stacked kron with a (1, r, r) identity acts slice by slice
-    return np.concatenate([np.kron(xs, np.eye(ys.shape[-1])[None]),
-                           np.kron(np.eye(xs.shape[-1])[None], ys)])
+    (n, p, _), (m, r, _) = xs.shape, ys.shape
+    # the broadcast products that np.kron takes, in its operand order
+    left = xs[:, :, None, :, None] * identity(r)[:, None, :]
+    right = identity(p)[:, None, :, None] * ys[:, None, :, None]
+    return np.concatenate([left.reshape(n, p * r, p * r), right.reshape(m, p * r, p * r)])
 
 
 def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,

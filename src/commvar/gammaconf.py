@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
-from .numkit import DEFAULT_TOL, Tolerances, leading_indices, leading_rows, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, identity, leading_indices, leading_rows, orthonormalize
 from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
 
 
@@ -140,7 +140,7 @@ def _check_labels(labels: list[Label], u: UniverseBasis, tol: Tolerances):
         if lab.frame.shape[0] != u.dim:
             raise NotOrthogonal(f"frame ambient dimension {lab.frame.shape[0]} "
                                 f"!= universe dim {u.dim}")
-        if not np.max(np.abs(np.abs(lab.point.coords) - 1.0), initial=0.0) <= tol.eps_struct:
+        if not np.abs(np.abs(lab.point.coords) - 1.0).max(initial=0.0) <= tol.eps_struct:
             raise ValueError("sphere point coordinates must be unit complex numbers")
         if len(lab.point.coords) != u.n:
             raise ValueError("sphere point dimension must match the universe")
@@ -170,7 +170,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     live = ~near_basepoint_rows(values, tol.eps_base)
     if not live.all():
         labels, values = [lab for lab, keep in zip(labels, live) if keep], values[live]
-    if not np.max(np.abs(np.abs(values) - 1.0), initial=0.0) <= tol.eps_struct:
+    if not np.abs(np.abs(values) - 1.0).max(initial=0.0) <= tol.eps_struct:
         _check_labels(labels, u, tol)
     if not labels:
         return Configuration(u, [])
@@ -188,9 +188,9 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
         cross = off & (owner[:, None] < owner)
         if cross.any():
             i, j = min(map(tuple, owner[np.argwhere(cross)].tolist()))
-            overlap = np.max(defect[np.ix_(owner == i, owner == j)])
+            overlap = defect[np.ix_(owner == i, owner == j)].max()
             raise NotOrthogonal(f"labels {i} and {j} overlap (|<v,w>| = {overlap:.3e})")
-        for i in owner[np.any(off & (owner[:, None] == owner), axis=1)].tolist():
+        for i in owner[(off & (owner[:, None] == owner)).any(axis=1)].tolist():
             non_isometric[i] = True
 
     groups = [[0]]
@@ -235,8 +235,8 @@ def push_labels(labels: list[Label], alpha, n_targets: int, ambient_dim: int,
             slots.append(Label(np.zeros((ambient_dim, 0), dtype=complex), BASEPOINT))
             continue
         frame = np.hstack([lab.frame for lab in srcs])
-        if len(srcs) > 1 or not np.all(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1]))
-                                       <= tol.eps_struct):
+        if len(srcs) > 1 or not (np.abs(frame.conj().T @ frame - identity(frame.shape[1]))
+                                 <= tol.eps_struct).all():
             frame = orthonormalize(frame, tol)
         slots.append(Label(frame, srcs[0].point))
     return slots
@@ -339,10 +339,10 @@ def config_distance(a: Configuration, b: Configuration) -> float:
     nan = np.full(a.universe.n, np.nan)
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
-    dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
+    dist = np.abs(pa[:, None] - pb[None]).max(axis=2)
     frames = [frame_distance(la.frame, lb.frame) for la, lb in zip(a.labels, b.labels)]
     diag = dist.diagonal() + frames
-    if diag.sum() < np.where(np.eye(a.k, dtype=bool), np.inf, dist).min():
+    if diag.sum() < np.where(identity(a.k, bool), np.inf, dist).min():
         return float(diag.max())
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
     both = np.outer(base_a, base_b)
@@ -352,4 +352,4 @@ def config_distance(a: Configuration, b: Configuration) -> float:
         for j, lb in enumerate(b.labels):
             cost[i, j] += frames[i] if i == j else frame_distance(la.frame, lb.frame)
     rows, cols = min_cost_assignment(cost)
-    return math.inf if far[rows, cols].any() else float(np.max(cost[rows, cols]))
+    return math.inf if far[rows, cols].any() else float(cost[rows, cols].max())

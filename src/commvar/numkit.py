@@ -19,10 +19,15 @@ diagonal separation of its pair, which is equivalent to minimizing the
 summed off-diagonal Frobenius energy, and is taken in closed form from the
 dominant eigenvector of a 3x3 real symmetric matrix G (Cardoso &
 Souloumiac, SIAM J. Matrix Anal. Appl. 17(1), 1996).
+
+Read-only constants are built once per process: `identity`, per size and
+dtype, and the start's combination coefficients, per tuple length and size.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -71,15 +76,28 @@ MAX_ENTRY = 1e64
 
 
 def fro(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm: np.linalg.norm's sum without its wrapper, bit for bit
+    on float64 and complex128 data; other data is converted as it converts it."""
+    x = np.asarray(a)
+    x = (x if x.dtype.kind in "fc" else x.astype(float)).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
+
+
+@functools.cache
+def identity(s: int, dtype=float) -> np.ndarray:
+    """The read-only s x s identity of a dtype, built once per process."""
+    eye = np.eye(s, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 def off_norm(a: np.ndarray) -> float:
     """Frobenius norm of the off-diagonal part of a matrix, or of all the
     matrices of a stack together."""
     a = np.asarray(a)
-    return fro(a[..., ~np.eye(a.shape[-1], dtype=bool)])
+    return fro(a[..., ~identity(a.shape[-1], bool)])
 
 
 def hermitian_defect(a: np.ndarray) -> float:
@@ -87,7 +105,7 @@ def hermitian_defect(a: np.ndarray) -> float:
 
 
 def unitary_defect(a: np.ndarray) -> float:
-    return fro(a.conj().T @ a - np.eye(a.shape[0]))
+    return fro(a.conj().T @ a - identity(a.shape[0]))
 
 
 def skew_hermitian_defect(a: np.ndarray) -> float:
@@ -116,7 +134,7 @@ _STRUCTURES = {
 def check_entries(a):
     """The input gate's entry bound: InvalidTuple unless every entry of the
     array a is finite and at most MAX_ENTRY in modulus."""
-    if not np.max(np.abs(a), initial=0.0) <= MAX_ENTRY:
+    if not np.abs(a).max(initial=0.0) <= MAX_ENTRY:
         raise InvalidTuple(f"entries must be finite and at most {MAX_ENTRY:.0e} in modulus")
 
 
@@ -234,12 +252,12 @@ def _all_pairs_step(c: np.ndarray):
     sweep.  Returns (U, pairs): the unitary taken, and the mask of the
     pairs p < q it leaves to the sweep.
     """
-    eye = np.eye(c.shape[-1], dtype=c.dtype)
+    eye = identity(c.shape[-1], c.dtype)
     d = np.diagonal(c, axis1=1, axis2=2).real
     gaps = d[:, :, None] - d[:, None, :]
-    gap2 = np.sum(gaps * gaps, axis=0)
+    gap2 = (gaps * gaps).sum(axis=0)
     under_floor = gap2 < (GAP_FLOOR * fro(c)) ** 2
-    k = -np.sum(gaps * c, axis=0) / np.where(under_floor, np.inf, gap2)
+    k = -(gaps * c).sum(axis=0) / np.where(under_floor, np.inf, gap2)
     # |K| is symmetric only to rounding; a symmetric mask keeps U unitary
     wide = (np.abs(k) > GAP_FLOOR) | (np.abs(k.T) > GAP_FLOOR)
     # zero only these: the signed zeros under the floor reach seeded output
@@ -269,7 +287,7 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float, pairs: np.ndarray) -> np.nd
     """
     s = c.shape[-1]
     real_input = not np.iscomplexobj(c)
-    q_acc = np.eye(s, dtype=c.dtype)
+    q_acc = identity(s, c.dtype).copy()
     if off_norm(c) <= off_target:
         return q_acc
     rounds = [(p[m], q[m]) for p, q in zip(*_round_robin(s)) if (m := pairs[p, q]).any()]
@@ -323,9 +341,9 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     kk, s = len(hmats), hmats.shape[-1]
     c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
     if off_norm(c) <= max(off_target, 1e-300):
-        return np.eye(s, dtype=c.dtype)
-    coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)
-    q0 = np.linalg.eigh(np.tensordot(coeffs, c, axes=(0, 0)))[1]
+        return identity(s, c.dtype).copy()
+    # the (1, kk) by (kk, s^2) product that np.tensordot(coeffs, c, axes=(0, 0)) takes
+    q0 = np.linalg.eigh(np.dot(_coefficients(kk, s), c.reshape(kk, s * s)).reshape(s, s))[1]
     c = q0.conj().T @ c @ q0
     if off_norm(c) <= off_target:
         # adding 0.0 turns a -0.0 entry into +0.0, as the refined path's
@@ -333,6 +351,14 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
         return q0 + 0.0
     u, pairs = _all_pairs_step(c)
     return q0 @ u @ _jacobi_sweeps(c, off_target, pairs)
+
+
+@functools.cache
+def _coefficients(kk: int, s: int) -> np.ndarray:
+    """The read-only (1, kk) real coefficients of the start's combination."""
+    coeffs = SplitMix64(0x5EEDC0FFEE ^ (kk << 16) ^ s).normals(kk)[None]
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def hermitian_eig(h: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -356,12 +382,11 @@ def commutator_defect(mats) -> float:
     max over i < j of ||X_i X_j - X_j X_i||_F / max(1, ||X_i||_F ||X_j||_F).
     """
     arr = [np.asarray(m) for m in mats]
-    if not arr:
-        return 0.0
-    n0 = require_square(arr[0])
-    for m in arr[1:]:
-        if require_square(m) != n0:
+    for m in arr:
+        if require_square(m) != require_square(arr[0]):
             raise ShapeMismatch("matrices in a tuple must share one size")
+    if len(arr) < 2:
+        return 0.0
     norms = [fro(m) for m in arr]
     worst = 0.0
     for i in range(len(arr)):

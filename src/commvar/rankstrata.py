@@ -31,7 +31,7 @@ from .commodel import (
     require_kind,
 )
 from .errors import ShapeMismatch, SingularAtOne, WrongStratum
-from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
+from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, identity
 
 
 @dataclass
@@ -61,7 +61,7 @@ def cayley(x: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     check_structure("skew_hermitian", x, tol)
     x = np.asarray(x, dtype=complex)
-    eye = np.eye(len(x))
+    eye = identity(len(x))
     # factors commute, so the one-sided solve computes the two-sided product
     return np.linalg.solve(x + eye, x - eye)
 
@@ -75,7 +75,7 @@ def cayley_solve(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     check_structure("unitary", a, tol)
-    eye = np.eye(len(a))
+    eye = identity(len(a))
     sv = np.linalg.svd(a - eye, compute_uv=False)
     if sv.size and sv[-1] <= tol.eps_struct:
         raise SingularAtOne(f"A - Id has smallest singular value {sv[-1]:.3e}")
@@ -111,11 +111,11 @@ def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     require_kind(t, "unitary")
     f = F_subspace(t, tol, blocks)
     s = f.shape[1]
-    v = np.sum(f.conj() * (t.mats @ f), axis=1)
-    if np.any(np.abs(v - 1) <= tol.eps_struct):
+    v = (f.conj() * (t.mats @ f)).sum(axis=1)
+    if (np.abs(v - 1) <= tol.eps_struct).any():
         raise WrongStratum("a component is singular at 1 on F; tolerance breach "
                            "between clustering and the chart")
-    x = 1j * ((1 + v) / (1 - v)).imag[:, :, None] * np.eye(s)
+    x = 1j * ((1 + v) / (1 - v)).imag[:, :, None] * identity(s)
     if frame is not None:
         frame = np.asarray(frame, dtype=complex)
         if frame.shape != (t.s, s):
@@ -150,12 +150,12 @@ def trace_split(x: CommutingTuple):
     s = x.s
     # an empty trace is 0, so a 0 x 0 tuple has tau = 0
     tau = np.trace(x.mats, axis1=1, axis2=2).imag / max(s, 1)
-    bar = x.mats - 1j * tau[:, None, None] * np.eye(s)
+    bar = x.mats - 1j * tau[:, None, None] * identity(s)
     return CommutingTuple("skew_hermitian", bar), tau
 
 
 def reassemble_trace(traceless: CommutingTuple, tau: np.ndarray) -> CommutingTuple:
-    mats = traceless.mats + 1j * np.asarray(tau)[:, None, None] * np.eye(traceless.s)
+    mats = traceless.mats + 1j * np.asarray(tau)[:, None, None] * identity(traceless.s)
     return CommutingTuple("skew_hermitian", mats)
 
 

@@ -64,8 +64,7 @@ class SplitMix64:
         return r * math.cos(2.0 * math.pi * u2)
 
     def normals(self, *shape: int) -> np.ndarray:
-        n = int(np.prod(shape)) if shape else 1
-        out = np.array([self.normal() for _ in range(n)])
+        out = np.array([self.normal() for _ in range(math.prod(shape))])
         return out.reshape(shape) if shape else out[0]
 
     def complex_normals(self, *shape: int) -> np.ndarray:

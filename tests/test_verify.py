@@ -86,8 +86,25 @@ def test_cayley_suite_passes_its_tolerances_to_every_cayley_call(monkeypatch):
     cfg = RunConfig(seed=0, trials=1, tol=Tolerances(eps_struct=2e-9))
     out = run_suite("cayley", cfg)
     assert out["failures"] == 0, out["messages"]
-    assert len(received) >= 52  # two matrix checks and the 50 scalar charts
+    # the two matrix checks and the one stacked chart of the 50 scalar checks;
+    # reconstruct_chart adds one call per component of its chart
+    assert len(received) >= 3
     assert all(tol is cfg.tol for tol in received)
+
+
+def test_one_wrong_entry_of_the_stacked_scalar_chart_is_one_failure(monkeypatch):
+    original = rankstrata.cayley
+
+    def one_entry_off(x, *args, **kwargs):
+        out = original(x, *args, **kwargs)
+        if out.shape == (50, 50):  # the stacked chart of the 50 scalar checks
+            out[17, 17] += 1e-13
+        return out
+
+    monkeypatch.setattr(rankstrata, "cayley", one_entry_off)
+    out = run_suite("cayley", RunConfig(seed=0, trials=1))
+    assert out["failures"] == 1
+    assert [m.split(":")[0] for m in out["messages"]] == ["cayley scalar chart"]
 
 
 def test_equivariance_suite_passes_its_tolerances_to_kron_frame(monkeypatch):
