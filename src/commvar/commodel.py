@@ -84,17 +84,16 @@ class CommutingTuple:
     def s(self) -> int:
         return self.mats.shape[1]
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL):
-        """Return self, or raise an InvalidTuple subclass: component by
-        component, the check_structure gate (an entry not finite or above
-        MAX_ENTRY in modulus, or a component off its kind's structure), then
-        a commutator defect above eps_struct."""
-        for m in self.mats:
-            check_structure(self.kind, m, tol)
+    def validate(self, tol: Tolerances = DEFAULT_TOL) -> list[float]:
+        """Return the components' Frobenius norms, or raise an InvalidTuple
+        subclass: component by component, the check_structure gate (an entry
+        not finite or above MAX_ENTRY in modulus, or a component off its
+        kind's structure), then a commutator defect above eps_struct."""
+        norms = [check_structure(self.kind, m, tol) for m in self.mats]
         defect = commutator_defect(self.mats)
         if not defect <= tol.eps_struct:
             raise NotCommuting(f"commutator defect {defect:.3e}")
-        return self
+        return norms
 
 
 def require_kind(t: CommutingTuple, *kinds: str):
@@ -121,7 +120,7 @@ class EigenBlock:
 def _hermitian_components(t: CommutingTuple) -> np.ndarray:
     if t.kind == "unitary":
         # Hermitian and skew part of each component, interleaved
-        h = np.conj(np.swapaxes(t.mats, 1, 2))
+        h = np.conj(t.mats.swapaxes(1, 2))
         return np.stack([0.5 * (t.mats + h), (t.mats - h) / 2j], axis=1).reshape(2 * t.n, t.s, t.s)
     if t.kind == "skew_hermitian":
         return -1j * t.mats
@@ -153,15 +152,14 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     The tuple is validated first (an InvalidTuple subclass on failure); a
     joint residual above its bound raises NoConvergence.
     """
-    t.validate(tol)
+    scale = max(t.validate(tol), default=0.0)
     comps = _hermitian_components(t)
-    scale = max((fro(a) for a in t.mats), default=0.0)
     q = joint_diagonalizer(comps, off_target=1e-12 * scale)
     diag = q.conj().T @ t.mats @ q
     resid = off_norm(diag)
     if resid > 1e-8 * max(scale, 1e-300):
         raise NoConvergence(f"joint residual {resid:.3e} for tuple of size {t.s}")
-    vals = np.diagonal(diag, axis1=1, axis2=2)
+    vals = diag.diagonal(axis1=1, axis2=2)
     # single linkage in the max metric; with no components every column agrees
     close = np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=0, initial=0.0) < tol.eps_cluster
     near = np.zeros(t.s, dtype=bool)  # a value near 1 means nothing to the Lie kinds

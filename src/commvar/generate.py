@@ -32,16 +32,14 @@ def sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
     """(n, cols) value tuples of `kind`, one column per eigenvector or label
     (unitary values with arguments in [margin, 2 pi - margin]); each column
     is redrawn, up to 1000 times, until it lies min_separation from every
-    earlier column in the max metric."""
+    earlier column in the max metric: one test per draw, none when
+    min_separation is 0."""
     vals = np.zeros((n, cols), dtype=complex)
     for c in range(cols):
         for _attempt in range(1000):
             col = np.array([_sample_value(rng, kind, margin) for _ in range(n)])
-            ok = all(
-                np.max(np.abs(col - vals[:, p])) >= min_separation
-                for p in range(c)
-            ) if n else True
-            if ok or min_separation == 0.0:
+            if min_separation == 0.0 or not n or (
+                    np.abs(col[:, None] - vals[:, :c]).max(axis=0) >= min_separation).all():
                 break
         vals[:, c] = col
     return vals

@@ -140,7 +140,7 @@ def check_entries(a):
 
 def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
     """Check a square matrix against a tuple kind or "hermitian": the input
-    gate for a caller's matrix.
+    gate for a caller's matrix.  Returns ||a||_F.
 
     Raises check_entries' InvalidTuple before any product is taken; then the
     kind's InvalidTuple subclass, naming the defect, unless the kind's
@@ -149,9 +149,10 @@ def check_structure(kind: str, a, tol: Tolerances = DEFAULT_TOL):
     require_square(a)
     check_entries(a)
     defect_of, error, name = _STRUCTURES[kind]
-    defect = defect_of(a)
-    if not defect <= tol.eps_struct * max(1.0, fro(a)):
+    defect, norm = defect_of(a), fro(a)
+    if not defect <= tol.eps_struct * max(1.0, norm):
         raise error(f"{name} defect {defect:.3e}")
+    return norm
 
 
 def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -175,7 +176,7 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise RankDeficient(f"{k} vectors in dimension {d} are dependent")
     q, r = np.linalg.qr(v)
     # hypot never squares an entry, so the norms of entries above 1e154 stay finite
-    diag, norms = np.diagonal(r), np.hypot.reduce(np.abs(v), axis=0, initial=0.0)
+    diag, norms = r.diagonal(), np.hypot.reduce(np.abs(v), axis=0, initial=0.0)
     dependent = ~(np.abs(diag) >= tol.eps_struct * norms) | (norms == 0.0)
     if dependent.any():
         j = int(dependent.argmax())
@@ -187,11 +188,9 @@ def phase_normalize(frame: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndar
     """Scale each column so its first non-negligible entry is real positive;
     a column with no such entry is left as it is."""
     out = np.array(frame, copy=True)
-    if out.size == 0:
-        return out
-    big = np.abs(out) > tol.eps_struct
-    live = big.any(axis=0)
-    u = out[big.argmax(axis=0)[live], live]
+    lead = leading_rows(out, tol)
+    live = lead < out.shape[0]
+    u = out[lead[live], live]
     # hypot is the scalar modulus; numpy's vector complex abs may differ
     # from it in the last bit
     out[:, live] = out[:, live] * (np.conj(u) / np.hypot(u.real, u.imag))
@@ -253,7 +252,7 @@ def _all_pairs_step(c: np.ndarray):
     pairs p < q it leaves to the sweep.
     """
     eye = identity(c.shape[-1], c.dtype)
-    d = np.diagonal(c, axis1=1, axis2=2).real
+    d = c.diagonal(axis1=1, axis2=2).real
     gaps = d[:, :, None] - d[:, None, :]
     gap2 = (gaps * gaps).sum(axis=0)
     under_floor = gap2 < (GAP_FLOOR * fro(c)) ** 2
@@ -295,7 +294,7 @@ def _jacobi_sweeps(c: np.ndarray, off_target: float, pairs: np.ndarray) -> np.nd
         d = c[:, p, q]
         hmat = np.stack([c[:, p, p].real - c[:, q, q].real,
                          -2.0 * d.real, -2.0 * d.imag], axis=1).T
-        g = hmat @ np.swapaxes(hmat, 1, 2)
+        g = hmat @ hmat.swapaxes(1, 2)
         v = np.linalg.eigh(g)[1][:, :, -1]
         v *= np.where(v[:, :1] < 0, -1.0, 1.0)
         cth = np.sqrt(0.5 * (1.0 + v[:, 0]))
@@ -339,7 +338,7 @@ def joint_diagonalizer(hmats, off_target: float) -> np.ndarray:
     two joint eigenvalues collide in it.  The caller bounds the residual.
     """
     kk, s = len(hmats), hmats.shape[-1]
-    c = 0.5 * (hmats + np.conj(np.swapaxes(hmats, 1, 2)))
+    c = 0.5 * (hmats + np.conj(hmats.swapaxes(1, 2)))
     if off_norm(c) <= max(off_target, 1e-300):
         return identity(s, c.dtype).copy()
     # the (1, kk) by (kk, s^2) product that np.tensordot(coeffs, c, axes=(0, 0)) takes

@@ -149,7 +149,7 @@ def trace_split(x: CommutingTuple):
     require_kind(x, "skew_hermitian")
     s = x.s
     # an empty trace is 0, so a 0 x 0 tuple has tau = 0
-    tau = np.trace(x.mats, axis1=1, axis2=2).imag / max(s, 1)
+    tau = x.mats.trace(axis1=1, axis2=2).imag / max(s, 1)
     bar = x.mats - 1j * tau[:, None, None] * identity(s)
     return CommutingTuple("skew_hermitian", bar), tau
 

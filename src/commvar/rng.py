@@ -84,7 +84,7 @@ def phase_fixed_q(z: np.ndarray) -> np.ndarray:
     is real positive (a zero entry counts as 1): on a Gaussian draw, this
     R-diagonal phase fix makes Q exactly Haar (sign(d) on real input)."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d = r.diagonal(axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))[..., None, :]
 

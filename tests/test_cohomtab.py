@@ -56,13 +56,23 @@ def test_poincare_p5_against_oracle():
     assert got[8] == 2  # coefficient of t^8
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-def test_poincare_invariants(p):
-    poly = poincare_poly(p)
-    assert poly.to_dict() == expand_oracle(p)
+def _check_invariants(poly, p):
     assert poly.evaluate(0) == 1
     assert poly.evaluate(1) == 1 + 2 ** (p - 1)
     assert poly.degree == 2 * p - 2 + (p - 2) ** 2
+    assert sorted(poly.coeffs)[1] == 2 * p - 3  # the lowest degree above the unit
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31])
+def test_poincare_invariants(p):
+    poly = poincare_poly(p)
+    assert poly.to_dict() == expand_oracle(p)
+    _check_invariants(poly, p)
+
+
+def test_poincare_invariants_at_the_cap():
+    _check_invariants(poincare_poly(113), 113)
+    assert min(a0_lambda_table(113)) == 2 * 113 - 3
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

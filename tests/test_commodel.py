@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from commvar import commodel, numkit
 from commvar.commodel import (
+    KINDS,
     CommutingTuple,
     F_subspace,
     canonical_rep,
@@ -56,6 +57,16 @@ def test_validate_rejects_garbage():
     noncomm = CommutingTuple("unitary", np.array([x, y]))
     with pytest.raises(NotCommuting):
         noncomm.validate()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_validate_returns_the_component_norms(kind, n):
+    t = gen_random_commuting(5, n, 4, kind)
+    norms = t.validate()
+    expected = [fro(m) for m in t.mats]
+    assert type(norms) is list and len(norms) == n
+    assert np.array(norms, float).tobytes() == np.array(expected, float).tobytes()
 
 
 def test_joint_diagonalize_already_diagonal():

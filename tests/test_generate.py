@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from commvar.commodel import KINDS
 from commvar.errors import ZeroTuple
 from commvar.gammaconf import config_distance, rank
 from commvar.generate import (
+    _sample_value,
     config_on_basis,
     gen_exact_rank_tuple,
     gen_partition_tuple,
     gen_random_commuting,
     gen_random_config,
+    sample_value_columns,
 )
 from commvar.numkit import (
     commutator_defect,
@@ -147,3 +150,34 @@ def test_config_on_basis_labels_are_consecutive_slices():
     assert all(lab.frame.dtype == complex for lab in c.labels)
     for piece in (basis[:, :2], basis[:, 2:3], basis[:, 3:4]):
         assert any(np.array_equal(lab.frame, piece) for lab in c.labels)
+
+
+def _per_column_value_columns(rng, kind, n, cols, margin, min_separation):
+    # the per-column separation loop that sample_value_columns' one test replaced
+    vals = np.zeros((n, cols), dtype=complex)
+    for c in range(cols):
+        for _attempt in range(1000):
+            col = np.array([_sample_value(rng, kind, margin) for _ in range(n)])
+            ok = all(
+                np.max(np.abs(col - vals[:, p])) >= min_separation
+                for p in range(c)
+            ) if n else True
+            if ok or min_separation == 0.0:
+                break
+        vals[:, c] = col
+    return vals
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("min_separation", [0.0, 0.2, 0.5, 1.5])
+def test_value_columns_are_the_per_column_loop(kind, min_separation):
+    # 1.5 forces redraws, up to the cap: unitary values lie within 2 of each other
+    for n in range(4):
+        for cols in range(9):
+            for margin in (0.0, 0.3):
+                for seed in (0, 7, 2024):
+                    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+                    got = sample_value_columns(rng, kind, n, cols, margin, min_separation)
+                    ref = _per_column_value_columns(ref_rng, kind, n, cols, margin, min_separation)
+                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                    assert (rng.state, rng._gauss_cache) == (ref_rng.state, ref_rng._gauss_cache)

@@ -166,6 +166,18 @@ def _loop_phase_normalize(frame, tol=DEFAULT_TOL):
     return out
 
 
+def _argmax_phase_normalize(frame, tol=DEFAULT_TOL):
+    # the argmax search of first rows that leading_rows replaced in phase_normalize
+    out = np.array(frame, copy=True)
+    if out.size == 0:
+        return out
+    big = np.abs(out) > tol.eps_struct
+    live = big.any(axis=0)
+    u = out[big.argmax(axis=0)[live], live]
+    out[:, live] = out[:, live] * (np.conj(u) / np.hypot(u.real, u.imag))
+    return out
+
+
 def _loop_leading_index(frame, tol=DEFAULT_TOL):
     # the one-frame leading index that leading_indices replaced
     if frame.shape[1] == 0:
@@ -195,6 +207,13 @@ def test_phase_normalize_matches_the_column_loop():
         # same per-column arithmetic; numpy may take a differently rounding
         # multiply loop for a different array layout
         np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_phase_normalize_is_its_argmax_form_bit_for_bit():
+    for a, _ in _random_frames(2):
+        got, ref = phase_normalize(a), _argmax_phase_normalize(a)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_leading_indices_match_the_per_frame_loop():

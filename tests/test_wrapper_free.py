@@ -188,7 +188,8 @@ def test_commutator_defect_of_fewer_than_two_matrices_takes_no_norm(monkeypatch)
 
 # ------------------------------------------------------------ the guard
 
-_WRAPPERS = {("np", "linalg", "norm"), ("np", "tensordot"), ("np", "kron"), ("np", "eye")}
+_WRAPPERS = {("np", "linalg", "norm"), ("np", "tensordot"), ("np", "kron"), ("np", "eye"),
+             ("np", "swapaxes"), ("np", "diagonal"), ("np", "trace")}
 
 
 def _dotted(node) -> tuple:
