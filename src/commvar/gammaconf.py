@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
-from .numkit import DEFAULT_TOL, Tolerances, identity, leading_indices, leading_rows, orthonormalize
+from .numkit import DEFAULT_TOL, Tolerances, identity, leading_rows, orthonormalize
 from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
 
 
@@ -134,6 +134,13 @@ def frame_order(lead, values: np.ndarray) -> np.ndarray:
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=int)
 
 
+def _label_leads(stacked: np.ndarray, widths: list[int], tol: Tolerances) -> list[int]:
+    """Each label's leading row: the least leading row of its columns in the
+    stacked frame, whose columns come in runs of the (positive) label widths."""
+    first = iter(leading_rows(stacked, tol).tolist())
+    return [min(next(first) for _ in range(w)) for w in widths]
+
+
 def _check_labels(labels: list[Label], u: UniverseBasis, tol: Tolerances):
     """Raise for the first label failing a check: frame, unit coordinates, point dimension."""
     for lab in labels:
@@ -195,8 +202,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
 
     groups = [[0]]
     if len(labels) > 1:
-        first = iter(leading_rows(stacked, tol).tolist())
-        order = frame_order([min(next(first) for _ in range(w)) for w in widths], values)
+        order = frame_order(_label_leads(stacked, widths, tol), values)
         labels, non_isometric = [labels[i] for i in order], [non_isometric[i] for i in order]
         values = values[order]
         groups = single_linkage(np.abs(values[:, None] - values).max(axis=2) < tol.eps_cluster)
@@ -206,7 +212,8 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     merged = [labels[g[0]] if len(g) == 1 and not non_isometric[g[0]] else Label(
         orthonormalize(np.hstack([labels[i].frame for i in g]), tol), labels[g[0]].point)
         for g in groups]
-    lead = leading_indices([lab.frame for lab in merged], tol)
+    lead = _label_leads(np.hstack([lab.frame for lab in merged]),
+                        [lab.frame.shape[1] for lab in merged], tol)
     return Configuration(u, [merged[i] for i in frame_order(lead, values[[g[0] for g in groups]])])
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .commodel import CommutingTuple
 from .gammaconf import Configuration, Label, SpherePoint, canonicalize
 from .isodecomp import unit_normalize
-from .numkit import DEFAULT_TOL, Tolerances
+from .numkit import DEFAULT_TOL, Tolerances, identity
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, unit_phase
 from .symuniverse import UniverseBasis
 
@@ -51,9 +51,9 @@ def _assemble(kind: str, vals: np.ndarray, rng: SplitMix64, s: int) -> Commuting
         vals = vals.real
     else:
         q = haar_unitary(rng, s)
-    mats = q @ (vals[:, :, None] * np.eye(s)) @ q.conj().T
+    mats = q @ (vals[:, :, None] * identity(s)) @ q.conj().T
     if kind == "skew_hermitian":
-        mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
+        mats = 0.5 * (mats - np.conj(mats.swapaxes(1, 2)))
     return CommutingTuple(kind, mats)
 
 
@@ -85,8 +85,8 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
     if traceless or unit:
         if kind == "unitary":
             raise ValueError("traceless projection needs a Lie-algebra kind")
-        tr = np.trace(t.mats, axis1=1, axis2=2) / s
-        t = CommutingTuple(kind, t.mats - tr[:, None, None] * np.eye(s))
+        tr = t.mats.trace(axis1=1, axis2=2) / s
+        t = CommutingTuple(kind, t.mats - tr[:, None, None] * identity(s))
     return unit_normalize(t) if unit else t
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
 from .errors import ShapeMismatch, ZeroTuple
-from .numkit import DEFAULT_TOL, Tolerances, check_entries, check_structure, fro, phase_normalize
+from .numkit import (DEFAULT_TOL, Tolerances, check_entries, check_structure, fro, identity,
+                     phase_normalize)
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _check_traceless(t: CommutingTuple, eps: float):
     check_entries(t.mats)  # before any norm is taken
     scale = max((fro(m) for m in t.mats), default=0.0)
     for m in t.mats:
-        if abs(np.trace(m)) > eps * max(1.0, scale):
+        if abs(m.trace()) > eps * max(1.0, scale):
             raise ValueError("tuple is not traceless")
 
 
@@ -94,7 +95,7 @@ def _check_diagonal_unit(x: CommutingTuple, tol: Tolerances):
     require_kind(x, "skew_hermitian")
     _check_traceless(x, tol.eps_struct)
     for m in x.mats:
-        if fro(m - np.diag(np.diagonal(m))) > tol.eps_struct:
+        if fro(m - np.diag(m.diagonal())) > tol.eps_struct:
             raise ValueError("flag coordinates must be diagonal")
     if abs(tuple_norm(x) - 1.0) > tol.eps_struct:
         raise ValueError("flag coordinates must have unit norm")
@@ -114,7 +115,7 @@ def flag_map(g: np.ndarray, x: CommutingTuple,
     if g.shape[0] != x.s:
         raise ShapeMismatch("flag frame and coordinates disagree in size")
     mats = g @ x.mats @ g.conj().T
-    mats = 0.5 * (mats - np.conj(np.swapaxes(mats, 1, 2)))
+    mats = 0.5 * (mats - np.conj(mats.swapaxes(1, 2)))
     return CommutingTuple("skew_hermitian", mats)
 
 
@@ -126,10 +127,10 @@ def canonical_flag_class(g: np.ndarray, x: CommutingTuple,
     tuples (imaginary parts) and phase-normalized, collapsing the diagonal
     torus and the permutation twist.
     """
-    diags = np.diagonal(x.mats, axis1=1, axis2=2)
+    diags = x.mats.diagonal(axis1=1, axis2=2)
     order = sorted(range(x.s), key=lambda c: tuple(diags[:, c].imag))
     g_sorted = np.asarray(g, dtype=complex)[:, order]
-    mats = diags[:, order, None] * np.eye(x.s)
+    mats = diags[:, order, None] * identity(x.s)
     return phase_normalize(g_sorted, tol), CommutingTuple("skew_hermitian", mats)
 
 
@@ -146,8 +147,8 @@ def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     if decomposition_type(t, tol, blocks).k != t.s:
         raise ValueError("flag preimage needs a simple joint spectrum")
     g = np.hstack([b.frame for b in blocks])
-    diags = np.array([b.values for b in blocks]).T[:, :, None] * np.eye(t.s)
+    diags = np.array([b.values for b in blocks]).T[:, :, None] * identity(t.s)
     # project the recovered diagonals back onto the imaginary axis
-    diags = 0.5 * (diags - np.conj(np.swapaxes(diags, 1, 2)))
+    diags = 0.5 * (diags - np.conj(diags.swapaxes(1, 2)))
     x = CommutingTuple("skew_hermitian", diags)
     return canonical_flag_class(g, x, tol)

@@ -29,11 +29,11 @@ class Text(str):
 
 def dumps_tree(obj) -> str:
     """dumps(obj) for a tree of dicts and lists whose Text leaves are JSON
-    already; a dict, or a list holding a dict or a Text, is walked, and
-    everything else, such as a list of number lists, is written whole by dumps."""
+    already; a dict holding a Text, dict or list, or a list holding a Text or
+    dict, is walked, and anything else, such as a dict of numbers, is dumped whole."""
     if isinstance(obj, Text):
         return obj
-    if isinstance(obj, dict):
+    if isinstance(obj, dict) and any(isinstance(v, (Text, dict, list)) for v in obj.values()):
         return "{" + ",".join(f"{dumps(k)}:{dumps_tree(obj[k])}" for k in sorted(obj)) + "}"
     if isinstance(obj, list) and any(isinstance(x, (Text, dict)) for x in obj):
         return "[" + ",".join(map(dumps_tree, obj)) + "]"

@@ -60,8 +60,8 @@ class Tolerances:
     eps_base: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps_struct > 0 and self.eps_cluster > 0 and self.eps_base > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < e < math.inf for e in (self.eps_struct, self.eps_cluster, self.eps_base)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.eps_struct > self.eps_cluster:
             raise ValueError("eps_struct must not exceed eps_cluster")
 
@@ -204,18 +204,6 @@ def leading_rows(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     big = np.ones((a.shape[0] + 1, a.shape[1]), bool)
     np.greater(np.abs(a), tol.eps_struct, out=big[:-1])
     return big.argmax(axis=0)
-
-
-def leading_indices(frames, tol: Tolerances = DEFAULT_TOL) -> list[int]:
-    """For each frame of a sequence of frames with one row count d, the
-    smallest row index at which any of its columns has a non-negligible
-    entry; d for a frame with none (or with no columns)."""
-    if not frames:
-        return []
-    lead = np.full(len(frames), frames[0].shape[0])
-    np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]),
-                  leading_rows(np.hstack(frames), tol))
-    return lead.tolist()
 
 
 def _round_robin(s: int) -> tuple[np.ndarray, np.ndarray]:

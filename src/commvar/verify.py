@@ -70,22 +70,19 @@ class RunConfig:
 
 class Recorder:
     """Collects check outcomes; an exception or an out-of-bound residual
-    counts as one failure."""
+    counts as one failure and adds one message."""
 
     def __init__(self):
-        self.failures = 0
         self.worst = 0.0
         self.messages: list[str] = []
 
     def check(self, label: str, residual: float, bound: float):
         self.worst = max(self.worst, residual)
         if not (residual <= bound):
-            self.failures += 1
             self.messages.append(f"{label}: residual {residual:.3e} > {bound:.3e}")
 
     def expect(self, label: str, condition: bool):
         if not condition:
-            self.failures += 1
             self.messages.append(f"{label}: expectation failed")
 
 
@@ -111,9 +108,8 @@ def _trial_suite(name: str, sweep=None):
                 try:
                     body(SplitMix64(subseed(cfg.seed, trial)), cfg, rec)
                 except (CommVarError, ValueError) as exc:
-                    rec.failures += 1
                     rec.messages.append(f"trial {trial}: {type(exc).__name__}: {exc}")
-            return {"suite": name, "trials": cfg.trials, "failures": rec.failures,
+            return {"suite": name, "trials": cfg.trials, "failures": len(rec.messages),
                     "worst_residual": rec.worst, "messages": rec.messages[:20]}
         SUITES[name] = suite
         return suite

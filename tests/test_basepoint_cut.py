@@ -21,10 +21,10 @@ from hypothesis.extra import numpy as hnp
 from commvar import jsonio
 from commvar.cli import main
 from commvar.commodel import CommutingTuple, F_subspace, commuting_to_config, joint_diagonalize
-from commvar.gammaconf import frame_order, rank
+from commvar.gammaconf import _label_leads, frame_order, rank
 from commvar.generate import gen_exact_rank_tuple, gen_partition_tuple
 from commvar.isodecomp import decomposition_type
-from commvar.numkit import DEFAULT_TOL, leading_indices
+from commvar.numkit import DEFAULT_TOL
 from commvar.rankstrata import stratum_rank
 from commvar.symuniverse import UniverseBasis
 
@@ -124,7 +124,8 @@ def test_lie_kinds_are_not_cut_at_one():
 ], ids=["unitary-parts", "skew-parts", "exact-rank", "diagonal"])
 def test_blocks_come_in_chart_order(t):
     _, blocks = joint_diagonalize(t)
-    lead = leading_indices([b.frame for b in blocks])
+    lead = _label_leads(np.hstack([b.frame for b in blocks]), [b.frame.shape[1] for b in blocks],
+                        DEFAULT_TOL)
     values = np.array([b.values for b in blocks])
     assert frame_order(lead, values).tolist() == list(range(len(blocks)))
     assert np.array_equal(F_subspace(t, blocks=blocks),

@@ -649,6 +649,16 @@ def test_generate_and_poincare_take_no_tolerance_flags(argv, flag):
     assert _main_outcome([*argv, flag, "1e-7"]) == (2, [])
 
 
+@pytest.mark.parametrize("command", ["stratify", "verify"])
+def test_an_infinite_tolerance_is_invalid_input(command, monkeypatch, capsys):
+    # an infinite eps_cluster would report one cluster beside distinct chart values
+    t = gen_random_commuting(1, 2, 3, "unitary")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(jsonio.dumps(jsonio.tuple_to_json(t))))
+    assert main([command, "--tol-cluster", "inf"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "invalid_input", "message": "tolerances must be finite and strictly positive"}
+
+
 @pytest.mark.parametrize("argv", [["stratify"], ["poincare", "--p", "3"]])
 def test_stratify_and_poincare_take_no_seed(argv):
     assert _main_outcome([*argv, "--seed", "3"]) == (2, [])

@@ -95,3 +95,9 @@ def test_not_odd_prime(p):
         poincare_poly(p)
     with pytest.raises(NotOddPrime):
         a0_lambda_table(p)
+
+
+def test_polynomial_hash_str_and_repr():
+    assert hash(IntPolynomial({2: 3, 0: 1, 1: 0})) == hash(IntPolynomial({0: 1, 2: 3}))
+    assert str(IntPolynomial.zero()) == "0"
+    assert repr(IntPolynomial({3: -2, 0: 1})) == "IntPolynomial({0: 1, 3: -2})"

@@ -262,6 +262,12 @@ def test_smash_and_point_distance():
     assert point_distance(y, y) == 0.0
 
 
+def test_sphere_point_repr_and_the_fixed_basepoint():
+    assert repr(BASEPOINT) == "SpherePoint(basepoint)"
+    assert repr(SpherePoint([1j, -1.0])) == "SpherePoint([ 0.+1.j -1.+0.j])"
+    assert gammaconf.permute_point([1, 0], BASEPOINT) is BASEPOINT
+
+
 def test_config_distance_detects_differences():
     u = UniverseBasis(2, 1)
     a = canonicalize(Configuration(u, _unit_labels(u, ((0,), [-1.0, -1.0]))))
@@ -527,6 +533,31 @@ def _reference_leading_indices(frames, tol=DEFAULT_TOL):
     lead = np.full(len(frames), frames[0].shape[0])
     np.minimum.at(lead, np.repeat(np.arange(len(frames)), [f.shape[1] for f in frames]), first)
     return lead.tolist()
+
+
+def _loop_leading_index(frame, tol=DEFAULT_TOL):
+    # one frame's leading index: its first row with a non-negligible entry
+    rows = np.flatnonzero(np.max(np.abs(frame), axis=1) > tol.eps_struct)
+    return int(rows[0]) if rows.size else frame.shape[0]
+
+
+def test_label_leads_match_the_per_frame_loop():
+    # canonicalize passes labels of positive width only, and at least one
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        d, k = rng.integers(0, 9), rng.integers(1, 9)
+        a = rng.normal(size=(d, k))
+        if rng.random() < 0.6:
+            a = a + 1j * rng.normal(size=(d, k))
+        # negligible leading rows and zero columns
+        a[:rng.integers(0, d + 1)] *= rng.choice([0.0, 1e-12, 1e-10])
+        if rng.random() < 0.3:
+            a[:, rng.integers(0, k)] = 0.0
+        cuts = np.unique(rng.integers(1, k, size=3)) if k > 1 else []
+        frames = np.split(a, cuts, axis=1)
+        leads = gammaconf._label_leads(a, [f.shape[1] for f in frames], DEFAULT_TOL)
+        assert leads == [_loop_leading_index(f) for f in frames]
+        assert leads == _reference_leading_indices(frames)
 
 
 def _reference_frame_order(lead, values):

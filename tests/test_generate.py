@@ -181,3 +181,14 @@ def test_value_columns_are_the_per_column_loop(kind, min_separation):
                     ref = _per_column_value_columns(ref_rng, kind, n, cols, margin, min_separation)
                     assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
                     assert (rng.state, rng._gauss_cache) == (ref_rng.state, ref_rng._gauss_cache)
+
+
+def test_generator_defaults():
+    # max_rank defaults to the universe dimension, ambient_dim to s + 2
+    u = UniverseBasis(2, 2)
+    for seed in range(5):
+        a, b = gen_random_config(seed, u), gen_random_config(seed, u, max_rank=u.dim)
+        assert [(lab.frame.tobytes(), lab.point.coords.tobytes()) for lab in a.labels] == [
+            (lab.frame.tobytes(), lab.point.coords.tobytes()) for lab in b.labels]
+        t, ref = gen_exact_rank_tuple(seed, 2, 3), gen_exact_rank_tuple(seed, 2, 3, 5)
+        assert t.s == 5 and t.mats.tobytes() == ref.mats.tobytes()

@@ -209,6 +209,21 @@ def test_dumps_tree_matches_dumps():
             == '{"m":[{"k":[1]},{"k":[1]}],"t":{"k":[1]}}')
 
 
+def test_poincare_tables_are_dumped_whole(monkeypatch, capsys):
+    # a dict of numbers is one dumps call: at p = 113 each table holds about
+    # 12,300 entries, which a walk would write with two calls each
+    trees, calls = [], []
+    tree, dumps = jsonio.dumps_tree, jsonio.dumps
+    monkeypatch.setattr(jsonio, "dumps_tree", lambda obj: trees.append(obj) or tree(obj))
+    monkeypatch.setattr(jsonio, "dumps", lambda obj: calls.append(obj) or dumps(obj))
+    assert cli.main(["poincare", "--p", "113"]) == 0
+    payload = trees[0]
+    assert len(payload["poincare"]) > 10_000
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True,
+                                                 separators=(",", ":")) + "\n"
+    assert len(calls) < 10
+
+
 def _reference_report(t, blocks):
     # the stratify report as the command built it before matrix_texts: the
     # chart's matrix_to_json dicts, written through json.dumps or as text lines

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from commvar.numkit import (
     commutator_defect,
     fro,
     hermitian_eig,
-    leading_indices,
     off_norm,
     orthonormalize,
     phase_normalize,
@@ -29,6 +30,11 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(eps_struct=1e-3, eps_cluster=1e-6)
     assert DEFAULT_TOL.eps_struct <= DEFAULT_TOL.eps_cluster
+    message = "^tolerances must be finite and strictly positive$"
+    for field in ("eps_struct", "eps_cluster", "eps_base"):
+        for value in (0.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match=message):
+                Tolerances(**{field: value})
 
 
 def test_orthonormalize_identity_on_orthonormal():
@@ -178,14 +184,6 @@ def _argmax_phase_normalize(frame, tol=DEFAULT_TOL):
     return out
 
 
-def _loop_leading_index(frame, tol=DEFAULT_TOL):
-    # the one-frame leading index that leading_indices replaced
-    if frame.shape[1] == 0:
-        return frame.shape[0]
-    rows = np.flatnonzero(np.max(np.abs(frame), axis=1) > tol.eps_struct)
-    return int(rows[0]) if rows.size else frame.shape[0]
-
-
 def _random_frames(seed):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -197,11 +195,11 @@ def _random_frames(seed):
         a[:rng.integers(0, d + 1)] *= rng.choice([0.0, 1e-12, 1e-10])
         if k and rng.random() < 0.3:
             a[:, rng.integers(0, k)] = 0.0
-        yield a, rng
+        yield a
 
 
 def test_phase_normalize_matches_the_column_loop():
-    for a, _ in _random_frames(0):
+    for a in _random_frames(0):
         got, ref = phase_normalize(a), _loop_phase_normalize(a)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         # same per-column arithmetic; numpy may take a differently rounding
@@ -210,17 +208,10 @@ def test_phase_normalize_matches_the_column_loop():
 
 
 def test_phase_normalize_is_its_argmax_form_bit_for_bit():
-    for a, _ in _random_frames(2):
+    for a in _random_frames(2):
         got, ref = phase_normalize(a), _argmax_phase_normalize(a)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
-
-
-def test_leading_indices_match_the_per_frame_loop():
-    assert leading_indices([]) == []
-    for a, rng in _random_frames(1):
-        frames = np.split(a, np.sort(rng.integers(0, a.shape[1] + 1, size=3)), axis=1)
-        assert leading_indices(frames) == [_loop_leading_index(f) for f in frames]
 
 
 @pytest.mark.parametrize("s", [2, 4, 8])

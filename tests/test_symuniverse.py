@@ -349,3 +349,8 @@ def test_kron_frame_rejects_frames_of_the_wrong_universes():
     assert psi.kron_frame(f, g).shape == (psi.target.dim, 1)
     with pytest.raises(ValueError, match="frame rows"):
         psi.kron_frame(g, f)
+
+
+def test_universe_hash_and_repr():
+    assert hash(UniverseBasis(2, 2)) == hash(UniverseBasis(2, 2))
+    assert repr(UniverseBasis(2, 2)) == "UniverseBasis(n=2, D=2, dim=6)"

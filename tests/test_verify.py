@@ -107,6 +107,24 @@ def test_one_wrong_entry_of_the_stacked_scalar_chart_is_one_failure(monkeypatch)
     assert [m.split(":")[0] for m in out["messages"]] == ["cayley scalar chart"]
 
 
+def test_each_failure_is_one_message(monkeypatch):
+    # a failed expectation, an out-of-bound residual and a raising trial
+    # each add one message, and the failure count is the message count
+    monkeypatch.setattr(verify, "SUITES", {})
+
+    @verify._trial_suite("probe", sweep=lambda rec: rec.expect("sweep", False))
+    def probe(rng, cfg, rec):
+        rec.check("within", 0.5, 1.0)
+        rec.check("beyond", 2.0, 1.0)
+        raise ValueError("boom")
+
+    out = probe(RunConfig(seed=0, trials=2))
+    assert out["failures"] == 5 and out["worst_residual"] == 2.0
+    beyond = "beyond: residual 2.000e+00 > 1.000e+00"
+    assert out["messages"] == ["sweep: expectation failed", beyond, "trial 0: ValueError: boom",
+                               beyond, "trial 1: ValueError: boom"]
+
+
 def test_equivariance_suite_passes_its_tolerances_to_kron_frame(monkeypatch):
     original = symuniverse.PsiIsometry.kron_frame
     received = []

@@ -221,6 +221,7 @@ def test_the_guard_sees_a_wrapper_call():
         ("np", "eye"), ("np", "kron"), ("np", "linalg", "norm")]
 
 
-@pytest.mark.parametrize("module", ["numkit", "commodel", "rankstrata", "gammaconf"])
+@pytest.mark.parametrize("module", ["numkit", "commodel", "rankstrata", "gammaconf", "isodecomp",
+                                    "generate", "realk", "spectrumops", "symuniverse", "rng"])
 def test_no_wrapper_call_returns_to_the_hot_modules(module):
     assert _wrapper_calls(module) == []
