@@ -42,7 +42,7 @@ EXIT_STRATUM = 3
 # largest matrix size stratify accepts; an n = 0 tuple carries no matrix
 # data, so nothing else bounds the O(s^2) memory and output of its report
 MAX_STRATIFY_S = 256
-# largest tuple length generate accepts: --n 16 --s 256 prints about 46 MB
+# longest tuple generate prints and stratify takes (--n 16 --s 256: 46 MB)
 MAX_GENERATE_N = 16
 
 
@@ -159,6 +159,8 @@ def cmd_stratify(args) -> int:
         raise ValueError("stratify needs matrices of size at least 1")
     if t.s > MAX_STRATIFY_S:
         raise ValueError(f"stratify accepts matrices of size at most {MAX_STRATIFY_S}")
+    if t.n > MAX_GENERATE_N:
+        raise ValueError(f"stratify accepts tuples of length at most {MAX_GENERATE_N}")
     tol = _tolerances(args)
     # one diagonalization validates the tuple once and serves the chart and
     # the decomposition type

@@ -44,7 +44,7 @@ from .numkit import (
     off_norm,
     phase_normalize,
 )
-from .symuniverse import UniverseBasis, conjugate_by_perm, perm_inverse, sigma_star
+from .symuniverse import UniverseBasis, perm_inverse, sigma_star
 
 KINDS = ("unitary", "skew_hermitian", "real_symmetric")
 
@@ -266,14 +266,13 @@ def tuples_equivalent(t1: CommutingTuple, t2: CommutingTuple,
 def config_to_commuting(c: Configuration) -> CommutingTuple:
     """Unitary tuple acting on the universe of a canonical configuration:
     component j scales each label subspace by the j-th point coordinate and
-    fixes the orthogonal complement."""
+    fixes the orthogonal complement; a point not of length n raises ValueError."""
     t = identity_tuple(c.universe.n, c.universe.dim, c.universe)
     for lab in c.labels:
         if lab.point.is_basepoint:
             continue
         proj = lab.frame @ lab.frame.conj().T
-        for j in range(c.universe.n):
-            t.mats[j] += (lab.point.coords[j] - 1.0) * proj
+        t.mats += (lab.point.coords - 1.0).reshape(c.universe.n, 1, 1) * proj
     return t
 
 
@@ -309,7 +308,6 @@ def sigma_action_tuple(sigma, t: CommutingTuple) -> CommutingTuple:
     """
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe for the permutation action")
-    perm = sigma_star(sigma, t.ambient)
-    inv = perm_inverse(sigma)
-    mats = np.array([conjugate_by_perm(perm, t.mats[inv[j]]) for j in range(t.n)])
+    perm, mats = sigma_star(sigma, t.ambient), np.empty_like(t.mats)
+    mats[:, perm[:, None], perm] = t.mats[perm_inverse(sigma)]
     return CommutingTuple(t.kind, mats, t.ambient)

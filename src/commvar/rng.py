@@ -1,7 +1,7 @@
 """Deterministic sampling on a SplitMix64 stream.
 
-The generator is pinned by its update constants so that seeded values are
-reproducible across platforms and implementations:
+The generator is pinned by its update constants, so its integer stream is
+the same on every platform:
 
     state  <- (state + 0x9E3779B97F4A7C15) mod 2^64
     z      <- state
@@ -9,9 +9,10 @@ reproducible across platforms and implementations:
     z      <- ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output <- z XOR (z >> 31)
 
-Uniform doubles take the top 53 output bits; Gaussians use Box-Muller.
-Haar unitary and orthogonal matrices both come from one phase-fixed QR of
-a Gaussian draw (`phase_fixed_q`).
+Uniform doubles take the top 53 output bits; Gaussians use Box-Muller
+through libm.  Haar unitary and orthogonal matrices both come from one
+phase-fixed QR of a Gaussian draw (`phase_fixed_q`) through LAPACK, so they
+and the Gaussians repeat only on one libm, BLAS build, kernel and thread count.
 """
 
 from __future__ import annotations

@@ -119,13 +119,6 @@ def apply_perm_to_coords(perm, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def conjugate_by_perm(perm, a: np.ndarray) -> np.ndarray:
-    """P A P^{-1} for the permutation operator P given by perm."""
-    out = np.empty_like(a)
-    out[np.ix_(perm, perm)] = a
-    return out
-
-
 class PsiIsometry:
     """Isometric embedding of a tensor product of universes.
 

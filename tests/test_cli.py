@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from unittest import mock
 
@@ -214,6 +215,26 @@ def test_stratify_rejects_sizes_above_the_cap(s, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert main(["stratify"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "invalid_input"
+
+
+@pytest.mark.parametrize("n", [MAX_GENERATE_N + 1, 2000])
+def test_stratify_rejects_tuples_longer_than_generate_prints(n, monkeypatch, capsys):
+    # 2000 1 x 1 unitaries: 1,999,000 commutator pairs, seconds of work past the cap
+    doc = jsonio.dumps(jsonio.tuple_to_json(identity_tuple(n, 1)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    start = time.perf_counter()
+    assert main(["stratify"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "invalid_input",
+        "message": f"stratify accepts tuples of length at most {MAX_GENERATE_N}"}
+
+
+def test_stratify_accepts_the_longest_tuples_generate_prints(monkeypatch, capsys):
+    assert main(["generate", "--n", str(MAX_GENERATE_N), "--s", "2"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["stratify"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["chart"]["X"]["mats"]) == MAX_GENERATE_N
 
 
 @pytest.mark.parametrize("entry,field,code", [

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from commvar.commodel import (
 )
 from commvar.errors import NoConvergence, NotCommuting, NotUnitary
 from commvar.gammaconf import (
+    BASEPOINT,
     Configuration,
     Label,
     SpherePoint,
@@ -44,7 +47,7 @@ from commvar.numkit import (
 )
 from commvar.rankstrata import cayley
 from commvar.rng import SplitMix64, haar_orthogonal, haar_unitary
-from commvar.symuniverse import UniverseBasis
+from commvar.symuniverse import UniverseBasis, perm_inverse, sigma_star
 
 
 def test_validate_rejects_garbage():
@@ -631,6 +634,73 @@ def test_sigma_action_intertwines_configurations(sigma):
     assert class_distance(lhs, rhs) <= 1e-8
 
 
+def _loop_config_to_commuting(c):
+    # the per-coordinate loop before the stacked sum
+    t = identity_tuple(c.universe.n, c.universe.dim, c.universe)
+    for lab in c.labels:
+        if lab.point.is_basepoint:
+            continue
+        proj = lab.frame @ lab.frame.conj().T
+        for j in range(c.universe.n):
+            t.mats[j] += (lab.point.coords[j] - 1.0) * proj
+    return t
+
+
+def _loop_sigma_action_tuple(sigma, t):
+    # one conjugation by the permutation per component, before the one
+    # indexed assignment
+    perm, inv = sigma_star(sigma, t.ambient), perm_inverse(sigma)
+    mats = []
+    for j in range(t.n):
+        out = np.empty_like(t.mats[j])
+        out[np.ix_(perm, perm)] = t.mats[inv[j]]
+        mats.append(out)
+    return CommutingTuple(t.kind, np.array(mats), t.ambient)
+
+
+def _stack_configs(u):
+    # random canonical configurations, the empty one, and a live label beside
+    # a basepoint label
+    eye = np.eye(u.dim, dtype=complex)
+    live = Label(eye[:, :1], SpherePoint(np.exp(1j * np.arange(1, u.n + 1))))
+    return ([Configuration(u, []), Configuration(u, [live, Label(eye[:, 1:], BASEPOINT)])]
+            + [gen_random_config(seed, u, max_labels=3, max_rank=min(u.dim, 6))
+               for seed in range(8)])
+
+
+def _same_tuple(got, want):
+    return (got.kind == want.kind and got.ambient == want.ambient
+            and got.mats.dtype == want.mats.dtype and got.mats.shape == want.mats.shape
+            and got.mats.tobytes() == want.mats.tobytes())
+
+
+@pytest.mark.parametrize("n,D", [(n, D) for n in range(1, 5) for D in range(1, 4)])
+def test_config_to_commuting_is_the_per_coordinate_loop(n, D):
+    for c in _stack_configs(UniverseBasis(n, D)):
+        assert _same_tuple(config_to_commuting(c), _loop_config_to_commuting(c))
+
+
+@pytest.mark.parametrize("n,D", [(n, D) for n in range(1, 4) for D in range(1, 4)])
+def test_sigma_action_tuple_is_the_per_component_conjugation(n, D):
+    u = UniverseBasis(n, D)
+    tuples = [config_to_commuting(c) for c in _stack_configs(u)[1:4]] + [
+        CommutingTuple(kind, gen_random_commuting(5, n, u.dim, kind).mats, u) for kind in KINDS]
+    for sigma in itertools.permutations(range(n)):
+        for t in tuples:
+            assert _same_tuple(sigma_action_tuple(list(sigma), t),
+                               _loop_sigma_action_tuple(list(sigma), t))
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_config_to_commuting_rejects_a_point_of_the_wrong_length(length):
+    # a point needs one coordinate per component, neither fewer nor more
+    u = UniverseBasis(2, 1)
+    frame = np.eye(u.dim, dtype=complex)[:, :1]
+    c = Configuration(u, [Label(frame, SpherePoint(-np.ones(length)))])
+    with pytest.raises(ValueError):
+        config_to_commuting(c)
+
+
 def _reference_joint_diagonalize(t, tol=DEFAULT_TOL):
     # the tail before the one-pass rewrite: one np.mean and one fancy index
     # per group
@@ -735,7 +805,18 @@ def test_the_one_pass_cases_reach_every_branch():
     # only a unitary tuple has blocks off F
     assert ("unitary", False) in in_f
     assert not {("skew_hermitian", False), ("real_symmetric", False)} & in_f
-    assert negative_zero
+    # a -0.0 reaches the values only through a BLAS product that keeps it
+    assert negative_zero or not _kernel_keeps_negative_zero()
+
+
+def _kernel_keeps_negative_zero():
+    """Whether q^H A q keeps a -0.0 real part of A's diagonal for the unit q:
+    OpenBLAS's SkylakeX zgemm does, and its Haswell, SandyBridge and Prescott
+    kernels do not."""
+    a = np.diag([complex(-0.0, 1.0), complex(-0.0, -0.0)])[None]
+    q = np.eye(2, dtype=complex)
+    vals = (q.conj().T @ a @ q).diagonal(axis1=1, axis2=2).copy().view(float)
+    return bool(((vals == 0) & np.signbit(vals)).any())
 
 
 @settings(max_examples=60, deadline=None)

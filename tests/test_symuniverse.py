@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from commvar.commodel import CommutingTuple, sigma_action_tuple
 from commvar.errors import TruncationOverflow
 from commvar.numkit import DEFAULT_TOL, fro
 from commvar.rng import SplitMix64
 from commvar.symuniverse import (
     UniverseBasis,
     apply_perm_to_coords,
-    conjugate_by_perm,
     j0,
     perm_inverse,
     psi_embed,
@@ -166,11 +166,12 @@ def test_perm_helpers_roundtrip():
     vec = rng.complex_normals(u.dim)
     moved = apply_perm_to_coords(perm, vec)
     assert np.allclose(moved[perm], vec)
-    a = rng.complex_normals(u.dim, u.dim)
-    b = conjugate_by_perm(perm, a)
+    # component j of the action is P A_{sigma^{-1}(j)} P^T; [1, 0] is its own inverse
+    a = rng.complex_normals(2, u.dim, u.dim)
+    b = sigma_action_tuple([1, 0], CommutingTuple("unitary", a, u)).mats
     p = np.zeros((u.dim, u.dim))
     p[perm, np.arange(u.dim)] = 1.0
-    assert fro(b - p @ a @ p.T) < 1e-13
+    assert fro(b[0] - p @ a[1] @ p.T) < 1e-13 and fro(b[1] - p @ a[0] @ p.T) < 1e-13
 
 
 def test_j0():
