@@ -136,11 +136,17 @@ def _emit(payload: dict, mode: str, text: list[str] | None = None):
         _write(*(text or (f"{key}: {value}" for key, value in payload.items())))
 
 
+def _matrix_encoder(mode: str):
+    """The one choice of matrix encoding for every command that writes
+    matrices: JSON text per stack for dumps_tree, or the dicts text prints."""
+    return jsonio.matrix_texts if mode == "json" else jsonio.matrix_dicts
+
+
 def cmd_generate(args) -> int:
     if not 0 <= args.n <= MAX_GENERATE_N or not 1 <= args.s <= MAX_STRATIFY_S:  # s as stratify
         raise ValueError(f"need 0 <= --n <= {MAX_GENERATE_N}, 1 <= --s <= {MAX_STRATIFY_S}")
-    _emit(jsonio.tuple_to_json(gen_random_commuting(_seed(args), args.n, args.s, args.kind)),
-          args.output)
+    t = gen_random_commuting(_seed(args), args.n, args.s, args.kind)
+    _emit(jsonio.tuple_to_json(t, _matrix_encoder(args.output)), args.output)
     return EXIT_OK
 
 
@@ -168,13 +174,11 @@ def cmd_stratify(args) -> int:
     report = {"rank": None, "chart": None, "split": None,
               "decomposition_type": list(decomposition_type(t, tol, blocks).parts)}
     if t.kind == "unitary":
-        chart = subquotient_chart(t, tol, blocks=blocks)
-        # JSON output writes each matrix stack as text in one call; text
-        # output prints the matrix dicts
-        enc = (jsonio.chart_to_json(chart, jsonio.matrix_texts) if args.output == "json"
-               else jsonio.chart_to_json(chart))
-        report.update({"rank": enc["s"], "chart": {"X": enc["X"], "f": enc["f"]},
-                       "split": enc["split"]})
+        chart, enc = subquotient_chart(t, tol, blocks=blocks), _matrix_encoder(args.output)
+        report.update({"rank": chart.s, "chart": {"X": jsonio.tuple_to_json(chart.X, enc),
+                                                  "f": enc(chart.f[None])[0]},
+                       "split": {"traceless": jsonio.tuple_to_json(chart.traceless, enc),
+                                 "tau": chart.tau.astype(float).tolist()}})
     _emit(report, args.output)
     return EXIT_OK
 

@@ -56,7 +56,7 @@ class CommutingTuple:
     mats is stacked (n, s, s); real_symmetric tuples are stored with a real
     dtype (complex data is accepted only when every imaginary part is 0),
     the other kinds as complex.  ambient optionally records the
-    universe whose coordinates the matrices act on.
+    universe whose coordinates the matrices act on: n components of its dim.
     """
 
     kind: str
@@ -75,6 +75,8 @@ class CommutingTuple:
         self.mats = mats.astype(float if real else complex, copy=False)
         if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
             raise ShapeMismatch(f"expected (n, s, s) stack, got {self.mats.shape}")
+        if self.ambient is not None and self.mats.shape[:2] != (self.ambient.n, self.ambient.dim):
+            raise ShapeMismatch(f"stack {self.mats.shape} does not match ambient {self.ambient}")
 
     @property
     def n(self) -> int:

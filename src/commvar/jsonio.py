@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from .commodel import CommutingTuple
-from .rankstrata import SubquotientChart
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -87,7 +86,7 @@ def matrix_texts(stack: np.ndarray) -> list[Text]:
             for row in entries.tolist()]
 
 
-def _matrix_dicts(stack: np.ndarray) -> list[dict]:
+def matrix_dicts(stack: np.ndarray) -> list[dict]:
     return [matrix_to_json(m) for m in stack]
 
 
@@ -114,7 +113,7 @@ def matrix_from_json(d: dict) -> np.ndarray:
     return (data if real else data.view(complex)).reshape(rows, cols)
 
 
-def tuple_to_json(t: CommutingTuple, encode=_matrix_dicts) -> dict:
+def tuple_to_json(t: CommutingTuple, encode=matrix_dicts) -> dict:
     """The tuple's wire form; encode maps its (n, s, s) stack to the list of
     matrix encodings (matrix_to_json dicts, or matrix_texts for dumps_tree)."""
     return {
@@ -132,15 +131,3 @@ def tuple_from_json(d: dict) -> CommutingTuple:
         raise ValueError("tuple shape fields disagree with matrix data")
     return CommutingTuple(_member(d, "kind", str), np.reshape(mats, (n, s, s)))
 
-
-def chart_to_json(chart: SubquotientChart, encode=_matrix_dicts) -> dict:
-    """The chart's wire form, its matrices encoded as tuple_to_json's are."""
-    return {
-        "s": chart.s,
-        "X": tuple_to_json(chart.X, encode),
-        "f": encode(chart.f[None])[0],
-        "split": {
-            "traceless": tuple_to_json(chart.traceless, encode),
-            "tau": chart.tau.astype(float).tolist(),
-        },
-    }

@@ -166,7 +166,7 @@ def stabilize(x: CommutingTuple, m: int) -> CommutingTuple:
     if m < 0:
         raise ValueError("cannot remove components")
     zeros = np.zeros((m, x.s, x.s), dtype=complex)
-    return CommutingTuple("skew_hermitian", np.concatenate([x.mats, zeros]), x.ambient)
+    return CommutingTuple("skew_hermitian", np.concatenate([x.mats, zeros]))
 
 
 def pairing_chart(x: CommutingTuple, y: CommutingTuple) -> CommutingTuple:

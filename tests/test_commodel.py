@@ -20,7 +20,7 @@ from commvar.commodel import (
     sigma_action_tuple,
     tuples_equivalent,
 )
-from commvar.errors import NoConvergence, NotCommuting, NotUnitary
+from commvar.errors import NoConvergence, NotCommuting, NotUnitary, ShapeMismatch
 from commvar.gammaconf import (
     BASEPOINT,
     Configuration,
@@ -856,3 +856,25 @@ def test_group_reduce_matches_per_group_np_mean_min_and_all(dtype):
             assert means.tobytes() == expect.tobytes(), (trial, groups)
             assert got_lead.tolist() == [min(lead[g]) for g in groups]
             assert got_in_f.tolist() == [bool(all(in_f[g])) for g in groups]
+
+
+@pytest.mark.parametrize("build", [
+    lambda u: sigma_action_tuple([1, 0], identity_tuple(1, 3, u)),  # too few components
+    lambda u: CommutingTuple("unitary", np.broadcast_to(np.eye(5), (2, 5, 5)), u),  # too large
+    lambda u: commuting_to_config(identity_tuple(2, 5, u)),
+    lambda u: CommutingTuple("skew_hermitian", np.zeros((3, 3, 3)), u),
+], ids=["sigma_action-n1", "stack-s5", "commuting_to_config-s5", "stack-n3"])
+def test_a_stack_that_does_not_fit_its_ambient_universe_is_named(build):
+    # UniverseBasis(2, 1) is 2 coordinates on a dim-3 space: at the parent the
+    # first case raised a bare IndexError, the second a broadcast ValueError
+    # in sigma_action_tuple, the third NotOrthogonal
+    with pytest.raises(ShapeMismatch, match=r"stack \(\d, \d, \d\) does not match ambient "
+                                            r"UniverseBasis\(n=2, D=1, dim=3\)"):
+        build(UniverseBasis(2, 1))
+
+
+def test_a_stack_that_fits_its_ambient_universe_is_kept():
+    u = UniverseBasis(2, 1)
+    t = sigma_action_tuple([1, 0], identity_tuple(2, 3, u))
+    assert t.ambient == u and commuting_to_config(t).labels == []
+    assert CommutingTuple("unitary", np.zeros((0, 3, 3)), None).ambient is None

@@ -74,16 +74,6 @@ def test_tuple_schema_roundtrip():
     assert back_r.mats.dtype.kind == "f"
 
 
-def test_chart_schema():
-    t = gen_exact_rank_tuple(2, 2, 2, 4)
-    chart = subquotient_chart(t)
-    d = jsonio.chart_to_json(chart)
-    assert set(d) == {"s", "X", "f", "split"}
-    assert set(d["split"]) == {"traceless", "tau"}
-    assert d["s"] == 2
-    json.dumps(d)  # serializable
-
-
 def test_dumps_deterministic():
     t = gen_random_commuting(5, 2, 2, "skew_hermitian")
     one = jsonio.dumps(jsonio.tuple_to_json(t))
@@ -277,3 +267,52 @@ def test_stratify_stdout_matches_the_reference_on_edge_charts(name, t, monkeypat
     if name.startswith("rank-0"):
         empty = '"X":{"kind":"skew_hermitian","mats":[{"cols":0,"data":[],"rows":0}'
         assert empty in expect["json"]
+
+
+def _stdout(argv, monkeypatch, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("s", [1, 64])
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_generate_stdout_is_the_dict_route(kind, n, s, monkeypatch):
+    argv = ["generate", "--kind", kind, "--n", str(n), "--s", str(s), "--seed", "7"]
+    doc = jsonio.tuple_to_json(gen_random_commuting(7, n, s, kind))
+    assert _stdout(argv, monkeypatch) == (0, jsonio.dumps(doc) + "\n")
+    assert _stdout(argv + ["--output", "text"], monkeypatch) == (
+        0, "".join(f"{key}: {value}\n" for key, value in doc.items()))
+
+
+@pytest.mark.parametrize("mode,calls", [("json", [1, 3]), ("text", [0, 0])])
+def test_generate_and_stratify_take_one_encoder_from_the_output_mode(mode, calls, monkeypatch):
+    # JSON mode writes each matrix stack through matrix_texts: generate's
+    # tuple, and stratify's chart X, frame f and traceless split
+    seen, texts = [], jsonio.matrix_texts
+    monkeypatch.setattr(jsonio, "matrix_texts", lambda stack: seen.append(stack) or texts(stack))
+    assert _stdout(["generate", "--n", "2", "--s", "4", "--seed", "0", "--output", mode],
+                   monkeypatch)[0] == 0
+    counts = [len(seen)]
+    tup = jsonio.dumps(jsonio.tuple_to_json(gen_random_commuting(0, 2, 4, "unitary")))
+    assert _stdout(["stratify", "--output", mode], monkeypatch, tup)[0] == 0
+    assert counts + [len(seen) - counts[0]] == calls
+
+
+@pytest.mark.parametrize("argv,stdin,code", [
+    *((["generate", "--kind", kind, "--n", "2", "--s", "5", "--seed", "3"], "", 0)
+      for kind in KINDS),
+    *((["stratify"], jsonio.dumps(jsonio.tuple_to_json(gen_random_commuting(3, 2, 5, kind))), 0)
+      for kind in ("unitary", "real_symmetric")),
+    (["verify", "--suite", "cohomology", "--trials", "1"], "", 0),
+    (["poincare", "--p", "5"], "", 0),
+    (["stratify"], "{", 2),
+], ids=["generate-" + kind for kind in KINDS] + [
+    "stratify-unitary", "stratify-real", "verify", "poincare", "error"])
+def test_every_command_writes_canonical_json(argv, stdin, code, monkeypatch):
+    exit_code, out = _stdout(argv, monkeypatch, stdin)
+    assert exit_code == code
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"

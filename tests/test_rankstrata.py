@@ -209,6 +209,16 @@ def test_stabilize():
     assert commutator_defect(st.mats) <= 1e-12
 
 
+def test_stabilize_drops_the_ambient_universe():
+    # the appended components act on no coordinate of the universe, so the
+    # longer tuple records none
+    u = UniverseBasis(2, 1)
+    x = CommutingTuple("skew_hermitian", np.zeros((2, u.dim, u.dim), dtype=complex), u)
+    for m in (0, 1):
+        st = stabilize(x, m)
+        assert (st.n, st.s, st.ambient) == (2 + m, u.dim, None)
+
+
 def test_pairing_chart():
     x = gen_random_commuting(11, 2, 2, "skew_hermitian")
     y = gen_random_commuting(12, 1, 3, "skew_hermitian")
