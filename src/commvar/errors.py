@@ -49,10 +49,6 @@ class IndexOutOfRange(CommVarError):
     """A based map refers to an index outside its target set."""
 
 
-class TruncationOverflow(CommVarError):
-    """An output monomial exceeds the degree bound of the target universe."""
-
-
 class SingularAtOne(CommVarError):
     """Inverse Cayley transform applied to a matrix with eigenvalue one."""
 

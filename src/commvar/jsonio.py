@@ -104,10 +104,13 @@ def matrix_from_json(d: dict) -> np.ndarray:
         unpaired = True
     if unpaired:
         raise ValueError("complex matrix entries must be [re, im] pairs")
-    # one flat array: a string gives a str array, null (or an int past int64) an object one
-    data = np.array(data if real else list(itertools.chain.from_iterable(data)))
-    if data.ndim != 1 or not (data.dtype.kind in "iuf" or data.dtype.kind == "O" and all(
-            isinstance(x, (int, float)) for x in data)):
+    # one flat array: a string gives a str array, null (or an int past int64) an object
+    # one, and a bool among numbers a 0 or a 1
+    entries = data if real else list(itertools.chain.from_iterable(data))
+    data = np.array(entries)
+    if data.ndim != 1 or not (data.dtype.kind in "iuf" and not any(
+            type(entries[i]) is bool for i in np.flatnonzero((data == 0) | (data == 1)).tolist())
+            or data.dtype.kind == "O" and all(type(x) in (int, float) for x in data)):
         raise ValueError("matrix entries must be numbers")
     data = data.astype(float)
     return (data if real else data.view(complex)).reshape(rows, cols)

@@ -160,18 +160,16 @@ def orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Householder QR (Golub & Van Loan, Matrix Computations, 5.2), each column
     of Q scaled so that diag R is real positive: the frame of full-rank input
-    is unique.  Accepts a (d, k) array or a sequence of 1-d arrays.
+    is unique.
 
-    Raises RankDeficient when |R_jj| falls below eps_struct times the norm
-    of vector j, when a vector is zero or NaN, or when k > d.
+    Raises ShapeMismatch unless vectors is a (d, k) ndarray, and
+    RankDeficient when |R_jj| falls below eps_struct times the norm of
+    vector j, when a vector is zero or NaN, or when k > d.
     """
-    v = vectors if isinstance(vectors, np.ndarray) else np.column_stack(vectors)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2:
-        raise ShapeMismatch(f"expected vectors or a (d, k) array, got {v.shape}")
-    d, k = v.shape
-    v = v.astype(complex if np.iscomplexobj(v) else float)
+    if not isinstance(vectors, np.ndarray) or vectors.ndim != 2:
+        raise ShapeMismatch(f"not a (d, k) array: {getattr(vectors, 'shape', type(vectors))}")
+    d, k = vectors.shape
+    v = vectors.astype(complex if np.iscomplexobj(vectors) else float)
     if k > d:
         raise RankDeficient(f"{k} vectors in dimension {d} are dependent")
     q, r = np.linalg.qr(v)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
 from .errors import NotRealizable
-from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro
+from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, unitary_defect
 from .rankstrata import (
     SubquotientChart,
     cayley,
@@ -138,6 +138,8 @@ def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int,
 
 
 def is_symmetric_unitary(a: np.ndarray) -> bool:
-    """Membership test for the symmetric unitaries, at 1e-9 relative."""
+    """Membership test for the symmetric unitaries: both defects within 1e-9
+    relative."""
     a = np.asarray(a)
-    return fro(a - a.T) <= 1e-9 * max(1.0, fro(a))
+    bound = 1e-9 * max(1.0, fro(a))
+    return fro(a - a.T) <= bound and unitary_defect(a) <= bound

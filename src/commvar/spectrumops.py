@@ -53,13 +53,12 @@ def unit_map_tuple(x: SpherePoint, universe: UniverseBasis) -> CommutingTuple:
     return t
 
 
-def multiply(a: Configuration, b: Configuration, degree_bound: int | None = None,
-             tol: Tolerances = DEFAULT_TOL) -> Configuration:
+def multiply(a: Configuration, b: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Multiplication of configurations: one label per pair, with the tensor
     frame embedded in the joint universe and the smashed point."""
-    psi = psi_embed(a.universe, b.universe, degree_bound)
+    psi = psi_embed(a.universe, b.universe)
     labels = [
-        Label(psi.kron_frame(la.frame, lb.frame, tol), smash(la.point, lb.point))
+        Label(psi.kron_frame(la.frame, lb.frame), smash(la.point, lb.point))
         for la in a.labels
         for lb in b.labels
     ]
@@ -94,7 +93,7 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
         return Configuration(psi.target, [])
     jframe = j0(right)
     labels = [
-        Label(psi.kron_frame(la.frame, jframe, tol), smash(la.point, y))
+        Label(psi.kron_frame(la.frame, jframe), smash(la.point, y))
         for la in a.labels
     ]
     return canonicalize(Configuration(psi.target, labels), tol)
@@ -114,7 +113,7 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple, tol: Tolerances = DEF
     fa = F_subspace(ta, tol, blocks_a)
     fb = F_subspace(tb, tol, blocks_b)
     psi = psi_embed(ta.ambient, tb.ambient)
-    g = psi.kron_frame(fa, fb, tol)
+    g = psi.kron_frame(fa, fb)
     smalls = kron_pair(fa.conj().T @ ta.mats @ fa, fb.conj().T @ tb.mats @ fb)
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)
 
@@ -133,6 +132,6 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     if y.is_basepoint:
         return identity_tuple(t.n + right.n, psi.target.dim, psi.target)
     f = F_subspace(t, tol, blocks)
-    g = psi.kron_frame(f, j0(right), tol)
+    g = psi.kron_frame(f, j0(right))
     smalls = kron_pair(f.conj().T @ t.mats @ f, y.coords[:, None, None])
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)

@@ -17,9 +17,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import TruncationOverflow
-from .numkit import DEFAULT_TOL, Tolerances
-
 
 @functools.cache
 def _monomials(n: int, D: int):
@@ -128,60 +125,41 @@ class PsiIsometry:
     target monomials of bidegree <= (D_left, D_right).
     """
 
-    def __init__(self, left: UniverseBasis, right: UniverseBasis,
-                 degree_bound: int | None = None):
-        if degree_bound is None:
-            degree_bound = left.D + right.D
-        self.left = left
-        self.right = right
-        self.target = UniverseBasis(left.n + right.n, degree_bound)
-        self.pair_index, self._rows, self._kept, self._lost = _pair_index(
-            left.n, left.D, right.n, right.D, degree_bound)
+    def __init__(self, left: UniverseBasis, right: UniverseBasis):
+        self.target = UniverseBasis(left.n + right.n, left.D + right.D)
+        self.pair_index = _pair_index(left.n, left.D, right.n, right.D)
 
-    def kron_vec(self, u: np.ndarray, v: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def kron_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Image of u (x) v in the target coordinates."""
-        return self.kron_frame(np.asarray(u)[:, None], np.asarray(v)[:, None], tol)[:, 0]
+        return self.kron_frame(np.asarray(u)[:, None], np.asarray(v)[:, None])[:, 0]
 
-    def kron_frame(self, f: np.ndarray, g: np.ndarray,
-                   tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def kron_frame(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Columnwise images of all tensor pairs; pair (a, b) lands at
-        column a * g.shape[1] + b, matching np.kron index order.  A cached
-        scatter writes the products of row pair (i, k) to its target row; only
-        pairs past the degree bound (none at the default) are checked."""
+        column a * g.shape[1] + b, matching np.kron index order.  The products
+        of row pair (i, k) are written to target row pair_index[i, k]."""
         f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
         if (f.shape[0], g.shape[0]) != self.pair_index.shape:
             raise ValueError(f"frame rows {f.shape[0]}, {g.shape[0]} != {self.pair_index.shape}")
         w = (f[:, None, :, None] * g[None, :, None, :]).reshape(
             f.shape[0] * g.shape[0], f.shape[1] * g.shape[1])
-        if self._lost is not None:
-            if np.any(np.abs(w[self._lost]) > tol.eps_struct):
-                raise TruncationOverflow(f"product monomial exceeds degree bound {self.target.D}")
-            w = w[self._kept]
         out = np.zeros((self.target.dim, w.shape[1]), dtype=complex)
-        out[self._rows] = w
+        out[self.pair_index.reshape(-1)] = w
         return out
 
 
 @functools.cache
-def _pair_index(left_n: int, left_D: int, right_n: int, right_D: int,
-                degree_bound: int) -> tuple:
-    """Read-only (left.dim, right.dim) array of target indices of the
-    concatenated multi-indices, -1 where the degree exceeds degree_bound, and
-    its flat scatter, also read-only: the target rows of the kept pairs, then
-    the flat positions of the kept and of the lost pairs (None if none is lost)."""
-    target = _monomials(left_n + right_n, degree_bound)[1]
+def _pair_index(left_n: int, left_D: int, right_n: int, right_D: int) -> np.ndarray:
+    """Read-only (left.dim, right.dim) array of the target indices of the
+    concatenated multi-indices, whose degrees never exceed left_D + right_D."""
+    target = _monomials(left_n + right_n, left_D + right_D)[1]
     right = _monomials(right_n, right_D)[0]
-    idx = np.array([[target.get(a + b, -1) for b in right]
+    idx = np.array([[target[a + b] for b in right]
                     for a in _monomials(left_n, left_D)[0]], dtype=int)
-    kept, lost = np.flatnonzero(idx >= 0), np.flatnonzero(idx < 0)
-    rows = idx.reshape(-1)[kept]
-    idx.flags.writeable = rows.flags.writeable = kept.flags.writeable = lost.flags.writeable = False
-    return (idx, rows, kept, lost) if lost.size else (idx, rows, None, None)
+    idx.flags.writeable = False
+    return idx
 
 
-def psi_embed(left: UniverseBasis, right: UniverseBasis,
-              degree_bound: int | None = None) -> PsiIsometry:
+def psi_embed(left: UniverseBasis, right: UniverseBasis) -> PsiIsometry:
     """Canonical isometry of the tensor product of two universes into the
-    joint universe, truncated at degree_bound (defaults to the sum)."""
-    return PsiIsometry(left, right, degree_bound)
+    joint universe of degree left.D + right.D."""
+    return PsiIsometry(left, right)

@@ -266,6 +266,9 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     ('{"kind": "unitary", "n": 1, "s": 1,'
      ' "mats": [{"rows": 1, "cols": 1, "data": [[true, false]]}]}',
      "matrix entries must be numbers"),
+    ('{"kind": "real_symmetric", "n": 1, "s": 2,'
+     ' "mats": [{"rows": 2, "cols": 2, "field": "real", "data": [true, 0.5, 0.5, 2]}]}',
+     "matrix entries must be numbers"),
     ('{"kind": "unitary", "n": 1, "s": 1, "mats": [{"rows": 1, "cols": 1, "data": [5]}]}',
      "complex matrix entries must be [re, im] pairs"),
     ('{"n": 1, "s": 1, "mats": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}',
@@ -274,7 +277,7 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     ('{"kind": "unitary", "n": 1, "s": 1, "mats": [{"cols": 1, "data": [[1, 0]]}]}',
      "rows must be an integer, got NoneType"),
 ], ids=["top-level-list", "mats-object", "matrix-list", "field-quaternion", "complex-bools",
-        "complex-number", "missing-kind", "missing-n", "missing-rows"])
+        "real-bool-among-numbers", "complex-number", "missing-kind", "missing-n", "missing-rows"])
 def test_stratify_names_what_it_rejects(payload, message, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert main(["stratify"]) == 2

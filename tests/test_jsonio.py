@@ -119,13 +119,20 @@ def test_matrix_from_json_matches_per_entry_decoding():
     a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
     a[0, 0], a[1, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
     payloads = [jsonio.matrix_to_json(m) for m in (a, a.real, a[:0], a.real[:, :0])]
-    # integer, bool and beyond-int64 entries are numbers too
-    payloads.append({"rows": 1, "cols": 3, "data": [[1, 0], [True, -2], [2 ** 70, 0.5]]})
-    payloads.append({"rows": 1, "cols": 3, "data": [1, False, -(2 ** 70)], "field": "real"})
+    # integer and beyond-int64 entries are numbers too
+    payloads.append({"rows": 1, "cols": 3, "data": [[1, 0], [1, -2], [2 ** 70, 0.5]]})
+    payloads.append({"rows": 1, "cols": 3, "data": [1, 0, -(2 ** 70)], "field": "real"})
     for d in payloads:
         got, ref = jsonio.matrix_from_json(json.loads(json.dumps(d))), _per_entry_decoding(d)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+    # a bool is not: among numbers NumPy reads it as 1 or 0, in an int, float or object array
+    for d in ({"rows": 1, "cols": 3, "data": [[1, 0], [True, -2], [2 ** 70, 0.5]]},
+              {"rows": 1, "cols": 3, "data": [1, False, -(2 ** 70)], "field": "real"},
+              {"rows": 1, "cols": 2, "data": [[1, 0], [True, -2]]},
+              {"rows": 2, "cols": 2, "data": [True, 0.5, 0.5, 2], "field": "real"}):
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            jsonio.matrix_from_json(json.loads(json.dumps(d)))
 
 
 @pytest.mark.parametrize("data,field", [

@@ -63,6 +63,10 @@ GATES = {
         ValueError, "not traceless"),
     "orthonormalize of a 3-D array": (lambda: numkit.orthonormalize(np.ones((2, 2, 2))),
                                       ShapeMismatch, "(d, k) array"),
+    "orthonormalize of a 1-D array": (lambda: numkit.orthonormalize(np.ones(2)),
+                                      ShapeMismatch, "not a (d, k) array: (2,)"),
+    "orthonormalize of a list of vectors": (lambda: numkit.orthonormalize([np.ones(2)] * 2),
+                                            ShapeMismatch, "not a (d, k) array: <class 'list'>"),
     "randint of an empty range": (lambda: SplitMix64(0).randint(3, 3), ValueError, "empty range"),
     "polynomial of negative degree": (lambda: cohomtab.IntPolynomial({-1: 1}),
                                       ValueError, "non-negative"),

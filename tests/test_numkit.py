@@ -153,14 +153,6 @@ def test_stack_off_norm_matches_per_matrix_norms():
     assert off_norm(np.zeros((0, 4, 4))) == 0.0
 
 
-def test_orthonormalize_accepts_single_vector_and_lists():
-    out = orthonormalize(np.array([3.0, 4.0]))
-    assert out.shape == (2, 1)
-    assert np.allclose(out[:, 0], [0.6, 0.8])
-    out2 = orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-    assert out2.shape == (2, 2)
-
-
 def _loop_phase_normalize(frame, tol=DEFAULT_TOL):
     # the column loop phase_normalize replaced
     out = np.array(frame, copy=True)

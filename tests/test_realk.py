@@ -56,6 +56,13 @@ def test_real_cayley_image_and_inverse(s):
     assert fro(real_cayley(o @ x @ o.T) - o @ a @ o.T) <= 1e-10
 
 
+@pytest.mark.parametrize("a", [2.0 * np.eye(2), np.diag([1.0, 2.0]), np.zeros((3, 3)),
+                               np.array([[0.0, 1.0], [-1.0, 0.0]])],
+                         ids=["2 Id", "diag(1, 2)", "3x3 zero", "unitary, not symmetric"])
+def test_is_symmetric_unitary_needs_both_properties(a):
+    assert not is_symmetric_unitary(a)
+
+
 def test_real_cayley_inv_errors():
     with pytest.raises(SingularAtOne):
         real_cayley_inv(np.eye(2, dtype=complex))

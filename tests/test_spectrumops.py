@@ -8,7 +8,6 @@ from commvar.commodel import (
     identity_tuple,
     joint_diagonalize,
 )
-from commvar.errors import TruncationOverflow
 from commvar.gammaconf import (
     BASEPOINT,
     Configuration,
@@ -221,19 +220,3 @@ def test_structure_map_rejects_an_m_other_than_the_point_dimension_with_no_label
         structure_map(a, y, 2)
     with pytest.raises(ValueError, match=message):
         structure_map_tuple(config_to_commuting(a), y, 2)
-
-
-def test_truncation_overflow_surfaces():
-    u = UniverseBasis(1, 2)
-    eye = np.eye(u.dim, dtype=complex)
-    # a label supported on the degree-2 monomial
-    from commvar.gammaconf import Label, canonicalize
-
-    c = canonicalize(Configuration(u, [Label(eye[:, [u.index[(2,)]]],
-                                             SpherePoint([-1.0]))]))
-    b = canonicalize(Configuration(u, [Label(eye[:, [u.index[(2,)]]],
-                                             SpherePoint([1j]))]))
-    with pytest.raises(TruncationOverflow):
-        multiply(c, b, degree_bound=2)
-    out = multiply(c, b)  # default bound 4 is fine
-    assert rank(out) == 1

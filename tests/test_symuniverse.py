@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from commvar.commodel import CommutingTuple, sigma_action_tuple
-from commvar.errors import TruncationOverflow
-from commvar.numkit import DEFAULT_TOL, fro
+from commvar.numkit import fro
 from commvar.rng import SplitMix64
 from commvar.symuniverse import (
     UniverseBasis,
@@ -101,21 +100,6 @@ def test_psi_isometry_on_random_vectors():
     lhs = np.vdot(psi.kron_vec(a, c), psi.kron_vec(b, d))
     rhs = np.vdot(a, b) * np.vdot(c, d)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
-
-
-def test_psi_truncation_overflow():
-    u = UniverseBasis(1, 2)
-    v = UniverseBasis(1, 2)
-    psi = psi_embed(u, v, degree_bound=2)
-    vec = np.zeros(u.dim, dtype=complex)
-    vec[u.index[(2,)]] = 1.0
-    with pytest.raises(TruncationOverflow):
-        psi.kron_vec(vec, vec)
-    # low-degree content passes through
-    low = np.zeros(u.dim, dtype=complex)
-    low[u.index[(1,)]] = 1.0
-    out = psi.kron_vec(low, low)
-    assert out[psi.target.index[(1, 1)]] == 1.0
 
 
 def test_sigma_star_identity_and_example():
@@ -245,101 +229,61 @@ def test_kron_frame_matches_np_kron(ka, kb):
     assert np.array_equal(out[psi.pair_index.reshape(-1)], np.kron(f, g))
 
 
-def test_kron_frame_truncation_overflow():
-    u = UniverseBasis(1, 2)
-    psi = psi_embed(u, u, degree_bound=2)
-    f = np.zeros((u.dim, 2), dtype=complex)
-    f[u.index[(1,)], 0] = 1.0
-    f[u.index[(2,)], 1] = 1.0
-    with pytest.raises(TruncationOverflow):
-        psi.kron_frame(f, f)
-    out = psi.kron_frame(f[:, :1], f[:, :1])
-    assert out.shape == (psi.target.dim, 1)
-    assert out[psi.target.index[(1, 1)], 0] == 1.0
-
-
-def _reference_kron_frame(psi, f, g, tol=DEFAULT_TOL):
-    # kron_frame before the cached scatter: boolean gathers of the lost and
-    # the kept pairs on every call
+def _reference_kron_frame(psi, f, g):
+    # the same scatter through the (left.dim, right.dim) pair index, with the
+    # products kept in that shape
     f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
     w = (f[:, None, :, None] * g[None, :, None, :]).reshape(
         f.shape[0], g.shape[0], f.shape[1] * g.shape[1])
-    lost = psi.pair_index < 0
-    if np.any(np.abs(w[lost]) > tol.eps_struct):
-        raise TruncationOverflow(f"product monomial exceeds degree bound {psi.target.D}")
     out = np.zeros((psi.target.dim, w.shape[2]), dtype=complex)
-    out[psi.pair_index[~lost]] = w[~lost]
+    out[psi.pair_index] = w
     return out
 
 
-def _low_degree_frame(rng, u, width, top, tiny=0.0):
-    """A (u.dim, width) complex frame supported on the monomials of degree at
-    most top, with entries of size tiny on the others."""
-    low = np.array([sum(a) <= top for a in u.monomials])
-    f = rng.normal(size=(u.dim, width)) + 1j * rng.normal(size=(u.dim, width))
-    f[~low] *= tiny
-    return f
-
-
-@pytest.mark.parametrize("shapes,bound", [
-    (((3, 2), (2, 2)), None), (((3, 2), (3, 2)), None), (((1, 1), (2, 3)), None),
-    (((1, 2), (1, 2)), 2), (((2, 2), (2, 1)), 2), (((3, 2), (3, 2)), 3)])
-def test_kron_frame_matches_the_reference_bit_for_bit(shapes, bound):
+@pytest.mark.parametrize("shapes", [((3, 2), (2, 2)), ((3, 2), (3, 2)), ((1, 1), (2, 3))])
+def test_kron_frame_matches_the_reference_bit_for_bit(shapes):
     rng = np.random.default_rng(5)
     u, v = (UniverseBasis(*nd) for nd in shapes)
-    psi = psi_embed(u, v, bound)
+    psi = psi_embed(u, v)
     for ka, kb in [(1, 1), (2, 3), (3, 0), (0, 2), (4, 2)]:
-        if bound is None:
-            f, g = rng.normal(size=(u.dim, ka)) + 0j, _low_degree_frame(rng, v, kb, v.D)
-        else:  # products within the bound, and lost products below eps_struct
-            f = _low_degree_frame(rng, u, ka, 1, tiny=rng.choice([0.0, 1e-14]))
-            g = _low_degree_frame(rng, v, kb, bound - 1, tiny=rng.choice([0.0, 1e-14]))
+        f = rng.normal(size=(u.dim, ka)) + 0j
+        g = rng.normal(size=(v.dim, kb)) + 1j * rng.normal(size=(v.dim, kb))
         out, expect = psi.kron_frame(f, g), _reference_kron_frame(psi, f, g)
         assert out.dtype == expect.dtype and out.shape == expect.shape
         assert out.tobytes() == expect.tobytes()
 
 
-def test_kron_frame_overflow_matches_the_reference():
-    rng = np.random.default_rng(6)
-    u = UniverseBasis(2, 2)
-    psi = psi_embed(u, u, degree_bound=2)
-    for size in (1.0, 1e-6, 1e3 * DEFAULT_TOL.eps_struct):
-        f = _low_degree_frame(rng, u, 2, 1)
-        f[u.index[(1, 1)], 1] = size  # (1, 1) times a degree-1 monomial of g is lost
-        g = _low_degree_frame(rng, u, 1, 1)
-        with pytest.raises(TruncationOverflow) as expect:
-            _reference_kron_frame(psi, f, g)
-        with pytest.raises(TruncationOverflow) as got:
-            psi.kron_frame(f, g)
-        assert str(got.value) == str(expect.value) == "product monomial exceeds degree bound 2"
+_SMALL_UNIVERSES = [UniverseBasis(n, D) for n in range(1, 4) for D in range(3)]
 
 
-def test_kron_frame_drops_lost_pairs_below_eps_struct():
-    u = UniverseBasis(1, 2)
-    psi = psi_embed(u, u, degree_bound=2)
-    f = np.zeros((u.dim, 1), dtype=complex)
-    f[u.index[(1,)], 0] = 1.0
-    f[u.index[(2,)], 0] = 0.5 * DEFAULT_TOL.eps_struct  # its products have degree 3 or 4
-    out = psi.kron_frame(f, f)
-    assert out.tobytes() == _reference_kron_frame(psi, f, f).tobytes()
-    expect = np.zeros((psi.target.dim, 1), dtype=complex)
-    expect[psi.target.index[(1, 1)], 0] = 1.0
-    assert np.array_equal(out, expect)
+@pytest.mark.parametrize("u", _SMALL_UNIVERSES, ids=repr)
+def test_kron_frame_is_np_kron_scattered_by_the_pair_index(u):
+    rng = np.random.default_rng(7)
+    for v in _SMALL_UNIVERSES:
+        psi = psi_embed(u, v)
+        f = rng.normal(size=(u.dim, 2)) + 1j * rng.normal(size=(u.dim, 2))
+        g = rng.normal(size=(v.dim, 3)) + 1j * rng.normal(size=(v.dim, 3))
+        expect = np.zeros((psi.target.dim, 6), dtype=complex)
+        expect[psi.pair_index.reshape(-1)] = np.kron(f, g)
+        out = psi.kron_frame(f, g)
+        assert out.dtype == expect.dtype and out.tobytes() == expect.tobytes()
+        # the pair image is the bidegree <= (u.D, v.D) monomials, hit once
+        # each; every other row is zero
+        image = {i for i, a in enumerate(psi.target.monomials)
+                 if sum(a[:u.n]) <= u.D and sum(a[u.n:]) <= v.D}
+        assert sorted(psi.pair_index.reshape(-1).tolist()) == sorted(image)
+        rest = [i for i in range(psi.target.dim) if i not in image]
+        assert not out[rest].any()
 
 
 def test_kron_frame_scatter_is_cached_and_read_only():
     u = UniverseBasis(2, 2)
-    full, cut = psi_embed(u, u), psi_embed(u, u, degree_bound=2)
-    # the default bound keeps every pair: the rows are the flat pair index
-    assert full._kept is None and full._lost is None
-    assert full._rows.tolist() == full.pair_index.reshape(-1).tolist()
-    assert cut._rows.tolist() == [t for t in cut.pair_index.reshape(-1).tolist() if t >= 0]
-    assert sorted(cut._kept.tolist() + cut._lost.tolist()) == list(range(u.dim ** 2))
-    assert psi_embed(u, u, degree_bound=2)._rows is cut._rows
-    for a in (full._rows, cut._rows, cut._kept, cut._lost):
-        assert a.flags.writeable is False
-        with pytest.raises(ValueError):
-            a[0] = 0
+    psi = psi_embed(u, u)
+    assert psi_embed(u, UniverseBasis(2, 2)).pair_index is psi.pair_index
+    assert psi.pair_index.shape == (u.dim, u.dim) and psi.pair_index.min() >= 0
+    assert psi.pair_index.flags.writeable is False
+    with pytest.raises(ValueError):
+        psi.pair_index[0, 0] = 0
 
 
 def test_kron_frame_rejects_frames_of_the_wrong_universes():

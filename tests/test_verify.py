@@ -125,22 +125,6 @@ def test_each_failure_is_one_message(monkeypatch):
                                beyond, "trial 1: ValueError: boom"]
 
 
-def test_equivariance_suite_passes_its_tolerances_to_kron_frame(monkeypatch):
-    original = symuniverse.PsiIsometry.kron_frame
-    received = []
-
-    def recorded(self, f, g, *args, **kwargs):
-        received.append(args[0] if args else kwargs.get("tol"))
-        return original(self, f, g, *args, **kwargs)
-
-    monkeypatch.setattr(symuniverse.PsiIsometry, "kron_frame", recorded)
-    cfg = RunConfig(seed=0, trials=2, tol=Tolerances(eps_struct=2e-9))
-    out = run_suite("equivariance", cfg)
-    assert out["failures"] == 0, out["messages"]
-    assert len(received) >= 4  # the two psi.kron_vec images of each trial
-    assert all(tol is cfg.tol for tol in received)
-
-
 def _record_diagonalizations(monkeypatch) -> list:
     """Rebind commodel.joint_diagonalize in every commvar module that holds
     it; the returned list receives each tuple it is called on."""
