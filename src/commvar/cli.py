@@ -14,7 +14,8 @@ or 1; `main` alone maps an exception to exit 2 or 3 and prints its
 {"error", "message"} body.  A reader that closes stdout early ends the
 output quietly with the command's own exit code.  The seed of generate and
 verify falls back to the COMMVAR_SEED environment variable, then to 0.
-Identical (command, seed, config) invocations give byte-identical JSON.
+Identical (command, seed, config) invocations give byte-identical JSON for
+one numpy and BLAS build, kernel and thread count (README, Determinism).
 """
 
 from __future__ import annotations

@@ -281,82 +281,48 @@ def frame_distance(f: np.ndarray, g: np.ndarray) -> float:
     return math.sqrt(np.vdot(outside, outside).real)
 
 
-def min_cost_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of a minimum-total-cost matching of the smaller side
-    of a finite (r, c) cost matrix into the larger, rows ascending.
-
-    Shortest augmenting paths with dual potentials (Kuhn 1955; Jonker and
-    Volgenant 1987), one row at a time: O(r^2 c).
-    """
-    cost = np.asarray(cost, dtype=float)
-    r, c = cost.shape
-    if r > c:
-        cols, rows = min_cost_assignment(cost.T)
-        order = np.argsort(rows)
-        return rows[order], cols[order]
-    # column 0 is a sentinel; row_of[j] is the 1-based row matched to column j
-    u, v = np.zeros(r + 1), np.zeros(c + 1)
-    row_of = np.zeros(c + 1, dtype=int)
-    for i in range(1, r + 1):
-        row_of[0], j0 = i, 0
-        minv = np.full(c + 1, np.inf)
-        way = np.zeros(c + 1, dtype=int)
-        used = np.zeros(c + 1, dtype=bool)
-        while row_of[j0]:
-            used[j0] = True
-            i0 = row_of[j0]
-            reduced = cost[i0 - 1] - u[i0] - v[1:]
-            better = ~used[1:] & (reduced < minv[1:])
-            minv[1:][better] = reduced[better]
-            way[1:][better] = j0
-            j1 = 1 + int(np.argmin(np.where(used[1:], np.inf, minv[1:])))
-            delta = minv[j1]
-            u[row_of[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-        while j0:
-            row_of[j0] = row_of[way[j0]]
-            j0 = way[j0]
-    matched = np.flatnonzero(row_of[1:])
-    cols = np.empty(r, dtype=int)
-    cols[row_of[1:][matched] - 1] = matched
-    return np.arange(r), cols
+def _cheapest_first(cost: np.ndarray) -> list[int]:
+    """Column matched to each row of a square cost matrix, taking pairs
+    cheapest first (ties in row-major order) while row and column are free."""
+    k = cost.shape[0]
+    cols, taken = [-1] * k, [False] * k
+    for flat in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, k)
+        if cols[i] < 0 and not taken[j]:
+            cols[i], taken[j] = j, True
+    return cols
 
 
 def config_distance(a: Configuration, b: Configuration) -> float:
-    """Label-matching distance: optimal assignment on point distance plus
-    frame projection distance, reported as the worst matched pair.
-    Infinite when the universes or label counts differ, or when the best
-    matching pairs a basepoint with a point or matches a point whose
-    dimension is not the universe's.
+    """Label-matching distance: the worst matched pair, with labels matched
+    cheapest pair first on point distance plus frame projection distance.
+    Infinite when the universes or label counts differ, or when the matching
+    pairs a basepoint with a point or takes a point of another dimension.
 
-    A matching other than the identity displaces two labels, and each cost is
-    at least its point distance, so it costs at least twice the least
-    off-diagonal point distance m.  An identity total below m certifies the
-    identity (a basepoint or another dimension gives a nan, which fails):
-    its k costs give the value, and the k^2 costs and assignment are skipped."""
+    The matching is the optimal assignment when every corresponding pair
+    costs less than every other pair, as when each costs less than half the
+    least point distance between two labels of one side.  Every cost off
+    the identity is at least the least off-diagonal point distance m, so
+    identity costs all below m certify the identity (a basepoint or another
+    dimension gives a nan, which fails): its k costs give the value, and the
+    k^2 costs and the matching are skipped."""
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:
         return 0.0
     # (k, n) point arrays with a nan row for the basepoint or a point of another
-    # dimension: infinitely far from all points, but two basepoints are at 0.
-    # The assignment sees the finite cost 1e6 there (inf - inf breaks its potentials)
+    # dimension: infinitely far from all points, but two basepoints are at 0
     nan = np.full(a.universe.n, np.nan)
     pa, pb = (np.array([nan if lab.point.is_basepoint or len(lab.point.coords) != len(nan)
                         else lab.point.coords for lab in x.labels]) for x in (a, b))
     dist = np.abs(pa[:, None] - pb[None]).max(axis=2)
     frames = [frame_distance(la.frame, lb.frame) for la, lb in zip(a.labels, b.labels)]
     diag = dist.diagonal() + frames
-    if diag.sum() < np.where(identity(a.k, bool), np.inf, dist).min():
+    if diag.max() < np.where(identity(a.k, bool), np.inf, dist).min():
         return float(diag.max())
-    base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
-    both = np.outer(base_a, base_b)
-    far = np.isnan(dist) & ~both
-    cost = np.where(both, 0.0, np.where(far, 1e6, dist))
+    both = np.outer(*([lab.point.is_basepoint for lab in x.labels] for x in (a, b)))
+    cost = np.where(both, 0.0, np.where(np.isnan(dist), np.inf, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):
             cost[i, j] += frames[i] if i == j else frame_distance(la.frame, lb.frame)
-    rows, cols = min_cost_assignment(cost)
-    return math.inf if far[rows, cols].any() else float(cost[rows, cols].max())
+    return float(cost[range(a.k), _cheapest_first(cost)].max())

@@ -76,8 +76,11 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
     """Commuting tuple whose coarsest eigenspace decomposition realizes the
     prescribed part sizes: one shared eigenvalue tuple per part, parts kept
     0.5 apart in the max metric.  `unit` scales by `unit_normalize`, so a
-    single part (traceless part 0 up to roundoff) raises ZeroTuple."""
+    single part (traceless part 0 up to roundoff) raises ZeroTuple; a part
+    below 1 raises ValueError."""
     parts = list(parts)
+    if any(p < 1 for p in parts):
+        raise ValueError("parts must be positive")
     s = sum(parts)
     rng = SplitMix64(seed)
     part_vals = sample_value_columns(rng, kind, n, len(parts), 0.3, 0.5)
@@ -108,12 +111,14 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
     point coordinates have arguments in [0.35, 2 pi - 0.35], away from the
     basepoint, and points are pairwise 0.2 apart in the max metric, so
     canonicalization is stable.  Passing `dims` pins the label dimensions
-    (and hence the rank) exactly.
+    (and hence the rank) exactly; a negative one raises ValueError.
     """
     rng = SplitMix64(seed)
     dim = universe.dim
     if dims is not None:
         dims = list(dims)
+        if any(d < 0 for d in dims):
+            raise ValueError("label dimensions must not be negative")
         if sum(dims) > dim:
             raise ValueError("label dimensions exceed the universe dimension")
     else:

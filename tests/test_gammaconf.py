@@ -15,13 +15,13 @@ from commvar.gammaconf import (
     Configuration,
     Label,
     SpherePoint,
+    _cheapest_first,
     apply_based_map,
     _check_labels,
     canonicalize,
     config_distance,
     frame_distance,
     frame_order,
-    min_cost_assignment,
     push_labels,
     rank,
     sigma_action_config,
@@ -34,6 +34,7 @@ from commvar.numkit import DEFAULT_TOL, fro, orthonormalize
 from commvar.rng import SplitMix64, haar_unitary
 from commvar.spectrumops import multiply, structure_map, unit_map
 from commvar.symuniverse import UniverseBasis, psi_embed
+from commvar.verify import RunConfig, run_suite
 
 
 def _unit_labels(universe, *specs):
@@ -279,8 +280,8 @@ def test_config_distance_detects_differences():
 
 
 def test_config_distance_is_infinite_across_the_basepoint_and_dimensions():
-    # point_distance is infinite for these pairs; the assignment's finite
-    # stand-in cost must not be reported as a distance
+    # point_distance is infinite for these pairs, and so is their matching
+    # cost: a matching that must take one reports it
     u = UniverseBasis(2, 1)
     e = np.eye(u.dim, dtype=complex)
     x = SpherePoint([np.exp(0.5j), np.exp(1j)])
@@ -338,29 +339,34 @@ def test_frame_distance_resolves_nearby_subspaces():
 
 
 @st.composite
-def _cost_matrices(draw):
-    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
-    cost = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 10.0)))
-    # an infinite point distance enters config_distance as 1e6
-    far = draw(hnp.arrays(bool, shape))
-    return cost + 1e6 * far
+def _square_costs(draw):
+    k = draw(st.integers(1, 6))
+    # few distinct values, so that ties are common
+    cost = draw(hnp.arrays(float, (k, k), elements=st.sampled_from([0.0, 1.0, 2.5, 7.0])))
+    return np.where(draw(hnp.arrays(bool, (k, k))), np.inf, cost)
 
 
 @settings(deadline=None, max_examples=300)
-@given(_cost_matrices())
-def test_min_cost_assignment_matches_brute_force(cost):
-    r, c = cost.shape
-    rows, cols = min_cost_assignment(cost)
-    assert len(rows) == len(cols) == min(r, c)
-    assert len(set(rows.tolist())) == len(set(cols.tolist())) == min(r, c)
-    assert rows.tolist() == sorted(rows.tolist())
-    if r <= c:
-        best = min(cost[np.arange(r), list(p)].sum()
-                   for p in itertools.permutations(range(c), r))
-    else:
-        best = min(cost[list(p), np.arange(c)].sum()
-                   for p in itertools.permutations(range(r), c))
-    assert math.isclose(cost[rows, cols].sum(), best, rel_tol=1e-12, abs_tol=1e-9)
+@given(_square_costs())
+def test_cheapest_first_returns_a_permutation(cost):
+    cols = _cheapest_first(cost)
+    assert sorted(cols) == list(range(len(cost)))
+    if len(set(cost.ravel().tolist())) == 1:  # ties go in row-major order
+        assert cols == list(range(len(cost)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_cheapest_first_finds_a_permutation_cheaper_than_every_other_pair(data):
+    # entries of perm below 1, every other entry at least 1: the greedy
+    # takes perm, which is the brute-force minimum-sum assignment
+    k = data.draw(st.integers(1, 6))
+    perm = data.draw(st.permutations(range(k)))
+    cost = data.draw(hnp.arrays(float, (k, k), elements=st.floats(1.0, 10.0)))
+    cost[range(k), perm] = data.draw(hnp.arrays(float, k, elements=st.floats(0.0, 0.999)))
+    assert _cheapest_first(cost) == list(perm)
+    best = min(itertools.permutations(range(k)), key=lambda p: cost[range(k), list(p)].sum())
+    assert cost[range(k), list(best)].sum() == cost[range(k), perm].sum()
 
 
 def _value_key(values):
@@ -734,8 +740,8 @@ def test_canonicalize_matches_the_reference_on_products():
 
 
 def _reference_config_distance(a, b):
-    # config_distance before the identity certificate: every k x k frame
-    # distance, then the assignment
+    # config_distance without the identity certificate: every k x k frame
+    # distance, then the matching
     if a.universe != b.universe or a.k != b.k:
         return math.inf
     if a.k == 0:
@@ -746,25 +752,23 @@ def _reference_config_distance(a, b):
     dist = np.max(np.abs(pa[:, None] - pb[None]), axis=2)
     base_a, base_b = ([lab.point.is_basepoint for lab in x.labels] for x in (a, b))
     both = np.outer(base_a, base_b)
-    far = np.isnan(dist) & ~both
-    cost = np.where(both, 0.0, np.where(far, 1e6, dist))
+    cost = np.where(both, 0.0, np.where(np.isnan(dist), np.inf, dist))
     for i, la in enumerate(a.labels):
         for j, lb in enumerate(b.labels):
             cost[i, j] += frame_distance(la.frame, lb.frame)
-    rows, cols = min_cost_assignment(cost)
-    return math.inf if far[rows, cols].any() else float(np.max(cost[rows, cols]))
+    return float(np.max(cost[range(a.k), _cheapest_first(cost)]))
 
 
 @pytest.fixture
 def assignments(monkeypatch):
-    """The number of min_cost_assignment runs config_distance starts."""
+    """The number of _cheapest_first matchings config_distance starts."""
     calls = [0]
 
     def counted(cost):
         calls[0] += 1
-        return min_cost_assignment(cost)
+        return _cheapest_first(cost)
 
-    monkeypatch.setattr(gammaconf, "min_cost_assignment", counted)
+    monkeypatch.setattr(gammaconf, "_cheapest_first", counted)
     return calls
 
 
@@ -833,7 +837,7 @@ def test_config_distance_certificate_on_single_labels_and_sentinels(assignments)
         assert repr(config_distance(a, b)) == repr(_reference_config_distance(a, b))
     assert config_distance(one, other) > 0.5
     assert assignments[0] == 0
-    # a basepoint or a point of another dimension always takes the assignment
+    # a basepoint or a point of another dimension always takes the matching
     e = np.eye(u.dim, dtype=complex)
     x, z = SpherePoint(np.exp([0.5j, 1j, 2j])), SpherePoint(np.exp([1j, 2j, 3j]))
     wrong = SpherePoint(np.exp([0.5j, 1j, 2j, 3j]))
@@ -846,8 +850,8 @@ def test_config_distance_certificate_on_single_labels_and_sentinels(assignments)
 
 
 def test_config_distance_falls_back_near_coincident_points(assignments):
-    # two labels m = 1e-7 apart: the identity is certified while its total
-    # stays below m, and not between m and the exact bound 2 m
+    # two labels m = 1e-7 apart: the identity is certified while each of its
+    # costs stays below m, and not from m on
     u = UniverseBasis(2, 1)
     e = np.eye(u.dim, dtype=complex)
     x = np.exp([0.5j, 1j])
@@ -897,3 +901,39 @@ def test_config_distance_fallback_computes_each_frame_distance_once(dims, monkey
         got = config_distance(a, b)
         assert (calls[0], assignments[0]) == (a.k ** 2, runs + 1)
         assert repr(got) == repr(_reference_config_distance(a, b))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_verify_decides_no_verdict_by_the_matching(seed, assignments, monkeypatch):
+    # every config_distance verify makes is certified on the identity, so the
+    # matching rule behind the certificate decides none of its verdicts
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return config_distance(a, b)
+
+    monkeypatch.setattr(gammaconf, "config_distance", counted)
+    run_suite("all", RunConfig(seed=seed, trials=3))
+    assert calls[0] > 0
+    assert assignments[0] == 0
+
+
+def _label_for_label(c):
+    # each label matched to itself: the largest frame_distance(f, f), which
+    # is not 0 for a non-isometric frame, or inf for a point of another dimension
+    if any(not lab.point.is_basepoint and len(lab.point.coords) != c.universe.n
+           for lab in c.labels):
+        return math.inf
+    return max((frame_distance(lab.frame, lab.frame) for lab in c.labels), default=0.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_config_distance_matches_each_label_to_itself(seed):
+    # duplicate, chained and zero-width labels included, in any label order
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        c = _oracle_config(rng)
+        expect = _label_for_label(c)
+        assert config_distance(c, c) == expect
+        assert config_distance(c, _shuffled(c, rng)) == expect

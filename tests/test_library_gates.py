@@ -56,6 +56,13 @@ GATES = {
         0, 1, (1, 1), kind="unitary", traceless=True), ValueError, "Lie-algebra kind"),
     "config dims above the universe": (lambda: generate.gen_random_config(0, U2, dims=[2, 2]),
                                        ValueError, "exceed the universe dimension"),
+    # sizes a generator cannot build: refused, not replaced by other sizes
+    "partition tuple with a part of 0": (lambda: generate.gen_partition_tuple(1, 2, (2, 0, 1)),
+                                         ValueError, "parts must be positive"),
+    "config dims with a negative first": (lambda: generate.gen_random_config(1, U2, dims=(-1, 2)),
+                                          ValueError, "must not be negative"),
+    "config dims with a negative last": (lambda: generate.gen_random_config(1, U2, dims=(3, -1)),
+                                         ValueError, "must not be negative"),
     "exact-rank ambient below the rank": (lambda: generate.gen_exact_rank_tuple(
         0, 1, 3, ambient_dim=2), ValueError, "at least the rank"),
     "unit_normalize of a tuple with a trace": (lambda: isodecomp.unit_normalize(
