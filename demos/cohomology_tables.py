@@ -2,16 +2,15 @@
 odd primes.
 """
 
-from commvar import IntPolynomial, a0_lambda_table, poincare_poly
+from commvar import a0_lambda_table, poincare_poly
 
 for p in (3, 5, 7):
     poly = poincare_poly(p)
+    table = poly.to_dict()
     print(f"p = {p}: P(t) = {poly}")
     print(f"  lowest reduced degree: {min(a0_lambda_table(p))} (= 2p-3)")
     print(f"  total reduced dimension: {sum(a0_lambda_table(p).values())}"
           f" (= 2^(p-1))")
-    print(f"  P(1) = {poly.evaluate(1)}")
-
-# the table is plain integer polynomial arithmetic
-one_plus_t = IntPolynomial({0: 1, 1: 1})
-print("(1+t)^3 =", one_plus_t * one_plus_t * one_plus_t)
+    print(f"  P(1) = {sum(table.values())}")
+    # the reduced part has the factor 1 + t, which vanishes at t = -1
+    print(f"  P(-1) = {sum(c * (-1) ** d for d, c in table.items())}")

@@ -71,7 +71,7 @@ from .isodecomp import (
     tuple_norm,
     unit_normalize,
 )
-from .cohomtab import IntPolynomial, a0_lambda_table, poincare_poly
+from .cohomtab import a0_lambda_table, poincare_poly
 from .generate import (
     gen_exact_rank_tuple,
     gen_partition_tuple,

@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"one of {', '.join(SUITES)} or 'all'")
     ver.add_argument("--trials", type=int, default=25)
     ver.add_argument("--n", type=int, default=3, help="cap on tuple length")
-    ver.add_argument("--s", type=int, default=6, help="cap on matrix size")
+    ver.add_argument("--s", type=int, default=6,
+                     help="cap on matrix size, except roundtrip's eigensolver check "
+                          "(s = 2..8) and cayley's chart tuple (its rank plus 2)")
     ver.add_argument("--D", type=int, default=2, help="cap on truncation degree")
     for p in (gen, ver):  # the commands that read a seed
         p.add_argument("--seed", type=int, default=None,
@@ -137,17 +139,14 @@ def _emit(payload: dict, mode: str, text: list[str] | None = None):
         _write(*(text or (f"{key}: {value}" for key, value in payload.items())))
 
 
-def _matrix_encoder(mode: str):
-    """The one choice of matrix encoding for every command that writes
-    matrices: JSON text per stack for dumps_tree, or the dicts text prints."""
-    return jsonio.matrix_texts if mode == "json" else jsonio.matrix_dicts
-
-
 def cmd_generate(args) -> int:
     if not 0 <= args.n <= MAX_GENERATE_N or not 1 <= args.s <= MAX_STRATIFY_S:  # s as stratify
         raise ValueError(f"need 0 <= --n <= {MAX_GENERATE_N}, 1 <= --s <= {MAX_STRATIFY_S}")
     t = gen_random_commuting(_seed(args), args.n, args.s, args.kind)
-    _emit(jsonio.tuple_to_json(t, _matrix_encoder(args.output)), args.output)
+    if args.output == "text":  # the scalar fields; the matrices are for JSON
+        _emit({"n": t.n, "s": t.s, "kind": t.kind}, "text")
+    else:
+        _emit(jsonio.tuple_to_json(t, jsonio.matrix_texts), "json")
     return EXIT_OK
 
 
@@ -172,30 +171,36 @@ def cmd_stratify(args) -> int:
     # one diagonalization validates the tuple once and serves the chart and
     # the decomposition type
     _, blocks = joint_diagonalize(t, tol)
-    report = {"rank": None, "chart": None, "split": None,
-              "decomposition_type": list(decomposition_type(t, tol, blocks).parts)}
-    if t.kind == "unitary":
-        chart, enc = subquotient_chart(t, tol, blocks=blocks), _matrix_encoder(args.output)
-        report.update({"rank": chart.s, "chart": {"X": jsonio.tuple_to_json(chart.X, enc),
-                                                  "f": enc(chart.f[None])[0]},
+    parts = list(decomposition_type(t, tol, blocks).parts)
+    chart = subquotient_chart(t, tol, blocks=blocks) if t.kind == "unitary" else None
+    rank, tau = (None, None) if chart is None else (chart.s, chart.tau.astype(float).tolist())
+    if args.output == "text":  # the scalar fields; the matrices are for JSON
+        _emit({"rank": rank, "decomposition_type": parts, "tau": tau}, "text")
+        return EXIT_OK
+    report = {"rank": rank, "chart": None, "split": None, "decomposition_type": parts}
+    if chart is not None:
+        enc = jsonio.matrix_texts
+        report.update({"chart": {"X": jsonio.tuple_to_json(chart.X, enc),
+                                 "f": enc(chart.f[None])[0]},
                        "split": {"traceless": jsonio.tuple_to_json(chart.traceless, enc),
-                                 "tau": chart.tau.astype(float).tolist()}})
-    _emit(report, args.output)
+                                 "tau": tau}})
+    _emit(report, "json")
     return EXIT_OK
 
 
 def cmd_poincare(args) -> int:
-    from .cohomtab import MAX_P, IntPolynomial, a0_lambda_table
+    from .cohomtab import MAX_P, a0_lambda_table, poly_text
 
     if args.p > MAX_P:  # before the primality test and the product
         raise ValueError(f"poincare accepts --p at most {MAX_P}")
     reduced = a0_lambda_table(args.p)
-    poly = IntPolynomial.one() + IntPolynomial(reduced)  # the reduced table plus the unit
+    poly = {0: 1, **reduced}  # the unit plus the reduced table, which starts at degree 2p - 3
+    text = poly_text(poly)
     _emit({"p": args.p,
-           "poincare": {str(d): c for d, c in poly.to_dict().items()},
+           "poincare": {str(d): c for d, c in poly.items()},
            "reduced": {str(d): c for d, c in reduced.items()},
-           "string": str(poly)},
-          args.output, [f"P(t) = {poly}", f"reduced dimensions: {reduced}"])
+           "string": text},
+          args.output, [f"P(t) = {text}", f"reduced dimensions: {reduced}"])
     return EXIT_OK
 
 

@@ -111,14 +111,14 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
     point coordinates have arguments in [0.35, 2 pi - 0.35], away from the
     basepoint, and points are pairwise 0.2 apart in the max metric, so
     canonicalization is stable.  Passing `dims` pins the label dimensions
-    (and hence the rank) exactly; a negative one raises ValueError.
+    (and hence the rank) exactly; one below 1 raises ValueError.
     """
     rng = SplitMix64(seed)
     dim = universe.dim
     if dims is not None:
         dims = list(dims)
-        if any(d < 0 for d in dims):
-            raise ValueError("label dimensions must not be negative")
+        if any(d < 1 for d in dims):
+            raise ValueError("label dimensions must be positive")
         if sum(dims) > dim:
             raise ValueError("label dimensions exceed the universe dimension")
     else:

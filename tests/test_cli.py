@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -472,6 +473,21 @@ def test_poincare_command():
     assert code == 2
     code, out, _ = run_cli(["poincare", "--p", "5", "--output", "text"])
     assert code == 0 and "P(t)" in out
+
+
+# sha256 of `poincare --p q` stdout, JSON then text, over the odd primes q <= MAX_P
+_POINCARE_GOLDEN = "2adf54dcdbc39450052c4e628f53f7c5324aa72c420a4e004dcba62a19f93387"
+
+
+def test_poincare_output_matches_the_golden_digest(capsys):
+    primes = [q for q in range(3, MAX_P + 1, 2) if all(q % d for d in range(3, q, 2))]
+    digest = hashlib.sha256()
+    for q in primes:
+        for mode in ("json", "text"):
+            assert main(["poincare", "--p", str(q), "--output", mode]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert (len(primes), primes[-1]) == (29, 113)
+    assert digest.hexdigest() == _POINCARE_GOLDEN
 
 
 def test_verify_deterministic():

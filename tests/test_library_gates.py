@@ -4,8 +4,8 @@ with the documented exception and a message naming what is wrong."""
 import numpy as np
 import pytest
 
-from commvar import (cohomtab, commodel, gammaconf, generate, isodecomp, numkit, rankstrata,
-                     spectrumops, symuniverse)
+from commvar import (commodel, gammaconf, generate, isodecomp, numkit, rankstrata, spectrumops,
+                     symuniverse)
 from commvar.errors import ShapeMismatch
 from commvar.rng import SplitMix64
 
@@ -60,9 +60,11 @@ GATES = {
     "partition tuple with a part of 0": (lambda: generate.gen_partition_tuple(1, 2, (2, 0, 1)),
                                          ValueError, "parts must be positive"),
     "config dims with a negative first": (lambda: generate.gen_random_config(1, U2, dims=(-1, 2)),
-                                          ValueError, "must not be negative"),
+                                          ValueError, "must be positive"),
     "config dims with a negative last": (lambda: generate.gen_random_config(1, U2, dims=(3, -1)),
-                                         ValueError, "must not be negative"),
+                                         ValueError, "must be positive"),
+    "config dims with a 0": (lambda: generate.gen_random_config(1, U2, dims=(0, 2)),
+                             ValueError, "must be positive"),
     "exact-rank ambient below the rank": (lambda: generate.gen_exact_rank_tuple(
         0, 1, 3, ambient_dim=2), ValueError, "at least the rank"),
     "unit_normalize of a tuple with a trace": (lambda: isodecomp.unit_normalize(
@@ -75,8 +77,6 @@ GATES = {
     "orthonormalize of a list of vectors": (lambda: numkit.orthonormalize([np.ones(2)] * 2),
                                             ShapeMismatch, "not a (d, k) array: <class 'list'>"),
     "randint of an empty range": (lambda: SplitMix64(0).randint(3, 3), ValueError, "empty range"),
-    "polynomial of negative degree": (lambda: cohomtab.IntPolynomial({-1: 1}),
-                                      ValueError, "non-negative"),
 }
 
 

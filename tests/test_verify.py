@@ -435,7 +435,7 @@ def test_a_missing_singular_raise_is_reported(monkeypatch):
 def test_a_missing_not_odd_prime_raise_is_reported(monkeypatch):
     original = cohomtab.poincare_poly
     monkeypatch.setattr(cohomtab, "poincare_poly",
-                        lambda p: cohomtab.IntPolynomial.one() if p == 4 else original(p))
+                        lambda p: cohomtab.PoincareTable(((0, 1),)) if p == 4 else original(p))
     out = run_suite("cohomology", RunConfig(seed=0, trials=1))
     assert out["messages"] == ["NotOddPrime 4: expectation failed"]
 
