@@ -26,13 +26,13 @@ from .commodel import (
     CommutingTuple,
     EigenBlock,
     F_subspace,
+    JointSpectrum,
     canonical_rep,
     class_distance,
     commuting_to_config,
     config_to_commuting,
     joint_diagonalize,
     sigma_action_tuple,
-    tuples_equivalent,
 )
 from .rankstrata import (
     SubquotientChart,

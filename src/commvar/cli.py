@@ -170,9 +170,9 @@ def cmd_stratify(args) -> int:
     tol = _tolerances(args)
     # one diagonalization validates the tuple once and serves the chart and
     # the decomposition type
-    _, blocks = joint_diagonalize(t, tol)
-    parts = list(decomposition_type(t, tol, blocks).parts)
-    chart = subquotient_chart(t, tol, blocks=blocks) if t.kind == "unitary" else None
+    spectrum = joint_diagonalize(t, tol)
+    parts = list(decomposition_type(t, tol, spectrum).parts)
+    chart = subquotient_chart(t, tol, spectrum=spectrum) if t.kind == "unitary" else None
     rank, tau = (None, None) if chart is None else (chart.s, chart.tau.astype(float).tolist())
     if args.output == "text":  # the scalar fields; the matrices are for JSON
         _emit({"rank": rank, "decomposition_type": parts, "tau": tau}, "text")

@@ -11,8 +11,8 @@ or off F.  A skew-Hermitian or real symmetric tuple never reaches the point
 at infinity, which the Cayley transforms send to 1, so its F is the whole
 space.  Reading eigenblocks as labels (frame, value tuple) converts a
 unitary tuple into a configuration and back.  Each function that
-diagonalizes its tuple takes optional blocks, so a caller holding them
-diagonalizes once.
+diagonalizes its tuple takes an optional JointSpectrum of it at the same
+tolerances (ValueError otherwise), so a caller holding one diagonalizes once.
 """
 
 from __future__ import annotations
@@ -119,6 +119,21 @@ class EigenBlock:
     in_F: bool
 
 
+@dataclass(frozen=True, eq=False)
+class JointSpectrum:
+    """Q and the eigenblocks, in chart order, of one joint diagonalization of
+    the tuple t at the tolerances tol; it unpacks and indexes as (Q, blocks).
+    A configuration's spectrum (config_spectrum) has no Q, only in-F blocks."""
+
+    t: CommutingTuple
+    tol: Tolerances
+    Q: np.ndarray | None
+    blocks: list[EigenBlock]
+
+    def __getitem__(self, i):
+        return (self.Q, self.blocks)[i]
+
+
 def _hermitian_components(t: CommutingTuple) -> np.ndarray:
     if t.kind == "unitary":
         # Hermitian and skew part of each component, interleaved
@@ -129,21 +144,21 @@ def _hermitian_components(t: CommutingTuple) -> np.ndarray:
     return t.mats.copy()
 
 
-def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
+def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> JointSpectrum:
     """Simultaneously diagonalize a commuting tuple.
 
-    Returns (Q, blocks): Q unitary (orthogonal for real tuples) with
-    Q^H A_j Q diagonal up to a joint residual of 1e-8 max_j ||A_j||_F, and
-    the coarsest eigenblock decomposition obtained by single-linkage
-    clustering of the joint eigenvalue tuples at eps_cluster, in chart order
-    (leading frame coordinate, then value tuple).  For a unitary tuple only
-    columns on one side of the cut at eps_base from 1 link, so each block is
-    in or off F as a whole, and two in-F columns whose phases in one
-    coordinate have opposite signs in the right half-plane do not link, so
-    no in-F block straddles 1 and its mean stays off it.  A block's frame is
-    its columns of phase_normalize(Q): Q is unitary by construction (LAPACK
-    eigenvectors times Cayley transforms and plane rotations), so the frames
-    are orthonormal without a further Gram-Schmidt pass.
+    Returns JointSpectrum(t, tol, Q, blocks): Q unitary (orthogonal for
+    real tuples) with Q^H A_j Q diagonal up to a joint residual of
+    1e-8 max_j ||A_j||_F, and the coarsest eigenblock decomposition from
+    single-linkage clustering of the joint eigenvalue tuples at eps_cluster,
+    in chart order (leading frame coordinate, then value tuple).  For a
+    unitary tuple only columns on one side of the cut at eps_base from 1
+    link, so each block is in or off F as a whole, and two in-F columns
+    whose phases in one coordinate have opposite signs in the right
+    half-plane do not link, so no in-F block straddles 1 and its mean stays
+    off it.  A block's frame is its columns of phase_normalize(Q): Q is
+    unitary by construction (LAPACK eigenvectors times Cayley transforms and
+    plane rotations), so the frames are orthonormal without a Gram-Schmidt pass.
 
     After the residual check the blocks are built in one pass:
     _group_reduce gives each group's mean, leading row and F flag, with a
@@ -181,7 +196,19 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
     for i in order:
         start, end = end, end + len(groups[i])
         blocks.append(EigenBlock(np.ascontiguousarray(rows[start:end].T), means[i], in_f[i]))
-    return q, blocks
+    return JointSpectrum(t, tol, q, blocks)
+
+
+def checked_spectrum(t: CommutingTuple, tol: Tolerances, spectrum) -> JointSpectrum:
+    """spectrum, or joint_diagonalize(t, tol) when it is None; ValueError when
+    it is of another tuple object or was taken at other tolerances."""
+    if spectrum is None:
+        return joint_diagonalize(t, tol)
+    if spectrum.t is not t:
+        raise ValueError("spectrum is of another tuple")
+    if spectrum.tol != tol:
+        raise ValueError(f"spectrum was taken at {spectrum.tol}, not at {tol}")
+    return spectrum
 
 
 def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
@@ -208,13 +235,11 @@ def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
 
 
 def F_subspace(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-               blocks: list[EigenBlock] | None = None) -> np.ndarray:
+               spectrum: JointSpectrum | None = None) -> np.ndarray:
     """Frame spanning the largest subspace on which every A_i - Id of a
     unitary tuple is non-singular, the whole space when n = 0 or t is of a
     Lie kind: the frames of the in_F blocks side by side, in block order."""
-    if blocks is None:
-        _, blocks = joint_diagonalize(t, tol)
-    frames = [b.frame for b in blocks if b.in_F]
+    frames = [b.frame for b in checked_spectrum(t, tol, spectrum).blocks if b.in_F]
     return np.hstack(frames) if frames else np.zeros((t.s, 0), dtype=t.mats.dtype)
 
 
@@ -236,11 +261,11 @@ def kron_pair(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def canonical_rep(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                  blocks: list[EigenBlock] | None = None) -> CommutingTuple:
+                  spectrum: JointSpectrum | None = None) -> CommutingTuple:
     """Canonical representative of the equivalence class of a unitary tuple:
     each component restricted to F and extended by the identity."""
     require_kind(t, "unitary")
-    f = F_subspace(t, tol, blocks)
+    f = F_subspace(t, tol, spectrum)
     return CommutingTuple("unitary", extend_by_identity(f, f.conj().T @ t.mats @ f), t.ambient)
 
 
@@ -258,13 +283,6 @@ def rep_distance(a: CommutingTuple, b: CommutingTuple) -> float:
     return max((fro(x - y) for x, y in zip(a.mats, b.mats)), default=0.0)
 
 
-def tuples_equivalent(t1: CommutingTuple, t2: CommutingTuple,
-                      tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Two unitary tuples are equivalent iff their canonical representatives
-    agree within eps_struct."""
-    return class_distance(t1, t2, tol) <= tol.eps_struct
-
-
 def config_to_commuting(c: Configuration) -> CommutingTuple:
     """Unitary tuple acting on the universe of a canonical configuration:
     component j scales each label subspace by the j-th point coordinate and
@@ -278,25 +296,24 @@ def config_to_commuting(c: Configuration) -> CommutingTuple:
     return t
 
 
-def config_blocks(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> list[EigenBlock]:
-    """The in-F eigenblocks of config_to_commuting(c) for a canonical c, read
-    off its labels instead of diagonalizing: one per label, with the label's
-    phase-normalized frame and its point, in the chart order canonicalize
-    already gives."""
-    return [EigenBlock(phase_normalize(lab.frame, tol), lab.point.coords, True)
-            for lab in c.labels]
+def config_spectrum(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> JointSpectrum:
+    """The spectrum of config_to_commuting(c), bound to that tuple, for a
+    canonical c, read off its labels instead of diagonalizing: one in-F block
+    per label, with the label's phase-normalized frame and its point, in the
+    chart order canonicalize already gives.  It has no Q and no off-F blocks."""
+    return JointSpectrum(config_to_commuting(c), tol, None, [
+        EigenBlock(phase_normalize(lab.frame, tol), lab.point.coords, True) for lab in c.labels])
 
 
 def commuting_to_config(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                        blocks: list[EigenBlock] | None = None) -> Configuration:
+                        spectrum: JointSpectrum | None = None) -> Configuration:
     """Inverse direction: eigenblocks whose value tuple avoids 1 become
     labels; blocks touching 1 are the basepoint part and disappear."""
     if t.ambient is None:
         raise ValueError("tuple needs an ambient universe to become a configuration")
     require_kind(t, "unitary")
-    if blocks is None:
-        _, blocks = joint_diagonalize(t, tol)
-    labels = [Label(b.frame, SpherePoint(b.values)) for b in blocks if b.in_F]
+    labels = [Label(b.frame, SpherePoint(b.values))
+              for b in checked_spectrum(t, tol, spectrum).blocks if b.in_F]
     return canonicalize(Configuration(t.ambient, labels), tol)
 
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NotOrthogonal
 from .numkit import DEFAULT_TOL, Tolerances, identity, leading_rows, orthonormalize
-from .symuniverse import UniverseBasis, apply_perm_to_coords, perm_inverse, sigma_star
+from .symuniverse import (UniverseBasis, _check_perm, apply_perm_to_coords, perm_inverse,
+                          sigma_star)
 
 
 class SpherePoint:
@@ -70,11 +71,11 @@ def smash(x: SpherePoint, y: SpherePoint) -> SpherePoint:
 
 
 def permute_point(sigma, x: SpherePoint) -> SpherePoint:
-    """(sigma . x)_j = x_{sigma^{-1}(j)}; basepoint is fixed."""
+    """(sigma . x)_j = x_{sigma^{-1}(j)}; basepoint is fixed.  A sigma that
+    is not a permutation of x's coordinates raises ValueError."""
     if x.is_basepoint:
         return BASEPOINT
-    inv = perm_inverse(sigma)
-    return SpherePoint(x.coords[inv])
+    return SpherePoint(x.coords[perm_inverse(_check_perm(sigma, len(x.coords)))])
 
 
 @dataclass

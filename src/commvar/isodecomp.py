@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
+from .commodel import CommutingTuple, JointSpectrum, checked_spectrum, require_kind
 from .errors import ShapeMismatch, ZeroTuple
 from .numkit import (DEFAULT_TOL, Tolerances, check_entries, check_structure, fro, identity,
                      phase_normalize)
@@ -41,14 +41,15 @@ class DecompType:
 
 
 def decomposition_type(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                       blocks: list[EigenBlock] | None = None) -> DecompType:
-    """Partition of the size by the coarsest joint eigenblock dimensions.
-    An s = 0 tuple has no blocks and raises ShapeMismatch."""
-    if blocks is None:
-        _, blocks = joint_diagonalize(t, tol)
-    if not blocks:
+                       spectrum: JointSpectrum | None = None) -> DecompType:
+    """Partition of the size by the coarsest joint eigenblock dimensions; an s = 0
+    tuple (no blocks) raises ShapeMismatch, a config_spectrum (no off-F blocks) ValueError."""
+    spectrum = checked_spectrum(t, tol, spectrum)
+    if spectrum.Q is None:
+        raise ValueError("a configuration spectrum has no off-F blocks to type")
+    if not spectrum.blocks:
         raise ShapeMismatch("an s = 0 tuple has no decomposition type")
-    return DecompType(tuple(b.frame.shape[1] for b in blocks))
+    return DecompType(tuple(b.frame.shape[1] for b in spectrum.blocks))
 
 
 def is_complete_type(d: DecompType) -> bool:
@@ -135,19 +136,18 @@ def canonical_flag_class(g: np.ndarray, x: CommutingTuple,
 
 
 def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                      blocks: list[EigenBlock] | None = None):
+                      spectrum: JointSpectrum | None = None):
     """Canonical preimage of a unit tuple under the flag map.
 
     Requires the joint spectrum to be simple (all eigenblocks of dimension
     one); joint diagonalization supplies the frame and the diagonals, and
     canonicalization picks the representative of the preimage class.
     """
-    if blocks is None:
-        _, blocks = joint_diagonalize(t, tol)
-    if decomposition_type(t, tol, blocks).k != t.s:
+    spectrum = checked_spectrum(t, tol, spectrum)
+    if decomposition_type(t, tol, spectrum).k != t.s:
         raise ValueError("flag preimage needs a simple joint spectrum")
-    g = np.hstack([b.frame for b in blocks])
-    diags = np.array([b.values for b in blocks]).T[:, :, None] * identity(t.s)
+    g = np.hstack([b.frame for b in spectrum.blocks])
+    diags = np.array([b.values for b in spectrum.blocks]).T[:, :, None] * identity(t.s)
     # project the recovered diagonals back onto the imaginary axis
     diags = 0.5 * (diags - np.conj(diags.swapaxes(1, 2)))
     x = CommutingTuple("skew_hermitian", diags)

@@ -7,8 +7,8 @@ unitary tuple onto its distinguished subspace F and pulling back along the
 transform yields the chart (X, f) of the open stratum of exact rank s: X a
 commuting skew-Hermitian tuple of size s, f an isometric frame spanning F.
 
-The chart is read off the joint spectrum of one joint diagonalization;
-subquotient_chart takes optional blocks, so a caller holding them
+The chart is read off one commodel.JointSpectrum, an optional `spectrum` of
+subquotient_chart (of t at tol, else ValueError), so a caller holding one
 diagonalizes once.  The columns of the F frame are joint eigenvectors, so X
 is diagonal in that frame, the inverse transform of the Rayleigh quotients.
 For a tuple that commutes only to working tolerance this is the chart of its
@@ -24,8 +24,8 @@ import numpy as np
 
 from .commodel import (
     CommutingTuple,
-    EigenBlock,
     F_subspace,
+    JointSpectrum,
     extend_by_identity,
     kron_pair,
     require_kind,
@@ -98,7 +98,7 @@ def stratum_rank(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> int:
 
 def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
                       frame: np.ndarray | None = None,
-                      blocks: list[EigenBlock] | None = None) -> SubquotientChart:
+                      spectrum: JointSpectrum | None = None) -> SubquotientChart:
     """Chart of a unitary tuple in the open stratum of its exact rank:
     X_i = diag(i Im((1 + v)/(1 - v))) for the Rayleigh quotients
     v = diag(f^H A_i f) of the columns of the F frame.
@@ -109,7 +109,7 @@ def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     Raises WrongStratum when some component minus the identity is singular
     on F at working tolerance."""
     require_kind(t, "unitary")
-    f = F_subspace(t, tol, blocks)
+    f = F_subspace(t, tol, spectrum)
     s = f.shape[1]
     v = (f.conj() * (t.mats @ f)).sum(axis=1)
     if (np.abs(v - 1) <= tol.eps_struct).any():

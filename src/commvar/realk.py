@@ -9,8 +9,8 @@ real symmetric tuple together with a real isometric frame.
 Every piece is the complex one of `rankstrata` applied to iX, plus a
 realness step: real_cayley(X) = cayley(iX), and the real chart is -i times
 the complex chart in a real frame of F, checked to be real as a whole stack.
-real_stratum_chart takes optional blocks, so a caller holding them
-diagonalizes once.
+real_stratum_chart takes an optional commodel.JointSpectrum of t at tol, as
+subquotient_chart does, and refuses one of another tuple or tolerances.
 A block is real when the imaginary part of its projection P is at most
 eps_struct; its real frame is then the top eigenvectors of Re P.
 """
@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .commodel import CommutingTuple, EigenBlock, joint_diagonalize, require_kind
+from .commodel import (CommutingTuple, JointSpectrum, checked_spectrum, joint_diagonalize,
+                       require_kind)
 from .errors import NotRealizable
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, unitary_defect
 from .rankstrata import (
@@ -71,20 +72,20 @@ def real_cayley_inv(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def joint_diagonalize_real(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL):
+def joint_diagonalize_real(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> JointSpectrum:
     """Joint diagonalization of a commuting real symmetric tuple by a
-    special orthogonal matrix.
+    special orthogonal matrix: joint_diagonalize's spectrum with its Q.
 
     det(Q) is corrected to +1 by flipping the sign of the last column; this
     constructively realizes every commuting symmetric tuple as a rotation of
     a diagonal one.
     """
     require_kind(t, "real_symmetric")
-    q, blocks = joint_diagonalize(t, tol)
+    spectrum = joint_diagonalize(t, tol)
+    q = spectrum.Q.copy()
     if np.linalg.det(q) < 0:
-        q = q.copy()
         q[:, -1] = -q[:, -1]
-    return q, blocks
+    return replace(spectrum, Q=q)
 
 
 def real_trace_split(t: CommutingTuple) -> RealSplit:
@@ -100,7 +101,7 @@ def reassemble_real_split(split: RealSplit) -> CommutingTuple:
 
 
 def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                       blocks: list[EigenBlock] | None = None) -> SubquotientChart:
+                       spectrum: JointSpectrum | None = None) -> SubquotientChart:
     """Chart of a commuting tuple of symmetric unitaries.
 
     Each joint eigenblock must be the complexification of a real subspace
@@ -110,10 +111,8 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     The F blocks and their order are those of the complex chart.
     """
     require_kind(t, "unitary")
-    if blocks is None:
-        _, blocks = joint_diagonalize(t, tol)
-    frames = []
-    for b in [b for b in blocks if b.in_F]:
+    spectrum, frames = checked_spectrum(t, tol, spectrum), []
+    for b in [b for b in spectrum.blocks if b.in_F]:
         proj = b.frame @ b.frame.conj().T
         if fro(proj.imag) > tol.eps_struct:
             raise NotRealizable(
@@ -124,7 +123,7 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
         frames.append(np.linalg.eigh(proj.real)[1][:, -b.frame.shape[1]:])
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
     x = CommutingTuple("real_symmetric",
-                       _real_part(-1j * subquotient_chart(t, tol, f, blocks).X.mats))
+                       _real_part(-1j * subquotient_chart(t, tol, f, spectrum).X.mats))
     split = real_trace_split(x)
     return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .commodel import (
     CommutingTuple,
-    EigenBlock,
     F_subspace,
+    JointSpectrum,
     extend_by_identity,
     identity_tuple,
     kron_pair,
@@ -100,8 +100,8 @@ def structure_map(a: Configuration, y: SpherePoint, m: int | None = None,
 
 
 def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
-                   blocks_a: list[EigenBlock] | None = None,
-                   blocks_b: list[EigenBlock] | None = None) -> CommutingTuple:
+                   spectrum_a: JointSpectrum | None = None,
+                   spectrum_b: JointSpectrum | None = None) -> CommutingTuple:
     """Tuple picture of the multiplication.
 
     Restrict each component to the distinguished subspace of its own tuple,
@@ -110,8 +110,8 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple, tol: Tolerances = DEF
     """
     if ta.ambient is None or tb.ambient is None:
         raise ValueError("both tuples need ambient universes")
-    fa = F_subspace(ta, tol, blocks_a)
-    fb = F_subspace(tb, tol, blocks_b)
+    fa = F_subspace(ta, tol, spectrum_a)
+    fb = F_subspace(tb, tol, spectrum_b)
     psi = psi_embed(ta.ambient, tb.ambient)
     g = psi.kron_frame(fa, fb)
     smalls = kron_pair(fa.conj().T @ ta.mats @ fa, fb.conj().T @ tb.mats @ fb)
@@ -120,7 +120,7 @@ def multiply_tuple(ta: CommutingTuple, tb: CommutingTuple, tol: Tolerances = DEF
 
 def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
                         tol: Tolerances = DEFAULT_TOL,
-                        blocks: list[EigenBlock] | None = None) -> CommutingTuple:
+                        spectrum: JointSpectrum | None = None) -> CommutingTuple:
     """Tuple picture of the structure map: components of t act on F tensored
     with the scalar line of a fresh universe of m variables and the degree
     of t's universe; the new components scale that subspace by the
@@ -131,7 +131,7 @@ def structure_map_tuple(t: CommutingTuple, y: SpherePoint, m: int | None = None,
     right, psi = _structure_target(t.ambient, y, m)
     if y.is_basepoint:
         return identity_tuple(t.n + right.n, psi.target.dim, psi.target)
-    f = F_subspace(t, tol, blocks)
+    f = F_subspace(t, tol, spectrum)
     g = psi.kron_frame(f, j0(right))
     smalls = kron_pair(f.conj().T @ t.mats @ f, y.coords[:, None, None])
     return CommutingTuple("unitary", extend_by_identity(g, smalls), psi.target)

@@ -16,8 +16,8 @@ Suite map (each invariant family is reachable through exactly one suite):
 Each suite runs `trials` seeded trials (deterministic per trial index) and
 reports {suite, trials, failures, worst_residual, messages}, the messages
 naming the first 20 failed checks.  The cross-picture checks of spectrum and
-equivariance read a configuration's blocks off its labels
-(commodel.config_blocks) and diagonalize only the tuple side.  Two
+equivariance read a configuration's spectrum off its labels
+(commodel.config_spectrum) and diagonalize only the tuple side.  Two
 deterministic sweeps read no config, so no size cap applies: isotropy solves
 the null-space oracle once per process for each (parts, field) of s = 1..5,
 on fixed signed permutations of the block subgroup, and compares n times each
@@ -40,11 +40,10 @@ from .errors import CommVarError, NotOddPrime, SingularAtOne
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, subseed, unit_phase
 
 
-# largest tuple length, truncation degree and trial count a run accepts: the
-# equivariance suite charts all n! permutations, and a universe holds
-# C(n + D, n) monomials.  A trial of all suites takes about 17 ms at the
-# default caps (seeds 0-3) and about 2.6 s at n_max = 6, D_max = 4 (seed 0),
-# nearly all of it equivariance (2-vCPU Xeon host, Python 3.11.7)
+# largest tuple length, truncation degree and trial count a run accepts: a
+# universe holds C(n + D, n) monomials.  A trial of all suites takes about
+# 13 ms at the default caps and 0.14 s at n_max = 6, D_max = 4, most of it
+# roundtrip and equivariance (seeds 0-3; 2-vCPU Xeon host, Python 3.11.7)
 MAX_N = 6
 MAX_D = 4
 MAX_TRIALS = 1000
@@ -157,29 +156,23 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
     # tup is diagonalized once, for every check of it below
     tup = commodel.config_to_commuting(c)
-    _, blocks = commodel.joint_diagonalize(tup, tol)
+    spec = commodel.joint_diagonalize(tup, tol)
     rec.check("config round trip",
-              gammaconf.config_distance(c, commodel.commuting_to_config(tup, tol, blocks)), 1e-6)
-    f = commodel.F_subspace(tup, tol, blocks)
+              gammaconf.config_distance(c, commodel.commuting_to_config(tup, tol, spec)), 1e-6)
+    f = commodel.F_subspace(tup, tol, spec)
     rec.expect("rank additivity", f.shape[1] == gammaconf.rank(c))
 
-    torus = max(
-        (float(np.max(np.abs(np.abs(b.values) - 1.0))) for b in blocks if b.values.size),
-        default=0.0,
-    )
-    rec.check("values on unit torus", torus, tol.eps_cluster)
+    torus = np.abs(np.abs([b.values for b in spec.blocks]) - 1.0).max(initial=0.0)
+    rec.check("values on unit torus", float(torus), tol.eps_cluster)
 
     # two-route F: complement of the sum of the eigenvalue-1 kernels
-    kernels = []
-    for a in tup.mats:
-        w, v = np.linalg.eig(a)
-        kernels.append(v[:, np.abs(w - 1.0) <= 1e-8])
-    u_, sv, _ = np.linalg.svd(np.hstack(kernels))
+    w, v = np.linalg.eig(tup.mats)
+    u_, sv, _ = np.linalg.svd(np.hstack([vj[:, np.abs(wj - 1.0) <= 1e-8] for wj, vj in zip(w, v)]))
     rank_k = int(np.sum(sv > 1e-8))
     pk = u_[:, :rank_k] @ u_[:, :rank_k].conj().T
     rec.check("F two-route", numkit.fro(f @ f.conj().T - (np.eye(tup.s) - pk)), 1e-8)
 
-    can = commodel.canonical_rep(tup, tol, blocks)
+    can = commodel.canonical_rep(tup, tol, spec)
     rec.check("canonical_rep idempotent",
               commodel.rep_distance(commodel.canonical_rep(can, tol), can), 1e-8)
 
@@ -199,10 +192,8 @@ def suite_roundtrip(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     # residual invariance under pre-conjugation
     u2 = haar_unitary(rng, tup.s)
     conj_t = commodel.CommutingTuple("unitary", u2 @ tup.mats @ u2.conj().T, tup.ambient)
-    q2, _ = commodel.joint_diagonalize(conj_t, tol)
-    d2 = q2.conj().T @ conj_t.mats @ q2
-    res2 = numkit.off_norm(d2)
-    rec.check("joint residual after conjugation", res2,
+    q2 = commodel.joint_diagonalize(conj_t, tol).Q
+    rec.check("joint residual after conjugation", numkit.off_norm(q2.conj().T @ conj_t.mats @ q2),
               1e-8 * max(1.0, max(numkit.fro(a) for a in conj_t.mats)))
 
     # based-map functoriality: indexed pushes compose on the nose, and
@@ -257,16 +248,16 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     n = rng.randint(1, cfg.n_max + 1)
     srank = rng.randint(1, min(5, cfg.s_max) + 1)
     t_ex = generate.gen_exact_rank_tuple(rng.next_u64(), n, srank, srank + 2)
-    _, blocks = commodel.joint_diagonalize(t_ex, tol)
-    chart = rankstrata.subquotient_chart(t_ex, tol, blocks=blocks)
+    spec = commodel.joint_diagonalize(t_ex, tol)
+    chart = rankstrata.subquotient_chart(t_ex, tol, spectrum=spec)
     rec.expect("stratum rank", chart.s == srank)
     rec.check("chart X commuting", numkit.commutator_defect(chart.X.mats), 1e-9)
     rebuilt = rankstrata.reconstruct_chart(chart, t_ex.s, tol)
     rec.check("chart reconstruction",
               commodel.rep_distance(commodel.canonical_rep(rebuilt, tol),
-                                    commodel.canonical_rep(t_ex, tol, blocks)), 1e-8)
+                                    commodel.canonical_rep(t_ex, tol, spec)), 1e-8)
     g = haar_unitary(rng, srank)
-    chart2 = rankstrata.subquotient_chart(t_ex, tol, chart.f @ g, blocks)
+    chart2 = rankstrata.subquotient_chart(t_ex, tol, chart.f @ g, spec)
     rec.check("chart frame ambiguity", commodel.rep_distance(chart2.X, commodel.CommutingTuple(
         "skew_hermitian", g.conj().T @ chart.X.mats @ g)), 1e-8)
 
@@ -304,9 +295,9 @@ def _random_perm(rng: SplitMix64, n: int) -> list[int]:
 
 
 def _config_rep(c: gammaconf.Configuration, tol: numkit.Tolerances) -> commodel.CommutingTuple:
-    """canonical_rep(config_to_commuting(c)) of a canonical c, its blocks read off its labels."""
-    return commodel.canonical_rep(commodel.config_to_commuting(c), tol,
-                                  commodel.config_blocks(c, tol))
+    """canonical_rep(config_to_commuting(c)) of a canonical c, its spectrum read off its labels."""
+    spec = commodel.config_spectrum(c, tol)
+    return commodel.canonical_rep(spec.t, tol, spec)
 
 
 @_trial_suite("spectrum")
@@ -366,17 +357,15 @@ def suite_spectrum(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                   gammaconf.sigma_action_config(rho, ay, tol)),
               1e-8)
 
-    # cross-picture coherence: the configuration side reads its blocks off
+    # cross-picture coherence: the configuration side reads its spectrum off
     # its labels, the tuple side is diagonalized
-    ta, tb = commodel.config_to_commuting(a), commodel.config_to_commuting(b)
-    blocks_a = commodel.config_blocks(a, tol)
+    sa, sb = commodel.config_spectrum(a, tol), commodel.config_spectrum(b, tol)
     rec.check("cross-picture multiply",
               commodel.rep_distance(_config_rep(ab, tol), commodel.canonical_rep(
-                  spectrumops.multiply_tuple(ta, tb, tol, blocks_a,
-                                             commodel.config_blocks(b, tol)), tol)), 1e-8)
+                  spectrumops.multiply_tuple(sa.t, sb.t, tol, sa, sb), tol)), 1e-8)
     rec.check("cross-picture structure map",
               commodel.rep_distance(_config_rep(ay, tol), commodel.canonical_rep(
-                  spectrumops.structure_map_tuple(ta, y, tol=tol, blocks=blocks_a), tol)),
+                  spectrumops.structure_map_tuple(sa.t, y, tol=tol, spectrum=sa), tol)),
               1e-8)
     rec.check("cross-picture unit",
               commodel.rep_distance(_config_rep(unit_x, tol), commodel.canonical_rep(
@@ -397,14 +386,9 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rec.expect("dim binomial", u.dim == math.comb(u.n + u.D, u.n))
 
     psi = symuniverse.psi_embed(u, v)
-    norm_ok = all(
-        u.norms_sq[i] * v.norms_sq[k]
-        == psi.target.norms_sq[psi.pair_index[i, k]]
-        for i in range(u.dim) for k in range(v.dim)
-    )
-    rec.expect("psi exact isometry on monomials", norm_ok)
-    flat = psi.pair_index.reshape(-1)
-    rec.expect("psi injective", len(set(flat.tolist())) == flat.size)
+    rec.expect("psi exact isometry on monomials", bool(np.all(
+        np.outer(u.norms_sq, v.norms_sq) == np.array(psi.target.norms_sq)[psi.pair_index])))
+    rec.expect("psi injective", len(set(psi.pair_index.ravel().tolist())) == psi.pair_index.size)
 
     vec1 = rng.complex_normals(u.dim)
     vec2 = rng.complex_normals(u.dim)
@@ -414,7 +398,7 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rhs = np.vdot(vec1, vec2) * np.vdot(w1, w2)
     rec.check("psi isometry numeric", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)))
 
-    perms_u = list(itertools.permutations(range(n)))
+    ident = tuple(range(n))
     sigma, tau = _random_perm(rng, n), _random_perm(rng, m)
     ps = symuniverse.sigma_star(sigma, u)
     rec.expect("sigma_* fixes scalar line", ps[u.index[(0,) * n]] == u.index[(0,) * n])
@@ -428,37 +412,37 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     rho = sigma + [n + t for t in tau]
     pr = symuniverse.sigma_star(rho, psi.target)
     pt = symuniverse.sigma_star(tau, v)
-    ok = all(
-        pr[psi.pair_index[i, k]] == psi.pair_index[ps[i], pt[k]]
-        for i in range(u.dim) for k in range(v.dim)
-    )
-    rec.expect("psi equivariance", ok)
+    rec.expect("psi equivariance",
+               bool(np.all(pr[psi.pair_index] == psi.pair_index[np.ix_(ps, pt)])))
 
     c = generate.gen_random_config(rng.next_u64(), u, max_labels=2,
                                    max_rank=min(u.dim, 4), tol=tol)
     t = commodel.config_to_commuting(c)
 
     @functools.cache
-    def permuted(sg):  # sigma_action_tuple(sg, t) and its blocks, once; t for the identity
-        ts = t if sg == perms_u[0] else commodel.sigma_action_tuple(list(sg), t)
-        return {"t": ts, "blocks": commodel.joint_diagonalize(ts, tol)[1]}  # keyword arguments
+    def permuted(sg):  # the spectrum of sigma_action_tuple(sg, t), once; t's for the identity
+        return commodel.joint_diagonalize(
+            t if sg == ident else commodel.sigma_action_tuple(list(sg), t), tol)
 
     sigma_c = gammaconf.sigma_action_config(sigma, c, tol)
-    rec.check("model equivariance",
-              commodel.rep_distance(commodel.canonical_rep(**permuted(tuple(sigma)), tol=tol),
-                                    _config_rep(sigma_c, tol)), 1e-8)
+    sp = permuted(tuple(sigma))
+    rec.check("model equivariance", commodel.rep_distance(
+        commodel.canonical_rep(sp.t, tol, sp), _config_rep(sigma_c, tol)), 1e-8)
     # the action only moves entries: both routes give the same tuple, bit for bit
     comp_t = commodel.sigma_action_tuple(sigma, commodel.sigma_action_tuple(sig2, t))
     rec.expect("tuple action composition",
-               np.array_equal(comp_t.mats, permuted(tuple(comp))["t"].mats))
+               np.array_equal(comp_t.mats, commodel.sigma_action_tuple(comp, t).mats))
     rec.expect("rank invariance", gammaconf.rank(sigma_c) == gammaconf.rank(c))
 
-    # chart equivariance for every permutation
-    ch = rankstrata.subquotient_chart(**permuted(perms_u[0]), tol=tol)
+    # chart equivariance for every permutation up to n = 3; above that for the
+    # identity, (0 1), the n-cycle and sigma, which generate S_n, as the exact
+    # composition check ties every other permutation to them
+    ch = rankstrata.subquotient_chart(t, tol, spectrum=permuted(ident))
     if ch.s:
-        for sg in perms_u:
-            ch_s = (ch if sg == perms_u[0]
-                    else rankstrata.subquotient_chart(**permuted(sg), tol=tol))
+        for sg in (itertools.permutations(range(n)) if n <= 3 else dict.fromkeys(
+                [ident, (1, 0, *range(2, n)), (*range(1, n), 0), tuple(sigma)])):
+            sp = permuted(sg)
+            ch_s = ch if sg == ident else rankstrata.subquotient_chart(sp.t, tol, spectrum=sp)
             perm_univ = symuniverse.sigma_star(list(sg), u)
             f_moved = symuniverse.apply_perm_to_coords(perm_univ, ch.f)
             g = ch_s.f.conj().T @ f_moved
@@ -486,10 +470,9 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
               numkit.fro(realk.real_cayley(o @ x @ o.T, tol) - o @ a @ o.T), 1e-10)
 
     t = generate.gen_random_commuting(rng.next_u64(), n, s, "real_symmetric")
-    q, _ = realk.joint_diagonalize_real(t, tol)
-    diag = q.T @ t.mats @ q
-    res = numkit.off_norm(diag)
-    rec.check("SO joint residual", res, 1e-8 * max(1.0, max(numkit.fro(m) for m in t.mats)))
+    q = realk.joint_diagonalize_real(t, tol).Q
+    rec.check("SO joint residual", numkit.off_norm(q.T @ t.mats @ q),
+              1e-8 * max(1.0, max(numkit.fro(m) for m in t.mats)))
     rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 
     split = realk.real_trace_split(t)
@@ -511,15 +494,15 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     tsym = commodel.config_to_commuting(c)
     rec.expect("complexified data is symmetric",
                all(realk.is_symmetric_unitary(m) for m in tsym.mats))
-    _, blocks = commodel.joint_diagonalize(tsym, tol)
-    chart = realk.real_stratum_chart(tsym, tol, blocks)
+    spec = commodel.joint_diagonalize(tsym, tol)
+    chart = realk.real_stratum_chart(tsym, tol, spec)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
     rebuilt = realk.reconstruct_real_chart(chart, dim, tol)
     rec.check("real chart reconstruction",
               commodel.rep_distance(commodel.canonical_rep(rebuilt, tol),
-                                    commodel.canonical_rep(tsym, tol, blocks)), 1e-8)
+                                    commodel.canonical_rep(tsym, tol, spec)), 1e-8)
 
-    chart_c = rankstrata.subquotient_chart(tsym, tol, blocks=blocks)
+    chart_c = rankstrata.subquotient_chart(tsym, tol, spectrum=spec)
     if chart.s:
         g = chart_c.f.conj().T @ chart.f.astype(complex)
         rec.check("real chart complexifies", commodel.rep_distance(
@@ -658,9 +641,9 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                                 np.array([np.diag([sign * 1j * amp, -sign * 1j * amp])]))
     target = isodecomp.flag_map(g, x, tol)
     rec.check("flag image unit", abs(isodecomp.tuple_norm(target) - 1.0), 1e-10)
-    _, blocks = commodel.joint_diagonalize(target, tol)
-    rec.expect("flag type", isodecomp.decomposition_type(target, tol, blocks).parts == (1, 1))
-    gc, xc = isodecomp.flag_map_preimage(target, tol, blocks)
+    spec = commodel.joint_diagonalize(target, tol)
+    rec.expect("flag type", isodecomp.decomposition_type(target, tol, spec).parts == (1, 1))
+    gc, xc = isodecomp.flag_map_preimage(target, tol, spec)
     rec.check("flag preimage residual",
               commodel.rep_distance(isodecomp.flag_map(gc, xc, tol), target), 1e-8)
     # the swapped preimage canonicalizes to the same class

@@ -123,12 +123,13 @@ def test_lie_kinds_are_not_cut_at_one():
     diagonal_unitary([[0.0, 3.0, 1e-10, 2.0, 2.0], [1.0, 0.5, 0.5, 0.0, 0.25]]),
 ], ids=["unitary-parts", "skew-parts", "exact-rank", "diagonal"])
 def test_blocks_come_in_chart_order(t):
-    _, blocks = joint_diagonalize(t)
+    spectrum = joint_diagonalize(t)
+    blocks = spectrum.blocks
     lead = _label_leads(np.hstack([b.frame for b in blocks]), [b.frame.shape[1] for b in blocks],
                         DEFAULT_TOL)
     values = np.array([b.values for b in blocks])
     assert frame_order(lead, values).tolist() == list(range(len(blocks)))
-    assert np.array_equal(F_subspace(t, blocks=blocks),
+    assert np.array_equal(F_subspace(t, spectrum=spectrum),
                           np.hstack([b.frame for b in blocks if b.in_F] or [np.zeros((t.s, 0))]))
     if t.kind == "unitary":
         # a block is in F exactly when none of its columns has a value at 1

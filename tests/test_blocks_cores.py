@@ -1,10 +1,13 @@
-"""Each function that diagonalizes its tuple takes optional blocks, and
-handed the blocks `joint_diagonalize` returns it gives what it gives on its
-own, bit for bit, on tuples of every kind: results are compared by dtype,
-shape and bytes, and a raised error by its type and message.  Handed the
-blocks, none of them diagonalizes again."""
+"""Each function that diagonalizes its tuple takes an optional spectrum, and
+handed the JointSpectrum `joint_diagonalize` returns for its own tuple it
+gives what it gives on its own, bit for bit, on tuples of every kind: results
+are compared by dtype, shape and bytes, and a raised error by its type and
+message.  Handed the spectrum, none of them diagonalizes again; handed the
+spectrum of another tuple, or one taken at other tolerances, each raises
+ValueError."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from commvar.commodel import (
     F_subspace,
     canonical_rep,
     commuting_to_config,
+    config_spectrum,
     config_to_commuting,
     identity_tuple,
     joint_diagonalize,
@@ -26,6 +30,7 @@ from commvar.generate import (
     gen_random_config,
 )
 from commvar.isodecomp import decomposition_type, flag_map_preimage
+from commvar.numkit import DEFAULT_TOL, Tolerances
 from commvar.rankstrata import subquotient_chart
 from commvar.realk import real_stratum_chart
 from commvar.rng import SplitMix64, haar_orthogonal
@@ -53,8 +58,8 @@ def _outcome(fn):
         return "error", type(exc).__name__, str(exc)
 
 
-def _blocks(t):
-    return joint_diagonalize(t)[1]
+def _spectrum(t):
+    return joint_diagonalize(t)
 
 
 def _symmetric_unitary(seed):
@@ -100,34 +105,34 @@ IDS = [f"{t.kind}-n{t.n}-s{t.s}-{i}" for i, t in enumerate(TUPLES)]
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_F_subspace_with_and_without_blocks(t):
-    assert _outcome(lambda: F_subspace(t)) == _outcome(lambda: F_subspace(t, blocks=_blocks(t)))
+    assert _outcome(lambda: F_subspace(t)) == _outcome(lambda: F_subspace(t, spectrum=_spectrum(t)))
 
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_decomposition_type_with_and_without_blocks(t):
     assert _outcome(lambda: decomposition_type(t)) == _outcome(
-        lambda: decomposition_type(t, blocks=_blocks(t)))
+        lambda: decomposition_type(t, spectrum=_spectrum(t)))
 
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_canonical_rep_is_its_blocks_core(t):
     assert _outcome(lambda: canonical_rep(t)) == _outcome(
-        lambda: canonical_rep(t, blocks=_blocks(t)))
+        lambda: canonical_rep(t, spectrum=_spectrum(t)))
 
 
 @pytest.mark.parametrize("t", TUPLES, ids=IDS)
 def test_flag_map_preimage_is_its_blocks_core(t):
     assert _outcome(lambda: flag_map_preimage(t)) == _outcome(
-        lambda: flag_map_preimage(t, blocks=_blocks(t)))
+        lambda: flag_map_preimage(t, spectrum=_spectrum(t)))
 
 
 @pytest.mark.parametrize("t", [t for t in TUPLES if t.kind == "unitary"],
                          ids=[i for i, t in zip(IDS, TUPLES) if t.kind == "unitary"])
 def test_charts_are_their_blocks_cores(t):
     assert _outcome(lambda: subquotient_chart(t)) == _outcome(
-        lambda: subquotient_chart(t, blocks=_blocks(t)))
+        lambda: subquotient_chart(t, spectrum=_spectrum(t)))
     assert _outcome(lambda: real_stratum_chart(t)) == _outcome(
-        lambda: real_stratum_chart(t, blocks=_blocks(t)))
+        lambda: real_stratum_chart(t, spectrum=_spectrum(t)))
 
 
 def test_real_chart_core_covers_both_outcomes():
@@ -139,7 +144,7 @@ def test_real_chart_core_covers_both_outcomes():
 @pytest.mark.parametrize("t", _ambient_tuples())
 def test_commuting_to_config_is_its_blocks_core(t):
     assert _outcome(lambda: commuting_to_config(t)) == _outcome(
-        lambda: commuting_to_config(t, blocks=_blocks(t)))
+        lambda: commuting_to_config(t, spectrum=_spectrum(t)))
 
 
 @pytest.mark.parametrize("y", [SpherePoint([-1.0]), SpherePoint([1j, -1j]), BASEPOINT])
@@ -147,10 +152,10 @@ def test_tuple_level_maps_are_their_blocks_cores(y):
     ambient, m = _ambient_tuples(), 2 if y.is_basepoint else None
     for ta in ambient:
         assert _outcome(lambda: structure_map_tuple(ta, y, m)) == _outcome(
-            lambda: structure_map_tuple(ta, y, m, blocks=_blocks(ta)))
+            lambda: structure_map_tuple(ta, y, m, spectrum=_spectrum(ta)))
         for tb in ambient[:3]:
             assert _outcome(lambda: multiply_tuple(ta, tb)) == _outcome(
-                lambda: multiply_tuple(ta, tb, blocks_a=_blocks(ta), blocks_b=_blocks(tb)))
+                lambda: multiply_tuple(ta, tb, spectrum_a=_spectrum(ta), spectrum_b=_spectrum(tb)))
     # the arguments are checked before the tuple is diagonalized, so a tuple
     # that fails validation meets the configuration picture's ValueError
     bad = CommutingTuple("unitary", 2 * ambient[0].mats, ambient[0].ambient)
@@ -160,31 +165,100 @@ def test_tuple_level_maps_are_their_blocks_cores(y):
     assert want[:2] == ("error", "ValueError")
     assert _outcome(lambda: structure_map_tuple(bad, y, wrong_m)) == want
     assert _outcome(lambda: structure_map_tuple(
-        ambient[0], y, wrong_m, blocks=_blocks(ambient[0]))) == want
+        ambient[0], y, wrong_m, spectrum=_spectrum(ambient[0]))) == want
 
 
 AMBIENT = _ambient_tuples()
-# each function that takes blocks, as a call on a tuple and its blocks, with
-# the tuples it is called on
-WITH_BLOCKS = {
-    "F_subspace": (TUPLES, lambda t, b: F_subspace(t, blocks=b)),
-    "canonical_rep": (TUPLES, lambda t, b: canonical_rep(t, blocks=b)),
-    "commuting_to_config": (AMBIENT, lambda t, b: commuting_to_config(t, blocks=b)),
-    "subquotient_chart": (TUPLES, lambda t, b: subquotient_chart(t, blocks=b)),
-    "real_stratum_chart": (TUPLES, lambda t, b: real_stratum_chart(t, blocks=b)),
-    "decomposition_type": (TUPLES, lambda t, b: decomposition_type(t, blocks=b)),
-    "flag_map_preimage": (TUPLES, lambda t, b: flag_map_preimage(t, blocks=b)),
-    "multiply_tuple": (AMBIENT, lambda t, b: multiply_tuple(t, t, blocks_a=b, blocks_b=b)),
-    "structure_map_tuple": (AMBIENT, lambda t, b: structure_map_tuple(
-        t, SpherePoint([1j, -1j]), blocks=b)),
+# each function that takes a spectrum, as a call on a tuple and a spectrum,
+# with the tuples it is called on
+WITH_SPECTRUM = {
+    "F_subspace": (TUPLES, lambda t, sp: F_subspace(t, spectrum=sp)),
+    "canonical_rep": (TUPLES, lambda t, sp: canonical_rep(t, spectrum=sp)),
+    "commuting_to_config": (AMBIENT, lambda t, sp: commuting_to_config(t, spectrum=sp)),
+    "subquotient_chart": (TUPLES, lambda t, sp: subquotient_chart(t, spectrum=sp)),
+    "real_stratum_chart": (TUPLES, lambda t, sp: real_stratum_chart(t, spectrum=sp)),
+    "decomposition_type": (TUPLES, lambda t, sp: decomposition_type(t, spectrum=sp)),
+    "flag_map_preimage": (TUPLES, lambda t, sp: flag_map_preimage(t, spectrum=sp)),
+    "multiply_tuple": (AMBIENT, lambda t, sp: multiply_tuple(t, t, spectrum_a=sp,
+                                                             spectrum_b=sp)),
+    "structure_map_tuple": (AMBIENT, lambda t, sp: structure_map_tuple(
+        t, SpherePoint([1j, -1j]), spectrum=sp)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(WITH_BLOCKS))
+@pytest.mark.parametrize("name", sorted(WITH_SPECTRUM))
 def test_given_blocks_no_function_diagonalizes_again(name, monkeypatch):
-    tuples, call = WITH_BLOCKS[name]
-    blocks = [_blocks(t) for t in tuples]
+    tuples, call = WITH_SPECTRUM[name]
+    spectra = [_spectrum(t) for t in tuples]
     seen = _record_diagonalizations(monkeypatch)
-    outcomes = [_outcome(lambda: call(t, b)) for t, b in zip(tuples, blocks)]
+    outcomes = [_outcome(lambda: call(t, sp)) for t, sp in zip(tuples, spectra)]
     assert not seen
     assert "value" in {outcome[0] for outcome in outcomes}
+
+
+OTHER_TOL = Tolerances(eps_cluster=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(WITH_SPECTRUM))
+def test_a_spectrum_of_another_tuple_or_tolerance_is_refused(name):
+    # wherever a tuple's own spectrum gives a value, an equal tuple's (another
+    # object) and its own at other tolerances raise ValueError
+    tuples, call = WITH_SPECTRUM[name]
+    refused = 0
+    for t in tuples:
+        if _outcome(lambda: call(t, _spectrum(t)))[0] != "value":
+            continue
+        twin = CommutingTuple(t.kind, t.mats.copy(), t.ambient)
+        with pytest.raises(ValueError, match="^spectrum is of another tuple$"):
+            call(t, _spectrum(twin))
+        other = re.escape(f"spectrum was taken at {OTHER_TOL}, not at {DEFAULT_TOL}")
+        with pytest.raises(ValueError, match=other):
+            call(t, joint_diagonalize(t, OTHER_TOL))
+        refused += 1
+    assert refused
+
+
+def _seeded_pair():
+    return gen_random_commuting(1, 2, 4, "unitary"), gen_random_commuting(2, 2, 4, "unitary")
+
+
+def test_a_chart_refuses_the_spectrum_of_another_tuple():
+    # with t1's blocks, t2's chart came out with X off by 1.55
+    t1, t2 = _seeded_pair()
+    with pytest.raises(ValueError, match="another tuple"):
+        subquotient_chart(t2, spectrum=joint_diagonalize(t1))
+    with pytest.raises(ValueError, match="another tuple"):
+        multiply_tuple(*AMBIENT[:2], spectrum_a=_spectrum(AMBIENT[0]),
+                       spectrum_b=_spectrum(AMBIENT[0]))
+
+
+def test_a_type_refuses_a_spectrum_taken_at_other_tolerances():
+    # with its blocks at eps_cluster = 1.0, t2 of type (1, 1, 1, 1) typed as (3, 1)
+    _, t2 = _seeded_pair()
+    coarse = Tolerances(eps_cluster=1.0)
+    assert decomposition_type(t2).parts == (1, 1, 1, 1)
+    assert decomposition_type(t2, coarse).parts == (3, 1)
+    with pytest.raises(ValueError, match=re.escape(f"taken at {coarse}")):
+        decomposition_type(t2, DEFAULT_TOL, joint_diagonalize(t2, coarse))
+
+
+@pytest.mark.parametrize("n,D", [(1, 1), (2, 2)])
+def test_a_configuration_spectrum_serves_F_but_not_the_type(n, D):
+    # it holds the in-F blocks only, so the type and the flag preimage refuse it
+    for seed in range(4):
+        spectrum = config_spectrum(gen_random_config(seed, UniverseBasis(n, D), max_rank=4))
+        t = spectrum.t
+        assert spectrum.Q is None
+        got, want = F_subspace(t, spectrum=spectrum), F_subspace(t)
+        assert np.abs(got @ got.conj().T - want @ want.conj().T).max() <= 1e-12
+        for call in (decomposition_type, flag_map_preimage):
+            with pytest.raises(ValueError, match="configuration spectrum"):
+                call(t, spectrum=spectrum)
+
+
+def test_a_spectrum_unpacks_and_indexes_as_q_and_blocks():
+    t = TUPLES[0]
+    spectrum = joint_diagonalize(t)
+    q, blocks = spectrum
+    assert spectrum.t is t and spectrum.tol == DEFAULT_TOL
+    assert q is spectrum.Q is spectrum[0] and blocks is spectrum.blocks is spectrum[1]

@@ -13,12 +13,11 @@ from commvar.commodel import (
     canonical_rep,
     class_distance,
     commuting_to_config,
-    config_blocks,
+    config_spectrum,
     config_to_commuting,
     identity_tuple,
     joint_diagonalize,
     sigma_action_tuple,
-    tuples_equivalent,
 )
 from commvar.errors import NoConvergence, NotCommuting, NotUnitary, ShapeMismatch
 from commvar.gammaconf import (
@@ -158,10 +157,10 @@ def test_joint_diagonalize_near_commuting_refines_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(numkit, "_jacobi_sweeps", counted)
-    q, blocks = joint_diagonalize(t)
+    spectrum = joint_diagonalize(t)
     assert len(calls) == 1
-    assert _relative_joint_residual(t, q) <= 1e-8
-    assert decomposition_type(t, blocks=blocks).parts == (1,) * 12
+    assert _relative_joint_residual(t, spectrum.Q) <= 1e-8
+    assert decomposition_type(t, spectrum=spectrum).parts == (1,) * 12
 
 
 def _times_near_identity(mats, rng, eps=1e-10):
@@ -321,9 +320,9 @@ def test_blocks_under_a_near_commuting_perturbation_keep_their_type():
     parts = [16] + [2] * 23 + [1, 1]
     x = gen_partition_tuple(64, 2, parts, kind="skew_hermitian")
     t = _times_near_identity([cayley(m) for m in x.mats], SplitMix64(64 ^ 0xA5A5))
-    q, blocks = joint_diagonalize(t)
-    assert decomposition_type(t, blocks=blocks).parts == tuple(parts)
-    assert _relative_joint_residual(t, q) <= 1e-10
+    spectrum = joint_diagonalize(t)
+    assert decomposition_type(t, spectrum=spectrum).parts == tuple(parts)
+    assert _relative_joint_residual(t, spectrum.Q) <= 1e-10
 
 
 def test_one_sweep_brings_an_accepted_edge_input_under_the_bound(monkeypatch):
@@ -413,12 +412,13 @@ def test_any_collision_in_the_combination_is_swept_apart(s, seed, phi):
 def _check_partition_tuple(seed, kind, parts):
     # one block of s/4, then pairs, then singletons
     t = gen_partition_tuple(seed, 2, parts, kind=kind)
-    q, blocks = joint_diagonalize(t)
+    spectrum = joint_diagonalize(t)
+    q = spectrum.Q
     assert _relative_joint_residual(t, q) <= 1e-8
     assert fro(q.conj().T @ q - np.eye(t.s)) <= 1e-12
     if kind == "real_symmetric":
         assert not np.iscomplexobj(q)
-    assert decomposition_type(t, blocks=blocks).parts == tuple(parts)
+    assert decomposition_type(t, spectrum=spectrum).parts == tuple(parts)
 
 
 @pytest.mark.parametrize("kind", ["unitary", "skew_hermitian", "real_symmetric"])
@@ -511,9 +511,8 @@ def test_canonical_rep_refuses_lie_kind_tuples(kind):
     unitary = identity_tuple(1, 3)
     message = f"expected a unitary tuple, got {kind}"
     for call in (lambda: canonical_rep(t),
-                 lambda: canonical_rep(t, blocks=joint_diagonalize(t)[1]),
-                 lambda: class_distance(t, unitary), lambda: class_distance(unitary, t),
-                 lambda: tuples_equivalent(t, unitary)):
+                 lambda: canonical_rep(t, spectrum=joint_diagonalize(t)),
+                 lambda: class_distance(t, unitary), lambda: class_distance(unitary, t)):
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -524,24 +523,24 @@ def test_canonical_rep_constant_on_classes():
     t1 = CommutingTuple("unitary", np.array([a1]))
     t2 = CommutingTuple("unitary", np.array([a1 @ np.diag([1.0, 1.0, np.exp(0.7j)])]))
     assert class_distance(t1, t2) > 0.1  # different classes: kernel changed
-    assert not tuples_equivalent(t1, t2)
+    assert not class_distance(t1, t2) <= DEFAULT_TOL.eps_struct
     # same class: both components act through the same values on the common
     # complement of the joint kernel, and keep 1 as a value on it
     s1 = CommutingTuple("unitary", np.array([
         np.diag([-1.0, np.exp(0.3j), 1.0]), np.diag([1j, 1.0, 1.0])]))
     s2 = CommutingTuple("unitary", np.array([
         np.diag([-1.0, np.exp(0.3j), 1.0]), np.diag([1j, 1.0, 1.0])]))
-    assert tuples_equivalent(s1, s2)
+    assert class_distance(s1, s2) <= DEFAULT_TOL.eps_struct
     # changing a component on the joint kernel sum stays in the class: in s1
     # the second and third coordinates carry a value 1 somewhere, so the
     # first component may move there freely
     kernel_moved = CommutingTuple("unitary", np.array([
         np.diag([-1.0, np.exp(0.9j), 1.0]), np.diag([1j, 1.0, 1.0])]))
-    assert tuples_equivalent(s1, kernel_moved)
+    assert class_distance(s1, kernel_moved) <= DEFAULT_TOL.eps_struct
     # changing a component on F is detected
     f_moved = CommutingTuple("unitary", np.array([
         np.diag([-1.0, np.exp(0.3j), 1.0]), np.diag([-1j, 1.0, 1.0])]))
-    assert not tuples_equivalent(s1, f_moved)
+    assert not class_distance(s1, f_moved) <= DEFAULT_TOL.eps_struct
 
 
 def test_config_to_commuting_single_label():
@@ -571,8 +570,11 @@ def test_config_blocks_are_the_in_F_blocks_of_the_configuration_tuple(n, D):
         gen_random_config(seed, u, max_labels=3, max_rank=min(u.dim, 6)) for seed in range(12)]
     widths = []
     for c in configs:
-        got = config_blocks(c)
-        want = [b for b in joint_diagonalize(config_to_commuting(c))[1] if b.in_F]
+        spectrum = config_spectrum(c)
+        assert spectrum.Q is None and spectrum.tol == DEFAULT_TOL
+        assert np.array_equal(spectrum.t.mats, config_to_commuting(c).mats)
+        got = spectrum.blocks
+        want = [b for b in joint_diagonalize(spectrum.t).blocks if b.in_F]
         assert len(got) == len(want) == c.k
         for g, w in zip(got, want):
             assert g.in_F and np.max(np.abs(g.frame - phase_normalize(g.frame))) <= 1e-15

@@ -269,6 +269,18 @@ def test_sphere_point_repr_and_the_fixed_basepoint():
     assert gammaconf.permute_point([1, 0], BASEPOINT) is BASEPOINT
 
 
+def test_permute_point_takes_only_a_permutation_of_the_coordinates():
+    # a short sigma used to drop a coordinate, and a repeated entry read an
+    # uninitialized index out of perm_inverse
+    x = SpherePoint([1j, -1.0, -1j])
+    assert np.array_equal(gammaconf.permute_point([2, 0, 1], x).coords, [-1.0, -1j, 1j])
+    for sigma in ([0, 1], [0, 0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="not a permutation of 0..2"):
+            gammaconf.permute_point(sigma, x)
+    # the basepoint is fixed by every sigma, unchecked as before
+    assert gammaconf.permute_point([0, 0, 1], BASEPOINT) is BASEPOINT
+
+
 def test_config_distance_detects_differences():
     u = UniverseBasis(2, 1)
     a = canonicalize(Configuration(u, _unit_labels(u, ((0,), [-1.0, -1.0]))))

@@ -190,7 +190,7 @@ def test_zero_size_tuples_have_no_decomposition_type(kind, n):
     with pytest.raises(ShapeMismatch, match="an s = 0 tuple has no decomposition type"):
         decomposition_type(t)
     with pytest.raises(ShapeMismatch):
-        decomposition_type(t, blocks=joint_diagonalize(t)[1])
+        decomposition_type(t, spectrum=joint_diagonalize(t))
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -221,14 +221,14 @@ def test_poincare_tables_are_dumped_whole(monkeypatch, capsys):
     assert len(calls) < 10
 
 
-def _reference_report(t, blocks):
+def _reference_report(t, spectrum):
     # the stratify report as the command built it before matrix_texts: the
     # chart's matrix_to_json dicts, written through json.dumps; text mode
     # prints the scalar fields
     report = {"rank": None, "chart": None, "split": None,
-              "decomposition_type": list(decomposition_type(t, blocks=blocks).parts)}
+              "decomposition_type": list(decomposition_type(t, spectrum=spectrum).parts)}
     if t.kind == "unitary":
-        c = subquotient_chart(t, blocks=blocks)
+        c = subquotient_chart(t, spectrum=spectrum)
 
         def tup(x):
             return {"n": x.n, "s": x.s, "kind": x.kind,
@@ -247,7 +247,7 @@ def _check_stratify_stdout(t, monkeypatch):
     report of the same wire-decoded tuple."""
     payload = jsonio.dumps(jsonio.tuple_to_json(t))
     t = jsonio.tuple_from_json(json.loads(payload))
-    expect = _reference_report(t, joint_diagonalize(t)[1])
+    expect = _reference_report(t, joint_diagonalize(t))
     for mode in ("json", "text"):
         monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
         out = io.StringIO()

@@ -208,7 +208,7 @@ def test_structure_map_rejects_an_m_other_than_the_point_dimension(m):
     with pytest.raises(ValueError, match=message):
         structure_map_tuple(ta, y, m)
     with pytest.raises(ValueError, match=message):
-        structure_map_tuple(ta, y, m, blocks=joint_diagonalize(ta)[1])
+        structure_map_tuple(ta, y, m, spectrum=joint_diagonalize(ta))
 
 
 def test_structure_map_rejects_an_m_other_than_the_point_dimension_with_no_labels():

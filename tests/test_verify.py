@@ -1,13 +1,14 @@
 import collections
 import inspect
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from commvar import (cohomtab, commodel, generate, isodecomp, rankstrata, spectrumops, symuniverse,
-                     verify)
+from commvar import (cohomtab, commodel, gammaconf, generate, isodecomp, rankstrata, spectrumops,
+                     symuniverse, verify)
 from commvar.isodecomp import DecompType, fixed_subspace_dim
 from commvar.numkit import Tolerances
 from commvar.rng import SplitMix64, subseed
@@ -213,6 +214,46 @@ def test_model_equivariance_reads_its_configuration_blocks(monkeypatch):
         # model-equivariance tuple of sigma . c, which is not
         t, sigma_t = made["config_to_commuting"]
         assert any(x is t for x in seen) and not any(x is sigma_t for x in seen)
+
+
+def test_equivariance_charts_every_permutation_up_to_n_3_then_generators(monkeypatch):
+    # each trial charts t, then (when its rank is positive) the permuted
+    # tuples: all n! for n <= 3, else the identity, the transposition (0 1),
+    # the n-cycle and the drawn sigma, each once
+    made = _record_outputs(monkeypatch, commodel, "config_to_commuting")
+    sigmas, charted = [], []
+    original_action, original_chart = gammaconf.sigma_action_config, rankstrata.subquotient_chart
+
+    def action(sigma, *args, **kwargs):
+        sigmas.append(sigma)
+        return original_action(sigma, *args, **kwargs)
+
+    def chart(t, *args, **kwargs):
+        charted.append((t, original_chart(t, *args, **kwargs)))
+        return charted[-1][1]
+
+    monkeypatch.setattr(gammaconf, "sigma_action_config", action)
+    monkeypatch.setattr(rankstrata, "subquotient_chart", chart)
+    sizes = set()
+    for seed in range(24):
+        for recorded in (made["config_to_commuting"], sigmas, charted):
+            recorded.clear()
+        out = run_suite("equivariance", RunConfig(seed=seed, trials=1, n_max=6, D_max=1))
+        assert out["failures"] == 0, out["messages"]
+        t, (sigma,) = made["config_to_commuting"][0], sigmas
+        n = t.ambient.n
+        cycles = [tuple(range(n)), (1, 0, *range(2, n)), (*range(1, n), 0), tuple(sigma)]
+        want = list(itertools.permutations(range(n))) if n <= 3 else list(dict.fromkeys(cycles))
+        assert charted[0][0] is t
+        if not charted[0][1].s:
+            assert len(charted) == 1
+            continue
+        assert len(charted) == len(want)
+        for (got, _), perm in zip(charted[1:], want[1:]):
+            assert np.array_equal(got.mats, commodel.sigma_action_tuple(list(perm), t).mats)
+        sizes.add((n > 3, len(want)))
+    assert {big for big, _ in sizes} == {False, True}
+    assert {count for big, count in sizes if big} <= {3, 4}
 
 
 @pytest.mark.parametrize("name", ["spectrum", "equivariance", "cayley"])
