@@ -92,6 +92,8 @@ def matrix_dicts(stack: np.ndarray) -> list[dict]:
 
 def matrix_from_json(d: dict) -> np.ndarray:
     rows, cols = _member(d, "rows"), _member(d, "cols")
+    if rows < 0 or cols < 0:
+        raise ValueError(f"rows and cols must not be negative, got {rows!r:.40} and {cols!r:.40}")
     field = d.get("field", "complex")
     if field not in ("complex", "real"):
         raise ValueError(f'field must be "real" or "complex", got {field!r:.40}')
@@ -104,15 +106,11 @@ def matrix_from_json(d: dict) -> np.ndarray:
         unpaired = True
     if unpaired:
         raise ValueError("complex matrix entries must be [re, im] pairs")
-    # one flat array: a string gives a str array, null (or an int past int64) an object
-    # one, and a bool among numbers a 0 or a 1
+    # a JSON number decodes to an int or a float, and true and false to a bool
     entries = data if real else list(itertools.chain.from_iterable(data))
-    data = np.array(entries)
-    if data.ndim != 1 or not (data.dtype.kind in "iuf" and not any(
-            type(entries[i]) is bool for i in np.flatnonzero((data == 0) | (data == 1)).tolist())
-            or data.dtype.kind == "O" and all(type(x) in (int, float) for x in data)):
+    if not set(map(type, entries)) <= {int, float}:
         raise ValueError("matrix entries must be numbers")
-    data = data.astype(float)
+    data = np.array(entries, dtype=float)
     return (data if real else data.view(complex)).reshape(rows, cols)
 
 

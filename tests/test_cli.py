@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -256,6 +256,17 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     assert body.get("error") == ("invalid_input" if code else None)
 
 
+# documents that pass a plain length test: (-1) * (-1) is one entry, and a list
+# entry, real or inside an [re, im] pair, still counts as one
+NEGATIVE_SIZES = ('{"kind": "unitary", "n": 1, "s": 1,'
+                  ' "mats": [{"rows": -1, "cols": -1, "data": [[1.0, 0.0]]}]}')
+REAL_LIST_ENTRY = ('{"kind": "real_symmetric", "n": 1, "s": 2,'
+                   ' "mats": [{"rows": 2, "cols": 2, "field": "real",'
+                   ' "data": [[1.0], 0.0, 0.0, 1.0]}]}')
+COMPLEX_LIST_PART = ('{"kind": "unitary", "n": 1, "s": 1,'
+                     ' "mats": [{"rows": 1, "cols": 1, "data": [[[1.0], 0.0]]}]}')
+
+
 @pytest.mark.parametrize("payload,message", [
     ('[{"kind": "unitary", "n": 1, "s": 1}]', "expected an object holding n, got list"),
     ('{"kind": "unitary", "n": 1, "s": 1, "mats": {"0": {}}}', "mats must be a list, got dict"),
@@ -277,8 +288,12 @@ def test_stratify_rejects_strings_and_null_entries(entry, field, code, monkeypat
     ('{"kind": "unitary", "s": 1, "mats": []}', "n must be an integer, got NoneType"),
     ('{"kind": "unitary", "n": 1, "s": 1, "mats": [{"cols": 1, "data": [[1, 0]]}]}',
      "rows must be an integer, got NoneType"),
+    (NEGATIVE_SIZES, "rows and cols must not be negative, got -1 and -1"),
+    (REAL_LIST_ENTRY, "matrix entries must be numbers"),
+    (COMPLEX_LIST_PART, "matrix entries must be numbers"),
 ], ids=["top-level-list", "mats-object", "matrix-list", "field-quaternion", "complex-bools",
-        "real-bool-among-numbers", "complex-number", "missing-kind", "missing-n", "missing-rows"])
+        "real-bool-among-numbers", "complex-number", "missing-kind", "missing-n", "missing-rows",
+        "negative-sizes", "real-list-entry", "complex-list-part"])
 def test_stratify_names_what_it_rejects(payload, message, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     assert main(["stratify"]) == 2
@@ -614,6 +629,73 @@ def test_stratify_never_raises_a_traceback(text):
     assert code in (0, 2, 3)
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+
+
+# every message a broken wire document may end in: jsonio's and cli's own, and
+# Python's for an integer past the float range; never one of NumPy's
+_WIRE_MESSAGES = (
+    "expected an object holding ", "rows must be ", "cols must be ", "data must be ",
+    "kind must be ", "n must be ", "s must be ", "mats must be ", "field must be ",
+    "rows and cols must not be negative", "matrix data length does not match rows*cols",
+    "complex matrix entries must be [re, im] pairs", "matrix entries must be numbers",
+    "tuple shape fields disagree with matrix data", "int too large to convert to float",
+    "stratify needs matrices of size at least 1", "stratify accepts ",
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([-1, -(2 ** 70), 2 ** 70, 10 ** 400, -(10 ** 400)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _is_number(v):
+    return type(v) in (int, float)
+
+
+# each value is wrong where it goes, whatever else is replaced: the tuple
+# needs one 1 x 1 matrix, so rows and cols of 1, a "complex" (or no) field and
+# data of one [re, im] pair of numbers
+_WIRE_BREAKS = {
+    "rows": _JSON_VALUES.filter(lambda v: not (type(v) is int and v == 1)),
+    "cols": _JSON_VALUES.filter(lambda v: not (type(v) is int and v == 1)),
+    "field": _JSON_VALUES.filter(lambda v: v != "complex"),
+    "data": _JSON_VALUES.filter(lambda v: not (type(v) is list and len(v) == 1)),
+    "entry": _JSON_VALUES.filter(lambda v: not _is_number(v) and not (
+        type(v) is list and len(v) == 2 and all(map(_is_number, v)))),
+    "re": _JSON_VALUES.filter(lambda v: not _is_number(v)) | st.sampled_from([10 ** 400]),
+    "im": _JSON_VALUES.filter(lambda v: not _is_number(v)) | st.sampled_from([-(10 ** 400)]),
+}
+
+
+@st.composite
+def _broken_wire_documents(draw):
+    """A one-matrix unitary tuple with random JSON values in place of some of
+    rows, cols, field, data, its one entry and that entry's parts."""
+    pair, mat = [1.0, 0.0], {"rows": 1, "cols": 1}
+    keys = draw(st.sets(st.sampled_from(sorted(_WIRE_BREAKS)), min_size=1))
+    for part, key in enumerate(("re", "im")):
+        if key in keys:
+            pair[part] = draw(_WIRE_BREAKS[key])
+    mat["data"] = [draw(_WIRE_BREAKS["entry"]) if "entry" in keys else pair]
+    for key in ("rows", "cols", "field", "data"):
+        if key in keys:
+            mat[key] = draw(_WIRE_BREAKS[key])
+    return json.dumps({"kind": "unitary", "n": 1, "s": 1, "mats": [mat]})
+
+
+@settings(deadline=None, max_examples=200)
+@given(_broken_wire_documents())
+@example(NEGATIVE_SIZES)
+@example(REAL_LIST_ENTRY)
+@example(COMPLEX_LIST_PART)
+def test_stratify_names_each_broken_wire_field_itself(text):
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        code, lines = _main_outcome(["stratify"])
+    assert code == 2 and len(lines) == 1
+    body = json.loads(lines[0])
+    assert body["error"] == "invalid_input"
+    assert body["message"].startswith(_WIRE_MESSAGES), body["message"]
 
 
 def _main_outcome(argv):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -150,6 +151,36 @@ def test_matrix_from_json_rejects_strings_and_null(data, field):
         d["field"] = field
     with pytest.raises(ValueError):
         jsonio.matrix_from_json(d)
+
+
+# what json.loads can give an entry: ints (0, 1 and past int64 among them),
+# floats (signed zeros, NaN and infinities among them) and every other JSON type
+_ENTRIES = st.one_of(
+    st.integers(-(2 ** 100), 2 ** 100), st.sampled_from([0, 1, 2 ** 70, -(2 ** 70)]),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.booleans(), st.text(max_size=3), st.none(),
+    st.lists(st.integers() | st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_ENTRIES, max_size=8), st.booleans())
+def test_matrix_from_json_takes_exactly_ints_and_floats(flat, real):
+    if real:
+        d = {"rows": 1, "cols": len(flat), "data": flat, "field": "real"}
+    else:
+        pairs = [flat[i:i + 2] for i in range(0, len(flat) - 1, 2)]
+        flat = flat[:2 * len(pairs)]
+        d = {"rows": 1, "cols": len(pairs), "data": pairs}
+    if all(type(x) in (int, float) for x in flat):
+        ref = np.array([float(x) for x in flat])
+        ref = (ref if real else ref.view(complex)).reshape(1, -1)
+        got = jsonio.matrix_from_json(d)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    else:
+        with pytest.raises(ValueError, match="^matrix entries must be numbers"):
+            jsonio.matrix_from_json(d)
 
 
 def _reference_matrix_text(m):
