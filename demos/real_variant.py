@@ -12,10 +12,10 @@ from commvar import (
     real_cayley,
     real_cayley_inv,
     real_stratum_chart,
-    real_trace_split,
+    reconstruct_chart,
+    trace_split,
 )
 from commvar.numkit import fro, off_norm
-from commvar.realk import reconstruct_real_chart
 
 # The real transform lands in the symmetric unitaries.
 x = np.array([[0.5, 0.2], [0.2, -1.0]])
@@ -32,8 +32,9 @@ print("det Q:", np.linalg.det(q))
 print("joint off-diagonal:", np.sqrt(sum(off_norm(d) ** 2 for d in diag)))
 print("eigenblock sizes:", [b.frame.shape[1] for b in blocks])
 
-split = real_trace_split(t)
-print("traceless part traces:", [float(abs(np.trace(m))) for m in split.traceless.mats])
+# The scalar split is the complex one's, read off the tuple's kind: X = bar + tau Id.
+bar, tau = trace_split(t)
+print("traceless part traces:", [float(abs(np.trace(m))) for m in bar.mats])
 
 # A tuple of symmetric unitaries charts down to real symmetric coordinates
 # and a real frame.
@@ -43,5 +44,6 @@ from commvar.commodel import CommutingTuple
 tsym = CommutingTuple("unitary", sym)
 chart = real_stratum_chart(tsym)
 print("real chart size:", chart.s, "kind:", chart.X.kind)
-rec = reconstruct_real_chart(chart, tsym.s)
+# The complex reconstruction rebuilds a real chart through cayley(iX).
+rec = reconstruct_chart(chart, tsym.s)
 print("reconstruction gap:", class_distance(rec, tsym))

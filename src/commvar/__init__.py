@@ -54,12 +54,10 @@ from .spectrumops import (
     unit_map_tuple,
 )
 from .realk import (
-    RealSplit,
     joint_diagonalize_real,
     real_cayley,
     real_cayley_inv,
     real_stratum_chart,
-    real_trace_split,
 )
 from .isodecomp import (
     DecompType,

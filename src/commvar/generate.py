@@ -15,6 +15,7 @@ from .commodel import CommutingTuple
 from .gammaconf import Configuration, Label, SpherePoint, canonicalize
 from .isodecomp import unit_normalize
 from .numkit import DEFAULT_TOL, Tolerances, identity
+from .rankstrata import trace_split
 from .rng import SplitMix64, haar_orthogonal, haar_unitary, unit_phase
 from .symuniverse import UniverseBasis
 
@@ -33,7 +34,7 @@ def sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
     (unitary values with arguments in [margin, 2 pi - margin]); each column
     is redrawn, up to 1000 times, until it lies min_separation from every
     earlier column in the max metric: one test per draw, none when
-    min_separation is 0."""
+    min_separation is 0, and ValueError when all 1000 draws are too close."""
     vals = np.zeros((n, cols), dtype=complex)
     for c in range(cols):
         for _attempt in range(1000):
@@ -41,6 +42,9 @@ def sample_value_columns(rng: SplitMix64, kind: str, n: int, cols: int,
             if min_separation == 0.0 or not n or (
                     np.abs(col[:, None] - vals[:, :c]).max(axis=0) >= min_separation).all():
                 break
+        else:
+            raise ValueError(f"{kind} column {c}: no draw of 1000 lies {min_separation} "
+                             "from the earlier columns")
         vals[:, c] = col
     return vals
 
@@ -88,8 +92,7 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
     if traceless or unit:
         if kind == "unitary":
             raise ValueError("traceless projection needs a Lie-algebra kind")
-        tr = t.mats.trace(axis1=1, axis2=2) / s
-        t = CommutingTuple(kind, t.mats - tr[:, None, None] * identity(s))
+        t = trace_split(t)[0]
     return unit_normalize(t) if unit else t
 
 

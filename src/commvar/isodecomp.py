@@ -126,13 +126,17 @@ def canonical_flag_class(g: np.ndarray, x: CommutingTuple,
 
     Columns are sorted by the lexicographic order of their diagonal value
     tuples (imaginary parts) and phase-normalized, collapsing the diagonal
-    torus and the permutation twist.
+    torus and the permutation twist.  Raises ValueError unless x is
+    skew-Hermitian, and ShapeMismatch unless g is s x s.
     """
+    require_kind(x, "skew_hermitian")
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (x.s, x.s):
+        raise ShapeMismatch(f"flag frame must be {(x.s, x.s)}, got {g.shape}")
     diags = x.mats.diagonal(axis1=1, axis2=2)
     order = sorted(range(x.s), key=lambda c: tuple(diags[:, c].imag))
-    g_sorted = np.asarray(g, dtype=complex)[:, order]
     mats = diags[:, order, None] * identity(x.s)
-    return phase_normalize(g_sorted, tol), CommutingTuple("skew_hermitian", mats)
+    return phase_normalize(g[:, order], tol), CommutingTuple("skew_hermitian", mats)
 
 
 def flag_map_preimage(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,

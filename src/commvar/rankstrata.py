@@ -14,6 +14,10 @@ is diagonal in that frame, the inverse transform of the Rayleigh quotients.
 For a tuple that commutes only to working tolerance this is the chart of its
 clustered tuple: the off-diagonal joint residual is dropped.  The real chart
 of `realk` is this chart in a real frame of F, plus a realness check.
+
+trace_split, reassemble_trace and reconstruct_chart read the Lie kind off
+the tuple: X = traceless + u tau Id with u = i (skew-Hermitian) or 1 (real
+symmetric), and a real chart is rebuilt through cayley(iX).
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ class SubquotientChart:
     """Chart data of a stratum element.
 
     s          stratum rank (dimension of F)
-    X          commuting skew-Hermitian tuple of size s
+    X          commuting skew-Hermitian tuple of size s (real symmetric for
+               the real chart of `realk`)
     f          isometric frame of s columns spanning F in the ambient space
     traceless  X with the scalar part removed
-    tau        imaginary parts of tr(X_i)/s, one real number per component
+    tau        the real scalar parts of trace_split, one per component
     """
 
     s: int
@@ -125,38 +130,45 @@ def subquotient_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
         w = f.conj().T @ frame
         x, f = w.conj().T @ x @ w, frame
     x = CommutingTuple("skew_hermitian", x)
-    traceless, tau = trace_split(x)
-    return SubquotientChart(s, x, f, traceless, tau)
+    return SubquotientChart(s, x, f, *trace_split(x))
 
 
 def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,
                       tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
     """Rebuild the canonical unitary tuple from (X, f): push the Cayley
     transform of each component into the ambient space along f and extend by
-    the identity."""
+    the identity.  A real symmetric X is transformed as iX."""
     if chart.f.shape[0] != ambient_dim:
         raise ShapeMismatch("frame does not match the ambient dimension")
-    smalls = np.array([cayley(x, tol) for x in chart.X.mats]).reshape(chart.X.mats.shape)
+    x = 1j * chart.X.mats if chart.X.kind == "real_symmetric" else chart.X.mats
+    smalls = np.array([cayley(m, tol) for m in x]).reshape(x.shape)
     return CommutingTuple("unitary", extend_by_identity(chart.f.astype(complex), smalls))
 
 
 def trace_split(x: CommutingTuple):
-    """Split a skew-Hermitian tuple into traceless part and scalar part.
+    """Split a Lie-kind tuple into traceless part and scalar part.
 
-    Returns (traceless tuple, tau) with X_i = traceless_i + i tau_i Id and
-    tau_i = Im(tr X_i)/s real.  The reassembly is exact.
+    Returns (traceless tuple of x's kind, tau) with X_i = traceless_i +
+    u tau_i Id and tau real: u = i and tau_i = Im(tr X_i)/s for a
+    skew-Hermitian tuple, u = 1 and tau_i = tr(X_i)/s for a real symmetric
+    one.  The reassembly is exact.
     """
-    require_kind(x, "skew_hermitian")
-    s = x.s
+    require_kind(x, "skew_hermitian", "real_symmetric")
+    u = 1j if x.kind == "skew_hermitian" else 1.0
+    tr = x.mats.trace(axis1=1, axis2=2)
     # an empty trace is 0, so a 0 x 0 tuple has tau = 0
-    tau = x.mats.trace(axis1=1, axis2=2).imag / max(s, 1)
-    bar = x.mats - 1j * tau[:, None, None] * identity(s)
-    return CommutingTuple("skew_hermitian", bar), tau
+    tau = (tr.imag if u == 1j else tr) / max(x.s, 1)
+    return CommutingTuple(x.kind, x.mats - u * tau[:, None, None] * identity(x.s)), tau
 
 
 def reassemble_trace(traceless: CommutingTuple, tau: np.ndarray) -> CommutingTuple:
-    mats = traceless.mats + 1j * np.asarray(tau)[:, None, None] * identity(traceless.s)
-    return CommutingTuple("skew_hermitian", mats)
+    """Inverse of trace_split; ShapeMismatch unless tau has one entry per component."""
+    require_kind(traceless, "skew_hermitian", "real_symmetric")
+    if np.shape(tau) != (traceless.n,):
+        raise ShapeMismatch(f"tau must have shape {(traceless.n,)}, got {np.shape(tau)}")
+    u = 1j if traceless.kind == "skew_hermitian" else 1.0
+    mats = traceless.mats + u * np.asarray(tau)[:, None, None] * identity(traceless.s)
+    return CommutingTuple(traceless.kind, mats)
 
 
 def stabilize(x: CommutingTuple, m: int) -> CommutingTuple:

@@ -9,6 +9,8 @@ real symmetric tuple together with a real isometric frame.
 Every piece is the complex one of `rankstrata` applied to iX, plus a
 realness step: real_cayley(X) = cayley(iX), and the real chart is -i times
 the complex chart in a real frame of F, checked to be real as a whole stack.
+The trace split and the chart reconstruction are rankstrata's own
+trace_split, reassemble_trace and reconstruct_chart, which read the kind.
 real_stratum_chart takes an optional commodel.JointSpectrum of t at tol, as
 subquotient_chart does, and refuses one of another tuple or tolerances.
 A block is real when the imaginary part of its projection P is at most
@@ -17,7 +19,7 @@ eps_struct; its real frame is then the top eigenvectors of Re P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,23 +27,7 @@ from .commodel import (CommutingTuple, JointSpectrum, checked_spectrum, joint_di
                        require_kind)
 from .errors import NotRealizable
 from .numkit import DEFAULT_TOL, Tolerances, check_structure, fro, unitary_defect
-from .rankstrata import (
-    SubquotientChart,
-    cayley,
-    cayley_solve,
-    reassemble_trace,
-    reconstruct_chart,
-    subquotient_chart,
-    trace_split,
-)
-
-
-@dataclass
-class RealSplit:
-    """Traceless part and scalar part of a real symmetric tuple."""
-
-    traceless: CommutingTuple
-    tau: np.ndarray
+from .rankstrata import SubquotientChart, cayley, cayley_solve, subquotient_chart, trace_split
 
 
 def _real_part(z: np.ndarray) -> np.ndarray:
@@ -88,18 +74,6 @@ def joint_diagonalize_real(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> 
     return replace(spectrum, Q=q)
 
 
-def real_trace_split(t: CommutingTuple) -> RealSplit:
-    """Split off the scalar part: X_i = traceless_i + tau_i Id, tau real."""
-    require_kind(t, "real_symmetric")
-    bar, tau = trace_split(CommutingTuple("skew_hermitian", 1j * t.mats))
-    return RealSplit(CommutingTuple("real_symmetric", bar.mats.imag), tau)
-
-
-def reassemble_real_split(split: RealSplit) -> CommutingTuple:
-    ix = CommutingTuple("skew_hermitian", 1j * split.traceless.mats)
-    return CommutingTuple("real_symmetric", reassemble_trace(ix, split.tau).mats.imag)
-
-
 def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
                        spectrum: JointSpectrum | None = None) -> SubquotientChart:
     """Chart of a commuting tuple of symmetric unitaries.
@@ -124,16 +98,7 @@ def real_stratum_chart(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL,
     f = np.hstack(frames) if frames else np.zeros((t.s, 0))
     x = CommutingTuple("real_symmetric",
                        _real_part(-1j * subquotient_chart(t, tol, f, spectrum).X.mats))
-    split = real_trace_split(x)
-    return SubquotientChart(f.shape[1], x, f, split.traceless, split.tau)
-
-
-def reconstruct_real_chart(chart: SubquotientChart, ambient_dim: int,
-                           tol: Tolerances = DEFAULT_TOL) -> CommutingTuple:
-    """Rebuild the canonical symmetric unitary tuple from a real chart: the
-    complex reconstruction of iX, since real_cayley(X) = cayley(iX)."""
-    ix = CommutingTuple("skew_hermitian", 1j * chart.X.mats)
-    return reconstruct_chart(replace(chart, X=ix), ambient_dim, tol)
+    return SubquotientChart(f.shape[1], x, f, *trace_split(x))
 
 
 def is_symmetric_unitary(a: np.ndarray) -> bool:

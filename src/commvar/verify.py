@@ -475,11 +475,11 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
               1e-8 * max(1.0, max(numkit.fro(m) for m in t.mats)))
     rec.check("SO determinant", abs(np.linalg.det(q) - 1.0), 1e-10)
 
-    split = realk.real_trace_split(t)
+    bar, tau = rankstrata.trace_split(t)
     rec.check("real split traceless",
-              max((abs(np.trace(m)) for m in split.traceless.mats), default=0.0), 1e-12)
+              max((abs(np.trace(m)) for m in bar.mats), default=0.0), 1e-12)
     rec.check("real split reassembly",
-              commodel.rep_distance(realk.reassemble_real_split(split), t), 1e-12)
+              commodel.rep_distance(rankstrata.reassemble_trace(bar, tau), t), 1e-12)
 
     # real configuration data -> symmetric unitaries -> real chart
     universe = symuniverse.UniverseBasis(n, 1)
@@ -497,7 +497,7 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     spec = commodel.joint_diagonalize(tsym, tol)
     chart = realk.real_stratum_chart(tsym, tol, spec)
     rec.expect("real chart is real", chart.X.kind == "real_symmetric")
-    rebuilt = realk.reconstruct_real_chart(chart, dim, tol)
+    rebuilt = rankstrata.reconstruct_chart(chart, dim, tol)
     rec.check("real chart reconstruction",
               commodel.rep_distance(commodel.canonical_rep(rebuilt, tol),
                                     commodel.canonical_rep(tsym, tol, spec)), 1e-8)

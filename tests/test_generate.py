@@ -20,6 +20,7 @@ from commvar.numkit import (
     real_symmetric_defect,
     unitary_defect,
 )
+from commvar.rankstrata import trace_split
 from commvar.rng import MASK64, SplitMix64, haar_orthogonal, haar_unitary, subseed
 from commvar.symuniverse import UniverseBasis
 
@@ -100,6 +101,16 @@ def test_gen_partition_tuple_traceless_unit():
     assert commutator_defect(t.mats) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["skew_hermitian", "real_symmetric"])
+def test_traceless_partition_tuple_is_the_trace_split_of_the_draw(kind):
+    for n in range(4):
+        for parts in ([1], [2, 1], [3, 2, 1], [1, 1, 2, 2]):
+            for seed in (0, 7):
+                got = gen_partition_tuple(seed, n, parts, kind, traceless=True)
+                want = trace_split(gen_partition_tuple(seed, n, parts, kind))[0]
+                assert got.kind == kind and got.mats.tobytes() == want.mats.tobytes()
+
+
 def test_gen_random_config_canonical():
     u = UniverseBasis(3, 1)
     c = gen_random_config(7, u, max_labels=3, max_rank=4)
@@ -153,7 +164,8 @@ def test_config_on_basis_labels_are_consecutive_slices():
 
 
 def _per_column_value_columns(rng, kind, n, cols, margin, min_separation):
-    # the per-column separation loop that sample_value_columns' one test replaced
+    # the per-column separation loop that sample_value_columns' one test replaced;
+    # returns the column index where all 1000 draws were too close
     vals = np.zeros((n, cols), dtype=complex)
     for c in range(cols):
         for _attempt in range(1000):
@@ -164,6 +176,8 @@ def _per_column_value_columns(rng, kind, n, cols, margin, min_separation):
             ) if n else True
             if ok or min_separation == 0.0:
                 break
+        else:
+            return c
         vals[:, c] = col
     return vals
 
@@ -171,16 +185,25 @@ def _per_column_value_columns(rng, kind, n, cols, margin, min_separation):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("min_separation", [0.0, 0.2, 0.5, 1.5])
 def test_value_columns_are_the_per_column_loop(kind, min_separation):
-    # 1.5 forces redraws, up to the cap: unitary values lie within 2 of each other
+    # 1.5 forces redraws, up to the cap: unitary values lie within 2 of each other;
+    # where the reference exhausts a column, sample_value_columns raises at that column
+    exhausted = 0
     for n in range(4):
         for cols in range(9):
             for margin in (0.0, 0.3):
                 for seed in (0, 7, 2024):
                     rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
-                    got = sample_value_columns(rng, kind, n, cols, margin, min_separation)
                     ref = _per_column_value_columns(ref_rng, kind, n, cols, margin, min_separation)
-                    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+                    if isinstance(ref, int):
+                        exhausted += 1
+                        with pytest.raises(ValueError, match=f"^{kind} column {ref}: no draw "
+                                                             f"of 1000 lies {min_separation} from"):
+                            sample_value_columns(rng, kind, n, cols, margin, min_separation)
+                    else:
+                        got = sample_value_columns(rng, kind, n, cols, margin, min_separation)
+                        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
                     assert (rng.state, rng._gauss_cache) == (ref_rng.state, ref_rng._gauss_cache)
+    assert (exhausted > 0) == (min_separation == 1.5)
 
 
 def test_generator_defaults():

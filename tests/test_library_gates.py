@@ -21,6 +21,11 @@ def _chart():
     return rankstrata.subquotient_chart(generate.gen_exact_rank_tuple(0, 1, 2, 4))
 
 
+def _flag_coordinates():
+    """A diagonal traceless skew-Hermitian tuple of size 3."""
+    return commodel.CommutingTuple("skew_hermitian", np.diag([1j, -1j, 0j])[None])
+
+
 GATES = {
     "universe with no variable": (lambda: symuniverse.UniverseBasis(0, 1),
                                   ValueError, "at least one variable"),
@@ -77,6 +82,24 @@ GATES = {
     "orthonormalize of a list of vectors": (lambda: numkit.orthonormalize([np.ones(2)] * 2),
                                             ShapeMismatch, "not a (d, k) array: <class 'list'>"),
     "randint of an empty range": (lambda: SplitMix64(0).randint(3, 3), ValueError, "empty range"),
+    "reassemble_trace with a tau of the wrong length": (lambda: rankstrata.reassemble_trace(
+        commodel.CommutingTuple("skew_hermitian", np.zeros((1, 3, 3))), np.zeros(3)),
+        ShapeMismatch, "tau must have shape (1,), got (3,)"),
+    "reassemble_trace of a unitary tuple": (lambda: rankstrata.reassemble_trace(_bare(), [0.0]),
+                                            ValueError, "real_symmetric tuple, got unitary"),
+    "canonical_flag_class with a smaller frame": (lambda: isodecomp.canonical_flag_class(
+        np.eye(2), _flag_coordinates()), ShapeMismatch, "flag frame must be (3, 3), got (2, 2)"),
+    "canonical_flag_class with a non-square frame": (lambda: isodecomp.canonical_flag_class(
+        np.eye(4)[:, :3], _flag_coordinates()), ShapeMismatch, "must be (3, 3), got (4, 3)"),
+    "canonical_flag_class of real coordinates": (lambda: isodecomp.canonical_flag_class(
+        np.eye(3), commodel.CommutingTuple("real_symmetric", np.diag([1.0, -1.0, 0.0])[None])),
+        ValueError, "expected a skew_hermitian tuple, got real_symmetric"),
+    # draws that cannot be separated: refused, not kept too close
+    "40 unitary columns 0.2 apart in one coordinate": (lambda: generate.gen_random_commuting(
+        0, 1, 40, "unitary", margin=0.3, min_separation=0.2),
+        ValueError, "unitary column 22: no draw of 1000 lies 0.2 from the earlier columns"),
+    "30 parts 0.5 apart in one coordinate": (lambda: generate.gen_partition_tuple(
+        1, 1, [1] * 30), ValueError, "skew_hermitian column 11: no draw of 1000 lies 0.5"),
 }
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from commvar.commodel import CommutingTuple, F_subspace, class_distance, identity_tuple
-from commvar.errors import NotSkewHermitian, SingularAtOne, WrongStratum
+from commvar.errors import NotSkewHermitian, ShapeMismatch, SingularAtOne, WrongStratum
 from commvar.gammaconf import Configuration, Label, SpherePoint, canonicalize, sphere_coord
 from commvar.commodel import config_to_commuting
 from commvar.generate import gen_exact_rank_tuple, gen_random_commuting
@@ -20,7 +22,7 @@ from commvar.rankstrata import (
     trace_split,
 )
 from commvar.realk import real_stratum_chart
-from commvar.rng import SplitMix64, haar_unitary
+from commvar.rng import SplitMix64, haar_orthogonal, haar_unitary
 from commvar.symuniverse import UniverseBasis
 from commvar.generate import gen_partition_tuple
 from commvar.isodecomp import decomposition_type
@@ -187,6 +189,12 @@ def test_trace_split_examples():
     assert max(abs(np.trace(m)) for m in bar.mats) <= 1e-12
     back = reassemble_trace(bar, tau)
     assert max(fro(a - b) for a, b in zip(back.mats, x.mats)) <= 1e-12
+    # tau has one entry per component: a length-3 tau of a one-component
+    # tuple is refused, not broadcast into three components
+    one = CommutingTuple("skew_hermitian", np.array([np.diag([1j, -1j, 0j])]))
+    for bad in (np.zeros(3), np.zeros(0), np.zeros((1, 1)), 0.0):
+        with pytest.raises(ShapeMismatch, match="tau must have shape"):
+            reassemble_trace(one, bad)
     # scalar tuple: X = i Id -> (0, 1)
     scal = CommutingTuple("skew_hermitian", np.array([1j * np.eye(3)]))
     bar2, tau2 = trace_split(scal)
@@ -197,6 +205,61 @@ def test_trace_split_examples():
     bar3, tau3 = trace_split(tl)
     assert fro(bar3.mats[0] - tl.mats[0]) < 1e-14
     assert abs(tau3[0]) < 1e-14
+
+
+LIE_KINDS = ["skew_hermitian", "real_symmetric"]
+
+
+def _lie_tuples(kind):
+    """One seeded tuple of the kind for each n in 0..3 and s in 0..6."""
+    return [gen_random_commuting(10 * n + s, n, s, kind) for n in range(4) for s in range(7)]
+
+
+@pytest.mark.parametrize("kind", LIE_KINDS)
+def test_trace_split_round_trip_keeps_kind_and_dtype(kind):
+    for x in _lie_tuples(kind):
+        bar, tau = trace_split(x)
+        back = reassemble_trace(bar, tau)
+        assert bar.kind == back.kind == kind
+        assert bar.mats.dtype == back.mats.dtype == x.mats.dtype
+        assert tau.shape == (x.n,) and tau.dtype == float
+        assert max((abs(np.trace(m)) for m in bar.mats), default=0.0) <= 1e-12
+        assert max((fro(a - b) for a, b in zip(back.mats, x.mats)), default=0.0) <= 1e-12
+
+
+def test_skew_trace_split_is_the_written_out_formula():
+    # X = bar + i tau Id as the skew-Hermitian split computed it before
+    # trace_split took real symmetric tuples as well
+    for x in _lie_tuples("skew_hermitian"):
+        tau = x.mats.trace(axis1=1, axis2=2).imag / max(x.s, 1)
+        bar = x.mats - 1j * tau[:, None, None] * np.eye(x.s)
+        got_bar, got_tau = trace_split(x)
+        assert got_tau.tobytes() == tau.tobytes() and got_bar.mats.tobytes() == bar.tobytes()
+        back = reassemble_trace(got_bar, got_tau).mats
+        assert back.tobytes() == (bar + 1j * tau[:, None, None] * np.eye(x.s)).tobytes()
+
+
+def test_real_trace_split_is_x_minus_its_mean_trace():
+    for x in _lie_tuples("real_symmetric"):
+        bar, tau = trace_split(x)
+        if not x.s:
+            assert tau.tolist() == [0.0] * x.n
+            continue
+        mean = x.mats.trace(axis1=1, axis2=2) / x.s
+        assert tau.tobytes() == mean.tobytes()
+        assert bar.mats.tobytes() == (x.mats - mean[:, None, None] * np.eye(x.s)).tobytes()
+
+
+def test_real_chart_reconstructs_as_the_chart_of_iX():
+    # reconstruct_chart of a real chart is its reconstruction as the
+    # skew-Hermitian chart of iX, bit for bit
+    for x in _lie_tuples("real_symmetric"):
+        f = haar_orthogonal(SplitMix64(x.n * 7 + x.s), x.s + 2)[:, :x.s]
+        chart = SubquotientChart(x.s, x, f, *trace_split(x))
+        ix = CommutingTuple("skew_hermitian", 1j * x.mats)
+        want = reconstruct_chart(replace(chart, X=ix), x.s + 2)
+        got = reconstruct_chart(chart, x.s + 2)
+        assert got.kind == "unitary" and got.mats.tobytes() == want.mats.tobytes()
 
 
 def test_stabilize():

@@ -12,11 +12,14 @@ from commvar.realk import (
     real_cayley,
     real_cayley_inv,
     real_stratum_chart,
-    real_trace_split,
-    reassemble_real_split,
-    reconstruct_real_chart,
 )
-from commvar.rankstrata import SubquotientChart, subquotient_chart
+from commvar.rankstrata import (
+    SubquotientChart,
+    reassemble_trace,
+    reconstruct_chart,
+    subquotient_chart,
+    trace_split,
+)
 from commvar.rng import SplitMix64, haar_orthogonal, unit_phase
 from commvar.symuniverse import UniverseBasis
 
@@ -39,8 +42,8 @@ def test_real_cayley_takes_the_callers_tolerance():
     xt = CommutingTuple("real_symmetric", x[None])
     chart = SubquotientChart(2, xt, np.eye(2), xt, np.zeros(1))
     with pytest.raises(NotSkewHermitian):
-        reconstruct_real_chart(chart, 2)
-    assert fro(reconstruct_real_chart(chart, 2, loose).mats[0] - a) == 0.0
+        reconstruct_chart(chart, 2)
+    assert fro(reconstruct_chart(chart, 2, loose).mats[0] - a) == 0.0
 
 
 @pytest.mark.parametrize("s", [1, 3, 6])
@@ -101,14 +104,14 @@ def test_joint_diagonalize_real_recovery(seed):
 
 def test_real_trace_split():
     t = gen_random_commuting(9, 2, 4, "real_symmetric")
-    split = real_trace_split(t)
-    assert max(abs(np.trace(m)) for m in split.traceless.mats) <= 1e-12
-    back = reassemble_real_split(split)
+    bar, tau = trace_split(t)
+    assert max(abs(np.trace(m)) for m in bar.mats) <= 1e-12
+    back = reassemble_trace(bar, tau)
     assert max(fro(a - b) for a, b in zip(back.mats, t.mats)) <= 1e-12
     ident = CommutingTuple("real_symmetric", np.array([np.eye(3)]))
-    s2 = real_trace_split(ident)
-    assert fro(s2.traceless.mats[0]) < 1e-14
-    assert s2.tau[0] == pytest.approx(1.0)
+    bar2, tau2 = trace_split(ident)
+    assert fro(bar2.mats[0]) < 1e-14
+    assert tau2[0] == pytest.approx(1.0)
 
 
 def _real_config(seed, n=2, dims=(1, 2)):
@@ -152,7 +155,7 @@ def test_real_chart_round_trip(seed):
     assert chart.X.kind == "real_symmetric"
     assert chart.f.dtype.kind == "f"
     assert commutator_defect(chart.X.mats) <= 1e-9
-    rec = reconstruct_real_chart(chart, t.s)
+    rec = reconstruct_chart(chart, t.s)
     assert class_distance(rec, t) <= 1e-8
 
 
