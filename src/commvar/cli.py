@@ -74,12 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(ver)
     ver.add_argument("--suite", default="all",
                      help=f"one of {', '.join(SUITES)} or 'all'")
-    ver.add_argument("--trials", type=int, default=25)
-    ver.add_argument("--n", type=int, default=3, help="cap on tuple length")
-    ver.add_argument("--s", type=int, default=6,
-                     help="cap on matrix size, except roundtrip's eigensolver check "
-                          "(s = 2..8) and cayley's chart tuple (its rank plus 2)")
-    ver.add_argument("--D", type=int, default=2, help="cap on truncation degree")
+    ver.add_argument("--trials", type=int, default=RunConfig.trials)
+    ver.add_argument("--n", type=int, default=RunConfig.n_max, help="cap on tuple length")
+    ver.add_argument("--s", type=int, default=RunConfig.s_max,
+                     help="cap on the size of a drawn tuple; a built one takes the size of a "
+                          "pairing or of a universe, C(n + D, n) (README, verify)")
+    ver.add_argument("--D", type=int, default=RunConfig.D_max, help="cap on truncation degree")
     for p in (gen, ver):  # the commands that read a seed
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (default: COMMVAR_SEED or 0)")

@@ -160,11 +160,10 @@ def joint_diagonalize(t: CommutingTuple, tol: Tolerances = DEFAULT_TOL) -> Joint
     unitary by construction (LAPACK eigenvectors times Cayley transforms and
     plane rotations), so the frames are orthonormal without a Gram-Schmidt pass.
 
-    After the residual check the blocks are built in one pass:
-    _group_reduce gives each group's mean, leading row and F flag, with a
-    per-group np.mean only for a group of 8 floats or more, and one gather
-    of the columns in block order gives every frame, each a C-contiguous
-    (s, w) array as a per-group fancy index would give it.
+    After the residual check, _group_reduce gives each block's mean (its
+    column sum over its count, as np.mean computes it), leading row and F
+    flag, and one gather of the columns in block order gives every frame,
+    each a C-contiguous (s, w) array as a per-group fancy index gives it.
 
     The tuple is validated first (an InvalidTuple subclass on failure); a
     joint residual above its bound raises NoConvergence.
@@ -213,24 +212,16 @@ def checked_spectrum(t: CommutingTuple, tol: Tolerances, spectrum) -> JointSpect
 
 def _group_reduce(vals: np.ndarray, groups: list[list[int]], lead: np.ndarray,
                   in_f: np.ndarray):
-    """Per group, as single_linkage lists them: vals[:, cols].mean(axis=1)
-    bit for bit, min(lead[cols]) and all(in_f[cols]).  np.mean adds fewer
-    than 8 floats (8 real values, 4 complex) to +0.0 left to right, then
-    divides by the count, which for one value is exact: a sum begun at +0.0
-    holds no -0.0.  So one value's mean is 0 + v, and reduceat over the
-    columns in group order with a zero row put before each group sums as
-    np.mean does.  Larger groups keep np.mean."""
-    n, s = vals.shape
-    if len(groups) == s:  # every column its own group
+    """Per group, as single_linkage lists them: vals[:, cols].mean(axis=1) bit
+    for bit, summed (np.add.reduce along the value axis) and divided by the
+    count as np.mean does it, min(lead[cols]) and all(in_f[cols])."""
+    if len(groups) == vals.shape[1]:  # all singletons: the reduce of one value v is 0.0 + v
         return np.add(vals.T, 0.0, order="C"), lead, in_f
-    sizes, g = np.array([len(cols) for cols in groups]), len(groups)
+    sizes = np.array([len(cols) for cols in groups])
     members, starts = np.concatenate(groups), np.cumsum(sizes) - sizes
-    padded = np.zeros((s + g, n), vals.dtype)
-    padded[np.arange(s) + np.repeat(np.arange(1, g + 1), sizes)] = vals.T[members]
-    means = np.add.reduceat(padded, starts + np.arange(g), axis=0) / sizes[:, None]
-    for i in np.flatnonzero(sizes >= (4 if vals.dtype.kind == "c" else 8)).tolist():
-        means[i] = vals[:, groups[i]].mean(axis=1)
-    return (means, np.minimum.reduceat(lead[members], starts),
+    runs, cuts = vals[:, members], [*starts.tolist(), len(members)]  # columns in group order
+    sums = [np.add.reduce(runs[:, a:b], axis=1) for a, b in zip(cuts, cuts[1:])]
+    return (np.stack(sums) / sizes[:, None], np.minimum.reduceat(lead[members], starts),
             np.logical_and.reduceat(in_f[members], starts))
 
 

@@ -138,8 +138,8 @@ def reconstruct_chart(chart: SubquotientChart, ambient_dim: int,
     """Rebuild the canonical unitary tuple from (X, f): push the Cayley
     transform of each component into the ambient space along f and extend by
     the identity.  A real symmetric X is transformed as iX."""
-    if chart.f.shape[0] != ambient_dim:
-        raise ShapeMismatch("frame does not match the ambient dimension")
+    if chart.f.shape != (want := (ambient_dim, chart.X.s)):
+        raise ShapeMismatch(f"frame {chart.f.shape}, not (ambient dimension, rank) {want}")
     x = 1j * chart.X.mats if chart.X.kind == "real_symmetric" else chart.X.mats
     smalls = np.array([cayley(m, tol) for m in x]).reshape(x.shape)
     return CommutingTuple("unitary", extend_by_identity(chart.f.astype(complex), smalls))

@@ -24,7 +24,7 @@ from commvar.errors import InvalidTuple, NoConvergence, NotOddPrime
 from commvar.generate import gen_random_commuting
 from commvar.numkit import real_symmetric_defect, skew_hermitian_defect, unitary_defect
 from commvar.rng import SplitMix64, haar_unitary
-from commvar.verify import MAX_D, MAX_N, MAX_TRIALS
+from commvar.verify import MAX_D, MAX_N, MAX_TRIALS, RunConfig
 
 
 # child processes get the warning policy that pyproject.toml sets for pytest
@@ -468,6 +468,11 @@ def test_verify_failure_exit_code():
                             "--tol-struct", "1e-30"])
     assert code == 1
     assert json.loads(out)["failures"] > 0
+
+
+def test_verify_flags_default_to_the_run_config_defaults():
+    args, cfg = build_parser().parse_args(["verify"]), RunConfig()
+    assert (args.trials, args.n, args.s, args.D) == (cfg.trials, cfg.n_max, cfg.s_max, cfg.D_max)
 
 
 def test_verify_text_output():

@@ -746,7 +746,11 @@ def _one_pass_cases():
         cases[f"{kind}-s1"] = gen_random_commuting(4, 2, 1, kind)
         cases[f"{kind}-n0"] = CommutingTuple(kind, np.zeros((0, 3, 3)))
         cases[f"{kind}-n0-s9"] = CommutingTuple(kind, np.zeros((0, 9, 9)))
-        for parts in ([2, 3, 4, 5, 6, 7, 1], [8, 1], [9, 2, 1], [12, 3, 3, 1, 1], [7, 7], [4]):
+        # numpy sums up to 128 floats of a row in one block and splits a longer
+        # row recursively: 70 complex or 130 real values take that path
+        wide = [130, 1] if kind == "real_symmetric" else [70, 1]
+        for parts in ([2, 3, 4, 5, 6, 7, 1], [8, 1], [9, 2, 1], [12, 3, 3, 1, 1], [7, 7], [4],
+                      wide):
             cases[f"{kind}-parts{parts}"] = gen_partition_tuple(5, 2, parts, kind=kind)
         for seed in range(6):
             rng = SplitMix64(seed)
@@ -794,7 +798,8 @@ def test_joint_diagonalize_matches_the_reference_bit_for_bit(name):
 
 
 def test_the_one_pass_cases_reach_every_branch():
-    # singleton, short-sum and np.mean groups, off-F blocks and negative zeros
+    # groups of every size from 1 to 9 and one above numpy's 128-float
+    # pairwise block, off-F blocks and negative zeros
     sizes, in_f, negative_zero = set(), set(), False
     for t in _ONE_PASS_CASES.values():
         q, blocks = _reference_joint_diagonalize(t)
@@ -804,6 +809,7 @@ def test_the_one_pass_cases_reach_every_branch():
         parts = vals.view(float) if vals.dtype.kind == "c" else vals
         negative_zero |= bool(np.any((parts == 0) & np.signbit(parts)))
     assert set(range(1, 10)) <= sizes
+    assert {70, 130} <= sizes
     # only a unitary tuple has blocks off F
     assert ("unitary", False) in in_f
     assert not {("skew_hermitian", False), ("real_symmetric", False)} & in_f
@@ -836,12 +842,14 @@ def test_joint_diagonalize_matches_the_reference_on_partitions(kind, n, parts, s
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_group_reduce_matches_per_group_np_mean_min_and_all(dtype):
-    # signed zeros and values of mixed magnitude, in groups of every size
-    # around the short-sum bound, and all singletons
+    # signed zeros and values of mixed magnitude, in groups of every size up
+    # to 10 and, every tenth trial, up to 140, past numpy's 128-float
+    # pairwise block, and all singletons
     rng = np.random.default_rng(3)
     entries = np.array([-0.0, 0.0, -1.5, 2.25, 1e-300, -5e-324, 3.0, 0.1, -0.7])
     for trial in range(300):
-        n, sizes = trial % 4, rng.integers(1, 11, size=rng.integers(1, 7)).tolist()
+        top = 141 if trial % 10 == 9 else 11
+        n, sizes = trial % 4, rng.integers(1, top, size=rng.integers(1, 7)).tolist()
         s = sum(sizes)
         vals = np.zeros((n, s), dtype)
         parts = vals.reshape(-1).view(float)

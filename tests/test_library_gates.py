@@ -38,6 +38,11 @@ GATES = {
         ValueError, "cannot remove components"),
     "reconstruct_chart in the wrong dimension": (lambda: rankstrata.reconstruct_chart(
         _chart(), 5), ShapeMismatch, "ambient dimension"),
+    # the frame has the ambient rows but not one column per chart coordinate
+    "reconstruct_chart with a frame of the wrong width": (lambda: rankstrata.reconstruct_chart(
+        rankstrata.SubquotientChart(3, _flag_coordinates(), np.eye(3)[:, :1],
+                                    _flag_coordinates(), np.zeros(1)), 3),
+        ShapeMismatch, "frame (3, 1), not (ambient dimension, rank) (3, 3)"),
     "subquotient_chart with a frame of the wrong shape": (lambda: rankstrata.subquotient_chart(
         generate.gen_exact_rank_tuple(0, 1, 2, 4), frame=np.eye(4)[:, :3]),
         ShapeMismatch, "frame must be (4, 2), got (4, 3)"),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src/commvar", "tests", "demos") for p in (ROOT / d).glob("*.py"))
+FILES = sorted(p for d in ("src/commvar", "tests", "demos", "tools")
+               for p in (ROOT / d).glob("*.py"))
 MINIMUM = tuple(map(int, re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
                                    (ROOT / "pyproject.toml").read_text(), re.M).groups()))
 
