@@ -37,10 +37,6 @@ class SpherePoint:
     def is_basepoint(self) -> bool:
         return self.coords is None
 
-    def near_basepoint(self, eps: float) -> bool:
-        """True when some coordinate lies within eps of 1."""
-        return self.coords is None or bool(near_basepoint_rows(self.coords[None], eps)[0])
-
     def __repr__(self):
         if self.coords is None:
             return "SpherePoint(basepoint)"
@@ -172,7 +168,8 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
     labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
     if any(len(lab.point.coords) != u.n or lab.frame.shape[0] != u.dim for lab in labels):
         # such labels cannot join the stacked arrays: check label by label
-        labels = [lab for lab in labels if not lab.point.near_basepoint(tol.eps_base)]
+        labels = [lab for lab in labels
+                  if not near_basepoint_rows(lab.point.coords[None], tol.eps_base)[0]]
         _check_labels(labels, u, tol)
     values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
     live = ~near_basepoint_rows(values, tol.eps_base)
@@ -185,9 +182,7 @@ def canonicalize(c: Configuration, tol: Tolerances = DEFAULT_TOL) -> Configurati
 
     widths = [lab.frame.shape[1] for lab in labels]
     stacked = np.concatenate([lab.frame for lab in labels], axis=1)
-    gram = stacked.conj().T @ stacked
-    gram.reshape(-1)[::gram.shape[0] + 1] -= 1
-    defect = np.abs(gram)
+    defect = np.abs(stacked.conj().T @ stacked - identity(stacked.shape[1]))
     non_isometric = [False] * len(labels)
     # orthonormal frames on mutually orthogonal labels leave nothing to locate
     if not defect.max() <= tol.eps_struct:

@@ -79,9 +79,9 @@ def gen_partition_tuple(seed: int, n: int, parts, kind: str = "skew_hermitian",
                         traceless: bool = False, unit: bool = False) -> CommutingTuple:
     """Commuting tuple whose coarsest eigenspace decomposition realizes the
     prescribed part sizes: one shared eigenvalue tuple per part, parts kept
-    0.5 apart in the max metric.  `unit` scales by `unit_normalize`, so a
-    single part (traceless part 0 up to roundoff) raises ZeroTuple; a part
-    below 1 raises ValueError."""
+    0.5 apart in the max metric.  `unit` takes the traceless projection
+    itself and scales it by `unit_normalize`, so a single part (traceless
+    part 0 up to roundoff) raises ZeroTuple; a part below 1 raises ValueError."""
     parts = list(parts)
     if any(p < 1 for p in parts):
         raise ValueError("parts must be positive")
@@ -113,9 +113,12 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
     Label subspaces are slices of a Haar unitary frame of the universe;
     point coordinates have arguments in [0.35, 2 pi - 0.35], away from the
     basepoint, and points are pairwise 0.2 apart in the max metric, so
-    canonicalization is stable.  Passing `dims` pins the label dimensions
-    (and hence the rank) exactly; one below 1 raises ValueError.
+    canonicalization is stable.  `dims` pins the label dimensions (and the rank)
+    exactly; a dimension, `max_labels` or `max_rank` below 1 raises ValueError.
     """
+    for name, cap in (("max_labels", max_labels), ("max_rank", max_rank)):
+        if cap is not None and cap < 1:
+            raise ValueError(f"{name} must be at least 1, got {cap}")
     rng = SplitMix64(seed)
     dim = universe.dim
     if dims is not None:
@@ -125,9 +128,7 @@ def gen_random_config(seed: int, universe: UniverseBasis, max_labels: int = 3,
         if sum(dims) > dim:
             raise ValueError("label dimensions exceed the universe dimension")
     else:
-        if max_rank is None:
-            max_rank = dim
-        max_rank = min(max_rank, dim)
+        max_rank = dim if max_rank is None else min(max_rank, dim)
         k = rng.randint(1, min(max_labels, max_rank) + 1)
         dims = []
         budget = max_rank

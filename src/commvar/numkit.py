@@ -367,9 +367,8 @@ def commutator_defect(mats) -> float:
     max over i < j of ||X_i X_j - X_j X_i||_F / max(1, ||X_i||_F ||X_j||_F).
     """
     arr = [np.asarray(m) for m in mats]
-    for m in arr:
-        if require_square(m) != require_square(arr[0]):
-            raise ShapeMismatch("matrices in a tuple must share one size")
+    if len({require_square(m) for m in arr}) > 1:
+        raise ShapeMismatch("matrices in a tuple must share one size")
     if len(arr) < 2:
         return 0.0
     norms = [fro(m) for m in arr]

@@ -129,10 +129,6 @@ class PsiIsometry:
         self.target = UniverseBasis(left.n + right.n, left.D + right.D)
         self.pair_index = _pair_index(left.n, left.D, right.n, right.D)
 
-    def kron_vec(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Image of u (x) v in the target coordinates."""
-        return self.kron_frame(np.asarray(u)[:, None], np.asarray(v)[:, None])[:, 0]
-
     def kron_frame(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Columnwise images of all tensor pairs; pair (a, b) lands at
         column a * g.shape[1] + b, matching np.kron index order.  The products

@@ -42,8 +42,9 @@ from .rng import SplitMix64, haar_orthogonal, haar_unitary, subseed, unit_phase
 
 # largest tuple length, truncation degree and trial count a run accepts: a
 # universe holds C(n + D, n) monomials.  A trial of all suites takes about
-# 13 ms at the default caps and 0.14 s at n_max = 6, D_max = 4, most of it
-# roundtrip and equivariance (seeds 0-3; 2-vCPU Xeon host, Python 3.11.7)
+# 18 ms at the default caps, spectrum the largest share at about a quarter, and
+# 0.17 s at n_max = 6, D_max = 4, 58% of it roundtrip and 34% equivariance
+# (seeds 0-3; 2-vCPU Xeon host, Python 3.11.7)
 MAX_N = 6
 MAX_D = 4
 MAX_TRIALS = 1000
@@ -226,7 +227,7 @@ def suite_cayley(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     s = rng.randint(1, min(6, cfg.s_max) + 1)
     x = generate.gen_random_commuting(rng.next_u64(), 1, s, "skew_hermitian").mats[0]
     a = rankstrata.cayley(x, tol)
-    rec.check("cayley unitary", numkit.fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("cayley unitary", numkit.unitary_defect(a), 1e-10)
     rec.check("cayley round trip", numkit.fro(rankstrata.cayley_inv(a, tol) - x), 1e-10)
     u = haar_unitary(rng, s)
     rec.check("cayley equivariance",
@@ -394,7 +395,8 @@ def suite_equivariance(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
     vec2 = rng.complex_normals(u.dim)
     w1 = rng.complex_normals(v.dim)
     w2 = rng.complex_normals(v.dim)
-    lhs = np.vdot(psi.kron_vec(vec1, w1), psi.kron_vec(vec2, w2))
+    lhs = np.vdot(psi.kron_frame(vec1[:, None], w1[:, None]),
+                  psi.kron_frame(vec2[:, None], w2[:, None]))
     rhs = np.vdot(vec1, vec2) * np.vdot(w1, w2)
     rec.check("psi isometry numeric", abs(lhs - rhs), 1e-10 * max(1.0, abs(rhs)))
 
@@ -462,7 +464,7 @@ def suite_real(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
 
     x = generate.gen_random_commuting(rng.next_u64(), 1, s, "real_symmetric").mats[0]
     a = realk.real_cayley(x, tol)
-    rec.check("real cayley unitary", numkit.fro(a.conj().T @ a - np.eye(s)), 1e-10)
+    rec.check("real cayley unitary", numkit.unitary_defect(a), 1e-10)
     rec.check("real cayley symmetric", numkit.fro(a - a.T), 1e-10)
     rec.check("real cayley inverse", numkit.fro(realk.real_cayley_inv(a, tol) - x), 1e-10)
     o = haar_orthogonal(rng, s)
@@ -616,8 +618,7 @@ def suite_isotropy(rng: SplitMix64, cfg: RunConfig, rec: Recorder):
                == tuple(sorted(parts, reverse=True)))
 
     if len(parts) > 1:
-        tu = generate.gen_partition_tuple(rng.next_u64(), n, parts, kind=kind,
-                                          traceless=True, unit=True)
+        tu = generate.gen_partition_tuple(rng.next_u64(), n, parts, kind=kind, unit=True)
         rec.check("unit norm", abs(isodecomp.tuple_norm(tu) - 1.0), 1e-10)
         tu_type = isodecomp.decomposition_type(tu, tol)
         rec.expect("complete type", isodecomp.is_complete_type(tu_type))

@@ -22,6 +22,7 @@ from commvar.gammaconf import (
     config_distance,
     frame_distance,
     frame_order,
+    near_basepoint_rows,
     push_labels,
     rank,
     sigma_action_config,
@@ -506,7 +507,8 @@ def test_canonicalize_reports_the_first_failing_label_check_of_the_loop():
     }
     for pair in itertools.permutations(variants, 2):
         labels = [variants[name] for name in pair]
-        live = [lab for lab in labels if not lab.point.near_basepoint(DEFAULT_TOL.eps_base)]
+        live = [lab for lab in labels
+                if not near_basepoint_rows(lab.point.coords[None], DEFAULT_TOL.eps_base)[0]]
         expect = _first_label_error(live, u)
         if expect is None:
             canonicalize(Configuration(u, labels))
@@ -623,7 +625,8 @@ def _reference_canonicalize(c, tol=DEFAULT_TOL):
     u = c.universe
     labels = [lab for lab in c.labels if lab.frame.shape[1] > 0 and not lab.point.is_basepoint]
     if any(len(lab.point.coords) != u.n or lab.frame.shape[0] != u.dim for lab in labels):
-        labels = [lab for lab in labels if not lab.point.near_basepoint(tol.eps_base)]
+        labels = [lab for lab in labels
+                  if not near_basepoint_rows(lab.point.coords[None], tol.eps_base)[0]]
         _check_labels(labels, u, tol)
     values = np.array([lab.point.coords for lab in labels]).reshape(len(labels), u.n)
     live = ~np.any(np.abs(values - 1.0) <= tol.eps_base, axis=1)

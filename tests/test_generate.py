@@ -36,6 +36,17 @@ def test_splitmix_reference_sequence():
     assert len(vals) == 64  # no collisions across nearby seeds
 
 
+def test_splitmix_stream_is_pinned():
+    # the published SplitMix64 reference outputs for seed 0
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    # Box-Muller's spare Gaussian carries over from one call to the next
+    rng = SplitMix64(5)
+    split = np.concatenate([rng.normals(3), rng.normals(1)])
+    assert split.tobytes() == SplitMix64(5).normals(4).tobytes()
+
+
 def test_subseed_independent():
     seeds = {subseed(5, i) for i in range(100)}
     assert len(seeds) == 100
@@ -120,6 +131,19 @@ def test_gen_random_config_canonical():
     assert config_distance(canonicalize(c), c) < 1e-13
     c2 = gen_random_config(7, u, max_labels=3, max_rank=4)
     assert config_distance(c, c2) < 1e-15
+
+
+@pytest.mark.parametrize("cap", ["max_labels", "max_rank"])
+def test_gen_random_config_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match=f"{cap} must be at least 1"):
+        gen_random_config(1, UniverseBasis(2, 1), **{cap: 0})
+
+
+def test_unit_partition_tuple_takes_the_traceless_projection_itself():
+    for kind in ("skew_hermitian", "real_symmetric"):
+        got = gen_partition_tuple(3, 2, (2, 2, 1), kind, unit=True)
+        want = gen_partition_tuple(3, 2, (2, 2, 1), kind, traceless=True, unit=True)
+        assert got.mats.tobytes() == want.mats.tobytes()
 
 
 def test_gen_exact_rank():

@@ -97,7 +97,7 @@ def test_psi_isometry_on_random_vectors():
     psi = psi_embed(u, v)
     a, b = rng.complex_normals(u.dim), rng.complex_normals(u.dim)
     c, d = rng.complex_normals(v.dim), rng.complex_normals(v.dim)
-    lhs = np.vdot(psi.kron_vec(a, c), psi.kron_vec(b, d))
+    lhs = np.vdot(psi.kron_frame(a[:, None], c[:, None]), psi.kron_frame(b[:, None], d[:, None]))
     rhs = np.vdot(a, b) * np.vdot(c, d)
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
@@ -170,7 +170,7 @@ def test_j0():
     for i, alpha in enumerate(v.monomials):
         vec = np.zeros(v.dim, dtype=complex)
         vec[i] = 1.0
-        out = psi.kron_vec(vec, f[:, 0])
+        out = psi.kron_frame(vec[:, None], f)[:, 0]
         assert out[psi.target.index[alpha + (0,)]] == 1.0
 
 
